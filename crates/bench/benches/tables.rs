@@ -2,13 +2,13 @@
 //!
 //! Each bench measures the analysis cost of regenerating the table from an
 //! already-collected dataset (the paper's equivalent: re-deriving a table
-//! from the perf logs), plus one end-to-end bench that includes
-//! characterization itself.
+//! from the perf logs), plus the characterization of one pair. Whole
+//! pipeline runs are measured end to end by `simbench/` (see
+//! `BENCHMARK.json`).
 
 use bench_suite::harness::{black_box, Runner};
 use bench_suite::{bench_config, bench_dataset};
 use workchar::characterize::characterize_pair;
-use workchar::dataset::Dataset;
 use workchar::experiments::{self, ExperimentId};
 use workload_synth::cpu2017;
 use workload_synth::profile::InputSize;
@@ -42,17 +42,9 @@ fn bench_characterize_one_pair(r: &mut Runner) {
     });
 }
 
-fn bench_collect_dataset(r: &mut Runner) {
-    r.bench("end_to_end/collect_bench_dataset", || {
-        black_box(bench_dataset())
-    });
-    let _ = Dataset::demo; // referenced to document the demo alternative
-}
-
 fn main() {
     let mut r = Runner::from_args("tables");
     bench_tables(&mut r);
     bench_characterize_one_pair(&mut r);
-    bench_collect_dataset(&mut r);
     r.finish();
 }

@@ -13,6 +13,13 @@
 //!   (Figs. 1–10).
 //! - `ablations` — design-choice sweeps: replacement policy, branch
 //!   predictor, linkage criterion, trace scale.
+//!
+//! These are per-component timings. The end-to-end benchmark of whole
+//! pipeline runs is `simbench/`, a package of its own declared by
+//! `BENCHMARK.json` at the repository root: four workloads (`quick-cold`,
+//! `default-cold`, `simpoint-quick`, `cache-replay`), a per-layer traced
+//! run, and `simbench compare` for A/B verdicts (see
+//! `simbench/BENCHMARK.md`).
 
 pub mod harness;
 

@@ -236,8 +236,8 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     let mut engine = Engine::new(&config.system);
     let simulate =
         crate::telemetry::stage("stage/simulate", crate::telemetry::stage_simulate_micros());
-    // The generator streams straight into the engine's batch arena — no
-    // per-op iterator hand-off on the hot path.
+    // The generator drives the engine's execution sink: each µop is
+    // executed as it is drawn, with no buffer or iterator hand-off.
     let session = engine.execute(trace, &plan);
     drop(simulate);
     let sim_seconds = engine.seconds(&session);

@@ -1,12 +1,12 @@
-//! Roster-wide differential suite for the batched engine hot loop.
+//! Roster-wide differential suite for the engine hot loop.
 //!
-//! The data-oriented `Engine::execute` path (the generator streaming
-//! straight into the engine's SoA batch arena) is checked against the
+//! The fused `Engine::execute` path (the generator driving the engine's
+//! execution sink, one µop executed per draw) is checked against the
 //! scalar reference loop `Engine::run_reference` across **all 64 CPU2017
-//! ref application–input pairs** — the acceptance gate of the hot-loop
-//! redesign. Sessions must be bit-identical, including sampled timelines,
-//! and the comparison runs with the sampler, process metrics, and causal
-//! tracing all enabled, because those paths share the segmentation logic
+//! ref application–input pairs** — the acceptance gate of the hot loop.
+//! Sessions must be bit-identical, including sampled timelines, and the
+//! comparison runs with the sampler, process metrics, and causal tracing
+//! all enabled, because those paths share the drive loop's edge capping
 //! with the plain run.
 
 use uarch_sim::config::SystemConfig;
@@ -57,9 +57,9 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
         let span = simtrace::root("test/differential-roster");
         let (gen, hints) = prepared(pair, &config);
 
-        let mut batched = Engine::new(&config);
+        let mut fused = Engine::new(&config);
         let plan = ExecPlan::from(opts).hints(hints);
-        let got = batched.execute(gen.clone().take_ops(OPS), &plan);
+        let got = fused.execute(gen.clone().take_ops(OPS), &plan);
 
         let mut scalar = Engine::new(&config);
         let want = scalar.run_reference(gen.clone().take(OPS as usize), &hints, &opts);
@@ -88,7 +88,7 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
 #[test]
 fn simpoint_full_replay_reconstructs_exactly_across_suites() {
     // k = n turns the sparse replay into a full run: alternating
-    // execute/warm over the batched engine must telescope to the exact
+    // execute/warm over the fused engine must telescope to the exact
     // monolithic counters. One representative per suite quadrant keeps
     // the debug-build runtime in check.
     let config = SystemConfig::haswell_e5_2650l_v3();

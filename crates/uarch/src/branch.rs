@@ -333,8 +333,8 @@ impl PredictorKind {
 }
 
 /// Concrete predictor storage for the engine: an enum instead of a trait
-/// object, so the batched hot loop can match once per segment and run a
-/// monomorphized update loop with no virtual dispatch per branch.
+/// object, so a run can match once and build an execution sink
+/// monomorphized over the predictor, with no virtual dispatch per branch.
 #[derive(Debug, Clone)]
 pub(crate) enum PredictorImpl {
     Tournament(Tournament),

@@ -5,21 +5,25 @@
 //! This is the stand-in for "run the benchmark under `perf stat` on the
 //! Haswell box" in the paper's methodology.
 //!
-//! Execution is batched (see [`crate::exec`]): the engine pulls flat SoA
-//! µop batches from a [`UopSource`], splits each batch into segments at
-//! warmup and sampler boundaries, and runs two tight passes per segment —
-//! a fetch/memory pass in op order (L1I probes share the L3 with the data
-//! path, so their interleaving matters) and a branch-predictor pass whose
-//! state is disjoint from the caches. Counters accumulate in per-segment
-//! tallies flushed once per segment. [`Engine::run_reference`] keeps the
-//! original one-op-at-a-time loop as the executable specification; the
-//! batched path reproduces its counters bit-for-bit (pinned by this
-//! crate's tests and the roster-wide differential suite).
+//! Execution is fused with generation (see [`crate::exec`]): a run
+//! builds one execution sink — hierarchy, fetch state, predictor, the
+//! indirect-target model and per-class tallies, monomorphized over the
+//! predictor type and the profiler switch — and lets the [`UopSource`]
+//! drive it. Each µop is executed in the sink call that produces it, in
+//! stream order: instruction fetch (L1I probes share the L3 with the data
+//! path, so their interleaving matters), the demand access or branch
+//! prediction, then the taken-branch fetch redirect. Each drive call is
+//! capped at the next warmup or sampler edge, so no per-op boundary check
+//! survives into the sink; tallies are flushed to the counter session once
+//! per call. [`Engine::run_reference`] keeps the original one-op-at-a-time
+//! loop over `MicroOp` values as the executable specification; the sink
+//! path reproduces its counters bit-for-bit (pinned by this crate's tests
+//! and the roster-wide differential suite).
 
 use crate::branch::{target_is_static, BranchPredictor, PredictorImpl, PredictorKind};
 use crate::config::SystemConfig;
 use crate::counters::{Event, PerfSession};
-use crate::exec::{from_iter, ExecPlan, UopBatch, UopSource, KIND_ALU, KIND_BRANCH_BASE};
+use crate::exec::{from_iter, ExecPlan, UopSink, UopSource};
 use crate::hierarchy::{Hierarchy, ServedBy};
 use crate::microop::{BranchKind, MicroOp};
 use crate::pipeline::{estimate_cycles, CycleBreakdown, TimingInputs};
@@ -162,8 +166,8 @@ struct IndirectState {
     extra_mispredicts: u64,
 }
 
-/// Per-segment event tallies, flushed to the counter session once per
-/// counted segment (warmup segments discard theirs, exactly as the scalar
+/// Per-drive event tallies, flushed to the counter session once per
+/// counted drive call (warmup calls discard theirs, exactly as the scalar
 /// path discarded its warmup sink).
 #[derive(Default)]
 struct Tallies {
@@ -183,7 +187,7 @@ struct Tallies {
 }
 
 impl Tallies {
-    /// Adds this segment's tallies to `s`. `ops` is the segment length;
+    /// Adds these tallies to `s`. `ops` is the number of ops they cover;
     /// every op retires one instruction and one µop. The per-level load
     /// counters partition exactly as the scalar path's per-op increments
     /// did: L1 misses are loads served below L1, L2 misses loads served
@@ -215,153 +219,207 @@ impl Tallies {
     }
 }
 
-/// One sweep over a segment, monomorphized over the predictor: instruction
-/// fetch (which shares the L3 with the data path, so it stays interleaved
-/// with loads and stores), demand accesses, branch classification,
-/// conditional direction prediction, the indirect target-miss model, and
-/// taken-branch fetch redirects.
+/// Evaluates `$body` with `$p` bound to the concrete predictor inside a
+/// [`PredictorImpl`], so the body monomorphizes once per predictor type.
+macro_rules! with_predictor {
+    ($predictor:expr, $p:ident => $body:expr) => {
+        match $predictor {
+            PredictorImpl::Tournament($p) => $body,
+            PredictorImpl::GShare($p) => $body,
+            PredictorImpl::Bimodal($p) => $body,
+            PredictorImpl::AlwaysTaken($p) => $body,
+        }
+    };
+}
+
+/// The engine's [`UopSink`]: executes each µop as the source produces it,
+/// monomorphized over the predictor.
 ///
-/// The per-op order is exactly the scalar reference order (see
-/// [`Engine::run_reference`]); monomorphizing over `P` removes virtual
-/// dispatch from the conditional-branch path, and processing the batch as
-/// one sweep touches each SoA lane once. Within one branch op the
-/// predictor update and the fetch redirect commute — they touch disjoint
-/// state — so their relative order is immaterial to bit-identity.
+/// Every sink call first advances instruction fetch (which shares the L3
+/// with the data path, so it stays interleaved with loads and stores),
+/// then runs the class's own body: the demand access, or branch
+/// classification, conditional direction prediction, the indirect
+/// target-miss model and the taken-branch fetch redirect. This is exactly
+/// the scalar reference order (see [`Engine::run_reference`]);
+/// monomorphizing over `P` removes virtual dispatch from the
+/// conditional-branch path. Within one branch op the predictor update and
+/// the fetch redirect commute — they touch disjoint state — so their
+/// relative order is immaterial to bit-identity.
 ///
 /// `PROFILE` selects the simprof hook: every `prof.interval` ops one
 /// sample (stack, µop kind, serving cache level, segment) is recorded via
 /// [`simprof::record_engine_sample`]. With `PROFILE = false` the hook
 /// code is compiled out entirely, so the unprofiled monomorphization is
-/// the exact pre-simprof hot loop. The hook reads engine state but never
+/// the exact pre-simprof loop. The hook reads engine state but never
 /// writes it, so counters are bit-identical either way.
-///
-/// The argument list is wide on purpose: the callers hold `&mut self`, so
-/// the disjoint engine fields must be passed as separate borrows.
-#[allow(clippy::too_many_arguments)]
-fn exec_pass<P: BranchPredictor, const PROFILE: bool>(
-    hierarchy: &mut Hierarchy,
-    fs: &mut FetchState,
-    predictor: &mut P,
-    kinds: &[u8],
-    addrs: &[u64],
-    bypass: Option<(u64, u64)>,
-    ind: &mut IndirectState,
+struct ExecSink<'e, P, const PROFILE: bool> {
+    hierarchy: &'e mut Hierarchy,
+    predictor: &'e mut P,
+    fs: FetchState,
+    ind: IndirectState,
+    t: Tallies,
+    prof: ProfState,
+    /// The L2-bypass range as `[lo, hi)`; an empty range never matches, so
+    /// the per-load check is branch-free on the hint's presence.
+    bypass_lo: u64,
+    bypass_hi: u64,
     indirect_target_miss_rate: f64,
-    t: &mut Tallies,
-    prof: &mut ProfState,
-) {
-    // An empty range never matches, so the per-load check is branch-free
-    // on the hint's presence.
-    let (bypass_lo, bypass_hi) = bypass.unwrap_or((1, 0));
-    for (&k, &operand) in kinds.iter().zip(addrs) {
-        // Instruction fetch: sequential 4-byte advance within the code
-        // footprint; only line crossings touch the L1I.
+}
+
+impl<'e, P: BranchPredictor, const PROFILE: bool> ExecSink<'e, P, PROFILE> {
+    fn new(
+        hierarchy: &'e mut Hierarchy,
+        predictor: &'e mut P,
+        hints: &WorkloadHints,
+        indirect_target_miss_rate: f64,
+        prof: ProfState,
+    ) -> Self {
+        let (bypass_lo, bypass_hi) = hints.l2_bypass_range.unwrap_or((1, 0));
+        ExecSink {
+            hierarchy,
+            predictor,
+            fs: FetchState::new(hints),
+            ind: IndirectState::default(),
+            t: Tallies::default(),
+            prof,
+            bypass_lo,
+            bypass_hi,
+            indirect_target_miss_rate,
+        }
+    }
+
+    /// Instruction fetch: sequential 4-byte advance within the code
+    /// footprint; only line crossings touch the L1I.
+    #[inline(always)]
+    fn fetch(&mut self) {
+        let fs = &mut self.fs;
         fs.fetch_off = (fs.fetch_off + 4) & fs.code_mask;
         let fetch_pc = 0x40_0000 + fs.fetch_off;
         let line = fetch_pc >> 6;
         if line != fs.last_fetch_line {
-            hierarchy.fetch(fetch_pc);
+            self.hierarchy.fetch(fetch_pc);
             fs.last_fetch_line = line;
         }
-        let mut prof_level = simprof::LEVEL_NONE;
-        match k {
-            KIND_ALU => {}
-            crate::exec::KIND_LOAD => {
-                t.loads += 1;
-                let served = if operand >= bypass_lo && operand < bypass_hi {
-                    hierarchy.load_bypass_l2(operand)
-                } else {
-                    hierarchy.load(operand)
-                };
-                match served {
-                    ServedBy::L1 => t.l1h += 1,
-                    ServedBy::L2 => t.l2h += 1,
-                    ServedBy::L3 => t.l3h += 1,
-                    ServedBy::Memory => t.l3m += 1,
-                }
-                if PROFILE {
-                    prof_level = match served {
-                        ServedBy::L1 => simprof::LEVEL_L1,
-                        ServedBy::L2 => simprof::LEVEL_L2,
-                        ServedBy::L3 => simprof::LEVEL_L3,
-                        ServedBy::Memory => simprof::LEVEL_MEM,
-                    };
-                }
-            }
-            crate::exec::KIND_STORE => {
-                t.stores += 1;
-                hierarchy.store(operand);
-            }
-            _ => {
-                t.branches += 1;
-                let taken = (k - KIND_BRANCH_BASE) & 1 == 1;
-                match (k - KIND_BRANCH_BASE) >> 1 {
-                    0 => {
-                        t.cond += 1;
-                        if !predictor.predict_and_update(operand, taken) {
-                            t.mispredicts += 1;
-                        }
-                    }
-                    // Direct targets are predicted perfectly once decoded.
-                    1 => t.direct_jmp += 1,
-                    2 => t.direct_call += 1,
-                    3 => {
-                        // Indirect jump target: BTB miss modelled by the
-                        // hint rate, realized deterministically by
-                        // counting.
-                        t.indirect_jmp += 1;
-                        ind.seen += 1;
-                        let due = (ind.seen as f64 * indirect_target_miss_rate).floor() as u64;
-                        if due > ind.extra_mispredicts {
-                            ind.extra_mispredicts = due;
-                            t.mispredicts += 1;
-                        }
-                    }
-                    // Returns are served by the return-address stack,
-                    // which is essentially perfect for call-balanced code.
-                    _ => t.returns += 1,
-                }
-                // Taken branches redirect fetch — mostly loop-local (hot
-                // region), occasionally a far cross-function transfer
-                // through the full text footprint.
-                if taken {
-                    fs.taken_seen += 1;
-                    let h = operand
-                        .wrapping_add(fs.taken_seen)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        >> 17;
-                    let mask = if fs.taken_seen.is_multiple_of(32) {
-                        fs.code_mask
-                    } else {
-                        fs.hot_code_mask
-                    };
-                    fs.fetch_off = h & mask;
-                    fs.last_fetch_line = u64::MAX;
-                }
-            }
-        }
+    }
+
+    /// The profiler's op clock: one tick per µop, a sample every
+    /// `prof.interval` ticks. Compiled out when `PROFILE` is false.
+    #[inline(always)]
+    fn tick(&mut self, kind: u8, level: u8) {
         if PROFILE {
-            prof.countdown -= 1;
-            if prof.countdown == 0 {
-                prof.countdown = prof.interval;
+            self.prof.countdown -= 1;
+            if self.prof.countdown == 0 {
+                self.prof.countdown = self.prof.interval;
                 // The sample stands for the whole interval that just
                 // elapsed, attributed to the op that closed it — standard
                 // statistical attribution, exact in aggregate.
-                let prof_kind = match k {
-                    KIND_ALU => simprof::KIND_ALU,
-                    crate::exec::KIND_LOAD => simprof::KIND_LOAD,
-                    crate::exec::KIND_STORE => simprof::KIND_STORE,
-                    _ => simprof::KIND_BRANCH,
-                };
-                simprof::record_engine_sample(prof.interval, prof_kind, prof_level, prof.in_warmup);
+                simprof::record_engine_sample(self.prof.interval, kind, level, self.prof.in_warmup);
             }
         }
     }
 }
 
-/// Sampling state threaded through [`exec_pass`]: the countdown persists
-/// across segments and batches so sample spacing is exact over the whole
-/// run. With `PROFILE = false` the fields are never read.
+impl<P: BranchPredictor, const PROFILE: bool> UopSink for ExecSink<'_, P, PROFILE> {
+    #[inline(always)]
+    fn alu(&mut self) {
+        self.fetch();
+        self.tick(simprof::KIND_ALU, simprof::LEVEL_NONE);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64) {
+        self.fetch();
+        self.t.loads += 1;
+        let served = if addr >= self.bypass_lo && addr < self.bypass_hi {
+            self.hierarchy.load_bypass_l2(addr)
+        } else {
+            self.hierarchy.load(addr)
+        };
+        let level = match served {
+            ServedBy::L1 => {
+                self.t.l1h += 1;
+                simprof::LEVEL_L1
+            }
+            ServedBy::L2 => {
+                self.t.l2h += 1;
+                simprof::LEVEL_L2
+            }
+            ServedBy::L3 => {
+                self.t.l3h += 1;
+                simprof::LEVEL_L3
+            }
+            ServedBy::Memory => {
+                self.t.l3m += 1;
+                simprof::LEVEL_MEM
+            }
+        };
+        self.tick(simprof::KIND_LOAD, level);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64) {
+        self.fetch();
+        self.t.stores += 1;
+        self.hierarchy.store(addr);
+        self.tick(simprof::KIND_STORE, simprof::LEVEL_NONE);
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, pc: u64, kind: BranchKind, taken: bool) {
+        self.fetch();
+        let t = &mut self.t;
+        t.branches += 1;
+        match kind {
+            BranchKind::Conditional => {
+                t.cond += 1;
+                if !self.predictor.predict_and_update(pc, taken) {
+                    t.mispredicts += 1;
+                }
+            }
+            // Direct targets are predicted perfectly once decoded.
+            BranchKind::DirectJump => t.direct_jmp += 1,
+            BranchKind::DirectNearCall => t.direct_call += 1,
+            BranchKind::IndirectJumpNonCallRet => {
+                // Indirect jump target: BTB miss modelled by the hint
+                // rate, realized deterministically by counting.
+                t.indirect_jmp += 1;
+                let ind = &mut self.ind;
+                ind.seen += 1;
+                let due = (ind.seen as f64 * self.indirect_target_miss_rate).floor() as u64;
+                if due > ind.extra_mispredicts {
+                    ind.extra_mispredicts = due;
+                    t.mispredicts += 1;
+                }
+            }
+            // Returns are served by the return-address stack, which is
+            // essentially perfect for call-balanced code.
+            BranchKind::IndirectNearReturn => t.returns += 1,
+        }
+        // Taken branches redirect fetch — mostly loop-local (hot region),
+        // occasionally a far cross-function transfer through the full text
+        // footprint.
+        if taken {
+            let fs = &mut self.fs;
+            fs.taken_seen += 1;
+            let h = pc
+                .wrapping_add(fs.taken_seen)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                >> 17;
+            let mask = if fs.taken_seen.is_multiple_of(32) {
+                fs.code_mask
+            } else {
+                fs.hot_code_mask
+            };
+            fs.fetch_off = h & mask;
+            fs.last_fetch_line = u64::MAX;
+        }
+        self.tick(simprof::KIND_BRANCH, simprof::LEVEL_NONE);
+    }
+}
+
+/// Sampling state of the [`ExecSink`]: the countdown persists across drive
+/// calls so sample spacing is exact over the whole run. With
+/// `PROFILE = false` the fields are never read.
 struct ProfState {
     countdown: u64,
     interval: u64,
@@ -378,6 +436,71 @@ impl ProfState {
     }
 }
 
+/// What a counted run's drive loop hands to pricing.
+struct Drive {
+    session: PerfSession,
+    executed: u64,
+    counted: u64,
+    l1i_misses_at_warmup: u64,
+    /// Snapshots at interval boundaries: (counted-op index, session counts
+    /// so far, cumulative L1I misses).
+    marks: Vec<(u64, PerfSession, u64)>,
+}
+
+/// Drives `source` into `sink` to exhaustion under `plan`. Each drive call
+/// is capped at the next warmup or sampler edge and at `plan.batch_ops`,
+/// so a call never straddles an edge and its tallies belong to one side.
+fn drive_counted<S: UopSource, P: BranchPredictor, const PROFILE: bool>(
+    source: &mut S,
+    sink: &mut ExecSink<'_, P, PROFILE>,
+    plan: &ExecPlan,
+) -> Drive {
+    let warmup_ops = plan.warmup_ops;
+    let batch_ops = plan.batch_ops.max(1) as u64;
+    // When sampling is off the boundary is unreachable, so calls are capped
+    // only at batch and warmup edges.
+    let interval = plan.sampler.map(|c| c.interval_ops.max(1));
+    let mut next_sample = interval.unwrap_or(u64::MAX);
+    let mut d = Drive {
+        session: PerfSession::new(),
+        executed: 0,
+        counted: 0,
+        l1i_misses_at_warmup: 0,
+        marks: Vec::new(),
+    };
+    loop {
+        let in_warmup = d.executed < warmup_ops;
+        let edge = if in_warmup {
+            warmup_ops - d.executed
+        } else {
+            if d.counted == 0 {
+                // About to process the first counted op: snapshot the L1I
+                // misses accumulated by warmup, exactly where the scalar
+                // loop snapshots them.
+                d.l1i_misses_at_warmup = sink.hierarchy.l1i_stats().misses;
+            }
+            next_sample - d.counted
+        };
+        sink.prof.in_warmup = in_warmup;
+        let n = source.drive(sink, edge.min(batch_ops) as usize) as u64;
+        if n == 0 {
+            break;
+        }
+        d.executed += n;
+        let t = std::mem::take(&mut sink.t);
+        if !in_warmup {
+            d.counted += n;
+            t.flush(&mut d.session, n);
+            if d.counted == next_sample {
+                let l1i = sink.hierarchy.l1i_stats().misses;
+                d.marks.push((d.counted, d.session.clone(), l1i));
+                next_sample = next_sample.saturating_add(interval.unwrap_or(u64::MAX));
+            }
+        }
+    }
+    d
+}
+
 /// Executes micro-op streams on a fixed system configuration.
 ///
 /// See the [crate-level example](crate) for end-to-end usage.
@@ -387,9 +510,6 @@ pub struct Engine {
     predictor: PredictorImpl,
     predictor_kind: PredictorKind,
     last_breakdown: Option<CycleBreakdown>,
-    /// Reusable batch arena: taken at the start of a run, returned at the
-    /// end, so steady-state execution does not allocate per batch.
-    arena: UopBatch,
 }
 
 impl std::fmt::Debug for Engine {
@@ -416,7 +536,6 @@ impl Engine {
             predictor: PredictorImpl::build(kind),
             predictor_kind: kind,
             last_breakdown: None,
-            arena: UopBatch::new(),
         }
     }
 
@@ -436,7 +555,7 @@ impl Engine {
         self.predictor = PredictorImpl::build(self.predictor_kind);
     }
 
-    /// Executes a batched µop source to completion under an [`ExecPlan`]
+    /// Executes a µop source to completion under an [`ExecPlan`]
     /// and returns the counter file.
     ///
     /// The returned session contains every [`Event`], including the cycle
@@ -473,7 +592,7 @@ impl Engine {
         } else {
             None
         };
-        let mut prof = if PROFILE {
+        let prof = if PROFILE {
             ProfState {
                 countdown: prof_interval,
                 interval: prof_interval,
@@ -489,83 +608,21 @@ impl Engine {
             }
         }
         let hints = &plan.hints;
+        let rate = hints.indirect_target_miss_rate;
+        let h = &mut self.hierarchy;
+        let Drive {
+            session: mut s,
+            executed,
+            counted,
+            l1i_misses_at_warmup,
+            mut marks,
+        } = with_predictor!(&mut self.predictor, p => drive_counted(
+            &mut source,
+            &mut ExecSink::<_, PROFILE>::new(h, p, hints, rate, prof),
+            plan,
+        ));
         let warmup_ops = plan.warmup_ops;
-        // When sampling is off the boundary is unreachable, so segments
-        // split only at batch and warmup edges.
         let interval = plan.sampler.map(|c| c.interval_ops.max(1));
-        let mut next_sample = interval.unwrap_or(u64::MAX);
-        let mut counted: u64 = 0;
-        // Snapshots at interval boundaries: (counted-op index, session
-        // counts so far, cumulative L1I misses).
-        let mut marks: Vec<(u64, PerfSession, u64)> = Vec::new();
-
-        let mut s = PerfSession::new();
-        let mut executed: u64 = 0;
-        let mut l1i_misses_at_warmup: u64 = 0;
-        let mut fs = FetchState::new(hints);
-        let mut ind = IndirectState::default();
-        let batch_ops = plan.batch_ops.max(1);
-        let mut batch = std::mem::take(&mut self.arena);
-
-        loop {
-            batch.clear();
-            source.fill(&mut batch, batch_ops);
-            let n = batch.len();
-            if n == 0 {
-                break;
-            }
-            let mut start = 0usize;
-            // Segment the batch so no per-op boundary checks survive into
-            // the inner passes: a segment never crosses the warmup edge or
-            // a sampler interval edge.
-            while start < n {
-                let left = (n - start) as u64;
-                let in_warmup = executed < warmup_ops;
-                let seg = if in_warmup {
-                    (warmup_ops - executed).min(left) as usize
-                } else {
-                    (next_sample - counted).min(left) as usize
-                };
-                if !in_warmup && counted == 0 {
-                    // About to process the first counted op: snapshot the
-                    // L1I misses accumulated by warmup, exactly where the
-                    // scalar loop snapshots them.
-                    l1i_misses_at_warmup = self.hierarchy.l1i_stats().misses;
-                }
-                let kinds = &batch.kinds[start..start + seg];
-                let addrs = &batch.addrs[start..start + seg];
-                let mut t = Tallies::default();
-                let rate = hints.indirect_target_miss_rate;
-                let bypass = hints.l2_bypass_range;
-                prof.in_warmup = in_warmup;
-                let (h, f, pr) = (&mut self.hierarchy, &mut fs, &mut prof);
-                match &mut self.predictor {
-                    PredictorImpl::Tournament(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::GShare(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::Bimodal(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                    PredictorImpl::AlwaysTaken(p) => exec_pass::<_, PROFILE>(
-                        h, f, p, kinds, addrs, bypass, &mut ind, rate, &mut t, pr,
-                    ),
-                }
-                executed += seg as u64;
-                start += seg;
-                if !in_warmup {
-                    counted += seg as u64;
-                    t.flush(&mut s, seg as u64);
-                    if counted == next_sample {
-                        marks.push((counted, s.clone(), self.hierarchy.l1i_stats().misses));
-                        next_sample = next_sample.saturating_add(interval.unwrap_or(u64::MAX));
-                    }
-                }
-            }
-        }
-        self.arena = batch;
 
         // Price the counted portion of the run.
         let l1i_total = self.hierarchy.l1i_stats().misses;
@@ -621,7 +678,7 @@ impl Engine {
         s
     }
 
-    /// Functional warming over a batched source: advances every piece of
+    /// Functional warming over a µop source: advances every piece of
     /// persistent microarchitectural state — cache hierarchy (demand and
     /// instruction fetch), branch predictor — through transitions
     /// bit-identical to [`Engine::execute`] on the same stream, but with
@@ -635,44 +692,21 @@ impl Engine {
     /// `execute` on chunk B produces the same session for B as `execute`
     /// on both) is pinned by this crate's tests.
     pub fn warm<S: UopSource>(&mut self, mut source: S, hints: &WorkloadHints) -> u64 {
-        let mut executed: u64 = 0;
-        // Per-run fetch state, reset per call exactly like execute.
-        let mut fs = FetchState::new(hints);
-        // Rate 0.0 keeps the indirect model inert, matching the scalar
-        // warm path (which never counted indirect misses).
-        let mut ind = IndirectState::default();
-        let mut batch = std::mem::take(&mut self.arena);
-        loop {
-            batch.clear();
-            source.fill(&mut batch, crate::exec::DEFAULT_BATCH_OPS);
-            let n = batch.len();
-            if n == 0 {
-                break;
-            }
-            let mut t = Tallies::default();
-            let kinds = &batch.kinds[..];
-            let addrs = &batch.addrs[..];
-            let bypass = hints.l2_bypass_range;
-            // Warming is uncounted gap-filling; it is never profiled.
-            let mut prof = ProfState::off();
-            let (h, f, pr) = (&mut self.hierarchy, &mut fs, &mut prof);
-            match &mut self.predictor {
-                PredictorImpl::Tournament(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::GShare(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::Bimodal(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
-                }
-                PredictorImpl::AlwaysTaken(p) => {
-                    exec_pass::<_, false>(h, f, p, kinds, addrs, bypass, &mut ind, 0.0, &mut t, pr)
+        let h = &mut self.hierarchy;
+        // Warming has no edges, so the source drives the sink to the end.
+        // Rate 0.0 keeps the indirect model inert, matching the scalar warm
+        // path (which never counted indirect misses); warming is uncounted
+        // gap-filling, so it is never profiled and its tallies are dropped.
+        let executed = with_predictor!(&mut self.predictor, p => {
+            let mut sink = ExecSink::<_, false>::new(h, p, hints, 0.0, ProfState::off());
+            let mut executed = 0u64;
+            loop {
+                match source.drive(&mut sink, usize::MAX) {
+                    0 => break executed,
+                    n => executed += n as u64,
                 }
             }
-            executed += n as u64;
-        }
-        self.arena = batch;
+        });
         crate::metrics::ops_warmed().add(executed);
         executed
     }
@@ -698,7 +732,7 @@ impl Engine {
     /// The original one-op-at-a-time execution loop, kept verbatim as the
     /// executable specification of the engine's counter semantics.
     ///
-    /// The batched [`Engine::execute`] must produce bit-identical sessions
+    /// The sink-driven [`Engine::execute`] must produce bit-identical sessions
     /// (including timelines) for every stream and plan; the differential
     /// tests in this crate and the roster-wide suite in `workload-synth`
     /// pin that equivalence. Not a hot path — use [`Engine::execute`].
@@ -1254,7 +1288,7 @@ mod tests {
 
     #[test]
     fn batched_execute_matches_reference_bit_for_bit() {
-        // The batched path vs the preserved scalar loop, across warmup,
+        // The sink path vs the preserved scalar loop, across warmup,
         // sampling (with an interval that does not divide the op count),
         // and every µop kind — sessions including timelines must be equal.
         let ops = full_mix_ops(30_000);
@@ -1273,16 +1307,29 @@ mod tests {
         ] {
             let mut scalar = Engine::new(&SystemConfig::tiny_test());
             let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
-            // Exercise several batch sizes, including ones that misalign
-            // with the warmup and sampler boundaries.
-            for batch_ops in [1usize, 7, 4096, 100_000] {
-                let mut batched = Engine::new(&SystemConfig::tiny_test());
-                let plan = ExecPlan::from(opts).hints(hints).batch_ops(batch_ops);
-                let got = batched.execute(from_iter(ops.iter().copied()), &plan);
-                assert_eq!(
-                    want, got,
-                    "batched (batch_ops={batch_ops}) must match reference for {opts:?}"
-                );
+            // Both monomorphizations of the execution sink: the profiled one
+            // runs under the profiler guard, which serializes it against
+            // every other test that toggles the global profiler.
+            for profiled in [false, true] {
+                let guard = profiled.then(|| simprof::test_support::enabled(777));
+                // Exercise several per-drive caps, including ones that
+                // misalign with the warmup and sampler boundaries.
+                for batch_ops in [1usize, 7, 4096, 100_000] {
+                    let mut fused = Engine::new(&SystemConfig::tiny_test());
+                    let plan = ExecPlan::from(opts).hints(hints).batch_ops(batch_ops);
+                    let got = fused.execute(from_iter(ops.iter().copied()), &plan);
+                    assert_eq!(
+                        want, got,
+                        "sink (batch_ops={batch_ops}, profiled={profiled}) must match \
+                         reference for {opts:?}"
+                    );
+                }
+                if guard.is_some() {
+                    assert!(
+                        simprof::drain().total_weight() > 0,
+                        "the profiled sink must have taken samples"
+                    );
+                }
             }
         }
     }
@@ -1503,20 +1550,22 @@ mod tests {
         let opts = RunOptions::new()
             .warmup(2_500)
             .sampler(SamplerConfig::every(1_234));
+        let plan = ExecPlan::from(opts).hints(hints);
         let mut plain_engine = engine();
-        let plain = plain_engine.execute(
-            from_iter(ops.iter().copied()),
-            &ExecPlan::from(opts).hints(hints),
-        );
-        let profiled = {
+        let plain = plain_engine.execute(from_iter(ops.iter().copied()), &plan);
+        let (profiled, profile) = {
             let _prof = simprof::test_support::enabled(777);
             let mut e = engine();
-            e.execute(
-                from_iter(ops.iter().copied()),
-                &ExecPlan::from(opts).hints(hints),
-            )
+            let session = e.execute(from_iter(ops.iter().copied()), &plan);
+            (session, simprof::drain())
         };
         assert_eq!(plain, profiled, "profiling must not perturb any counter");
+        // The profiled sink ran the whole stream: one sample per interval.
+        assert!(
+            profile.total_weight() >= (30_000 / 777) * 777,
+            "profiled sink sampled {} ops",
+            profile.total_weight()
+        );
     }
 
     #[test]
@@ -1572,8 +1621,8 @@ mod tests {
             let opts = RunOptions::new().predictor(kind);
             let mut scalar = engine();
             let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
-            let mut batched = engine();
-            let got = batched.execute(from_iter(ops.iter().copied()), &ExecPlan::from(opts));
+            let mut fused = engine();
+            let got = fused.execute(from_iter(ops.iter().copied()), &ExecPlan::from(opts));
             assert_eq!(want, got, "predictor {kind:?} must match reference");
         }
     }

@@ -1,14 +1,17 @@
-//! The batched execution API: flat SoA µop batches, the sources that fill
-//! them, and the [`ExecPlan`] describing one run.
+//! The execution API: the [`UopSink`] every µop moves through, the
+//! [`UopSource`]s that drive one, and the [`ExecPlan`] describing a run.
 //!
-//! The per-op iterator API ([`crate::engine::Engine::run_with`]) dispatches
-//! on a `MicroOp` enum per µop. The batched API instead decodes a stream
-//! into a reusable [`UopBatch`] arena — a structure-of-arrays of kind bytes
-//! and addresses — and lets the engine process whole segments at a time:
-//! cache probes stay in one tight loop, predictor updates in another, and
-//! per-op counter increments collapse into per-segment tallies. Counters
-//! are bit-identical to the scalar path (pinned by the differential tests);
-//! only the cost per µop changes.
+//! A source does not hand the engine µops to decode; it *drives* a sink,
+//! calling one typed method per µop (`alu`, `load`, `store`, `branch`).
+//! [`crate::engine::Engine::execute`] passes its own execution sink, so a
+//! generator's class draw selects the engine's per-class body directly:
+//! op *i* is executed before op *i + 1* is generated, with no buffer in
+//! between and no second dispatch on the class. Both sides are generic, so
+//! each (source, predictor) pair monomorphizes into one loop. [`UopBatch`]
+//! is the other sink: a flat record of the stream, for callers that want
+//! the µops themselves ([`UopSource::fill`]). Counters are bit-identical to
+//! the per-op reference loop (pinned by the differential tests); only the
+//! cost per µop changes.
 //!
 //! ```
 //! use uarch_sim::config::SystemConfig;
@@ -29,44 +32,57 @@ use crate::microop::{BranchKind, MicroOp};
 use crate::timeline::SamplerConfig;
 
 /// Kind byte for an ALU µop.
-pub(crate) const KIND_ALU: u8 = 0;
+const KIND_ALU: u8 = 0;
 /// Kind byte for a load µop (address in the parallel `addrs` lane).
-pub(crate) const KIND_LOAD: u8 = 1;
+const KIND_LOAD: u8 = 1;
 /// Kind byte for a store µop (address in the parallel `addrs` lane).
-pub(crate) const KIND_STORE: u8 = 2;
+const KIND_STORE: u8 = 2;
 /// First branch kind byte; branches encode as
 /// `KIND_BRANCH_BASE + 2 * kind_index + taken` with `kind_index` the
-/// position of the [`BranchKind`] in [`BranchKind::ALL`], so the taken bit
-/// and the class both decode with shifts instead of an enum match.
-pub(crate) const KIND_BRANCH_BASE: u8 = 3;
+/// position of the [`BranchKind`] in [`BranchKind::ALL`].
+const KIND_BRANCH_BASE: u8 = 3;
 
-/// Default number of µops the engine asks a source for per batch. Sized so
-/// one batch's kind and address lanes stay L1/L2-resident while still
-/// amortizing per-batch overhead over thousands of ops.
+/// Default number of µops the engine asks a source for per drive call: the
+/// span over which per-class tallies accumulate before they are flushed to
+/// the counter session.
 pub const DEFAULT_BATCH_OPS: usize = 4096;
 
-#[inline]
-fn encode_branch(kind: BranchKind, taken: bool) -> u8 {
-    let kind_index = match kind {
-        BranchKind::Conditional => 0u8,
-        BranchKind::DirectJump => 1,
-        BranchKind::DirectNearCall => 2,
-        BranchKind::IndirectJumpNonCallRet => 3,
-        BranchKind::IndirectNearReturn => 4,
-    };
-    KIND_BRANCH_BASE + 2 * kind_index + taken as u8
+/// The consumer side of a µop stream: one method per µop class.
+///
+/// A [`UopSource`] calls exactly one of these per µop, in stream order.
+/// The engine's execution sink simulates each call on the spot; a
+/// [`UopBatch`] records it.
+pub trait UopSink {
+    /// An ALU µop.
+    fn alu(&mut self);
+    /// A load of `addr`.
+    fn load(&mut self, addr: u64);
+    /// A store to `addr`.
+    fn store(&mut self, addr: u64);
+    /// A branch of class `kind` at `pc`, `taken` or not.
+    fn branch(&mut self, pc: u64, kind: BranchKind, taken: bool);
+
+    /// Any µop, dispatching on the enum once.
+    #[inline]
+    fn push(&mut self, op: MicroOp) {
+        match op {
+            MicroOp::Alu => self.alu(),
+            MicroOp::Load { addr } => self.load(addr),
+            MicroOp::Store { addr } => self.store(addr),
+            MicroOp::Branch { pc, kind, taken } => self.branch(pc, kind, taken),
+        }
+    }
 }
 
-/// A flat structure-of-arrays batch of decoded µops.
+/// A flat structure-of-arrays record of µops: the recording [`UopSink`].
 ///
 /// Two parallel lanes: a kind byte per op and a 64-bit operand per op (the
 /// data address for loads/stores, the branch pc for branches, unused for
-/// ALU). The engine owns one as a reusable arena, so steady-state execution
-/// allocates nothing per batch.
+/// ALU).
 #[derive(Debug, Clone, Default)]
 pub struct UopBatch {
-    pub(crate) kinds: Vec<u8>,
-    pub(crate) addrs: Vec<u64>,
+    kinds: Vec<u8>,
+    addrs: Vec<u64>,
 }
 
 impl UopBatch {
@@ -99,47 +115,13 @@ impl UopBatch {
         self.addrs.clear();
     }
 
-    /// Appends an ALU µop.
     #[inline]
-    pub fn push_alu(&mut self) {
-        self.kinds.push(KIND_ALU);
-        self.addrs.push(0);
+    fn record(&mut self, kind: u8, operand: u64) {
+        self.kinds.push(kind);
+        self.addrs.push(operand);
     }
 
-    /// Appends a load of `addr`.
-    #[inline]
-    pub fn push_load(&mut self, addr: u64) {
-        self.kinds.push(KIND_LOAD);
-        self.addrs.push(addr);
-    }
-
-    /// Appends a store to `addr`.
-    #[inline]
-    pub fn push_store(&mut self, addr: u64) {
-        self.kinds.push(KIND_STORE);
-        self.addrs.push(addr);
-    }
-
-    /// Appends a branch at `pc`.
-    #[inline]
-    pub fn push_branch(&mut self, pc: u64, kind: BranchKind, taken: bool) {
-        self.kinds.push(encode_branch(kind, taken));
-        self.addrs.push(pc);
-    }
-
-    /// Appends any µop, dispatching on the enum once at decode time.
-    #[inline]
-    pub fn push(&mut self, op: MicroOp) {
-        match op {
-            MicroOp::Alu => self.push_alu(),
-            MicroOp::Load { addr } => self.push_load(addr),
-            MicroOp::Store { addr } => self.push_store(addr),
-            MicroOp::Branch { pc, kind, taken } => self.push_branch(pc, kind, taken),
-        }
-    }
-
-    /// Decodes the µop at `index` back into its enum form (test/debug aid;
-    /// the engine never round-trips through this).
+    /// Decodes the µop at `index` back into its enum form.
     pub fn get(&self, index: usize) -> Option<MicroOp> {
         let k = *self.kinds.get(index)?;
         let operand = self.addrs[index];
@@ -156,18 +138,53 @@ impl UopBatch {
     }
 }
 
-/// A producer of µop batches: the decode side of the batched engine.
+impl UopSink for UopBatch {
+    #[inline]
+    fn alu(&mut self) {
+        self.record(KIND_ALU, 0);
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64) {
+        self.record(KIND_LOAD, addr);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64) {
+        self.record(KIND_STORE, addr);
+    }
+
+    #[inline]
+    fn branch(&mut self, pc: u64, kind: BranchKind, taken: bool) {
+        let kind_index = match kind {
+            BranchKind::Conditional => 0u8,
+            BranchKind::DirectJump => 1,
+            BranchKind::DirectNearCall => 2,
+            BranchKind::IndirectJumpNonCallRet => 3,
+            BranchKind::IndirectNearReturn => 4,
+        };
+        self.record(KIND_BRANCH_BASE + 2 * kind_index + taken as u8, pc);
+    }
+}
+
+/// A producer of µops: drives a [`UopSink`].
 ///
-/// `fill` appends up to `max` µops to `batch` and returns how many were
-/// appended; returning 0 ends the stream. Implementations write straight
-/// into the SoA lanes (via the `push_*` methods), so a generator never
-/// materializes per-op enum values on the hot path.
+/// `drive` makes up to `max` sink calls and returns how many it made;
+/// returning 0 ends the stream. A generator implements it with its own
+/// class-dispatch loop, so the class it draws picks the sink method
+/// directly and no per-op enum value is built on the hot path.
 pub trait UopSource {
+    /// Feeds up to `max` µops to `sink`, in stream order; returns the
+    /// count fed (0 = exhausted).
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize;
+
     /// Appends up to `max` µops to `batch`; returns the count appended
     /// (0 = exhausted).
-    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize;
+    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+        self.drive(batch, max)
+    }
 
-    /// Caps this source at `n` more µops — the batched analogue of
+    /// Caps this source at `n` more µops — the analogue of
     /// `Iterator::take`, used by chunked callers (simpoint profiling and
     /// replay) to run one interval at a time off a shared source.
     fn take_ops(self, n: u64) -> TakeOps<Self>
@@ -182,16 +199,17 @@ pub trait UopSource {
 }
 
 impl<S: UopSource + ?Sized> UopSource for &mut S {
-    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
-        (**self).fill(batch, max)
+    #[inline]
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
+        (**self).drive(sink, max)
     }
 }
 
 /// Adapts any µop iterator into a [`UopSource`].
 ///
-/// This is the compatibility path [`crate::engine::Engine::run_with`] rides
-/// on; sources with a native `fill` (the workload generator) skip the
-/// per-op iterator protocol entirely.
+/// This is the path [`crate::engine::Engine::run_with`] rides on; sources
+/// with a native `drive` (the workload generator) skip the per-op iterator
+/// protocol entirely.
 #[derive(Debug, Clone)]
 pub struct IterSource<I> {
     iter: I,
@@ -208,12 +226,12 @@ where
 }
 
 impl<I: Iterator<Item = MicroOp>> UopSource for IterSource<I> {
-    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
         let mut n = 0;
         while n < max {
             match self.iter.next() {
                 Some(op) => {
-                    batch.push(op);
+                    sink.push(op);
                     n += 1;
                 }
                 None => break,
@@ -232,21 +250,22 @@ pub struct TakeOps<S> {
 }
 
 impl<S: UopSource> UopSource for TakeOps<S> {
-    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+    #[inline]
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
         let cap = self.remaining.min(max as u64) as usize;
         if cap == 0 {
             return 0;
         }
-        let n = self.source.fill(batch, cap);
+        let n = self.source.drive(sink, cap);
         self.remaining -= n as u64;
         n
     }
 }
 
-/// Everything one batched run needs: hints, warmup, predictor selection,
+/// Everything one run needs: hints, warmup, predictor selection,
 /// sampling, and batch sizing.
 ///
-/// The batched successor of [`RunOptions`] + a separate hints argument;
+/// The successor of [`RunOptions`] + a separate hints argument;
 /// `RunOptions` converts losslessly via `From` for one release of
 /// compatibility.
 ///
@@ -275,9 +294,9 @@ pub struct ExecPlan {
     /// sampling: the run takes the identical hot path and the returned
     /// session carries no timeline.
     pub sampler: Option<SamplerConfig>,
-    /// µops requested from the source per batch (min 1; defaults to
-    /// [`DEFAULT_BATCH_OPS`]). Tuning knob only — results are identical at
-    /// any batch size.
+    /// Most µops one drive call may feed the engine (min 1; defaults to
+    /// [`DEFAULT_BATCH_OPS`]): the span of one tally flush. Tuning knob
+    /// only — results are identical at any size.
     pub batch_ops: usize,
 }
 
@@ -324,7 +343,7 @@ impl ExecPlan {
         self
     }
 
-    /// Sets the per-batch µop count.
+    /// Sets the per-drive-call µop cap.
     pub fn batch_ops(mut self, ops: usize) -> Self {
         self.batch_ops = ops.max(1);
         self

@@ -18,11 +18,15 @@
 //! `mem_load_uops_retired.l2_miss`, …), so the downstream characterization
 //! code reads counters exactly the way the authors read `perf` output.
 //!
-//! Execution is batched: the engine pulls flat structure-of-arrays µop
-//! batches from a [`exec::UopSource`] and processes them in cache-friendly
-//! segments (see [`exec`] for the layout and [`engine::Engine::execute`]
-//! for the run loop). Anything that yields [`microop::MicroOp`]s lifts
-//! into a source with [`exec::from_iter`].
+//! Execution is fused with generation: a [`exec::UopSource`] drives the
+//! engine's execution sink through the [`exec::UopSink`] trait, one typed
+//! call per µop, and the engine executes each µop in the call that
+//! produces it — no buffer between producer and consumer, and one class
+//! dispatch per op (see [`exec`] for the sink model and
+//! [`engine::Engine::execute`] for the run loop). Anything that yields
+//! [`microop::MicroOp`]s lifts into a source with [`exec::from_iter`];
+//! [`exec::UopBatch`] records a stream for callers that want the µops
+//! themselves.
 //!
 //! # Example
 //!

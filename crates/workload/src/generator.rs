@@ -9,7 +9,7 @@
 //! reproduction is bit-deterministic.
 
 use uarch_sim::config::SystemConfig;
-use uarch_sim::exec::{UopBatch, UopSource};
+use uarch_sim::exec::{UopSink, UopSource};
 use uarch_sim::microop::MicroOp;
 
 use crate::branchmodel::BranchModel;
@@ -66,7 +66,6 @@ impl TraceScale {
         let base = behavior.ops_budget(self.ops_per_billion, self.base_ops);
         let [_, f2, f3, f4] = behavior.service_fractions();
         let l1_lines = (config.l1d.size_bytes / config.l1d.line_bytes) as f64;
-        let l2_lines = (config.l2.size_bytes / config.l2.line_bytes) as f64;
         let mem_frac = behavior.memory_fraction().max(0.02);
         // Accesses needed for viable W2/W3 regions (several revisits of the
         // pollution-assisted minimum size, including a warmup pass); levels
@@ -85,7 +84,6 @@ impl TraceScale {
         } else {
             0.0
         };
-        let _ = l2_lines;
         let needed_ops = (need2.max(need3) / mem_frac) as u64;
         // Fidelity boosts may exceed the volume cap, but only up to 2x it.
         base.min(self.max_ops)
@@ -288,27 +286,30 @@ impl Iterator for TraceGenerator {
 impl ExactSizeIterator for TraceGenerator {}
 
 impl UopSource for TraceGenerator {
-    /// Streams up to `max` µops straight into the batch's SoA lanes,
-    /// skipping [`MicroOp`] materialization for the three common classes.
+    /// Feeds up to `max` µops to `sink`: the class draw selects the sink
+    /// method directly, so no [`MicroOp`] is materialized for the three
+    /// common classes and a consuming engine executes each op before the
+    /// next is drawn.
     ///
     /// Issues exactly the RNG and model draws [`Iterator::next`] would
     /// (one class selector per op, then the address or branch draw that
-    /// class performs), so batched and iterated streams from the same
+    /// class performs), so driven and iterated streams from the same
     /// generator state are bit-identical — pinned by this module's tests.
-    fn fill(&mut self, batch: &mut UopBatch, max: usize) -> usize {
+    #[inline]
+    fn drive<K: UopSink>(&mut self, sink: &mut K, max: usize) -> usize {
         let take = (max as u64).min(self.remaining);
         self.remaining -= take;
         self.produced += take;
         for _ in 0..take {
             let u = self.rng.gen_f64();
             if u < self.cum[0] {
-                batch.push_load(self.locality.next_addr(&mut self.rng));
+                sink.load(self.locality.next_addr(&mut self.rng));
             } else if u < self.cum[1] {
-                batch.push_store(self.locality.next_addr(&mut self.rng));
+                sink.store(self.locality.next_addr(&mut self.rng));
             } else if u < self.cum[2] {
-                batch.push(self.branches.next(&mut self.rng));
+                sink.push(self.branches.next(&mut self.rng));
             } else {
-                batch.push_alu();
+                sink.alu();
             }
         }
         take as usize
@@ -469,48 +470,99 @@ mod tests {
         assert_eq!(g.next(), None);
     }
 
-    #[test]
-    fn batched_fill_is_bit_identical_to_iteration() {
-        use uarch_sim::exec::UopBatch;
-        let behavior = Behavior {
+    /// Records every sink call as the [`MicroOp`] it stands for.
+    #[derive(Default)]
+    struct Recorder(Vec<MicroOp>);
+
+    impl UopSink for Recorder {
+        fn alu(&mut self) {
+            self.0.push(MicroOp::Alu);
+        }
+        fn load(&mut self, addr: u64) {
+            self.0.push(MicroOp::Load { addr });
+        }
+        fn store(&mut self, addr: u64) {
+            self.0.push(MicroOp::Store { addr });
+        }
+        fn branch(&mut self, pc: u64, kind: BranchKind, taken: bool) {
+            self.0.push(MicroOp::Branch { pc, kind, taken });
+        }
+    }
+
+    fn mixed() -> Behavior {
+        Behavior {
             load_pct: 30.0,
             store_pct: 10.0,
             branch_pct: 20.0,
             ..Behavior::default()
-        };
-        let full: Vec<MicroOp> = TraceGenerator::new(&behavior, &config(), 13, 5000)
-            .unwrap()
-            .collect();
-        // Odd batch size so fills straddle every model's internal cadence.
-        let mut g = TraceGenerator::new(&behavior, &config(), 13, 5000).unwrap();
-        let mut batch = UopBatch::new();
-        let mut got: Vec<MicroOp> = Vec::new();
-        loop {
-            batch.clear();
-            let n = g.fill(&mut batch, 611);
-            if n == 0 {
-                break;
-            }
-            assert_eq!(batch.len(), n);
-            got.extend((0..n).map(|i| batch.get(i).unwrap()));
         }
-        assert_eq!(got, full, "fill() must replay the iterator stream");
-        assert_eq!(g.remaining(), 0);
     }
 
     #[test]
-    fn fill_after_fast_forward_continues_the_stream() {
-        use uarch_sim::exec::UopBatch;
-        let full: Vec<MicroOp> = TraceGenerator::new(&Behavior::default(), &config(), 17, 3000)
+    fn drive_is_bit_identical_to_iteration_at_any_chunk_size() {
+        let full: Vec<MicroOp> = TraceGenerator::new(&mixed(), &config(), 13, 5000)
             .unwrap()
             .collect();
-        let mut g = TraceGenerator::new(&Behavior::default(), &config(), 17, 3000).unwrap();
-        assert_eq!(g.fast_forward(1234), 1234);
-        let mut batch = UopBatch::new();
-        let n = g.fill(&mut batch, 500);
-        assert_eq!(n, 500);
-        let got: Vec<MicroOp> = (0..n).map(|i| batch.get(i).unwrap()).collect();
-        assert_eq!(got, full[1234..1734]);
+        // Odd chunk sizes straddle every model's internal cadence;
+        // `usize::MAX` drives the whole stream in one call.
+        for skip in [0u64, 1234] {
+            for chunk in [1usize, 7, 611, 4096, usize::MAX] {
+                let mut g = TraceGenerator::new(&mixed(), &config(), 13, 5000).unwrap();
+                assert_eq!(g.fast_forward(skip), skip);
+                let mut sink = Recorder::default();
+                loop {
+                    let before = sink.0.len();
+                    let n = g.drive(&mut sink, chunk);
+                    assert!(n <= chunk);
+                    assert_eq!(sink.0.len() - before, n, "drive reports its sink calls");
+                    if n == 0 {
+                        break;
+                    }
+                }
+                assert_eq!(
+                    sink.0,
+                    full[skip as usize..],
+                    "drive({chunk}) after fast_forward({skip}) diverged"
+                );
+                assert_eq!(g.remaining(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn warming_a_generator_chunk_matches_executing_it() {
+        // The simpoint replay's gap invariant on a real generator driven
+        // through `TakeOps`: warming chunk A leaves the engine exactly
+        // where executing A does, so chunk B's session (timeline included)
+        // is the same either way.
+        use uarch_sim::counters::Event;
+        use uarch_sim::engine::Engine;
+        use uarch_sim::exec::ExecPlan;
+        use uarch_sim::timeline::SamplerConfig;
+        let config = config();
+        let (a, b) = (12_345u64, 20_000u64);
+        let gen = TraceGenerator::new(&mixed(), &config, 19, a + b).unwrap();
+        let mut hints = mixed().hints(&config);
+        hints.l2_bypass_range = Some(gen.l2_bypass_range());
+        let plan = ExecPlan::new()
+            .hints(hints)
+            .sampler(SamplerConfig::every(3_000));
+
+        let mut counted_gen = gen.clone();
+        let mut counted = Engine::new(&config);
+        counted.execute((&mut counted_gen).take_ops(a), &plan);
+        let want = counted.execute((&mut counted_gen).take_ops(b), &plan);
+
+        let mut warmed_gen = gen.clone();
+        let mut warmed = Engine::new(&config);
+        assert_eq!(warmed.warm((&mut warmed_gen).take_ops(a), &hints), a);
+        let got = warmed.execute((&mut warmed_gen).take_ops(b), &plan);
+
+        assert_eq!(got.count(Event::InstRetiredAny), b);
+        assert_eq!(
+            want, got,
+            "warming must advance state exactly like executing"
+        );
     }
 
     #[test]
