@@ -23,14 +23,15 @@
 //!
 //! Observability mirrors `reproduce`: `--timeline` samples per-pair counter
 //! timelines for the rate-suite characterization (artifacts under
-//! `<results>/timelines/`), `--events FILE` streams perfmon JSONL, `--trace`
-//! exports a causal span trace of the run under `<results>/traces/`
+//! `<results>/timelines/`). Every run records its stages as spans under one
+//! run root; at the end of the run the root's children become the
+//! per-stage summary table on stderr and, with `--events FILE`, perfmon
+//! JSONL. `--trace` also exports the span tree under `<results>/traces/`
 //! (Perfetto-loadable JSON plus the binary format `trace-report` reads),
 //! `--race` records sync events and audits the whole run with the
 //! vector-clock happens-before checker (`X`-rules), `--profile` records an
 //! op-clocked statistical profile (artifacts under `<results>/profiles/`,
-//! cache bypassed so engine work exists to sample), and
-//! a per-stage summary table prints to stderr on exit. Process metrics are
+//! cache bypassed so engine work exists to sample). Process metrics are
 //! always on — `--serve-metrics ADDR` scrapes them live, a final snapshot
 //! lands in `<results>/metrics.json`, and a panic dumps the flight
 //! recorder to `<results>/flight-recorder.json`. Errors render on stderr
@@ -39,9 +40,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use perfmon::Recorder;
 use simdash::manifest::kind as artifact_kind;
-use simdash::ManifestBuilder;
 use uarch_sim::engine::WorkloadHints;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::ablation;
@@ -49,7 +48,7 @@ use workchar::cache::CacheContext;
 use workchar::characterize::{characterize_suite_with, RunConfig};
 use workchar::cli::{ArgStream, PipelineFlags};
 use workchar::error::{Error, Result};
-use workchar::observe::{rel_artifact, write_timeline_artifacts, PipelineSpan};
+use workchar::observe::{rel_artifact, write_timeline_artifacts, Run, Stage};
 use workchar::phase::analyze_phases;
 use workload_synth::cpu2017;
 use workload_synth::phases::demo_three_phase;
@@ -99,52 +98,9 @@ fn main() -> ExitCode {
 }
 
 fn real_main(opts: PipelineFlags) -> Result<()> {
-    simmetrics::enable();
-    workchar::telemetry::register_pipeline_metrics();
-    simmetrics::flight::install_dump(&opts.results_dir.join("flight-recorder.json"));
-    let _metrics_server = match &opts.serve_metrics {
-        Some(addr) => {
-            let server = simmetrics::http::serve(addr)?;
-            eprintln!("serving metrics on http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    let recorder = match &opts.events {
-        Some(path) => Recorder::to_path(path)?,
-        None => Recorder::in_memory(),
-    };
-    // The run manifest opens before any artifact is written; every write
-    // site below registers its pointer, and the finished manifest lands
-    // under `<results>/runs/` (the dashboard and D-rules start there).
-    let mut manifest = ManifestBuilder::start("extensions", "default", &opts.config_summary(""));
-    if let Some(path) = &opts.events {
-        manifest.artifact(artifact_kind::EVENTS, rel_artifact(&opts.results_dir, path));
-    }
-    let trace_root = if opts.trace {
-        simtrace::enable();
-        let mut root = simtrace::root("run/extensions");
-        root.arg("run_id", manifest.run_id());
-        Some(root)
-    } else {
-        None
-    };
-    if opts.race {
-        simrace::enable();
-        eprintln!("race auditing on: recording sync events for a happens-before check");
-    }
-    let prof_root = if opts.profile {
-        simprof::enable_with_interval(opts.profile_interval);
-        eprintln!(
-            "profiling on: one sample per {} engine ops, artifacts under {}",
-            opts.profile_interval,
-            opts.results_dir.join("profiles").display()
-        );
-        Some(simprof::frame("run/extensions"))
-    } else {
-        None
-    };
+    // The run opens its manifest and run-root span before any stage; every
+    // write site below registers its artifact pointer with the manifest.
+    let mut run = Run::start("extensions", "default", &opts.config_summary(""), &opts)?;
     std::fs::create_dir_all(&opts.results_dir)?;
     let mut all = String::new();
     let mut config = RunConfig::default();
@@ -183,37 +139,31 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         }
         eprintln!("lint: profiles and config — {}", report.summary());
     }
-    let mut span = PipelineSpan::open(&recorder, "characterize-rate-ref");
+    let mut stage = Stage::open("characterize-rate-ref");
     let records = match characterize_suite_with(&rate_apps, InputSize::Ref, &config, cache.as_ref())
     {
         Ok(records) => records,
         Err(e) => {
-            // Even a failed campaign leaves a manifest with the per-pair
-            // failure details the --diff gate and the dashboard explain.
-            if let Error::Characterization { failures, .. } = &e {
-                for f in failures {
-                    manifest.pair_failed(&f.label, &f.message);
-                }
-            }
-            if let Err(werr) = manifest.write(&opts.results_dir) {
-                eprintln!("warning: cannot write run manifest: {werr}");
-            }
-            return Err(e);
+            // Even a failed campaign leaves a manifest and the events file
+            // with the per-pair failure details the --diff gate and the
+            // dashboard explain.
+            drop(stage);
+            return Err(run.fail(e));
         }
     };
     for r in &records {
-        manifest.pair_ok(&r.id);
+        run.manifest.pair_ok(&r.id);
     }
-    span.record("records", records.len());
+    stage.arg("records", records.len());
     if let Some(ctx) = &cache {
         let snap = ctx.stats.snapshot();
-        span.record("cache_hits", snap.hits);
-        span.record("cache_misses", snap.misses);
+        stage.arg("cache_hits", snap.hits);
+        stage.arg("cache_misses", snap.misses);
     }
-    span.finish();
+    stage.finish();
     let refs: Vec<&workchar::characterize::CharRecord> = records.iter().collect();
 
-    let mut span = PipelineSpan::open(&recorder, "ablations");
+    let mut stage = Stage::open("ablations");
     for table in [
         ablation::linkage_ablation(&refs),
         ablation::subsetter_ablation(&refs),
@@ -227,8 +177,8 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         all.push_str(&text);
         all.push('\n');
     }
-    span.record("tables", 6u64);
-    span.finish();
+    stage.arg("tables", 6u64);
+    stage.finish();
 
     eprintln!("sweeping DRAM latency and issue width...");
     let sweep_apps: Vec<_> = ["505.mcf_r", "549.fotonik3d_r", "525.x264_r", "557.xz_r"]
@@ -237,7 +187,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         .collect();
     // The 220-cycle and 4-wide points are the baseline machine: serve them
     // from the records characterized above instead of replaying.
-    let span = PipelineSpan::open(&recorder, "sensitivity-sweeps");
+    let mut stage = Stage::open("sensitivity-sweeps");
     for sweep in [
         workchar::sensitivity::memory_latency_sweep_with(
             &sweep_apps,
@@ -257,43 +207,39 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         all.push_str(&text);
         all.push('\n');
     }
-    span.finish();
+    // The sweeps are the last cache users: the run's cache statistics
+    // close with them.
     if let Some(ctx) = &cache {
         let snap = ctx.stats.snapshot();
         eprintln!("cache: {snap}");
-        recorder.stat(
-            "cache",
-            &[
-                ("hits", snap.hits.into()),
-                ("misses", snap.misses.into()),
-                ("hit_rate", snap.hit_rate().into()),
-                ("bytes_read", snap.bytes_read.into()),
-                ("bytes_written", snap.bytes_written.into()),
-            ],
-        );
+        stage.arg("cache_hits", snap.hits);
+        stage.arg("cache_misses", snap.misses);
+        stage.arg("cache_hit_rate", snap.hit_rate());
+        stage.arg("cache_bytes_read", snap.bytes_read);
+        stage.arg("cache_bytes_written", snap.bytes_written);
     }
+    stage.finish();
 
     if opts.timeline {
+        let mut stage = Stage::open("timeline-artifacts");
         let dir = opts.results_dir.join("timelines");
         let written = write_timeline_artifacts(&records, &dir)?;
-        manifest.artifact(
+        run.manifest.artifact(
             artifact_kind::TIMELINES_DIR,
             rel_artifact(&opts.results_dir, &dir),
         );
-        recorder.event(
-            "timeline-artifacts",
-            &[("pairs", perfmon::FieldValue::U64(written as u64))],
-        );
+        stage.arg("pairs", written);
+        stage.finish();
         eprintln!("wrote {written} pair timelines under {}", dir.display());
     }
 
     eprintln!("running phase analysis on the three-phase demo workload...");
     let workload = demo_three_phase();
     let trace: Vec<_> = workload.trace(&config.system, 42, 600_000).collect();
-    let mut span = PipelineSpan::open(&recorder, "phase-analysis");
+    let mut stage = Stage::open("phase-analysis");
     match analyze_phases(trace, &config.system, &WorkloadHints::default(), 40, 6) {
         Ok(analysis) => {
-            span.record("phases", analysis.n_phases);
+            stage.arg("phases", analysis.n_phases);
             let mut text = format!(
                 "Phase analysis of '{}': {} phases (silhouette {:.3})\n",
                 workload.name, analysis.n_phases, analysis.silhouette
@@ -316,10 +262,10 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         }
         Err(e) => eprintln!("phase analysis failed: {e}"),
     }
-    span.finish();
+    stage.finish();
 
     if opts.simpoint {
-        let mut span = PipelineSpan::open(&recorder, "simpoint-campaign");
+        let mut stage = Stage::open("simpoint-campaign");
         let dir = opts.results_dir.join("simpoints");
         let store = simstore::Store::open(&dir)?;
         let sp = simpoint::SimpointConfig::default();
@@ -335,16 +281,16 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
             &sp,
             Some(&store),
         )?;
-        span.record("pairs", sp_records.len());
+        stage.arg("pairs", sp_records.len());
         let text = workchar::simpoints::summary_table(&sp_records).render_ascii();
         println!("{text}");
         all.push_str(&text);
         all.push('\n');
-        manifest.artifact(
+        run.manifest.artifact(
             artifact_kind::SIMPOINTS_DIR,
             rel_artifact(&opts.results_dir, &dir),
         );
-        span.finish();
+        stage.finish();
     }
 
     let path = opts.results_dir.join("extensions.txt");
@@ -352,81 +298,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
-    manifest.artifact(artifact_kind::REPORT, "extensions.txt");
-    let metrics_path = opts.results_dir.join("metrics.json");
-    let rendered = simmetrics::json::render(&simmetrics::snapshot());
-    match std::fs::File::create(&metrics_path).and_then(|mut f| f.write_all(rendered.as_bytes())) {
-        Ok(()) => {}
-        Err(e) => eprintln!("warning: cannot write {}: {e}", metrics_path.display()),
-    }
-    manifest.artifact(artifact_kind::METRICS, "metrics.json");
-    if let Some(root) = trace_root {
-        root.finish();
-        let spans = simtrace::drain();
-        let dir = opts.results_dir.join("traces");
-        let (json_path, bin_path) = simtrace::export(&dir, "extensions", &spans)?;
-        manifest.artifact(
-            artifact_kind::TRACE_JSON,
-            rel_artifact(&opts.results_dir, &json_path),
-        );
-        manifest.artifact(
-            artifact_kind::TRACE_BIN,
-            rel_artifact(&opts.results_dir, &bin_path),
-        );
-        eprintln!(
-            "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",
-            spans.len(),
-            json_path.display()
-        );
-    }
-    if let Some(root) = prof_root {
-        drop(root);
-        simprof::disable();
-        let profile = simprof::drain();
-        let dir = opts.results_dir.join("profiles");
-        let paths = simprof::export(&dir, "extensions", &profile)?;
-        manifest.artifact(
-            artifact_kind::PROFILE,
-            rel_artifact(&opts.results_dir, &paths.prof),
-        );
-        manifest.artifact(
-            artifact_kind::FOLDED,
-            rel_artifact(&opts.results_dir, &paths.folded),
-        );
-        manifest.artifact(
-            artifact_kind::FLAMEGRAPH,
-            rel_artifact(&opts.results_dir, &paths.svg),
-        );
-        eprintln!(
-            "wrote {} profile samples ({} ops) to {} (run prof-report, or open {})",
-            profile.samples.len(),
-            profile.total_weight(),
-            paths.prof.display(),
-            paths.svg.display()
-        );
-    }
-    if opts.race {
-        simrace::disable();
-        let events = simrace::drain();
-        let report = simrace::checker::check_events("run/extensions", &events);
-        eprintln!(
-            "race audit: {} sync events — {}",
-            events.len(),
-            report.summary()
-        );
-        if !report.is_empty() {
-            eprint!("{}", report.to_table());
-        }
-        if report.failed(opts.deny_warnings) {
-            return Err(report.into());
-        }
-    }
-    let run_id = manifest.run_id().to_string();
-    let manifest_path = manifest.write(&opts.results_dir)?;
-    eprintln!(
-        "run {run_id}: manifest at {} (render with dash-report)",
-        manifest_path.display()
-    );
-    eprint!("{}", recorder.render_summary());
-    Ok(())
+    run.manifest
+        .artifact(artifact_kind::REPORT, "extensions.txt");
+    run.finish()
 }

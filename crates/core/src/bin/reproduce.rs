@@ -24,13 +24,14 @@
 //!
 //! Observability: `--timeline` records an interval-sampled counter timeline
 //! per pair (written as CSV + SVG sparkline under `<results>/timelines/`;
-//! sampled runs bypass the result cache), and `--events FILE` streams
-//! structured perfmon span/event records as JSONL. A per-stage summary table
-//! (wall time, peak RSS, throughput, cache statistics) prints to stderr at
-//! the end of every run. `--trace` records a causal span trace of the whole
-//! run — every per-pair job nests under the run root across the scheduler's
-//! worker threads — exported as Perfetto-loadable Chrome Trace Event JSON
-//! plus the compact binary format under `<results>/traces/` (feed either to
+//! sampled runs bypass the result cache). Every run records a causal span
+//! tree: each stage is a span under the run root, and every per-pair job
+//! nests under it across the scheduler's worker threads. At the end of the
+//! run, the root's direct children become a per-stage summary table on
+//! stderr (wall time, peak RSS, throughput, cache statistics) and, with
+//! `--events FILE`, one perfmon JSONL span record each. `--trace` also
+//! exports the tree as Perfetto-loadable Chrome Trace Event JSON plus the
+//! compact binary format under `<results>/traces/` (feed either to
 //! `trace-report`). `--race` records synchronization events from the
 //! scheduler, the store's index shards, and the metrics registry, and at
 //! the end of the run audits them with the vector-clock happens-before
@@ -51,9 +52,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use perfmon::Recorder;
 use simdash::manifest::kind as artifact_kind;
-use simdash::ManifestBuilder;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::cache::CacheContext;
 use workchar::characterize::RunConfig;
@@ -61,7 +60,7 @@ use workchar::cli::{ArgStream, PipelineFlags};
 use workchar::dataset::Dataset;
 use workchar::error::{Error, Result};
 use workchar::experiments::{self, correlation_notes, ExperimentId};
-use workchar::observe::{rel_artifact, write_timeline_artifacts, PipelineSpan};
+use workchar::observe::{rel_artifact, write_timeline_artifacts, Run, Stage};
 
 struct Options {
     quick: bool,
@@ -123,75 +122,17 @@ fn main() -> ExitCode {
 }
 
 fn real_main(opts: Options) -> Result<()> {
-    // Metrics are on for the whole run: the substrate crates' counters are
-    // sentinel-gated and cost one atomic add per hit, and the flight
-    // recorder dumps its last events to the results directory on panic.
-    simmetrics::enable();
-    workchar::telemetry::register_pipeline_metrics();
-    simmetrics::flight::install_dump(&opts.shared.results_dir.join("flight-recorder.json"));
-    let _metrics_server = match &opts.shared.serve_metrics {
-        Some(addr) => {
-            let server = simmetrics::http::serve(addr)?;
-            eprintln!("serving metrics on http://{}/metrics", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    let recorder = match &opts.shared.events {
-        Some(path) => Recorder::to_path(path)?,
-        None => Recorder::in_memory(),
-    };
-
-    // The run manifest opens before any artifact is written; every write
-    // site below registers its pointer, and the finished manifest lands
-    // under `<results>/runs/` (the dashboard and D-rules start there).
-    let mut manifest = ManifestBuilder::start(
+    // The run opens its manifest and run-root span before any stage; every
+    // write site below registers its artifact pointer with the manifest.
+    let mut run = Run::start(
         "reproduce",
         if opts.quick { "quick" } else { "default" },
         &opts
             .shared
             .config_summary(&experiment_summary(&opts.selected)),
-    );
-    if let Some(path) = &opts.shared.events {
-        manifest.artifact(
-            artifact_kind::EVENTS,
-            rel_artifact(&opts.shared.results_dir, path),
-        );
-    }
-
-    // The trace root opens before any stage so every span of the run —
-    // including per-pair jobs on scheduler worker threads — nests under it.
-    let trace_root = if opts.shared.trace {
-        simtrace::enable();
-        let mut root = simtrace::root("run/reproduce");
-        root.arg("quick", opts.quick);
-        root.arg("run_id", manifest.run_id());
-        Some(root)
-    } else {
-        None
-    };
-
-    // Race auditing records every sync event for the whole run; the
-    // happens-before check happens once at the end, after all stages.
-    if opts.shared.race {
-        simrace::enable();
-        eprintln!("race auditing on: recording sync events for a happens-before check");
-    }
-
-    // The profile root frame opens before any stage so every sample of the
-    // run folds under it, mirroring the trace root.
-    let prof_root = if opts.shared.profile {
-        simprof::enable_with_interval(opts.shared.profile_interval);
-        eprintln!(
-            "profiling on: one sample per {} engine ops, artifacts under {}",
-            opts.shared.profile_interval,
-            opts.shared.results_dir.join("profiles").display()
-        );
-        Some(simprof::frame("run/reproduce"))
-    } else {
-        None
-    };
+        &opts.shared,
+    )?;
+    run.arg("quick", opts.quick);
 
     // A cache-hit run executes no engine ops, leaving nothing to sample,
     // so profiled runs bypass the cache entirely.
@@ -250,26 +191,19 @@ fn real_main(opts: Options) -> Result<()> {
         config.system.name
     );
     let t0 = Instant::now();
-    let mut span = PipelineSpan::open(&recorder, "collect-dataset");
+    let mut stage = Stage::open("collect-dataset");
     let data = match Dataset::collect_with(config.clone(), cache.as_ref()) {
         Ok(data) => data,
         Err(e) => {
-            // Even a failed campaign leaves a manifest: the per-pair
-            // failure details are exactly what the --diff gate and the
-            // dashboard need to explain a regression.
-            if let Error::Characterization { failures, .. } = &e {
-                for f in failures {
-                    manifest.pair_failed(&f.label, &f.message);
-                }
-            }
-            if let Err(werr) = manifest.write(&opts.shared.results_dir) {
-                eprintln!("warning: cannot write run manifest: {werr}");
-            }
-            return Err(e);
+            // Even a failed campaign leaves a manifest and the events
+            // file: the per-pair failure details are exactly what the
+            // --diff gate and the dashboard need to explain a regression.
+            drop(stage);
+            return Err(run.fail(e));
         }
     };
     for r in data.cpu17.iter().chain(&data.cpu06) {
-        manifest.pair_ok(&r.id);
+        run.manifest.pair_ok(&r.id);
     }
     let wall = t0.elapsed().as_secs_f64();
     let sim_ops: u64 = data
@@ -278,36 +212,28 @@ fn real_main(opts: Options) -> Result<()> {
         .chain(&data.cpu06)
         .map(|r| r.sim_ops)
         .sum();
-    span.record("records_cpu17", data.cpu17.len());
-    span.record("records_cpu06", data.cpu06.len());
-    span.record("sim_ops", sim_ops);
+    stage.arg("records_cpu17", data.cpu17.len());
+    stage.arg("records_cpu06", data.cpu06.len());
+    stage.arg("sim_ops", sim_ops);
     if wall > 0.0 {
-        span.record("sim_ops_per_sec", sim_ops as f64 / wall);
+        stage.arg("sim_ops_per_sec", sim_ops as f64 / wall);
     }
     if let Some(ctx) = &cache {
         let snap = ctx.stats.snapshot();
-        span.record("cache_hits", snap.hits);
-        span.record("cache_misses", snap.misses);
+        stage.arg("cache_hits", snap.hits);
+        stage.arg("cache_misses", snap.misses);
+        stage.arg("cache_hit_rate", snap.hit_rate());
+        stage.arg("cache_bytes_read", snap.bytes_read);
+        stage.arg("cache_bytes_written", snap.bytes_written);
     }
-    span.finish();
+    stage.finish();
     eprintln!(
         "collected {} CPU2017 and {} CPU2006 records in {wall:.1}s",
         data.cpu17.len(),
         data.cpu06.len(),
     );
     if let Some(ctx) = &cache {
-        let snap = ctx.stats.snapshot();
-        eprintln!("cache: {snap}");
-        recorder.stat(
-            "cache",
-            &[
-                ("hits", snap.hits.into()),
-                ("misses", snap.misses.into()),
-                ("hit_rate", snap.hit_rate().into()),
-                ("bytes_read", snap.bytes_read.into()),
-                ("bytes_written", snap.bytes_written.into()),
-            ],
-        );
+        eprintln!("cache: {}", ctx.stats.snapshot());
     }
 
     std::fs::create_dir_all(&opts.shared.results_dir)?;
@@ -316,11 +242,11 @@ fn real_main(opts: Options) -> Result<()> {
     );
     for id in &opts.selected {
         let id = *id;
-        let mut span = PipelineSpan::open(&recorder, "experiment");
-        span.record("id", id.slug());
+        let mut stage = Stage::open("experiment");
+        stage.arg("id", id.slug());
         let artifact = experiments::run(id, &data)?;
-        span.record("tables", artifact.tables.len());
-        span.record("figures", artifact.figures.len());
+        stage.arg("tables", artifact.tables.len());
+        stage.arg("figures", artifact.figures.len());
         let text = artifact.render();
         println!("{text}");
         write_file(
@@ -354,30 +280,30 @@ fn real_main(opts: Options) -> Result<()> {
         for (title, body) in &artifact.texts {
             report.push_str(&format!("**{title}**\n\n```text\n{body}```\n\n"));
         }
-        span.finish();
+        stage.finish();
     }
     if opts.markdown {
         write_file(&opts.shared.results_dir, "REPORT.md", &report);
-        manifest.artifact(artifact_kind::REPORT, "REPORT.md");
+        run.manifest.artifact(artifact_kind::REPORT, "REPORT.md");
     }
 
     if opts.shared.timeline {
-        let mut span = PipelineSpan::open(&recorder, "timeline-artifacts");
+        let mut stage = Stage::open("timeline-artifacts");
         let dir = opts.shared.results_dir.join("timelines");
         let mut records = data.cpu17.clone();
         records.extend(data.cpu06.iter().cloned());
         let written = write_timeline_artifacts(&records, &dir)?;
-        manifest.artifact(
+        run.manifest.artifact(
             artifact_kind::TIMELINES_DIR,
             rel_artifact(&opts.shared.results_dir, &dir),
         );
-        span.record("pairs", written);
-        span.finish();
+        stage.arg("pairs", written);
+        stage.finish();
         eprintln!("wrote {written} pair timelines under {}", dir.display());
     }
 
     if opts.shared.simpoint {
-        let mut span = PipelineSpan::open(&recorder, "simpoint-campaign");
+        let mut stage = Stage::open("simpoint-campaign");
         let dir = opts.shared.results_dir.join("simpoints");
         let store = simstore::Store::open(&dir)?;
         let sp = simpoint::SimpointConfig::default();
@@ -394,16 +320,16 @@ fn real_main(opts: Options) -> Result<()> {
             &sp,
             Some(&store),
         )?;
-        span.record("pairs", records.len());
+        stage.arg("pairs", records.len());
         let table = workchar::simpoints::summary_table(&records);
         let text = table.render_ascii();
         println!("{text}");
         write_file(&opts.shared.results_dir, "simpoints.txt", &text);
-        manifest.artifact(
+        run.manifest.artifact(
             artifact_kind::SIMPOINTS_DIR,
             rel_artifact(&opts.shared.results_dir, &dir),
         );
-        span.finish();
+        stage.finish();
     }
 
     // Full per-pair record dump — the machine-readable artifact downstream
@@ -418,96 +344,17 @@ fn real_main(opts: Options) -> Result<()> {
         "records_cpu2006.csv",
         &workchar::characterize::records_csv(&data.cpu06),
     );
-    manifest.artifact(artifact_kind::RECORDS_CSV, "records_cpu2017.csv");
-    manifest.artifact(artifact_kind::RECORDS_CSV, "records_cpu2006.csv");
+    run.manifest
+        .artifact(artifact_kind::RECORDS_CSV, "records_cpu2017.csv");
+    run.manifest
+        .artifact(artifact_kind::RECORDS_CSV, "records_cpu2006.csv");
 
     println!("==== inline correlations (Sections IV-C / IV-D) ====");
     for (name, c) in correlation_notes(&data) {
         println!("{name}: {c:+.3}");
     }
 
-    // Final metric snapshot — the same series the HTTP endpoint serves,
-    // persisted for offline inspection.
-    write_file(
-        &opts.shared.results_dir,
-        "metrics.json",
-        &simmetrics::json::render(&simmetrics::snapshot()),
-    );
-    manifest.artifact(artifact_kind::METRICS, "metrics.json");
-
-    if let Some(root) = trace_root {
-        root.finish();
-        let spans = simtrace::drain();
-        let dir = opts.shared.results_dir.join("traces");
-        let (json_path, bin_path) = simtrace::export(&dir, "reproduce", &spans)?;
-        manifest.artifact(
-            artifact_kind::TRACE_JSON,
-            rel_artifact(&opts.shared.results_dir, &json_path),
-        );
-        manifest.artifact(
-            artifact_kind::TRACE_BIN,
-            rel_artifact(&opts.shared.results_dir, &bin_path),
-        );
-        eprintln!(
-            "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",
-            spans.len(),
-            json_path.display()
-        );
-    }
-
-    if let Some(root) = prof_root {
-        drop(root);
-        simprof::disable();
-        let profile = simprof::drain();
-        let dir = opts.shared.results_dir.join("profiles");
-        let paths = simprof::export(&dir, "reproduce", &profile)?;
-        manifest.artifact(
-            artifact_kind::PROFILE,
-            rel_artifact(&opts.shared.results_dir, &paths.prof),
-        );
-        manifest.artifact(
-            artifact_kind::FOLDED,
-            rel_artifact(&opts.shared.results_dir, &paths.folded),
-        );
-        manifest.artifact(
-            artifact_kind::FLAMEGRAPH,
-            rel_artifact(&opts.shared.results_dir, &paths.svg),
-        );
-        eprintln!(
-            "wrote {} profile samples ({} ops) to {} (run prof-report, or open {})",
-            profile.samples.len(),
-            profile.total_weight(),
-            paths.prof.display(),
-            paths.svg.display()
-        );
-    }
-
-    if opts.shared.race {
-        simrace::disable();
-        let events = simrace::drain();
-        let report = simrace::checker::check_events("run/reproduce", &events);
-        eprintln!(
-            "race audit: {} sync events — {}",
-            events.len(),
-            report.summary()
-        );
-        if !report.is_empty() {
-            eprint!("{}", report.to_table());
-        }
-        if report.failed(opts.shared.deny_warnings) {
-            return Err(report.into());
-        }
-    }
-
-    let run_id = manifest.run_id().to_string();
-    let manifest_path = manifest.write(&opts.shared.results_dir)?;
-    eprintln!(
-        "run {run_id}: manifest at {} (render with dash-report)",
-        manifest_path.display()
-    );
-
-    eprint!("{}", recorder.render_summary());
-    Ok(())
+    run.finish()
 }
 
 /// The experiments token of the manifest `config` field: `all` for a

@@ -13,6 +13,8 @@ use workload_synth::profile::{AppInputPair, AppProfile, InputSize, Suite};
 
 use crate::cache::{characterize_pair_cached, CacheContext};
 use crate::error::{Error, Result};
+use crate::observe::Stage;
+use crate::telemetry;
 
 /// Configuration of a characterization campaign: which system to simulate
 /// and how aggressively to scale traces down.
@@ -222,8 +224,7 @@ pub fn prepared_run(
 /// [`Error::Behavior`] when the pair's profile fails validation.
 pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<CharRecord> {
     let behavior = &pair.input.behavior;
-    let prepare =
-        crate::telemetry::stage("stage/prepare", crate::telemetry::stage_prepare_micros());
+    let prepare = Stage::timed("stage/prepare", telemetry::stage_prepare_micros());
     let (trace, hints) = prepared_run(pair, config)?;
     drop(prepare);
     let sim_ops = trace.remaining();
@@ -234,8 +235,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     let mut plan = ExecPlan::new().hints(hints).warmup(warmup);
     plan.sampler = config.sampler;
     let mut engine = Engine::new(&config.system);
-    let simulate =
-        crate::telemetry::stage("stage/simulate", crate::telemetry::stage_simulate_micros());
+    let simulate = Stage::timed("stage/simulate", telemetry::stage_simulate_micros());
     // The generator drives the engine's execution sink: each µop is
     // executed as it is drawn, with no buffer or iterator hand-off.
     let session = engine.execute(trace, &plan);
@@ -252,10 +252,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     } else {
         GrowthCurve::Saturating
     };
-    let footprint = crate::telemetry::stage(
-        "stage/footprint",
-        crate::telemetry::stage_footprint_micros(),
-    );
+    let footprint = Stage::timed("stage/footprint", telemetry::stage_footprint_micros());
     let map = MemoryMap::from_behavior(behavior, growth);
     let mut sampler = PsSampler::new();
     sampler.sample_run(&map, 60);
@@ -273,7 +270,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
         0.0
     };
 
-    crate::telemetry::pairs_characterized().inc();
+    telemetry::pairs_characterized().inc();
     Ok(CharRecord {
         id: pair.id(),
         app: pair.app.name.clone(),

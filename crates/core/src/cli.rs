@@ -88,7 +88,7 @@ pub struct PipelineFlags {
     pub timeline: bool,
     /// Run the representative-interval campaign (`--simpoint`).
     pub simpoint: bool,
-    /// Record a causal span trace of the run (`--trace`).
+    /// Export the run's span trace as trace files (`--trace`).
     pub trace: bool,
     /// Record sync events and audit the run for data races (`--race`).
     pub race: bool,
@@ -96,7 +96,8 @@ pub struct PipelineFlags {
     pub profile: bool,
     /// Profile sampling interval in engine ops (`--profile-interval N`).
     pub profile_interval: u64,
-    /// Stream perfmon span/event JSONL to this file (`--events FILE`).
+    /// Write the run's top-level stages as perfmon JSONL to this file at
+    /// the end of the run (`--events FILE`).
     pub events: Option<PathBuf>,
     /// Serve live process metrics on this address (`--serve-metrics ADDR`).
     pub serve_metrics: Option<String>,
@@ -195,8 +196,8 @@ impl PipelineFlags {
             "  --deny-warnings  with --lint, refuse to run on warnings too\n",
             "  --timeline       sample a per-pair counter timeline (CSV + SVG under results/timelines)\n",
             "  --simpoint       run the representative-interval campaign (records under results/simpoints)\n",
-            "  --events FILE    write perfmon span/event records as JSONL to FILE\n",
-            "  --trace          record a causal span trace under results/traces/ (Perfetto JSON + binary)\n",
+            "  --events FILE    write one perfmon JSONL span record per top-level stage to FILE\n",
+            "  --trace          export the run's span trace under results/traces/ (Perfetto JSON + binary)\n",
             "  --race           record sync events and audit the run for data races (X-rules)\n",
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",

@@ -1,20 +1,36 @@
-//! Binary-side observability helpers: timeline artifacts and run summaries.
+//! Binary-side observability: the pipeline stage guard, the run that
+//! owns the span tree, the stage view derived from it, and timeline
+//! artifacts.
 //!
-//! When a campaign runs with interval sampling (`--timeline`), every
-//! [`CharRecord`]'s session carries a
-//! [`uarch_sim::timeline::CounterTimeline`]. This module turns those
-//! timelines into on-disk artifacts — one CSV and one SVG sparkline per
-//! pair under `<results>/timelines/` — and is shared by the `reproduce` and
-//! `extensions` binaries. It also hosts [`PipelineSpan`], the combined
-//! perfmon + simtrace phase guard both binaries wrap their stages in.
+//! Every pipeline stage is one [`Stage`]: a simtrace span, a simprof
+//! frame, and, for per-pair stages, a latency histogram sample whose
+//! exemplar names the span. The `reproduce` and `extensions` binaries
+//! always record spans under one run root ([`Run`]). When the run ends,
+//! each direct child of the root becomes one row of the stderr stage
+//! table and one `kind:"span"` record of the `--events` JSONL
+//! ([`stages`], [`stage_table`], [`events_jsonl`]); `--trace` only decides
+//! whether the trace files are exported as well.
+//!
+//! With interval sampling (`--timeline`), every [`CharRecord`]'s session
+//! carries a [`uarch_sim::timeline::CounterTimeline`];
+//! [`write_timeline_artifacts`] turns those into one CSV and one SVG
+//! sparkline per pair under `<results>/timelines/`.
 
+use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Instant;
 
+use perfmon::json;
+use simdash::manifest::kind as artifact_kind;
+use simdash::ManifestBuilder;
+use simmetrics::Histogram;
 use simreport::sparkline::sparkline_svg;
+use simtrace::{ArgValue, SpanGuard, SpanRecord};
 use uarch_sim::timeline::IntervalSample;
 
 use crate::characterize::CharRecord;
-use crate::error::Result;
+use crate::cli::PipelineFlags;
+use crate::error::{Error, Result};
 
 /// The manifest-relative form of `path`: stripped of the results-dir
 /// prefix when it lives inside it, otherwise recorded as written (an
@@ -27,49 +43,401 @@ pub fn rel_artifact(results_dir: &Path, path: &Path) -> String {
         .to_string()
 }
 
-/// One top-level pipeline phase in *all three* span layers: a
-/// [`perfmon::Span`] (JSONL event + stderr stage table), a [`simtrace`]
-/// span (the causal trace), and a [`simprof`] frame (so profile samples
-/// taken during the phase fold under its name), opened and closed from
-/// the same scope so the reports always describe the same window. Fields
-/// recorded here land in the two span layers (frames carry no fields).
-/// Any side being disabled degrades to the others alone.
-#[derive(Debug)]
-pub struct PipelineSpan {
-    perf: perfmon::Span,
-    trace: simtrace::SpanGuard,
+/// The arg a top-level stage records the process peak RSS under. The
+/// stage view lifts it into the record's `mem_hwm_bytes` member.
+const MEM_HWM_ARG: &str = "mem_hwm_bytes";
+
+/// One pipeline stage: a simtrace span and a simprof frame opened and
+/// closed in the same scope, so the trace, the stage view and the
+/// profile's stage attribution describe the same window. Both nest under
+/// whatever is current on this thread: the run root for top-level stages,
+/// the scheduler's per-job span for per-pair ones. Every layer that is
+/// disabled stays inert.
+#[must_use = "a stage measures the scope it is held across"]
+pub struct Stage {
+    on_close: OnClose,
+    span: SpanGuard,
     _frame: simprof::FrameGuard,
 }
 
-impl PipelineSpan {
-    /// Opens the phase `name` in every layer; the trace span and profile
-    /// frame nest under whatever is current on this thread (the binary's
-    /// run root).
-    pub fn open(recorder: &perfmon::Recorder, name: &str) -> PipelineSpan {
-        PipelineSpan {
-            perf: recorder.span(name),
-            trace: simtrace::span(name),
+#[derive(Clone, Copy)]
+enum OnClose {
+    /// A top-level stage: record the process peak RSS as an arg.
+    MemHighWater,
+    /// A per-pair stage with metrics on: feed the histogram in µs.
+    Latency(&'static Histogram, Instant),
+    /// A per-pair stage with metrics off.
+    Nothing,
+}
+
+impl Stage {
+    /// Opens the top-level stage `name`. When it closes it records the
+    /// process peak RSS as the `mem_hwm_bytes` arg.
+    pub fn open(name: &str) -> Stage {
+        Stage {
+            on_close: OnClose::MemHighWater,
+            span: simtrace::span(name),
             _frame: simprof::frame(name),
         }
     }
 
-    /// Attaches a field to both layers.
-    pub fn record(&mut self, key: &str, value: impl Into<perfmon::FieldValue>) {
-        let value = value.into();
-        self.trace.arg(
-            key,
-            match &value {
-                perfmon::FieldValue::U64(v) => simtrace::ArgValue::U64(*v),
-                perfmon::FieldValue::F64(v) => simtrace::ArgValue::F64(*v),
-                perfmon::FieldValue::Str(s) => simtrace::ArgValue::Str(s.clone()),
-                perfmon::FieldValue::Bool(b) => simtrace::ArgValue::Bool(*b),
+    /// Opens the per-pair stage `name`, whose wall time in µs feeds
+    /// `latency` when it closes. The sample is recorded while the span is
+    /// still open, so the bucket's exemplar carries this span's id, the
+    /// hook `simdash::correlate` joins on. With metrics disabled the clock
+    /// is never read; with tracing disabled no exemplar is kept.
+    pub fn timed(name: &str, latency: &'static Histogram) -> Stage {
+        Stage {
+            on_close: if simmetrics::is_enabled() {
+                OnClose::Latency(latency, Instant::now())
+            } else {
+                OnClose::Nothing
             },
-        );
-        self.perf.record(key, value);
+            span: simtrace::span(name),
+            _frame: simprof::frame(name),
+        }
     }
 
-    /// Finishes both spans now (drop does the same).
+    /// Attaches a field (count, rate, outcome, …) to the stage's span.
+    pub fn arg(&mut self, key: &str, value: impl Into<ArgValue>) {
+        self.span.arg(key, value);
+    }
+
+    /// Closes the stage now (drop does the same).
     pub fn finish(self) {}
+}
+
+impl Drop for Stage {
+    fn drop(&mut self) {
+        match self.on_close {
+            OnClose::MemHighWater => {
+                if self.span.is_recording() {
+                    if let Some(bytes) = perfmon::mem_high_water_bytes() {
+                        self.span.arg(MEM_HWM_ARG, bytes);
+                    }
+                }
+            }
+            OnClose::Latency(hist, start) => {
+                let ctx = self.span.context();
+                hist.record_spanned(
+                    start.elapsed().as_micros() as u64,
+                    ctx.trace_id,
+                    ctx.span_id,
+                );
+            }
+            OnClose::Nothing => {}
+        }
+    }
+}
+
+/// One run of a pipeline binary: process metrics (always on), its
+/// manifest, its run-root span (open for the whole run, with span
+/// recording always on), and the optional metrics endpoint, race
+/// recording and profile root frame the flags ask for.
+pub struct Run<'a> {
+    name: &'static str,
+    flags: &'a PipelineFlags,
+    /// The run manifest. Every artifact write site registers its pointer
+    /// here; [`Run::finish`] and [`Run::fail`] write it under
+    /// `<results>/runs/`.
+    pub manifest: ManifestBuilder,
+    root: Option<SpanGuard>,
+    root_id: u64,
+    prof_root: Option<simprof::FrameGuard>,
+    _metrics_server: Option<simmetrics::http::Server>,
+}
+
+impl<'a> Run<'a> {
+    /// Starts the run `name` (`reproduce`, `extensions`) at `scale` with
+    /// the manifest config token `config`. The run root opens before any
+    /// stage, so every span of the run, including per-pair jobs on
+    /// scheduler worker threads, nests under it; the profile root frame
+    /// does the same for samples.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when `--serve-metrics` cannot bind its address.
+    pub fn start(
+        name: &'static str,
+        scale: &str,
+        config: &str,
+        flags: &'a PipelineFlags,
+    ) -> Result<Self> {
+        // Metrics are on for the whole run: the substrate crates' counters
+        // are sentinel-gated and cost one atomic add per hit, and the
+        // flight recorder dumps its last events to the results directory
+        // on panic.
+        simmetrics::enable();
+        crate::telemetry::register_pipeline_metrics();
+        simmetrics::flight::install_dump(&flags.results_dir.join("flight-recorder.json"));
+        let metrics_server = match &flags.serve_metrics {
+            Some(addr) => {
+                let server = simmetrics::http::serve(addr)?;
+                eprintln!("serving metrics on http://{}/metrics", server.local_addr());
+                Some(server)
+            }
+            None => None,
+        };
+        let mut manifest = ManifestBuilder::start(name, scale, config);
+        if let Some(path) = &flags.events {
+            manifest.artifact(
+                artifact_kind::EVENTS,
+                rel_artifact(&flags.results_dir, path),
+            );
+        }
+        simtrace::enable();
+        let mut root = simtrace::root(&format!("run/{name}"));
+        root.arg("run_id", manifest.run_id());
+        // Race auditing records every sync event for the whole run; the
+        // happens-before check happens once at the end, after all stages.
+        if flags.race {
+            simrace::enable();
+            eprintln!("race auditing on: recording sync events for a happens-before check");
+        }
+        let prof_root = flags.profile.then(|| {
+            simprof::enable_with_interval(flags.profile_interval);
+            eprintln!(
+                "profiling on: one sample per {} engine ops, artifacts under {}",
+                flags.profile_interval,
+                flags.results_dir.join("profiles").display()
+            );
+            simprof::frame(&format!("run/{name}"))
+        });
+        Ok(Run {
+            name,
+            flags,
+            manifest,
+            root_id: root.context().span_id,
+            root: Some(root),
+            prof_root,
+            _metrics_server: metrics_server,
+        })
+    }
+
+    /// Attaches an arg to the run-root span.
+    pub fn arg(&mut self, key: &str, value: impl Into<ArgValue>) {
+        if let Some(root) = &mut self.root {
+            root.arg(key, value);
+        }
+    }
+
+    /// Ends a run whose campaign failed. Records each failed pair in the
+    /// manifest, then writes the events file and the manifest, so a failed
+    /// campaign still leaves both behind. Returns `error` to propagate.
+    pub fn fail(mut self, error: Error) -> Error {
+        if let Error::Characterization { failures, .. } = &error {
+            for f in failures {
+                self.manifest.pair_failed(&f.label, &f.message);
+            }
+        }
+        let spans = self.close();
+        if let Err(e) = self.write_events(&spans) {
+            eprintln!("warning: cannot write events: {e}");
+        }
+        if let Err(e) = self.manifest.write(&self.flags.results_dir) {
+            eprintln!("warning: cannot write run manifest: {e}");
+        }
+        error
+    }
+
+    /// Ends a successful run: writes the final metric snapshot, exports
+    /// the trace (`--trace`) and profile (`--profile`) artifacts, writes
+    /// the events file (`--events`), audits recorded sync events
+    /// (`--race`), writes the manifest, and prints the stage table to
+    /// stderr.
+    ///
+    /// # Errors
+    ///
+    /// Any error writing an artifact other than the metric snapshot, or
+    /// the race report when it fails.
+    pub fn finish(mut self) -> Result<()> {
+        let results = &self.flags.results_dir;
+        // The same series the HTTP endpoint serves, persisted for offline
+        // inspection; a lost snapshot only warns.
+        let metrics = results.join("metrics.json");
+        match std::fs::write(&metrics, simmetrics::json::render(&simmetrics::snapshot())) {
+            Ok(()) => self
+                .manifest
+                .artifact(artifact_kind::METRICS, "metrics.json"),
+            Err(e) => eprintln!("warning: cannot write {}: {e}", metrics.display()),
+        }
+        let spans = self.close();
+        if self.flags.trace {
+            let dir = results.join("traces");
+            let (json_path, bin_path) = simtrace::export(&dir, self.name, &spans)?;
+            self.manifest
+                .artifact(artifact_kind::TRACE_JSON, rel_artifact(results, &json_path));
+            self.manifest
+                .artifact(artifact_kind::TRACE_BIN, rel_artifact(results, &bin_path));
+            eprintln!(
+                "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",
+                spans.len(),
+                json_path.display()
+            );
+        }
+        self.write_events(&spans)?;
+        if let Some(frame) = self.prof_root.take() {
+            drop(frame);
+            simprof::disable();
+            let profile = simprof::drain();
+            let paths = simprof::export(&results.join("profiles"), self.name, &profile)?;
+            for (kind, path) in [
+                (artifact_kind::PROFILE, &paths.prof),
+                (artifact_kind::FOLDED, &paths.folded),
+                (artifact_kind::FLAMEGRAPH, &paths.svg),
+            ] {
+                self.manifest.artifact(kind, rel_artifact(results, path));
+            }
+            eprintln!(
+                "wrote {} profile samples ({} ops) to {} (run prof-report, or open {})",
+                profile.samples.len(),
+                profile.total_weight(),
+                paths.prof.display(),
+                paths.svg.display()
+            );
+        }
+        if self.flags.race {
+            simrace::disable();
+            let events = simrace::drain();
+            let report = simrace::checker::check_events(&format!("run/{}", self.name), &events);
+            eprintln!(
+                "race audit: {} sync events — {}",
+                events.len(),
+                report.summary()
+            );
+            if !report.is_empty() {
+                eprint!("{}", report.to_table());
+            }
+            if report.failed(self.flags.deny_warnings) {
+                return Err(report.into());
+            }
+        }
+        let run_id = self.manifest.run_id().to_string();
+        let manifest_path = self.manifest.write(results)?;
+        eprintln!(
+            "run {run_id}: manifest at {} (render with dash-report)",
+            manifest_path.display()
+        );
+        eprint!("{}", stage_table(&stages(&spans, self.root_id)));
+        Ok(())
+    }
+
+    /// Closes the run root and drains the finished span tree.
+    fn close(&mut self) -> Vec<SpanRecord> {
+        self.root.take();
+        simtrace::drain()
+    }
+
+    /// Writes the `--events` file, if asked for, from the root's children.
+    fn write_events(&self, spans: &[SpanRecord]) -> std::io::Result<()> {
+        let Some(path) = &self.flags.events else {
+            return Ok(());
+        };
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, events_jsonl(&stages(spans, self.root_id)))
+    }
+}
+
+/// The run's top-level stages: the direct children of span `root_id`, in
+/// start order.
+pub fn stages(spans: &[SpanRecord], root_id: u64) -> Vec<&SpanRecord> {
+    let mut children: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| root_id != 0 && s.parent_id == root_id)
+        .collect();
+    children.sort_by_key(|s| (s.start_ns, s.span_id));
+    children
+}
+
+fn wall_ms(span: &SpanRecord) -> f64 {
+    span.wall_ns() as f64 / 1e6
+}
+
+/// A stage's fields: its args except the lifted peak RSS.
+fn fields(span: &SpanRecord) -> impl Iterator<Item = &(String, ArgValue)> {
+    span.args.iter().filter(|(k, _)| k != MEM_HWM_ARG)
+}
+
+fn mem_hwm_bytes(span: &SpanRecord) -> Option<u64> {
+    match span.arg(MEM_HWM_ARG) {
+        Some(ArgValue::U64(bytes)) => Some(*bytes),
+        _ => None,
+    }
+}
+
+/// Renders `stages` as perfmon JSONL (schema [`perfmon::SCHEMA`]): one
+/// `kind:"span"` record per stage with its name, `wall_ms` to three
+/// decimals, `mem_hwm_bytes` when recorded, and its other args as
+/// `fields` in insertion order.
+pub fn events_jsonl(stages: &[&SpanRecord]) -> String {
+    let mut out = String::new();
+    for s in stages {
+        let _ = write!(
+            out,
+            "{{\"schema\":{},\"kind\":\"span\",\"name\":\"{}\",\"wall_ms\":{:.3}",
+            perfmon::SCHEMA,
+            json::escape(&s.name),
+            wall_ms(s)
+        );
+        if let Some(bytes) = mem_hwm_bytes(s) {
+            let _ = write!(out, ",\"mem_hwm_bytes\":{bytes}");
+        }
+        let mut fields = fields(s).peekable();
+        if fields.peek().is_some() {
+            out.push_str(",\"fields\":{");
+            for (i, (key, value)) in fields.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "\"{}\":", json::escape(key));
+                simtrace::chrome::render_arg(&mut out, value);
+            }
+            out.push('}');
+        }
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// Renders `stages` as the aligned end-of-run table the binaries print
+/// to stderr: wall time, peak RSS and the fields of each stage.
+pub fn stage_table(stages: &[&SpanRecord]) -> String {
+    if stages.is_empty() {
+        return String::new();
+    }
+    let name_w = stages
+        .iter()
+        .map(|s| s.name.len())
+        .chain(["stage".len()])
+        .max()
+        .unwrap_or(5);
+    let mut out = format!(
+        "{:<name_w$}  {:>12}  {:>12}  details\n",
+        "stage", "wall_ms", "peak_rss_mb"
+    );
+    for s in stages {
+        let mem = match mem_hwm_bytes(s) {
+            Some(b) => format!("{:.1}", b as f64 / (1024.0 * 1024.0)),
+            None => "-".to_string(),
+        };
+        let details = fields(s)
+            .map(|(k, v)| match v {
+                ArgValue::F64(x) => format!("{k}={x:.2}"),
+                v => format!("{k}={v}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ");
+        let _ = writeln!(
+            out,
+            "{:<name_w$}  {:>12.3}  {:>12}  {details}",
+            s.name,
+            wall_ms(s),
+            mem
+        );
+    }
+    out
 }
 
 /// Pair ids as written turn into file names; everything outside
@@ -131,6 +499,142 @@ mod tests {
     use uarch_sim::timeline::SamplerConfig;
     use workload_synth::cpu2017;
     use workload_synth::profile::InputSize;
+
+    /// A finished span built by hand: no global tracer involved, so these
+    /// tests are safe under parallel test threads.
+    fn rec(
+        span_id: u64,
+        parent_id: u64,
+        name: &str,
+        (start_ns, end_ns): (u64, u64),
+        args: Vec<(&str, ArgValue)>,
+    ) -> SpanRecord {
+        SpanRecord {
+            trace_id: 1,
+            span_id,
+            parent_id,
+            name: name.to_string(),
+            tid: 1,
+            start_ns,
+            end_ns,
+            error: None,
+            args: args.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+
+    fn run_tree() -> Vec<SpanRecord> {
+        vec![
+            rec(1, 0, "run/test", (0, 9_000_000), vec![]),
+            rec(
+                3,
+                1,
+                "experiment",
+                (5_000_000, 5_250_000),
+                vec![
+                    ("id", "table2".into()),
+                    ("tables", 1u64.into()),
+                    (MEM_HWM_ARG, 4_194_304u64.into()),
+                ],
+            ),
+            rec(
+                2,
+                1,
+                "collect-dataset",
+                (1_000, 4_001_234),
+                vec![
+                    ("records", 2u64.into()),
+                    ("rate", 1.5.into()),
+                    ("hit", true.into()),
+                ],
+            ),
+            // A grandchild, another root, and that root's child: none of
+            // them is a top-level stage of run 1.
+            rec(
+                4,
+                2,
+                "sched/job",
+                (2_000, 3_000),
+                vec![("pair", "a".into())],
+            ),
+            rec(5, 0, "run/other", (0, 10), vec![]),
+            rec(6, 5, "stray", (1, 2), vec![]),
+        ]
+    }
+
+    #[test]
+    fn only_root_children_become_stage_records_in_start_order() {
+        let spans = run_tree();
+        let stages = stages(&spans, 1);
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["collect-dataset", "experiment"]);
+        let jsonl = events_jsonl(&stages);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"schema\":1,\"kind\":\"span\",\"name\":\"collect-dataset\",\
+                 \"wall_ms\":4.000,\"fields\":{\"records\":2,\"rate\":1.5,\"hit\":true}}",
+                "{\"schema\":1,\"kind\":\"span\",\"name\":\"experiment\",\"wall_ms\":0.250,\
+                 \"mem_hwm_bytes\":4194304,\"fields\":{\"id\":\"table2\",\"tables\":1}}",
+            ]
+        );
+        let (summary, report) = perfmon::check_events("events.jsonl", &jsonl);
+        assert!(report.is_empty(), "{}", report.to_table());
+        assert_eq!((summary.spans, summary.events), (2, 0));
+    }
+
+    #[test]
+    fn stages_of_an_absent_root_are_empty() {
+        assert!(stages(&run_tree(), 0).is_empty());
+        assert!(stages(&run_tree(), 42).is_empty());
+        assert_eq!(events_jsonl(&[]), "");
+        assert_eq!(stage_table(&[]), "");
+    }
+
+    #[test]
+    fn tricky_strings_survive_the_events_view() {
+        let spans = vec![
+            rec(1, 0, "run/test", (0, 10), vec![]),
+            rec(
+                2,
+                1,
+                "weird \"name\"\nwith\tcontrol\u{1}chars",
+                (1, 2),
+                vec![("note", "back\\slash é 😀".into())],
+            ),
+            rec(3, 1, "bare", (3, 4), vec![]),
+        ];
+        let jsonl = events_jsonl(&stages(&spans, 1));
+        assert_eq!(jsonl.lines().count(), 2, "escaped newline keeps one line");
+        assert!(
+            !jsonl.contains("\"fields\":{}"),
+            "no args, no fields member"
+        );
+        let (_, report) = perfmon::check_events("events.jsonl", &jsonl);
+        assert!(report.is_empty(), "{}", report.to_table());
+        let first = json::parse(jsonl.lines().next().unwrap()).unwrap();
+        let note = first.get("fields").and_then(|f| f.get("note"));
+        assert_eq!(note.and_then(json::Value::as_str), Some("back\\slash é 😀"));
+    }
+
+    #[test]
+    fn stage_table_lists_each_stage_with_its_fields() {
+        let spans = run_tree();
+        let table = stage_table(&stages(&spans, 1));
+        let rows: Vec<&str> = table.lines().collect();
+        assert_eq!(rows.len(), 3, "{table}");
+        assert!(rows[0].starts_with("stage"));
+        assert!(rows[1].starts_with("collect-dataset"));
+        assert!(rows[1].contains("4.000"), "{}", rows[1]);
+        assert!(
+            rows[1].ends_with("records=2 rate=1.50 hit=true"),
+            "{}",
+            rows[1]
+        );
+        assert!(rows[1].contains(" - "), "no peak RSS recorded: {}", rows[1]);
+        assert!(rows[2].contains("4.0"), "4 MiB peak RSS: {}", rows[2]);
+        assert!(rows[2].ends_with("id=table2 tables=1"), "{}", rows[2]);
+    }
 
     #[test]
     fn stems_are_filesystem_safe() {

@@ -3,14 +3,14 @@
 //!
 //! [`crate::characterize::characterize_pair`] splits into three stages —
 //! preparing the trace and hints, running the engine, and sampling the
-//! footprint model — and each gets a latency histogram here so a scrape of
-//! a long campaign shows where pair wall-time actually goes. The handles
+//! footprint model — and each gets a latency histogram here, fed by the
+//! stage's [`crate::observe::Stage`], so a scrape of a long campaign shows
+//! where pair wall-time actually goes. The handles
 //! are `OnceLock`-cached so the per-pair cost is one pointer load per
 //! stage; when metrics are disabled the histograms' own sentinel check
 //! makes every record a no-op.
 
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use simmetrics::{Counter, Histogram};
 
@@ -63,49 +63,6 @@ handle! {
             "workchar_stage_footprint_micros",
             "Per-pair latency of the ps-style memory-footprint sampling."
         )
-    }
-}
-
-/// One guard covering a pipeline stage in *three* observability layers:
-/// dropping it closes the simtrace span, records the simmetrics latency
-/// histogram sample, and pops the simprof frame from the same scope, so
-/// the trace view, the metric view, and the profile's stage attribution
-/// always describe the same wall-clock window.
-///
-/// The histogram sample is recorded via [`Histogram::record_spanned`]
-/// while the span guard is still open, so the bucket's exemplar carries
-/// this stage span's trace/span id — the hook `simdash::correlate` joins
-/// on. With metrics disabled the clock is never read; with tracing
-/// disabled the context is `NONE` and no exemplar is kept.
-pub(crate) struct StageTimer {
-    hist: &'static Histogram,
-    start: Option<Instant>,
-    span: simtrace::SpanGuard,
-    _frame: simprof::FrameGuard,
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let ctx = self.span.context();
-            self.hist.record_spanned(
-                start.elapsed().as_micros() as u64,
-                ctx.trace_id,
-                ctx.span_id,
-            );
-        }
-    }
-}
-
-/// Opens a [`StageTimer`] for the stage named `span_name`, feeding
-/// `histogram` on close. The span and frame nest under whatever is current
-/// on this thread (the scheduler's per-job span during suite runs).
-pub(crate) fn stage(span_name: &str, histogram: &'static Histogram) -> StageTimer {
-    StageTimer {
-        hist: histogram,
-        start: simmetrics::is_enabled().then(Instant::now),
-        span: simtrace::span(span_name),
-        _frame: simprof::frame(span_name),
     }
 }
 

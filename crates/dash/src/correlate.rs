@@ -2,8 +2,8 @@
 //! profile frame → pair id, driven entirely by one run manifest.
 //!
 //! Each stage histogram bucket keeps its last-k exemplars (value +
-//! trace/span id, recorded by `workchar::telemetry` while the stage span
-//! is still open). Resolving an exemplar is then pure navigation: the
+//! trace/span id, recorded by `workchar::observe::Stage` while the stage
+//! span is still open). Resolving an exemplar is then pure navigation: the
 //! span id indexes the run's exported trace, walking parents finds the
 //! enclosing `sched/job` span whose `pair` arg names the benchmark/input
 //! pair, and the pair label selects the profile stacks whose samples
@@ -64,26 +64,27 @@ impl CorrelatedRun {
 
 /// Builds the correlation table for `manifest`, resolving artifacts
 /// against `results_dir`. Missing optional layers degrade gracefully: no
-/// metrics artifact means an empty table, no trace means unresolved
-/// spans, no profile means `top_frame: None`.
+/// metrics or no trace artifact means an empty table (the binaries record
+/// spans, and so exemplars, on every run, but only `--trace` exports the
+/// spans they name), no profile means `top_frame: None`.
 pub fn correlate(manifest: &RunManifest, results_dir: &Path) -> io::Result<CorrelatedRun> {
     let mut out = CorrelatedRun {
         run_id: manifest.run_id.clone(),
         rows: Vec::new(),
     };
 
-    let exemplars = match manifest.artifact_path(kind::METRICS, results_dir) {
-        Some(path) => parse_metrics_exemplars(&std::fs::read_to_string(path)?),
-        None => Vec::new(),
+    let (Some(metrics), Some(trace)) = (
+        manifest.artifact_path(kind::METRICS, results_dir),
+        manifest.artifact_path(kind::TRACE_JSON, results_dir),
+    ) else {
+        return Ok(out);
     };
+    let exemplars = parse_metrics_exemplars(&std::fs::read_to_string(metrics)?);
     if exemplars.is_empty() {
         return Ok(out);
     }
 
-    let spans: Vec<SpanRecord> = match manifest.artifact_path(kind::TRACE_JSON, results_dir) {
-        Some(path) => simtrace::load(&path)?,
-        None => Vec::new(),
-    };
+    let spans: Vec<SpanRecord> = simtrace::load(&trace)?;
     let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
 
     let profile = match manifest.artifact_path(kind::PROFILE, results_dir) {

@@ -23,21 +23,8 @@ pub struct ReportOptions {
     pub baseline_prof: Option<PathBuf>,
 }
 
-/// Escapes text for HTML content and attribute values.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes text for HTML content and attribute values (the XML escape).
+pub use simreport::svg::escape as esc;
 
 /// Renders the dashboard for `manifest` into one self-contained HTML
 /// document.
@@ -141,8 +128,8 @@ fn correlation_section(out: &mut String, c: &CorrelatedRun) {
     out.push_str("<h2>Exemplar correlation</h2>\n");
     if c.rows.is_empty() {
         out.push_str(
-            "<p class=\"muted\">No histogram exemplars recorded (metrics or \
-             tracing were disabled for this run).</p>\n",
+            "<p class=\"muted\">No histogram exemplars to join (metrics were \
+             off, or the run exported no trace).</p>\n",
         );
         return;
     }

@@ -1,7 +1,7 @@
 //! simdash: the correlation layer over the observability substrates.
 //!
-//! Five instruments (perfmon spans, simmetrics, simtrace, simprof,
-//! timelines) each write siloed artifacts; this crate turns them into one
+//! Five instruments (the perfmon stage events, simmetrics, simtrace,
+//! simprof, timelines) each write siloed artifacts; this crate turns them into one
 //! system. A versioned [`manifest::RunManifest`] gives every run a stable
 //! 128-bit identity plus typed pointers to everything it produced;
 //! [`correlate::correlate`] joins histogram-bucket exemplars to trace

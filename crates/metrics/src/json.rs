@@ -11,10 +11,11 @@
 //! ]}
 //! ```
 //!
-//! The workspace builds fully offline, so the escaper lives here rather
-//! than behind a dependency (same stance as `perfmon::json`).
+//! Strings are escaped with the workspace JSON codec, `perfmon::json`.
 
 use std::fmt::Write as _;
+
+pub(crate) use perfmon::json::escape;
 
 use crate::{SeriesValue, Snapshot};
 
@@ -92,26 +93,6 @@ pub fn render(snapshot: &Snapshot) -> String {
         out.push('}');
     }
     out.push_str("]}\n");
-    out
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal (no surrounding
-/// quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

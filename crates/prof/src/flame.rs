@@ -9,6 +9,7 @@
 //! color across runs and across the two sides of a diff.
 
 use crate::Profile;
+use simreport::svg::escape;
 use std::collections::BTreeMap;
 
 const WIDTH: f64 = 1180.0;
@@ -38,22 +39,6 @@ impl Node {
     fn depth(&self) -> usize {
         1 + self.children.values().map(Node::depth).max().unwrap_or(0)
     }
-}
-
-/// Minimal XML escaping for text and attribute content.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Deterministic warm color from a frame name (FNV-1a over the bytes).

@@ -14,8 +14,8 @@
 //! `args` becomes [`ArgValue::U64`], anything else [`ArgValue::F64`] —
 //! so `U64` args round-trip as themselves and floats keep their value.
 
-use crate::json::{self, Value};
 use crate::{ArgValue, SpanRecord};
+use perfmon::json::{self, Value};
 use std::fmt::Write as _;
 
 /// Nanoseconds → microseconds with three decimals, exact for ns < ~2^51.
@@ -23,7 +23,9 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn render_arg(out: &mut String, value: &ArgValue) {
+/// Appends `value` as a JSON scalar. Non-finite floats become strings,
+/// since JSON has no NaN or Inf.
+pub fn render_arg(out: &mut String, value: &ArgValue) {
     match value {
         ArgValue::U64(v) => {
             let _ = write!(out, "{v}");
@@ -32,7 +34,6 @@ fn render_arg(out: &mut String, value: &ArgValue) {
             if v.is_finite() {
                 let _ = write!(out, "{v}");
             } else {
-                // JSON has no NaN/Inf; stringify rather than emit garbage.
                 let _ = write!(out, "\"{v}\"");
             }
         }

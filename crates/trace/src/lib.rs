@@ -1,11 +1,15 @@
-//! Causal tracing for the characterization pipeline.
+//! Causal tracing for the characterization pipeline, and its one span
+//! primitive.
 //!
-//! perfmon answers *how long did each stage take* and simmetrics answers
-//! *how often did each thing happen* — but neither records **causality**:
-//! when the scheduler fans a suite run out across worker threads, nothing
-//! ties a worker's `stage/simulate` span back to the pair job that ran it
-//! or to the suite-run root that submitted it. This crate closes that gap
-//! with explicit contexts that survive thread boundaries:
+//! Every pipeline stage is a span of this crate, from the binaries'
+//! top-level stages down to the per-pair `stage/*` work. One span tree
+//! feeds several views: the trace files, the stage table and `--events`
+//! JSONL the binaries derive from the run root's children, and the
+//! histogram exemplars simmetrics keeps. Spans carry **causality**: when
+//! the scheduler fans a suite run out across worker threads, a worker's
+//! `stage/simulate` span still nests under the pair job that ran it and
+//! the run root that submitted it, through explicit contexts that survive
+//! thread boundaries:
 //!
 //! - [`SpanContext`] — a `(trace_id, span_id)` pair naming one live span.
 //!   The submitting thread captures [`current_context`], hands it to the
@@ -31,7 +35,6 @@
 pub mod analyze;
 pub mod binfmt;
 pub mod chrome;
-pub mod json;
 pub mod lint;
 
 use std::cell::Cell;
@@ -420,6 +423,9 @@ pub mod test_support {
     /// drop.
     pub struct EnabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
+    /// Guard from [`disabled`]: holds tracing off until dropped.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
     impl Drop for EnabledGuard {
         fn drop(&mut self) {
             crate::disable();
@@ -435,6 +441,12 @@ pub mod test_support {
         crate::enable();
         EnabledGuard(g)
     }
+
+    /// Holds tracing off for the duration of the returned guard, so a test
+    /// asserting the disabled path cannot overlap one that enabled it.
+    pub fn disabled() -> DisabledGuard {
+        DisabledGuard(ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 #[cfg(test)]
@@ -443,6 +455,7 @@ mod tests {
 
     #[test]
     fn disabled_guards_are_inert() {
+        let _off = test_support::disabled();
         assert!(!is_enabled());
         let mut g = span("noop");
         assert!(!g.is_recording());

@@ -9,7 +9,7 @@
 //! - [`simstore`] — content-addressed result store + fault-tolerant scheduler.
 //! - [`simrace`] — happens-before race checker and schedule-exploration harness.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
-//! - [`perfmon`] — structured span/event observability with a JSONL sink.
+//! - [`perfmon`] — the JSONL run-event schema, its validator, and the JSON codec.
 //! - [`simmetrics`] — process-wide metrics registry, exporters, and flight recorder.
 //! - [`simpoint`] — phase detection and representative-interval simulation.
 //! - [`simdash`] — run manifests, cross-layer correlation, HTML dashboard.

@@ -5,34 +5,11 @@
 //! metrics flag and installs the process-global panic hook; keeping it in
 //! its own integration-test binary gives it a process to itself.
 
+mod common;
+
 use spec2017_workchar::simmetrics;
 use spec2017_workchar::workchar::characterize::{characterize_pairs_report, RunConfig};
-use spec2017_workchar::workload_synth::cpu2017;
-use spec2017_workchar::workload_synth::profile::{
-    AppInputPair, AppProfile, Behavior, InputProfile, InputSize, Suite,
-};
-
-/// One healthy pair plus one whose behavior profile fails validation, which
-/// the scheduler surfaces as an injected panic (retried once, then reported).
-fn poisoned_apps() -> Vec<AppProfile> {
-    let bad_behavior = Behavior {
-        load_pct: 90.0,
-        store_pct: 20.0,
-        ..Default::default()
-    };
-    let bad_input = InputProfile {
-        name: "impossible".into(),
-        behavior: bad_behavior,
-    };
-    let bad = AppProfile {
-        name: "999.broken_r".into(),
-        suite: Suite::RateInt,
-        test: vec![bad_input.clone()],
-        train: vec![bad_input.clone()],
-        reference: vec![bad_input],
-    };
-    vec![cpu2017::app("505.mcf_r").unwrap(), bad]
-}
+use spec2017_workchar::workload_synth::profile::{AppInputPair, InputSize};
 
 #[test]
 fn injected_panic_dumps_flight_recorder_with_failing_pair_id() {
@@ -43,7 +20,7 @@ fn injected_panic_dumps_flight_recorder_with_failing_pair_id() {
     simmetrics::enable();
     simmetrics::flight::install_dump(&dump);
 
-    let apps = poisoned_apps();
+    let apps = common::poisoned_apps();
     let pairs: Vec<AppInputPair<'_>> = apps.iter().flat_map(|a| a.pairs(InputSize::Ref)).collect();
     let report = characterize_pairs_report(&pairs, &RunConfig::quick(), None, |_| {});
     assert_eq!(report.failures.len(), 1);
