@@ -155,13 +155,15 @@ fn bench_engine(r: &mut Runner) {
     if !attribution.is_empty() {
         r.attach_attribution("engine_run_100k_profiled", attribution);
     }
-    // Paired with engine_run_100k above: a simpoint sparse replay of the
-    // same 100k-op trace — detailed counted simulation for the medoid
-    // intervals only, functional warming in between. The clustering plan is
-    // precomputed outside the loop (profiling is a one-time cost a campaign
-    // amortizes across replays); the ratio of the two medians is the
-    // warm-mode replay cost, and the headline reconstruction error printed
-    // alongside is the accuracy price of simulating medoids only.
+    // Paired with engine_run_100k above: a warm-gap sparse replay of the
+    // same 100k-op trace under a precomputed simpoint plan — detailed
+    // counted simulation for the medoid intervals only, functional warming
+    // (`Engine::warm`) in between. `simpoint::analyze` does not run this
+    // replay in warm mode: its medoid counters come straight from the
+    // profiling pass, which the replay would reproduce bit for bit. The
+    // ratio of the two medians is therefore what replaying a stored plan
+    // costs against a full run, and the headline reconstruction error
+    // printed alongside is the accuracy price of simulating medoids only.
     let gen =
         TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
     let hints = WorkloadHints {

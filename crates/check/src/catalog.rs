@@ -505,7 +505,7 @@ pub mod codes {
          be < n_intervals, appear once, and be labelled with its own \
          cluster (a medoid is by definition the member minimizing its \
          cluster's distance sum). An out-of-range or misassigned medoid \
-         means the sparse replay simulated intervals that do not \
+         means the reconstruction scaled intervals that do not \
          correspond to the clusters being reconstructed.");
     rule!(pub S004, "S004", "interval-count", Error, Simpoint,
         "interval bookkeeping must be consistent with the run size",

@@ -6,7 +6,7 @@
 //! from the pair identity, the simulated system, the trace scale, and every
 //! simpoint tuning knob, so re-running a campaign with any ingredient
 //! changed transparently re-analyzes only the affected pairs. Campaigns are
-//! cache-first — a decodable stored record short-circuits the (two-pass)
+//! cache-first — a decodable stored record short-circuits the
 //! analysis — and run pairs in parallel on the panic-isolated
 //! [`Scheduler`]. The `reproduce`/`extensions` binaries drive this behind
 //! `--simpoint`; `simpoint-report` renders and gates the stored records.

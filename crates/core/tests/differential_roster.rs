@@ -87,10 +87,14 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
 
 #[test]
 fn simpoint_full_replay_reconstructs_exactly_across_suites() {
-    // k = n turns the sparse replay into a full run: alternating
-    // execute/warm over the fused engine must telescope to the exact
-    // monolithic counters. One representative per suite quadrant keeps
-    // the debug-build runtime in check.
+    // Warm mode reads its medoid counters off the profiling pass, so the
+    // real replay is Skip mode with lead-ins as long as the run: every
+    // interval before the last medoid is warmed through the fused engine's
+    // `warm` and every medoid re-executed. At k = n that replay must
+    // telescope to the exact monolithic counters, and under default
+    // selection it must reproduce the Warm estimate bit for bit. One
+    // representative per suite quadrant keeps the debug-build runtime in
+    // check.
     let config = SystemConfig::haswell_e5_2650l_v3();
     for name in ["505.mcf_r", "508.namd_r", "602.gcc_s", "654.roms_s"] {
         let app = cpu2017::app(name).expect("roster app");
@@ -102,10 +106,15 @@ fn simpoint_full_replay_reconstructs_exactly_across_suites() {
         let intervals = 8u64;
         let interval_ops = gen.remaining().div_ceil(intervals);
         let expected = gen.remaining().div_ceil(interval_ops) as usize;
+        let full_replay = simpoint::SimpointConfig {
+            gap_mode: simpoint::GapMode::Skip,
+            warmup_intervals: expected,
+            ..simpoint::SimpointConfig::default()
+        };
         let sp = simpoint::SimpointConfig {
             interval_ops,
             force_k: Some(expected),
-            ..simpoint::SimpointConfig::default()
+            ..full_replay
         };
         let analysis = simpoint::analyze(&config, &gen, &hints, &sp).expect("analyzable trace");
         assert_eq!(analysis.n_intervals(), expected, "{name}");
@@ -115,5 +124,18 @@ fn simpoint_full_replay_reconstructs_exactly_across_suites() {
             "k = n reconstruction must be bit-identical on {name}"
         );
         assert_eq!(analysis.max_headline_error(), 0.0, "{name}");
+
+        let warm = simpoint::analyze(&config, &gen, &hints, &simpoint::SimpointConfig::default())
+            .expect("analyzable trace");
+        let replay = simpoint::SimpointConfig {
+            warmup_intervals: warm.n_intervals(),
+            ..full_replay
+        };
+        let replayed = simpoint::analyze(&config, &gen, &hints, &replay).expect("analyzable trace");
+        assert_eq!(replayed.medoids, warm.medoids, "{name}");
+        assert_eq!(
+            replayed.estimate, warm.estimate,
+            "warming replay must reproduce the Warm estimate on {name}"
+        );
     }
 }

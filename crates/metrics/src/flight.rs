@@ -173,9 +173,11 @@ mod tests {
 
     #[test]
     fn disabled_notes_are_dropped_enabled_notes_are_kept() {
+        let off = test_support::disabled();
         note("t-disabled", "must not appear");
         let (events, _) = snapshot();
         assert!(events.iter().all(|e| e.kind != "t-disabled"));
+        drop(off);
 
         let _on = test_support::enabled();
         note("t-enabled", "pair 999.broken_r/ref/in1");

@@ -371,6 +371,7 @@ mod tests {
 
     #[test]
     fn empty_and_disabled_histograms_stay_empty() {
+        let _off = test_support::disabled();
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), None);
         let snap = h.snapshot();
@@ -415,9 +416,11 @@ mod tests {
     #[test]
     fn record_spanned_is_inert_when_disabled_or_contextless() {
         let h = Histogram::new();
+        let off = test_support::disabled();
         h.record_spanned(7, 1, 2); // metrics disabled: nothing at all
         assert_eq!(h.count(), 0);
         assert!(h.snapshot().exemplars.is_empty());
+        drop(off);
         let _on = test_support::enabled();
         h.record_spanned(7, 0, 0); // zero span context: count, no exemplar
         let snap = h.snapshot();
@@ -435,8 +438,10 @@ mod tests {
     #[test]
     fn timer_records_microseconds_only_when_enabled() {
         let h = Histogram::new();
+        let off = test_support::disabled();
         drop(h.start_timer()); // disabled: no clock read, no record
         assert_eq!(h.count(), 0);
+        drop(off);
         let _on = test_support::enabled();
         {
             let _t = h.start_timer();

@@ -402,6 +402,9 @@ pub(crate) mod test_support {
 
     pub struct EnabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
+    /// Guard from [`disabled`]: holds metrics off until dropped.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
     impl Drop for EnabledGuard {
         fn drop(&mut self) {
             crate::disable();
@@ -414,6 +417,12 @@ pub(crate) mod test_support {
         crate::enable();
         EnabledGuard(g)
     }
+
+    /// Holds metrics off for the duration of the returned guard, so a test
+    /// asserting the disabled path cannot overlap one that enabled it.
+    pub fn disabled() -> DisabledGuard {
+        DisabledGuard(ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 #[cfg(test)]
@@ -422,6 +431,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_record_nothing() {
+        let _off = test_support::disabled();
         let r = Registry::new();
         let c = r.counter("t_disabled_total", "x");
         let g = r.gauge("t_disabled_level", "x");

@@ -1,11 +1,15 @@
-//! The representative-interval pipeline: profile → cluster → sparse replay
-//! → reconstruct.
+//! The representative-interval pipeline: profile → cluster → reconstruct.
 //!
-//! Both passes consume clones of the same pristine generator and drive the
-//! engine in identical interval-sized chunks, so at `force_k = n` (every
-//! interval a medoid) the sparse pass replays the exact chunk sequence of
-//! the profiling pass and the reconstruction is bit-identical to the
-//! reference — the invariant that anchors the error reporting.
+//! One engine runs the trace in interval-sized chunks; the per-chunk
+//! sessions are the interval counters, and their merge is the reference.
+//! Under the default [`GapMode::Warm`] each medoid's estimate is its
+//! profiled session as it stands: a sparse replay that warmed every gap
+//! and re-executed the medoids would reproduce those sessions bit for bit,
+//! so the analysis runs the trace once. Only [`GapMode::Skip`], whose
+//! medoids start from fast-forwarded (colder) state, replays on a second
+//! engine. At `force_k = n` (every interval a medoid) the reconstruction is
+//! bit-identical to the reference in both modes — the invariant that
+//! anchors the error reporting.
 
 use stat_analysis::distance::Metric;
 use stat_analysis::kmedoids::{k_medoids, KMedoids};
@@ -20,16 +24,17 @@ use uarch_sim::exec::{ExecPlan, UopSource};
 use uarch_sim::timeline::IntervalSample;
 use workload_synth::generator::TraceGenerator;
 
-/// What the sparse replay does with the intervals between simulation
-/// points.
+/// How the intervals between simulation points are treated, i.e. which
+/// machine state each medoid interval is measured from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GapMode {
-    /// Functionally warm the gap: every micro-op still updates caches and
-    /// the branch predictor (state transitions bit-identical to a counted
-    /// run, see `Engine::warm`), but nothing is counted or priced.
-    /// Each medoid interval therefore starts from the exact state a full
-    /// run would have given it, and the reconstruction error is purely
-    /// the clustering approximation.
+    /// Warm gaps: each medoid interval starts from the exact state a full
+    /// run would have given it, so the reconstruction error is purely the
+    /// clustering approximation. A sparse replay achieves this by driving
+    /// every gap op through `Engine::warm` (caches and predictor updated,
+    /// nothing counted); its medoid sessions then equal the profiled
+    /// interval sessions bit for bit, so [`analyze`] takes them from the
+    /// profiling pass instead of replaying.
     #[default]
     Warm,
     /// Fast-forward the generator RNG-exactly and skip the engine
@@ -118,10 +123,11 @@ pub struct SimpointAnalysis {
     pub interval_ops: u64,
     /// Micro-ops in the full run.
     pub total_ops: u64,
-    /// Micro-ops that received detailed, counted simulation in the sparse
-    /// replay (the medoid intervals).
+    /// Micro-ops a sparse replay simulates in detail (the medoid
+    /// intervals).
     pub simulated_ops: u64,
-    /// Micro-ops functionally warmed (state updates, nothing counted).
+    /// Micro-ops a sparse replay functionally warms: every gap op under
+    /// [`GapMode::Warm`], the lead-in intervals under [`GapMode::Skip`].
     pub warmed_ops: u64,
     /// Micro-ops fast-forwarded past without touching the engine.
     pub skipped_ops: u64,
@@ -152,9 +158,11 @@ impl SimpointAnalysis {
     }
 
     /// Reduction in detailed-simulated micro-ops:
-    /// `total_ops / simulated_ops`. Under [`GapMode::Warm`] gap ops still
-    /// execute the (cheaper) warming path; under [`GapMode::Skip`] they
-    /// cost nothing at all.
+    /// `total_ops / simulated_ops`, the detailed work a sparse replay of
+    /// this plan needs against a full run. Under [`GapMode::Warm`] such a
+    /// replay still pays the (cheaper) warming path for every gap op, and
+    /// [`analyze`] itself pays one full profiling run; under
+    /// [`GapMode::Skip`] gap ops outside the lead-ins cost nothing.
     pub fn speedup(&self) -> f64 {
         self.total_ops as f64 / self.simulated_ops.max(1) as f64
     }
@@ -211,25 +219,28 @@ fn headline_error(reference: &PerfSession, estimate: &PerfSession) -> f64 {
 
 /// The counter file a clustering would reconstruct, computed from the
 /// profiled interval sessions: each medoid's counters scaled by its
-/// cluster's interval count. Under [`GapMode::Warm`] the sparse replay
-/// reproduces these sessions bit-identically, so this prediction equals
-/// the final estimate exactly; under [`GapMode::Skip`] it is optimistic.
+/// cluster's interval count. This is the [`GapMode::Warm`] estimate
+/// itself; under [`GapMode::Skip`] it is optimistic.
 fn predicted_estimate(
     samples: &[IntervalSample],
     medoids: &[usize],
     labels: &[usize],
 ) -> PerfSession {
-    let mut counts = vec![0u64; medoids.len()];
-    for &label in labels {
-        counts[label] += 1;
-    }
+    reconstruct(medoids.iter().map(|&m| &samples[m].deltas), labels)
+}
+
+/// Σ medoid counters × cluster interval count, with `sessions` yielding
+/// each cluster's medoid session in cluster order. Integer arithmetic end
+/// to end, so at k = n this telescopes back to the reference exactly.
+fn reconstruct<'a>(
+    sessions: impl Iterator<Item = &'a PerfSession>,
+    labels: &[usize],
+) -> PerfSession {
     let mut estimate = PerfSession::new();
-    for (cluster, &m) in medoids.iter().enumerate() {
+    for (cluster, session) in sessions.enumerate() {
+        let size = labels.iter().filter(|&&l| l == cluster).count() as u64;
         for ev in Event::ALL {
-            estimate.add(
-                ev,
-                samples[m].deltas.count(ev).saturating_mul(counts[cluster]),
-            );
+            estimate.add(ev, session.count(ev).saturating_mul(size));
         }
     }
     estimate
@@ -262,10 +273,13 @@ fn mpki(session: &PerfSession, miss_event: Event) -> f64 {
 
 /// Runs the full pipeline against a pristine generator.
 ///
-/// The generator is cloned twice (profiling pass, sparse replay); the
-/// caller's instance is left untouched. `hints` should be the same workload
-/// hints a full characterization run would use (in particular the
-/// generator's `l2_bypass_range`).
+/// The caller's generator is left untouched. Under [`GapMode::Warm`] the
+/// analysis runs the trace once, on one engine: the profiling pass yields
+/// the reference, the features and the medoid sessions. Under
+/// [`GapMode::Skip`] a second engine replays the medoids from
+/// fast-forwarded state. `hints` should be the same workload hints a full
+/// characterization run would use (in particular the generator's
+/// `l2_bypass_range`).
 ///
 /// # Errors
 ///
@@ -320,76 +334,32 @@ pub fn analyze(
     let (clustering, silhouette) = choose_k(&rows, &samples, &reference, config)?;
     let medoids = clustering.medoids;
     let labels = clustering.labels;
-    let k = medoids.len();
 
-    let mut counts = vec![0u64; k];
+    let mut counts = vec![0u64; medoids.len()];
     for &label in &labels {
         counts[label] += 1;
     }
     let weights: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
 
-    // Sparse replay on a fresh engine: detailed counted simulation for
-    // medoid intervals only; gaps are functionally warmed or skipped per
-    // the configured mode. Chunk boundaries match the profiling pass
-    // one-for-one, so under GapMode::Warm every medoid session comes out
-    // bit-identical to its profiled interval.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Step {
-        Detail,
-        Warm,
-        Skip,
-    }
-    let gap_step = match config.gap_mode {
-        GapMode::Warm => Step::Warm,
-        GapMode::Skip => Step::Skip,
+    let (estimate, simulated_ops, warmed_ops, skipped_ops) = match config.gap_mode {
+        GapMode::Warm => {
+            let simulated_ops: u64 = medoids
+                .iter()
+                .map(|&m| samples[m].end_op - samples[m].start_op)
+                .sum();
+            let estimate = predicted_estimate(&samples, &medoids, &labels);
+            (estimate, simulated_ops, total_ops - simulated_ops, 0)
+        }
+        GapMode::Skip => skip_replay(
+            system,
+            generator,
+            &plan,
+            config,
+            interval_ops,
+            &medoids,
+            &labels,
+        ),
     };
-    let mut steps = vec![gap_step; n];
-    if config.gap_mode == GapMode::Skip {
-        for &m in &medoids {
-            for step in &mut steps[m - config.warmup_intervals.min(m)..m] {
-                *step = Step::Warm;
-            }
-        }
-    }
-    for &m in &medoids {
-        steps[m] = Step::Detail;
-    }
-    let mut replayer = Engine::new(system);
-    let mut gen = generator.clone();
-    let (mut simulated_ops, mut warmed_ops, mut skipped_ops) = (0u64, 0u64, 0u64);
-    let mut medoid_sessions: Vec<Option<PerfSession>> = vec![None; n];
-    for (i, step) in steps.iter().enumerate() {
-        let len = interval_ops.min(gen.remaining());
-        match step {
-            Step::Detail => {
-                let session = replayer.execute((&mut gen).take_ops(len), &plan);
-                simulated_ops += len;
-                medoid_sessions[i] = Some(session);
-            }
-            Step::Warm => {
-                replayer.warm((&mut gen).take_ops(len), hints);
-                warmed_ops += len;
-            }
-            Step::Skip => {
-                gen.fast_forward(len);
-                skipped_ops += len;
-            }
-        }
-    }
-
-    // Reconstruction: each medoid's counters stand for every interval of
-    // its cluster, so scale by the cluster's interval count. Integer
-    // arithmetic end to end — at k = n this telescopes back to the
-    // reference exactly.
-    let mut estimate = PerfSession::new();
-    for (cluster, &m) in medoids.iter().enumerate() {
-        let session = medoid_sessions[m]
-            .take()
-            .expect("medoid interval was simulated");
-        for ev in Event::ALL {
-            estimate.add(ev, session.count(ev).saturating_mul(counts[cluster]));
-        }
-    }
 
     Ok(SimpointAnalysis {
         interval_ops,
@@ -404,6 +374,65 @@ pub fn analyze(
         reference,
         estimate,
     })
+}
+
+/// The [`GapMode::Skip`] sparse replay on a fresh engine: medoid intervals
+/// run detailed and counted, the `warmup_intervals` before each medoid are
+/// functionally warmed, and every other interval is fast-forwarded past.
+/// Chunk boundaries match the profiling pass one for one. Returns the
+/// reconstruction and the simulated / warmed / skipped op counts.
+fn skip_replay(
+    system: &SystemConfig,
+    generator: &TraceGenerator,
+    plan: &ExecPlan,
+    config: &SimpointConfig,
+    interval_ops: u64,
+    medoids: &[usize],
+    labels: &[usize],
+) -> (PerfSession, u64, u64, u64) {
+    #[derive(Clone, Copy)]
+    enum Step {
+        Detail,
+        Warm,
+        Skip,
+    }
+    let mut steps = vec![Step::Skip; labels.len()];
+    for &m in medoids {
+        for step in &mut steps[m - config.warmup_intervals.min(m)..m] {
+            *step = Step::Warm;
+        }
+    }
+    for &m in medoids {
+        steps[m] = Step::Detail;
+    }
+    let mut replayer = Engine::new(system);
+    let mut gen = generator.clone();
+    let (mut simulated_ops, mut warmed_ops, mut skipped_ops) = (0u64, 0u64, 0u64);
+    let mut medoid_sessions: Vec<Option<PerfSession>> = vec![None; steps.len()];
+    for (i, step) in steps.iter().enumerate() {
+        let len = interval_ops.min(gen.remaining());
+        match step {
+            Step::Detail => {
+                medoid_sessions[i] = Some(replayer.execute((&mut gen).take_ops(len), plan));
+                simulated_ops += len;
+            }
+            Step::Warm => {
+                replayer.warm((&mut gen).take_ops(len), &plan.hints);
+                warmed_ops += len;
+            }
+            Step::Skip => {
+                gen.fast_forward(len);
+                skipped_ops += len;
+            }
+        }
+    }
+    let sessions = medoids.iter().map(|&m| {
+        medoid_sessions[m]
+            .as_ref()
+            .expect("medoid interval was simulated")
+    });
+    let estimate = reconstruct(sessions, labels);
+    (estimate, simulated_ops, warmed_ops, skipped_ops)
 }
 
 /// Standardizes the feature rows column-wise (identity for a single row,
@@ -514,6 +543,53 @@ mod tests {
         assert_eq!(a.max_headline_error(), 0.0);
         for ev in Event::ALL {
             assert_eq!(a.counter_error(ev), 0.0, "{ev}");
+        }
+    }
+
+    /// The Warm estimate is taken from the profiled sessions, so only a
+    /// real replay can show it equals what warming the gaps would give:
+    /// Skip mode with a lead-in as long as the run warms every interval
+    /// before the last medoid through `Engine::warm` on a second engine.
+    #[test]
+    fn warm_estimate_equals_a_replay_that_warms_every_gap() {
+        let apps = workload_synth::cpu2017::suite();
+        for (name, seed) in [("505.mcf_r", 3), ("525.x264_r", 5), ("619.lbm_s", 11)] {
+            let app = apps.iter().find(|a| a.name == name).unwrap();
+            let pair = &app.pairs(workload_synth::profile::InputSize::Ref)[0];
+            let gen = TraceGenerator::new(&pair.input.behavior, &system(), seed, 80_000).unwrap();
+            let hints = WorkloadHints {
+                l2_bypass_range: Some(gen.l2_bypass_range()),
+                ..pair.input.behavior.hints(&system())
+            };
+            let config = SimpointConfig {
+                target_intervals: 40,
+                ..SimpointConfig::default()
+            };
+            let warm = analyze(&system(), &gen, &hints, &config).unwrap();
+            assert!(warm.k() < warm.n_intervals(), "{name}: no gaps to warm");
+            let replay = SimpointConfig {
+                gap_mode: GapMode::Skip,
+                warmup_intervals: warm.n_intervals(),
+                ..config
+            };
+            let skip = analyze(&system(), &gen, &hints, &replay).unwrap();
+            assert_eq!(skip.medoids, warm.medoids, "{name}");
+            assert_eq!(skip.labels, warm.labels, "{name}");
+            assert_eq!(skip.reference, warm.reference, "{name}");
+            assert_eq!(
+                skip.estimate, warm.estimate,
+                "{name}: warm estimate differs from a warming replay"
+            );
+            assert_eq!(skip.simulated_ops, warm.simulated_ops, "{name}");
+            let last = *warm.medoids.last().unwrap() as u64;
+            let replayed = ((last + 1) * warm.interval_ops).min(warm.total_ops);
+            assert_eq!(skip.simulated_ops + skip.warmed_ops, replayed, "{name}");
+            assert_eq!(
+                warm.simulated_ops + warm.warmed_ops,
+                warm.total_ops,
+                "{name}"
+            );
+            assert_eq!(warm.skipped_ops, 0, "{name}");
         }
     }
 

@@ -28,9 +28,10 @@ pub struct SimpointRecord {
     pub interval_ops: u64,
     /// Micro-ops in the full run.
     pub total_ops: u64,
-    /// Micro-ops the sparse replay simulated in detail (medoid intervals).
+    /// Micro-ops a sparse replay simulates in detail (medoid intervals).
     pub simulated_ops: u64,
-    /// Micro-ops functionally warmed between simulation points.
+    /// Micro-ops a sparse replay functionally warms between simulation
+    /// points.
     pub warmed_ops: u64,
     /// Mean silhouette of the chosen clustering (0.0 when k = 1).
     pub silhouette: f64,

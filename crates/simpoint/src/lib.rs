@@ -10,20 +10,24 @@
 //! standardized and clustered with k-medoids (k chosen as the smallest
 //! value whose predicted reconstruction error meets the configured budget,
 //! with the mean silhouette reported as a phase-separation confidence
-//! score), and only the medoid interval of each cluster is then simulated
-//! in detail. The intervals in between are functionally warmed by default
-//! — state transitions bit-identical to a counted run, nothing priced
-//! ([`analysis::GapMode::Warm`]) — or, in the maximum-speed mode, the
-//! generator is RNG-exactly fast-forwarded past them
+//! score), and only the medoid interval of each cluster stands for its
+//! cluster. By default each medoid is measured from the exact state a full
+//! run gives it ([`analysis::GapMode::Warm`]): a sparse replay would warm
+//! the gaps functionally, but since that reproduces the profiled interval
+//! sessions bit for bit, the analysis takes the medoid counters from the
+//! profiling pass and runs the trace once. In the maximum-speed mode a
+//! second engine replays the medoids after RNG-exactly fast-forwarding the
+//! generator past the gaps
 //! ([`workload_synth::generator::TraceGenerator::fast_forward`]). Whole-run
 //! counters are reconstructed as the cluster-size-scaled sum of medoid
-//! counters, and the crate reports the achieved speedup (total / detailed
-//! ops) alongside the per-counter relative error of the reconstruction.
+//! counters, and the crate reports the speedup a sparse replay achieves
+//! (total / detailed ops) alongside the per-counter relative error of the
+//! reconstruction.
 //!
 //! Three layers:
 //!
-//! - [`analysis`] — the end-to-end pipeline: profile, cluster, sparse
-//!   replay, reconstruct ([`analysis::analyze`]).
+//! - [`analysis`] — the end-to-end pipeline: profile, cluster, reconstruct,
+//!   and for skip mode the sparse replay ([`analysis::analyze`]).
 //! - [`artifact`] — the schema-versioned binary [`artifact::SimpointRecord`]
 //!   persisted through the content-addressed store under
 //!   `results/simpoints/`.
@@ -32,7 +36,7 @@
 //!
 //! The key exactness property, pinned by tests here and in the workspace
 //! suite: with `force_k` equal to the number of intervals (every interval
-//! its own cluster), the sparse replay degenerates to a full chunked run
+//! its own cluster), the reconstruction degenerates to a full chunked run
 //! and the reconstructed counters are **bit-identical** to the reference.
 
 pub mod analysis;

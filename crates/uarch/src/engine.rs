@@ -685,12 +685,14 @@ impl Engine {
     /// no counter accounting, no cycle pricing, and no timeline sampling.
     /// Returns the number of ops warmed.
     ///
-    /// This is the gap path of a SimPoint-style sparse replay (`simpoint`
-    /// crate): intervals between simulation points are warmed so each
-    /// medoid interval starts from the exact state a full chunked run
+    /// This is the warming path of a SimPoint-style sparse replay
+    /// (`simpoint` crate): intervals before a simulation point are warmed
+    /// so the medoid interval starts from the state a full chunked run
     /// would have given it. The equivalence (`warm` on chunk A then
     /// `execute` on chunk B produces the same session for B as `execute`
-    /// on both) is pinned by this crate's tests.
+    /// on both) is pinned by this crate's tests, and lets a warm-gap
+    /// simpoint analysis take its medoid counters from the profiling pass
+    /// instead of replaying.
     pub fn warm<S: UopSource>(&mut self, mut source: S, hints: &WorkloadHints) -> u64 {
         let h = &mut self.hierarchy;
         // Warming has no edges, so the source drives the sink to the end.
@@ -1462,8 +1464,8 @@ mod tests {
         // Functional warming is only sound if a warmed prefix leaves the
         // engine in the exact state a counted run of the same prefix
         // would: the session of the chunk that follows must be
-        // bit-identical either way. This is the invariant the simpoint
-        // sparse replay's gap intervals stand on.
+        // bit-identical either way. This is the invariant that lets a
+        // warm-gap simpoint analysis skip its replay.
         let ops = phased_ops(30_000);
         let hints = WorkloadHints {
             l2_bypass_range: Some((0x8000, 0x9800)),

@@ -31,8 +31,8 @@ handle!(pub(crate) sim_time_micros, histogram, Histogram,
 handle!(pub(crate) ops_warmed, counter, Counter,
     "uarch_ops_warmed_total",
     "Micro-ops run through functional warming (state updates without \
-     counter accounting) by Engine::warm_with, e.g. the gap intervals of \
-     a simpoint sparse replay.");
+     counter accounting) by Engine::warm, e.g. the lead-in intervals of \
+     a Skip-mode simpoint replay.");
 
 /// Forces registration of every `uarch_*` metric for the lint pass.
 pub fn register() {
