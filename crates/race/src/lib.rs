@@ -310,6 +310,9 @@ pub mod test_support {
     /// drop.
     pub struct EnabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
+    /// Guard from [`disabled`]: holds recording off until dropped.
+    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
     impl Drop for EnabledGuard {
         fn drop(&mut self) {
             crate::disable();
@@ -324,6 +327,13 @@ pub mod test_support {
         let _ = crate::drain();
         crate::enable();
         EnabledGuard(g)
+    }
+
+    /// Holds recording off for the duration of the returned guard, so code
+    /// that records when enabled (a scheduler batch, say) cannot leak
+    /// events into a sibling test that enabled the collector.
+    pub fn disabled() -> DisabledGuard {
+        DisabledGuard(ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 

@@ -11,8 +11,8 @@
 //! bit-identical to the reference in both modes — the invariant that
 //! anchors the error reporting.
 
-use stat_analysis::distance::Metric;
-use stat_analysis::kmedoids::{k_medoids, KMedoids};
+use stat_analysis::distance::{DistanceTable, Metric};
+use stat_analysis::kmedoids::{k_medoids_table, KMedoids};
 use stat_analysis::matrix::Matrix;
 use stat_analysis::silhouette::mean_silhouette;
 use stat_analysis::standardize::Standardizer;
@@ -471,14 +471,15 @@ fn choose_k(
             mean_silhouette(rows, &clustering.labels, Metric::Euclidean).unwrap_or(0.0)
         }
     };
+    let table = DistanceTable::from_rows(rows, Metric::Euclidean)?;
     if let Some(forced) = config.force_k {
-        let clustering = k_medoids(rows, forced.clamp(1, n), Metric::Euclidean)?;
+        let clustering = k_medoids_table(&table, forced.clamp(1, n))?;
         let silhouette = silhouette_of(&clustering);
         return Ok((clustering, silhouette));
     }
     let mut fallback: Option<(KMedoids, f64, f64)> = None;
     for k in 1..=config.max_k.min(n) {
-        let clustering = k_medoids(rows, k, Metric::Euclidean)?;
+        let clustering = k_medoids_table(&table, k)?;
         let estimate = predicted_estimate(samples, &clustering.medoids, &clustering.labels);
         let error = headline_error(reference, &estimate);
         if error <= config.error_budget {

@@ -313,6 +313,7 @@ mod tests {
 
     #[test]
     fn runs_all_jobs_in_order_slots() {
+        let _race_off = simrace::test_support::disabled();
         let report = Scheduler::new(3).run(17, |i| format!("j{i}"), |i| i * 2, |_| {});
         assert!(report.failures.is_empty());
         for (i, r) in report.results.iter().enumerate() {
@@ -323,6 +324,7 @@ mod tests {
 
     #[test]
     fn panicking_job_is_recorded_and_others_complete() {
+        let _race_off = simrace::test_support::disabled();
         let report = Scheduler::new(4).run(
             10,
             |i| format!("pair-{i}"),
@@ -345,6 +347,7 @@ mod tests {
 
     #[test]
     fn transient_panic_succeeds_on_retry() {
+        let _race_off = simrace::test_support::disabled();
         let attempts = AtomicU64::new(0);
         let report = Scheduler::new(1).run(
             1,
@@ -364,6 +367,7 @@ mod tests {
 
     #[test]
     fn jobs_record_profile_frames_per_pair() {
+        let _race_off = simrace::test_support::disabled();
         let _prof = simprof::test_support::enabled(10);
         let report = Scheduler::new(2).run(
             3,
@@ -385,6 +389,7 @@ mod tests {
 
     #[test]
     fn progress_reaches_total() {
+        let _race_off = simrace::test_support::disabled();
         let peak = AtomicUsize::new(0);
         let report = Scheduler::new(2).run(
             8,
@@ -401,6 +406,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
+        let _race_off = simrace::test_support::disabled();
         let report = Scheduler::available().run(0, |i| i.to_string(), |i| i, |_| {});
         assert!(report.results.is_empty());
         assert!(report.failures.is_empty());
@@ -408,6 +414,7 @@ mod tests {
 
     #[test]
     fn string_panic_payload_captured() {
+        let _race_off = simrace::test_support::disabled();
         let report = Scheduler::new(1).run(
             1,
             |_| "x".into(),
@@ -419,6 +426,7 @@ mod tests {
 
     #[test]
     fn failures_are_sorted_by_label_then_index() {
+        let _race_off = simrace::test_support::disabled();
         // Labels deliberately sort opposite to indices so the test fails
         // under the old index-only ordering.
         let report = Scheduler::new(4).run(

@@ -19,7 +19,7 @@
 use uarch_sim::microop::{BranchKind, MicroOp};
 
 use crate::profile::Behavior;
-use crate::rng::Rng64;
+use crate::rng::{threshold, Rng64};
 
 /// Empirical mispredict rate of a biased site under a warm bimodal counter.
 const BIASED_MISPREDICT: f64 = 0.002;
@@ -108,13 +108,17 @@ impl ConditionalMix {
 #[derive(Debug, Clone)]
 pub struct BranchModel {
     mix: ConditionalMix,
-    /// Cumulative thresholds over branch kinds:
-    /// conditional | direct jump | call | indirect | return.
-    kind_cum: [f64; 4],
+    /// Cumulative thresholds on a [`Rng64::gen_u53`] draw over branch
+    /// kinds: conditional | direct jump | call | indirect (remainder:
+    /// return).
+    kind_cum: [u64; 4],
+    /// Cumulative conditional-class thresholds: biased | biased + looped
+    /// (remainder: random).
+    class_cum: [u64; 2],
+    /// Threshold of a biased site's draw against its bias.
+    noise: u64,
     /// Per-loop-site phase counters.
     loop_phase: Vec<u64>,
-    /// Alternates calls and returns so the RAS stays balanced.
-    call_depth: u32,
 }
 
 impl BranchModel {
@@ -132,11 +136,20 @@ impl BranchModel {
         let dj = behavior.direct_jump_frac;
         let call = behavior.call_frac;
         let ind = behavior.indirect_frac;
+        let mix = ConditionalMix::for_target(cond_budget);
         BranchModel {
-            mix: ConditionalMix::for_target(cond_budget),
-            kind_cum: [c, c + dj, c + dj + call, c + dj + call + ind],
+            mix,
+            kind_cum: [
+                threshold(c),
+                threshold(c + dj),
+                threshold(c + dj + call),
+                threshold(c + dj + call + ind),
+            ],
+            // Like every cumulative bound, `biased + looped` is summed in
+            // f64 and thresholded once (see `crate::rng`).
+            class_cum: [threshold(mix.biased), threshold(mix.biased + mix.looped)],
+            noise: threshold(mix.biased_noise),
             loop_phase: vec![0; SITES_PER_CLASS as usize],
-            call_depth: 0,
         }
     }
 
@@ -146,8 +159,9 @@ impl BranchModel {
     }
 
     /// Emits the next dynamic branch micro-op.
+    #[inline]
     pub fn next(&mut self, rng: &mut Rng64) -> MicroOp {
-        let u = rng.gen_f64();
+        let u = rng.gen_u53();
         if u < self.kind_cum[0] {
             self.next_conditional(rng)
         } else if u < self.kind_cum[1] {
@@ -158,7 +172,6 @@ impl BranchModel {
                 taken: true,
             }
         } else if u < self.kind_cum[2] {
-            self.call_depth += 1;
             let site = rng.gen_below(SITES_PER_CLASS);
             MicroOp::Branch {
                 pc: 0x11_0000 + site * 64,
@@ -173,7 +186,6 @@ impl BranchModel {
                 taken: true,
             }
         } else {
-            self.call_depth = self.call_depth.saturating_sub(1);
             let site = rng.gen_below(SITES_PER_CLASS);
             MicroOp::Branch {
                 pc: 0x13_0000 + site * 64,
@@ -183,22 +195,23 @@ impl BranchModel {
         }
     }
 
+    #[inline]
     fn next_conditional(&mut self, rng: &mut Rng64) -> MicroOp {
-        let u = rng.gen_f64();
+        let u = rng.gen_u53();
         let site = rng.gen_below(SITES_PER_CLASS);
-        let (class_base, taken) = if u < self.mix.biased {
+        let (class_base, taken) = if u < self.class_cum[0] {
             // Alternate site polarity: half the biased sites are
             // almost-always-taken, half almost-never-taken — real code has
             // both, which is what separates a trained predictor from a
             // static always-taken guess.
-            let follows_bias = rng.gen_f64() >= self.mix.biased_noise;
+            let follows_bias = rng.gen_u53() >= self.noise;
             let taken = if site.is_multiple_of(2) {
                 follows_bias
             } else {
                 !follows_bias
             };
             (0x20_0000u64, taken)
-        } else if u < self.mix.biased + self.mix.looped {
+        } else if u < self.class_cum[1] {
             let phase = self.loop_phase[site as usize];
             self.loop_phase[site as usize] = (phase + 1) % LOOP_PERIOD;
             // Class bases are spaced so (pc >> 2) never aliases between

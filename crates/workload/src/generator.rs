@@ -15,7 +15,7 @@ use uarch_sim::microop::MicroOp;
 use crate::branchmodel::BranchModel;
 use crate::profile::{AppInputPair, Behavior, InvalidBehavior};
 use crate::reuse::LocalityModel;
-use crate::rng::Rng64;
+use crate::rng::{threshold, Rng64};
 
 /// Trace-scaling parameters shared by a characterization run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,8 +120,9 @@ pub struct TraceGenerator {
     /// Ops produced by *this instance*, flushed to the
     /// `workload_uops_generated_total` process metric on drop.
     produced: u64,
-    /// Cumulative class thresholds: load | store | branch (remainder: ALU).
-    cum: [f64; 3],
+    /// Cumulative class thresholds on a [`Rng64::gen_u53`] draw:
+    /// load | store | branch (remainder: ALU).
+    cum: [u64; 3],
 }
 
 impl Clone for TraceGenerator {
@@ -174,7 +175,11 @@ impl TraceGenerator {
             branches: BranchModel::new(behavior),
             remaining: ops,
             produced: 0,
-            cum: [load, load + store, load + store + branch],
+            cum: [
+                threshold(load),
+                threshold(load + store),
+                threshold(load + store + branch),
+            ],
         })
     }
 
@@ -229,7 +234,7 @@ impl TraceGenerator {
         let take = n.min(self.remaining);
         for _ in 0..take {
             self.remaining -= 1;
-            let u = self.rng.gen_f64();
+            let u = self.rng.gen_u53();
             if u < self.cum[1] {
                 // Loads and stores each draw exactly one address.
                 self.locality.next_addr(&mut self.rng);
@@ -261,7 +266,7 @@ impl Iterator for TraceGenerator {
         }
         self.remaining -= 1;
         self.produced += 1;
-        let u = self.rng.gen_f64();
+        let u = self.rng.gen_u53();
         Some(if u < self.cum[0] {
             MicroOp::Load {
                 addr: self.locality.next_addr(&mut self.rng),
@@ -301,7 +306,7 @@ impl UopSource for TraceGenerator {
         self.remaining -= take;
         self.produced += take;
         for _ in 0..take {
-            let u = self.rng.gen_f64();
+            let u = self.rng.gen_u53();
             if u < self.cum[0] {
                 sink.load(self.locality.next_addr(&mut self.rng));
             } else if u < self.cum[1] {

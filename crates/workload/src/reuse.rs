@@ -22,7 +22,7 @@
 
 use uarch_sim::config::SystemConfig;
 
-use crate::rng::Rng64;
+use crate::rng::{threshold, Rng64};
 
 const LINE: u64 = 64;
 
@@ -36,9 +36,9 @@ const STREAM_BASE: u64 = 0x10_0000_0000;
 /// Generates data addresses with a target per-cache-level service mix.
 #[derive(Debug, Clone)]
 pub struct LocalityModel {
-    /// Cumulative probability thresholds for (L1, L2, L3); the remainder is
-    /// the stream (memory) share.
-    cum: [f64; 3],
+    /// Cumulative probability thresholds for (L1, L2, L3) on a
+    /// [`Rng64::gen_u53`] draw; the remainder is the stream (memory) share.
+    cum: [u64; 3],
     hot_lines: u64,
     w2_lines: u64,
     w2_cursor: u64,
@@ -133,7 +133,7 @@ impl LocalityModel {
         let stream_lines = (64.0 * l3_lines) as u64;
 
         Ok(LocalityModel {
-            cum: [f1, f1 + f2, f1 + f2 + f3],
+            cum: [threshold(f1), threshold(f1 + f2), threshold(f1 + f2 + f3)],
             hot_lines,
             w2_lines,
             w2_cursor: 0,
@@ -145,8 +145,9 @@ impl LocalityModel {
     }
 
     /// Draws the next data address.
+    #[inline]
     pub fn next_addr(&mut self, rng: &mut Rng64) -> u64 {
-        let u = rng.gen_f64();
+        let u = rng.gen_u53();
         if u < self.cum[0] {
             // Hot set: uniform line, uniform offset within the line.
             let line = rng.gen_below(self.hot_lines);

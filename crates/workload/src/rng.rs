@@ -12,6 +12,22 @@
 //! sites — consumes this one generator, so a given seed always reproduces
 //! the identical trace on every platform and in every process: the output is
 //! pure 64-bit integer arithmetic with no platform-dependent state.
+//!
+//! # Integer-domain draws
+//!
+//! The trace generator's per-op choices are Bernoulli draws against fixed
+//! probabilities. They compare [`Rng64::gen_u53`] against a precomputed
+//! [`threshold`] rather than [`Rng64::gen_f64`] against the probability,
+//! with the same outcome for every draw: `gen_f64()` is `m · 2⁻⁵³` for the
+//! integer `m = gen_u53()`, exact in `f64`, and `p · 2⁵³` is exact too, so
+//!
+//! ```text
+//! gen_f64() < p   ⟺   m < p · 2⁵³   ⟺   m < ⌈p · 2⁵³⌉ = threshold(p)
+//! ```
+//!
+//! for every `p`, with `threshold` 0 (never) for `p ≤ 0` or NaN and above
+//! `2⁵³ − 1` (always) for `p ≥ 1`. The streams stay bit-identical to the
+//! float formulation; only the comparison leaves the float unit.
 
 /// SplitMix64 step: advances `state` and returns the next output.
 ///
@@ -24,6 +40,25 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The integer threshold of probability `p`: `⌈p · 2⁵³⌉`, so that
+/// `gen_u53() < threshold(p)` holds exactly when `gen_f64() < p` does.
+///
+/// 0 for `p ≤ 0` or NaN (never true); `2⁵³` or more for `p ≥ 1` (always
+/// true), saturating at `u64::MAX` for huge or infinite `p`.
+///
+/// ```
+/// use workload_synth::rng::threshold;
+///
+/// assert_eq!(threshold(0.5), 1 << 52);
+/// assert_eq!(threshold(f64::NAN), 0);
+/// assert!(threshold(1.0) > (1 << 53) - 1);
+/// ```
+pub fn threshold(p: f64) -> u64 {
+    // Scaling by a power of two is exact, and the float-to-int cast
+    // saturates: negatives and NaN give 0, overflow gives u64::MAX.
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A seeded xoshiro256** pseudo-random number generator.
@@ -74,6 +109,14 @@ impl Rng64 {
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform integer in `[0, 2⁵³)`: the top 53 bits [`Rng64::gen_f64`]
+    /// scales into the unit interval. `gen_u53() < threshold(p)` draws true
+    /// exactly when `gen_f64() < p` would (see the module docs).
+    #[inline]
+    pub fn gen_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// A uniform boolean (the output's top bit).
@@ -157,6 +200,142 @@ mod tests {
         let mut r = Rng64::seed_from(5);
         let trues = (0..100_000).filter(|_| r.gen_bool()).count();
         assert!((trues as f64 / 100_000.0 - 0.5).abs() < 0.01);
+    }
+
+    /// Asserts that for raw draws whose top 53 bits sit at `t - 1`, `t`
+    /// and `t + 1` around `t = threshold(p)`, plus a few arbitrary ones,
+    /// the integer comparison agrees with `gen_f64`'s.
+    fn assert_threshold_exact(p: f64, low_bits: &mut Rng64) {
+        let t = threshold(p);
+        let top = (1u64 << 53) - 1;
+        let near = [t.saturating_sub(1), t, t.saturating_add(1)];
+        let far = [0, 1, top / 2, top - 1, top];
+        for m in near.into_iter().chain(far).filter(|&m| m <= top) {
+            // Low bits are discarded by both views of the draw.
+            let x = (m << 11) | (low_bits.next_u64() >> 53);
+            let float = unit(x) < p;
+            let int = (x >> 11) < t;
+            assert_eq!(int, float, "p = {p:e} ({:#x}), draw m = {m}", p.to_bits());
+        }
+    }
+
+    /// What `gen_f64` makes of the raw output `x`.
+    fn unit(x: u64) -> f64 {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    #[test]
+    fn gen_u53_is_gen_f64_before_scaling() {
+        let mut a = Rng64::seed_from(17);
+        let mut b = Rng64::seed_from(17);
+        for _ in 0..10_000 {
+            let m = a.gen_u53();
+            assert!(m < 1 << 53);
+            assert_eq!(unit(m << 11), b.gen_f64());
+        }
+    }
+
+    #[test]
+    fn threshold_edges() {
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(-0.0), 0);
+        assert_eq!(threshold(-1.0), 0);
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(f64::MIN_POSITIVE / 4.0), 1, "subnormal p");
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert!(threshold(1.0f64.next_up()) > 1 << 53);
+        assert_eq!(threshold(f64::INFINITY), u64::MAX);
+    }
+
+    #[test]
+    fn threshold_agrees_with_float_compare_on_grid_points_and_neighbours() {
+        let mut low = Rng64::seed_from(0x7e57);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            1.5,
+            2.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 1024.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.1,
+            0.3,
+            1.0 / 3.0,
+        ];
+        let mut ks: Vec<u64> = vec![0, 1, 2, 3, (1 << 52) - 1, 1 << 52, (1 << 53) - 1, 1 << 53];
+        let mut r = Rng64::seed_from(0x6e1d);
+        ks.extend((0..2000).map(|_| r.gen_u53()));
+        let grid = ks.iter().map(|&k| k as f64 * (1.0 / (1u64 << 53) as f64));
+        for p in specials.into_iter().chain(grid) {
+            for q in [p, p.next_down(), p.next_up()] {
+                assert_threshold_exact(q, &mut low);
+            }
+        }
+        // Random probabilities, any exponent in the unit interval.
+        for _ in 0..20_000 {
+            let p = r.gen_f64().powi(1 + r.gen_below(8) as i32);
+            assert_threshold_exact(p, &mut low);
+        }
+    }
+
+    #[test]
+    fn threshold_agrees_on_every_roster_probability() {
+        // Every probability the trace generator compares a draw against,
+        // computed exactly as its models compute them. The locality model's
+        // folds only ever merge adjacent levels, so its folded sums are
+        // among the unfolded ones.
+        use crate::branchmodel::BranchModel;
+        use crate::profile::InputSize;
+        let mut low = Rng64::seed_from(0xc0de);
+        let mut checked = 0;
+        for app in crate::cpu2017::suite()
+            .iter()
+            .chain(&crate::cpu2006::suite())
+        {
+            for size in InputSize::ALL {
+                for input in app.inputs(size) {
+                    let b = &input.behavior;
+                    let (load, store, branch) = (
+                        b.load_pct / 100.0,
+                        b.store_pct / 100.0,
+                        b.branch_pct / 100.0,
+                    );
+                    let [f1, f2, f3, _] = b.service_fractions();
+                    let (c, dj, call, ind) = (
+                        b.cond_frac,
+                        b.direct_jump_frac,
+                        b.call_frac,
+                        b.indirect_frac,
+                    );
+                    let mix = BranchModel::new(b).mix();
+                    let ps = [
+                        load,
+                        load + store,
+                        load + store + branch,
+                        f1,
+                        f1 + f2,
+                        f1 + f2 + f3,
+                        c,
+                        c + dj,
+                        c + dj + call,
+                        c + dj + call + ind,
+                        mix.biased,
+                        mix.biased + mix.looped,
+                        mix.biased_noise,
+                    ];
+                    for p in ps {
+                        assert_threshold_exact(p, &mut low);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 2000, "roster too small: {checked}");
     }
 
     #[test]
