@@ -18,8 +18,10 @@
 //!
 //! Characterization-backed tables share the `reproduce` binary's result
 //! cache (default `results/cache`): the rate-suite records feeding the
-//! clustering ablations, the per-policy replacement rows, and the sweeps'
-//! baseline point all replay from the store when present.
+//! clustering ablations and the per-policy replacement rows replay from
+//! the store when present. The sensitivity sweeps read neither records nor
+//! the cache: each swept pair runs once on the base machine and every
+//! DRAM-latency and issue-width point is priced from that run.
 //!
 //! Observability mirrors `reproduce`: `--timeline` samples per-pair counter
 //! timelines for the rate-suite characterization (artifacts under
@@ -178,37 +180,8 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         all.push('\n');
     }
     stage.arg("tables", 6u64);
-    stage.finish();
-
-    eprintln!("sweeping DRAM latency and issue width...");
-    let sweep_apps: Vec<_> = ["505.mcf_r", "549.fotonik3d_r", "525.x264_r", "557.xz_r"]
-        .iter()
-        .map(|n| cpu2017::app(n).expect("known app"))
-        .collect();
-    // The 220-cycle and 4-wide points are the baseline machine: serve them
-    // from the records characterized above instead of replaying.
-    let mut stage = Stage::open("sensitivity-sweeps");
-    for sweep in [
-        workchar::sensitivity::memory_latency_sweep_with(
-            &sweep_apps,
-            &config,
-            &[120, 220, 320, 500],
-            Some(&records),
-        ),
-        workchar::sensitivity::issue_width_sweep_with(
-            &sweep_apps,
-            &config,
-            &[1, 2, 4, 6],
-            Some(&records),
-        ),
-    ] {
-        let text = sweep.table().render_ascii();
-        println!("{text}");
-        all.push_str(&text);
-        all.push('\n');
-    }
-    // The sweeps are the last cache users: the run's cache statistics
-    // close with them.
+    // The replacement ablation is the last cache user: the run's cache
+    // statistics close with it.
     if let Some(ctx) = &cache {
         let snap = ctx.stats.snapshot();
         eprintln!("cache: {snap}");
@@ -217,6 +190,25 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         stage.arg("cache_hit_rate", snap.hit_rate());
         stage.arg("cache_bytes_read", snap.bytes_read);
         stage.arg("cache_bytes_written", snap.bytes_written);
+    }
+    stage.finish();
+
+    eprintln!("sweeping DRAM latency and issue width...");
+    let sweep_apps: Vec<_> = ["505.mcf_r", "549.fotonik3d_r", "525.x264_r", "557.xz_r"]
+        .iter()
+        .map(|n| cpu2017::app(n).expect("known app"))
+        .collect();
+    // Every point differs from the base machine in timing only, so each
+    // sweep runs each app once and prices all four points from that run.
+    let stage = Stage::open("sensitivity-sweeps");
+    for sweep in [
+        workchar::sensitivity::memory_latency_sweep(&sweep_apps, &config, &[120, 220, 320, 500]),
+        workchar::sensitivity::issue_width_sweep(&sweep_apps, &config, &[1, 2, 4, 6]),
+    ] {
+        let text = sweep.table().render_ascii();
+        println!("{text}");
+        all.push_str(&text);
+        all.push('\n');
     }
     stage.finish();
 

@@ -60,12 +60,12 @@ pub fn hash_system(h: &mut StableHasher, system: &SystemConfig) {
     hash_cache_config(h, &system.l1d);
     hash_cache_config(h, &system.l2);
     hash_cache_config(h, &system.l3);
-    h.write_f64(system.clock_ghz);
-    h.write_usize(system.issue_width);
-    h.write_u64(system.mispredict_penalty);
-    h.write_u64(system.l2_latency);
-    h.write_u64(system.l3_latency);
-    h.write_u64(system.memory_latency);
+    h.write_f64(system.timing.clock_ghz);
+    h.write_usize(system.timing.issue_width);
+    h.write_u64(system.timing.mispredict_penalty);
+    h.write_u64(system.timing.l2_latency);
+    h.write_u64(system.timing.l3_latency);
+    h.write_u64(system.timing.memory_latency);
     h.write_usize(system.cores);
 }
 
@@ -351,12 +351,29 @@ mod tests {
         let pair = &app.pairs(InputSize::Ref)[0];
         let base = RunConfig::quick();
         let mut slower = base.clone();
-        slower.system.memory_latency += 100;
+        slower.system.timing.memory_latency += 100;
         let mut bigger_l3 = base.clone();
         bigger_l3.system = bigger_l3.system.with_l3_size(60 * 1024 * 1024);
         assert_ne!(pair_key(pair, &base), pair_key(pair, &slower));
         assert_ne!(pair_key(pair, &base), pair_key(pair, &bigger_l3));
         assert_eq!(pair_key(pair, &base), pair_key(pair, &base.clone()));
+    }
+
+    #[test]
+    fn pair_keys_are_pinned_on_the_haswell_config() {
+        // Regrouping config fields (such as the nested
+        // `SystemConfig::timing`) must not turn every existing store
+        // record into a miss: `hash_system` keeps its field order.
+        let app = cpu2017::app("505.mcf_r").unwrap();
+        let pair = &app.pairs(InputSize::Ref)[0];
+        assert_eq!(
+            pair_key(pair, &RunConfig::quick()).to_string(),
+            "2093f29477e3196936e2fef47342e824"
+        );
+        assert_eq!(
+            pair_key(pair, &RunConfig::default()).to_string(),
+            "f25bd8e7b9eda493370cadb60abb207d"
+        );
     }
 
     #[test]

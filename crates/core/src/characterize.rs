@@ -260,7 +260,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
 
     let gib = |bytes: u64| bytes as f64 / (1u64 << 30) as f64;
     let ipc = session.ipc();
-    let clock_hz = config.system.clock_ghz * 1e9;
+    let clock_hz = config.system.timing.clock_ghz * 1e9;
     // instructions / (IPC x clock) is total unhalted cycles / clock; with N
     // threads the unhalted reference cycles accumulate N-fold per second of
     // wall time, so wall-clock time divides by the thread count.

@@ -287,7 +287,7 @@ fn table1(data: &Dataset) -> Artifact {
     t.row(vec!["Processor model".into(), c.name.clone()])
         .row(vec![
             "Clock".into(),
-            format!("{:.1} GHz (Turbo disabled)", c.clock_ghz),
+            format!("{:.1} GHz (Turbo disabled)", c.timing.clock_ghz),
         ])
         .row(vec![
             "L1 I-cache".into(),
@@ -308,17 +308,17 @@ fn table1(data: &Dataset) -> Artifact {
         .row(vec!["Line size".into(), format!("{} B", c.l1d.line_bytes)])
         .row(vec![
             "Issue width".into(),
-            format!("{} micro-ops/cycle", c.issue_width),
+            format!("{} micro-ops/cycle", c.timing.issue_width),
         ])
         .row(vec![
             "Mispredict penalty".into(),
-            format!("{} cycles", c.mispredict_penalty),
+            format!("{} cycles", c.timing.mispredict_penalty),
         ])
         .row(vec![
             "Load-to-use latencies".into(),
             format!(
                 "L2 {} / L3 {} / DRAM {} cycles",
-                c.l2_latency, c.l3_latency, c.memory_latency
+                c.timing.l2_latency, c.timing.l3_latency, c.timing.memory_latency
             ),
         ])
         .row(vec!["Cores".into(), format!("{}", c.cores)]);

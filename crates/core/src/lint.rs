@@ -118,7 +118,7 @@ pub fn check_record(object: &str, r: &CharRecord, config: Option<&SystemConfig>)
         0.0
     };
     if let Some(system) = config {
-        let width = system.issue_width as f64;
+        let width = system.timing.issue_width as f64;
         if counter_ipc > width + REL_TOL {
             report.push(Diagnostic::new(
                 &codes::R006,
@@ -197,7 +197,7 @@ pub fn check_record(object: &str, r: &CharRecord, config: Option<&SystemConfig>)
         // projected = inst_b·1e9 / (IPC · clock · threads): the implied
         // thread count must come out a whole number.
         if r.ipc > 0.0 && r.projected_seconds > 0.0 && r.instructions_billions > 0.0 {
-            let clock_hz = system.clock_ghz * 1e9;
+            let clock_hz = system.timing.clock_ghz * 1e9;
             let implied = r.instructions_billions * 1e9 / (r.ipc * clock_hz * r.projected_seconds);
             let nearest = implied.round();
             if nearest < 1.0 || (implied - nearest).abs() > 0.02 * implied.max(1.0) {
@@ -207,7 +207,7 @@ pub fn check_record(object: &str, r: &CharRecord, config: Option<&SystemConfig>)
                     format!(
                         "projection implies {implied:.3} threads — not a whole count \
                          consistent with IPC {:.4} at {:.2} GHz",
-                        r.ipc, system.clock_ghz
+                        r.ipc, system.timing.clock_ghz
                     ),
                 ));
             }

@@ -3,21 +3,31 @@
 //! The paper positions CPU2017 as the workload set for "simulation-based
 //! design and optimization research for next-generation processors [and]
 //! memory subsystems". This module runs that use case end to end: sweep one
-//! architectural parameter, replay a set of applications at each point, and
+//! architectural parameter, run a set of applications at each point, and
 //! tabulate how the suite responds — the what-if analysis a
 //! processor architect would perform with the reproduced infrastructure.
-//! Sweeps are trace-driven: each pair's micro-op stream is generated once on
-//! the baseline machine and replayed unchanged on every variant.
+//!
+//! Sweeps are trace-driven: the workload adapts its working sets to the
+//! machine it is generated for, so each pair's generator is prepared once
+//! on the base machine and every point sees the identical µop stream. Each
+//! pair's stream runs once, on the base machine. A point that differs from
+//! the base only in its [`uarch_sim::config::Timing`] (a DRAM-latency or
+//! issue-width point) is priced from that run's timing inputs: cache and
+//! predictor state never read timing, so a second run would only repeat
+//! the same counts. A point with other cache geometry (an L2 or L3
+//! capacity point) runs a clone of the prepared generator on its own
+//! engine. No trace is ever buffered.
 
 use simreport::figure::{Figure, Kind, Series};
 use simreport::table::{num, Table};
 use uarch_sim::config::SystemConfig;
-use workload_synth::profile::{AppProfile, InputSize};
-
+use uarch_sim::counters::{Event, PerfSession};
 use uarch_sim::engine::Engine;
-use uarch_sim::exec::{from_iter, ExecPlan};
+use uarch_sim::exec::ExecPlan;
+use uarch_sim::pipeline::price;
+use workload_synth::profile::{AppInputPair, AppProfile, Behavior, InputSize};
 
-use crate::characterize::{prepared_run, CharRecord, RunConfig};
+use crate::characterize::{prepared_run, RunConfig};
 
 /// One swept configuration point with its suite-average outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,40 +90,88 @@ impl Sweep {
     }
 }
 
-/// Rebuilds a sweep point from already-characterized baseline records
-/// instead of replaying traces. Only valid for a point whose system *is*
-/// the baseline system: [`crate::characterize::characterize_pair`] and the
-/// replay loop below run the identical trace, warmup, and engine, so their
-/// sessions — and therefore these means — coincide exactly. Returns `None`
-/// unless every swept pair has a `ref` record in `records`.
-fn baseline_point(
-    label: String,
-    apps: &[AppProfile],
-    records: &[CharRecord],
-) -> Option<SweepPoint> {
-    let (mut ipc, mut m2, mut m3, mut secs) = (0.0, 0.0, 0.0, 0.0);
-    let mut n = 0usize;
-    for app in apps {
-        for pair in app.pairs(InputSize::Ref) {
-            let id = pair.id();
-            let r = records
-                .iter()
-                .find(|r| r.size == InputSize::Ref && r.id == id)?;
-            ipc += r.ipc;
-            m2 += r.l2_miss_pct;
-            m3 += r.l3_miss_pct;
-            secs += r.projected_seconds;
-            n += 1;
+/// Suite sums of one sweep point, accumulated pair by pair.
+#[derive(Debug, Clone, Default)]
+struct PointSums {
+    ipc: f64,
+    l2_miss_pct: f64,
+    l3_miss_pct: f64,
+    seconds: f64,
+    pairs: usize,
+}
+
+impl PointSums {
+    /// Adds one pair's session on a machine clocked at `clock_ghz`.
+    fn add(&mut self, session: &PerfSession, clock_ghz: f64, behavior: &Behavior) {
+        let ipc = session.ipc();
+        self.ipc += ipc;
+        self.l2_miss_pct += session.l2_miss_rate() * 100.0;
+        self.l3_miss_pct += session.l3_miss_rate() * 100.0;
+        if ipc > 0.0 {
+            // Same operation order as `characterize_pair`'s
+            // projected-seconds formula, so a sweep's base point equals
+            // the characterized records bit for bit.
+            let clock_hz = clock_ghz * 1e9;
+            self.seconds += behavior.instructions_billions * 1e9
+                / (ipc * clock_hz * behavior.threads.max(1) as f64);
+        }
+        self.pairs += 1;
+    }
+
+    fn point(&self, label: String) -> SweepPoint {
+        let n = self.pairs.max(1) as f64;
+        SweepPoint {
+            label,
+            mean_ipc: self.ipc / n,
+            mean_l2_miss_pct: self.l2_miss_pct / n,
+            mean_l3_miss_pct: self.l3_miss_pct / n,
+            mean_seconds: self.seconds / n,
         }
     }
-    let n = n.max(1) as f64;
-    Some(SweepPoint {
-        label,
-        mean_ipc: ipc / n,
-        mean_l2_miss_pct: m2 / n,
-        mean_l3_miss_pct: m3 / n,
-        mean_seconds: secs / n,
-    })
+}
+
+/// True when `point` is `base` once its timing is set back to the base's:
+/// a base run's event counts then hold for it unchanged.
+fn only_retimed(point: &SystemConfig, base: &SystemConfig) -> bool {
+    SystemConfig {
+        timing: base.timing,
+        ..point.clone()
+    } == *base
+}
+
+/// One pair's session on each of `systems`, in order. The pair's prepared
+/// generator runs once on the base machine; retimed points are priced from
+/// that run, and every other point runs a clone of the generator.
+fn pair_sessions(
+    pair: &AppInputPair<'_>,
+    base: &RunConfig,
+    systems: &[SystemConfig],
+) -> Vec<PerfSession> {
+    let (generator, hints) = prepared_run(pair, base).expect("curated profiles are valid");
+    // A third of the trace warms caches and predictor, as in
+    // characterization.
+    let plan = ExecPlan::new()
+        .hints(hints)
+        .warmup(generator.remaining() / 3);
+    let (measured, inputs) = {
+        let mut engine = Engine::new(&base.system);
+        let measured = engine.execute(generator.clone(), &plan);
+        (measured, engine.last_inputs().expect("run just completed"))
+    };
+    systems
+        .iter()
+        .map(|system| {
+            if only_retimed(system, &base.system) {
+                // The same events; only the cycles are repriced.
+                let mut session = measured.clone();
+                let cycles = price(&system.timing, &inputs, &hints);
+                session.set(Event::CpuClkUnhaltedRefTsc, cycles);
+                session
+            } else {
+                Engine::new(system).execute(generator.clone(), &plan)
+            }
+        })
+        .collect()
 }
 
 fn sweep_over(
@@ -121,123 +179,52 @@ fn sweep_over(
     apps: &[AppProfile],
     base: &RunConfig,
     configs: Vec<(String, SystemConfig)>,
-    baseline: Option<&[CharRecord]>,
 ) -> Sweep {
-    // Trace-driven methodology: the workload adapts its working sets to
-    // whatever machine it is generated for (that is how miss-rate targets
-    // are hit), so a sweep must generate each trace ONCE on the baseline
-    // system and replay the identical micro-op stream on every variant.
-    struct PreparedTrace {
-        ops: Vec<uarch_sim::microop::MicroOp>,
-        hints: uarch_sim::engine::WorkloadHints,
-        instructions_billions: f64,
-        threads: u32,
-    }
-    let mut traces = Vec::new();
+    let (labels, systems): (Vec<String>, Vec<SystemConfig>) = configs.into_iter().unzip();
+    let mut sums = vec![PointSums::default(); systems.len()];
     for app in apps {
         for pair in app.pairs(InputSize::Ref) {
-            let (generator, hints) = prepared_run(&pair, base).expect("curated profiles are valid");
-            traces.push(PreparedTrace {
-                ops: generator.collect(),
-                hints,
-                instructions_billions: pair.input.behavior.instructions_billions,
-                threads: pair.input.behavior.threads,
-            });
-        }
-    }
-
-    let mut points = Vec::with_capacity(configs.len());
-    for (label, system) in configs {
-        if system == base.system {
-            // The unmodified point: a characterization campaign (possibly
-            // cache-served) already measured it; reuse those records.
-            if let Some(point) =
-                baseline.and_then(|records| baseline_point(label.clone(), apps, records))
-            {
-                points.push(point);
-                continue;
+            let sessions = pair_sessions(&pair, base, &systems);
+            for ((session, system), sum) in sessions.iter().zip(&systems).zip(&mut sums) {
+                sum.add(session, system.timing.clock_ghz, &pair.input.behavior);
             }
         }
-        let (mut ipc, mut m2, mut m3, mut secs) = (0.0, 0.0, 0.0, 0.0);
-        for t in &traces {
-            let mut engine = Engine::new(&system);
-            let warm = t.ops.len() as u64 / 3;
-            let session = engine.execute(
-                from_iter(t.ops.iter().copied()),
-                &ExecPlan::new().hints(t.hints).warmup(warm),
-            );
-            ipc += session.ipc();
-            m2 += session.l2_miss_rate() * 100.0;
-            m3 += session.l3_miss_rate() * 100.0;
-            if session.ipc() > 0.0 {
-                // Same operation order as `characterize_pair`'s
-                // projected-seconds formula, so a baseline point served from
-                // records is bit-identical to one replayed here.
-                let clock_hz = system.clock_ghz * 1e9;
-                secs += t.instructions_billions * 1e9
-                    / (session.ipc() * clock_hz * t.threads.max(1) as f64);
-            }
-        }
-        let n = traces.len().max(1) as f64;
-        points.push(SweepPoint {
-            label,
-            mean_ipc: ipc / n,
-            mean_l2_miss_pct: m2 / n,
-            mean_l3_miss_pct: m3 / n,
-            mean_seconds: secs / n,
-        });
     }
+    let points = labels
+        .into_iter()
+        .zip(&sums)
+        .map(|(label, sum)| sum.point(label))
+        .collect();
     Sweep { parameter, points }
 }
 
 /// Sweeps main-memory latency over `cycle_points` — the strongest lever on
 /// the memory-bound applications the paper highlights.
 pub fn memory_latency_sweep(apps: &[AppProfile], base: &RunConfig, cycle_points: &[u64]) -> Sweep {
-    memory_latency_sweep_with(apps, base, cycle_points, None)
-}
-
-/// [`memory_latency_sweep`] reusing `baseline` records for any point whose
-/// system equals the baseline system.
-pub fn memory_latency_sweep_with(
-    apps: &[AppProfile],
-    base: &RunConfig,
-    cycle_points: &[u64],
-    baseline: Option<&[CharRecord]>,
-) -> Sweep {
     let configs = cycle_points
         .iter()
         .map(|&cycles| {
             let mut system = base.system.clone();
-            system.memory_latency = cycles;
+            system.timing.memory_latency = cycles;
             (format!("{cycles} cyc"), system)
         })
         .collect();
-    sweep_over("DRAM latency", apps, base, configs, baseline)
+    sweep_over("DRAM latency", apps, base, configs)
 }
 
 /// Sweeps the core issue width over `width_points` — compute-bound
 /// applications respond, memory-bound ones barely move (the classic
 /// balance-of-machine picture).
 pub fn issue_width_sweep(apps: &[AppProfile], base: &RunConfig, width_points: &[usize]) -> Sweep {
-    issue_width_sweep_with(apps, base, width_points, None)
-}
-
-/// [`issue_width_sweep`] reusing `baseline` records for the base point.
-pub fn issue_width_sweep_with(
-    apps: &[AppProfile],
-    base: &RunConfig,
-    width_points: &[usize],
-    baseline: Option<&[CharRecord]>,
-) -> Sweep {
     let configs = width_points
         .iter()
         .map(|&width| {
             let mut system = base.system.clone();
-            system.issue_width = width;
+            system.timing.issue_width = width;
             (format!("{width}-wide"), system)
         })
         .collect();
-    sweep_over("issue width", apps, base, configs, baseline)
+    sweep_over("issue width", apps, base, configs)
 }
 
 /// Sweeps the shared L3 capacity over `mib_points`.
@@ -247,16 +234,6 @@ pub fn issue_width_sweep_with(
 /// `base.scale` is raised substantially — it exists for full-fidelity runs
 /// and is not featured in the `extensions` binary's default report.
 pub fn l3_capacity_sweep(apps: &[AppProfile], base: &RunConfig, mib_points: &[usize]) -> Sweep {
-    l3_capacity_sweep_with(apps, base, mib_points, None)
-}
-
-/// [`l3_capacity_sweep`] reusing `baseline` records for the base point.
-pub fn l3_capacity_sweep_with(
-    apps: &[AppProfile],
-    base: &RunConfig,
-    mib_points: &[usize],
-    baseline: Option<&[CharRecord]>,
-) -> Sweep {
     let configs = mib_points
         .iter()
         .map(|&mib| {
@@ -266,21 +243,11 @@ pub fn l3_capacity_sweep_with(
             )
         })
         .collect();
-    sweep_over("L3 capacity", apps, base, configs, baseline)
+    sweep_over("L3 capacity", apps, base, configs)
 }
 
 /// Sweeps the per-core L2 capacity over `kib_points`.
 pub fn l2_capacity_sweep(apps: &[AppProfile], base: &RunConfig, kib_points: &[usize]) -> Sweep {
-    l2_capacity_sweep_with(apps, base, kib_points, None)
-}
-
-/// [`l2_capacity_sweep`] reusing `baseline` records for the base point.
-pub fn l2_capacity_sweep_with(
-    apps: &[AppProfile],
-    base: &RunConfig,
-    kib_points: &[usize],
-    baseline: Option<&[CharRecord]>,
-) -> Sweep {
     let configs = kib_points
         .iter()
         .map(|&kib| {
@@ -290,13 +257,15 @@ pub fn l2_capacity_sweep_with(
             )
         })
         .collect();
-    sweep_over("L2 capacity", apps, base, configs, baseline)
+    sweep_over("L2 capacity", apps, base, configs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uarch_sim::config::Timing;
     use workload_synth::cpu2017;
+    use workload_synth::generator::TraceScale;
 
     fn memory_bound_apps() -> Vec<AppProfile> {
         vec![
@@ -346,32 +315,123 @@ mod tests {
         );
     }
 
-    #[test]
-    fn baseline_records_reproduce_the_base_point_exactly() {
-        let apps = memory_bound_apps();
-        let base = RunConfig::quick();
-        let latency = base.system.memory_latency;
-        let replayed = memory_latency_sweep(&apps, &base, &[latency, 500]);
-        let records =
-            crate::characterize::characterize_suite(&apps, InputSize::Ref, &base).unwrap();
-        let served = memory_latency_sweep_with(&apps, &base, &[latency, 500], Some(&records));
-        assert_eq!(
-            replayed, served,
-            "record-served base point must match a replay"
-        );
+    /// The apps the `extensions` binary sweeps.
+    fn extensions_sweep_apps() -> Vec<AppProfile> {
+        ["505.mcf_r", "549.fotonik3d_r", "525.x264_r", "557.xz_r"]
+            .iter()
+            .map(|name| cpu2017::app(name).unwrap())
+            .collect()
+    }
+
+    fn with_timing(base: &SystemConfig, set: impl FnOnce(&mut Timing)) -> SystemConfig {
+        let mut system = base.clone();
+        set(&mut system.timing);
+        system
+    }
+
+    /// One pair's session on each system the slow way: a fresh engine per
+    /// point runs a clone of the prepared generator.
+    fn replayed_sessions(
+        pair: &AppInputPair<'_>,
+        base: &RunConfig,
+        systems: &[SystemConfig],
+    ) -> Vec<PerfSession> {
+        let (generator, hints) = prepared_run(pair, base).unwrap();
+        let plan = ExecPlan::new()
+            .hints(hints)
+            .warmup(generator.remaining() / 3);
+        systems
+            .iter()
+            .map(|system| Engine::new(system).execute(generator.clone(), &plan))
+            .collect()
     }
 
     #[test]
-    fn incomplete_baseline_falls_back_to_replay() {
-        let apps = memory_bound_apps();
-        let base = RunConfig::quick();
-        let latency = base.system.memory_latency;
-        // Records covering only one of the two apps cannot serve the point.
-        let partial =
-            crate::characterize::characterize_suite(&apps[..1], InputSize::Ref, &base).unwrap();
-        let replayed = memory_latency_sweep(&apps, &base, &[latency]);
-        let served = memory_latency_sweep_with(&apps, &base, &[latency], Some(&partial));
-        assert_eq!(replayed, served);
+    fn priced_points_match_a_fresh_engine_at_every_extensions_point() {
+        let apps = extensions_sweep_apps();
+        // The equivalence is per op, so short traces show it as well as
+        // long ones; the cap keeps 13 runs per pair quick in a debug build.
+        let base = RunConfig {
+            scale: TraceScale {
+                max_ops: 60_000,
+                ..TraceScale::quick()
+            },
+            ..RunConfig::quick()
+        };
+        let haswell = &base.system;
+        let latencies = [120, 220, 320, 500];
+        let widths = [1, 2, 4, 6];
+        let mut systems: Vec<SystemConfig> = latencies
+            .iter()
+            .map(|&cycles| with_timing(haswell, |t| t.memory_latency = cycles))
+            .chain(
+                widths
+                    .iter()
+                    .map(|&width| with_timing(haswell, |t| t.issue_width = width)),
+            )
+            .collect();
+        // One more point per remaining timing field, each moved off its
+        // base value: a price that ignored the field would leave that
+        // point equal to the base machine's.
+        let moved = [
+            with_timing(haswell, |t| t.l2_latency *= 2),
+            with_timing(haswell, |t| t.l3_latency *= 2),
+            with_timing(haswell, |t| t.mispredict_penalty *= 2),
+            with_timing(haswell, |t| t.clock_ghz *= 2.0),
+        ];
+        systems.extend(moved.iter().cloned());
+        assert!(systems.iter().all(|s| only_retimed(s, haswell)));
+
+        let mut sums = vec![PointSums::default(); systems.len()];
+        for app in &apps {
+            for pair in app.pairs(InputSize::Ref) {
+                let priced = pair_sessions(&pair, &base, &systems);
+                let replayed = replayed_sessions(&pair, &base, &systems);
+                for ((system, (p, r)), sum) in systems
+                    .iter()
+                    .zip(priced.iter().zip(&replayed))
+                    .zip(&mut sums)
+                {
+                    assert_eq!(p, r, "{} priced on {:?}", pair.id(), system.timing);
+                    sum.add(r, system.timing.clock_ghz, &pair.input.behavior);
+                }
+            }
+        }
+        let expected: Vec<SweepPoint> = sums.iter().map(|s| s.point(String::new())).collect();
+        let unlabeled = |sweep: Sweep| -> Vec<SweepPoint> {
+            sweep
+                .points
+                .into_iter()
+                .map(|p| SweepPoint {
+                    label: String::new(),
+                    ..p
+                })
+                .collect()
+        };
+        assert_eq!(
+            unlabeled(memory_latency_sweep(&apps, &base, &latencies)),
+            expected[..4]
+        );
+        assert_eq!(
+            unlabeled(issue_width_sweep(&apps, &base, &widths)),
+            expected[4..8]
+        );
+
+        // Every field reaches the suite's response: the 220-cycle point is
+        // the base machine, and each point that moves a field away from it
+        // moves its outcome (IPC, or seconds for the clock). 6-wide is the
+        // exception: every app's ILP hint is calibrated at or below the
+        // base machine's 4-wide issue, so more width cannot help.
+        let base_point = &expected[1];
+        assert_eq!(*base_point, expected[6], "4-wide is the base machine too");
+        for (i, point) in expected.iter().enumerate() {
+            if ![1, 6, 7].contains(&i) {
+                assert_ne!(point, base_point, "point {i} must respond to its timing");
+            }
+        }
+        let clock = &expected[11];
+        assert_eq!(clock.mean_ipc, base_point.mean_ipc);
+        assert!(clock.mean_seconds < base_point.mean_seconds);
     }
 
     #[test]

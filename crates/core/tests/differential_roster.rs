@@ -11,7 +11,7 @@
 
 use uarch_sim::config::SystemConfig;
 use uarch_sim::counters::Event;
-use uarch_sim::engine::{Engine, RunOptions, WorkloadHints};
+use uarch_sim::engine::{Engine, WorkloadHints};
 use uarch_sim::exec::{ExecPlan, UopSource};
 use uarch_sim::timeline::SamplerConfig;
 use workload_synth::cpu2017;
@@ -50,7 +50,7 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
     // not perturb a single counter on either path.
     simmetrics::enable();
     simtrace::enable();
-    let opts = RunOptions::new()
+    let base = ExecPlan::new()
         .warmup(WARMUP)
         .sampler(SamplerConfig::every(INTERVAL));
     for pair in &pairs {
@@ -58,11 +58,11 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
         let (gen, hints) = prepared(pair, &config);
 
         let mut fused = Engine::new(&config);
-        let plan = ExecPlan::from(opts).hints(hints);
+        let plan = base.hints(hints);
         let got = fused.execute(gen.clone().take_ops(OPS), &plan);
 
         let mut scalar = Engine::new(&config);
-        let want = scalar.run_reference(gen.clone().take(OPS as usize), &hints, &opts);
+        let want = scalar.run_reference(gen.clone().take(OPS as usize), &plan);
 
         assert_eq!(want, got, "counters diverged on {}", pair.id());
 

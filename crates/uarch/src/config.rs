@@ -93,6 +93,22 @@ pub struct SystemConfig {
     pub l2: CacheConfig,
     /// Shared last-level cache.
     pub l3: CacheConfig,
+    /// The parameters that only price a run (see [`Timing`]).
+    pub timing: Timing,
+    /// Number of hardware cores available to `speed` runs.
+    pub cores: usize,
+}
+
+/// The timing half of a [`SystemConfig`]: the parameters that reach a run
+/// only through [`crate::pipeline::price`].
+///
+/// Cache and predictor state never read these, so two systems that differ
+/// only in `timing` execute a µop stream through identical state
+/// transitions and produce identical event counts; only the cycle count
+/// (and seconds) differ. That is what lets a sensitivity sweep price a
+/// latency or width point from one base run instead of re-simulating it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
     /// Core clock in GHz (Turbo disabled in the paper, so a constant).
     pub clock_ghz: f64,
     /// Maximum micro-ops issued per cycle.
@@ -106,8 +122,6 @@ pub struct SystemConfig {
     pub l3_latency: u64,
     /// Main-memory latency in cycles (load served by DRAM).
     pub memory_latency: u64,
-    /// Number of hardware cores available to `speed` runs.
-    pub cores: usize,
 }
 
 impl SystemConfig {
@@ -120,12 +134,14 @@ impl SystemConfig {
             l1d: CacheConfig::new(32 * 1024, 8, 64, Policy::Lru),
             l2: CacheConfig::new(256 * 1024, 8, 64, Policy::Lru),
             l3: CacheConfig::new(30 * 1024 * 1024, 20, 64, Policy::Lru),
-            clock_ghz: 1.8,
-            issue_width: 4,
-            mispredict_penalty: 15,
-            l2_latency: 12,
-            l3_latency: 40,
-            memory_latency: 220,
+            timing: Timing {
+                clock_ghz: 1.8,
+                issue_width: 4,
+                mispredict_penalty: 15,
+                l2_latency: 12,
+                l3_latency: 40,
+                memory_latency: 220,
+            },
             cores: 12,
         }
     }
@@ -138,12 +154,14 @@ impl SystemConfig {
             l1d: CacheConfig::new(1024, 2, 64, Policy::Lru),
             l2: CacheConfig::new(4096, 4, 64, Policy::Lru),
             l3: CacheConfig::new(16 * 1024, 4, 64, Policy::Lru),
-            clock_ghz: 1.0,
-            issue_width: 2,
-            mispredict_penalty: 8,
-            l2_latency: 10,
-            l3_latency: 30,
-            memory_latency: 100,
+            timing: Timing {
+                clock_ghz: 1.0,
+                issue_width: 2,
+                mispredict_penalty: 8,
+                l2_latency: 10,
+                l3_latency: 30,
+                memory_latency: 100,
+            },
             cores: 4,
         }
     }

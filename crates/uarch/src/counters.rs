@@ -112,7 +112,7 @@ impl fmt::Display for Event {
 /// One run's collected counters — the analogue of a `perf stat` output file.
 ///
 /// When the producing engine ran with a sampler (see
-/// [`crate::engine::RunOptions::sampler`]), the session additionally carries
+/// [`crate::exec::ExecPlan::sampler`]), the session additionally carries
 /// the per-interval [`CounterTimeline`]; unsampled runs leave it `None` and
 /// are indistinguishable from pre-timeline sessions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

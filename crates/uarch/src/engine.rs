@@ -23,11 +23,11 @@
 use crate::branch::{target_is_static, BranchPredictor, PredictorImpl, PredictorKind};
 use crate::config::SystemConfig;
 use crate::counters::{Event, PerfSession};
-use crate::exec::{from_iter, ExecPlan, UopSink, UopSource};
+use crate::exec::{ExecPlan, UopSink, UopSource};
 use crate::hierarchy::{Hierarchy, ServedBy};
 use crate::microop::{BranchKind, MicroOp};
-use crate::pipeline::{estimate_cycles, CycleBreakdown, TimingInputs};
-use crate::timeline::{CounterTimeline, IntervalSample, SamplerConfig};
+use crate::pipeline::{estimate_cycles, price, CycleBreakdown, TimingInputs};
+use crate::timeline::{CounterTimeline, IntervalSample};
 
 /// Workload-level execution hints that are not visible in the micro-op
 /// stream itself.
@@ -66,65 +66,6 @@ impl Default for WorkloadHints {
             sync_overhead: 0.0,
             l2_bypass_range: None,
         }
-    }
-}
-
-/// Per-run execution options, consumed by [`Engine::run_with`].
-///
-/// Superseded by [`ExecPlan`], which folds the hints in as well; convert
-/// with `ExecPlan::from(opts).hints(hints)`. Kept for one release of
-/// compatibility.
-///
-/// ```
-/// use uarch_sim::branch::PredictorKind;
-/// use uarch_sim::engine::RunOptions;
-/// use uarch_sim::timeline::SamplerConfig;
-///
-/// let opts = RunOptions::new()
-///     .warmup(10_000)
-///     .predictor(PredictorKind::GShare)
-///     .sampler(SamplerConfig::every(5_000));
-/// assert_eq!(opts.warmup_ops, 10_000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunOptions {
-    /// Micro-ops that warm caches and predictor without being counted —
-    /// standard simulation methodology so compulsory effects,
-    /// over-represented in scaled traces, do not distort the steady-state
-    /// rates the paper measures over minutes-long executions.
-    pub warmup_ops: u64,
-    /// Branch predictor to run with. `None` keeps the engine's current
-    /// predictor (including its trained state); `Some(kind)` switches to
-    /// `kind`, rebuilding it fresh if it differs from the current one.
-    pub predictor: Option<PredictorKind>,
-    /// Interval sampler configuration. `None` (the default) disables
-    /// sampling: the run takes the identical hot path and the returned
-    /// session carries no timeline.
-    pub sampler: Option<SamplerConfig>,
-}
-
-impl RunOptions {
-    /// Default options: no warmup, current predictor, sampling off.
-    pub fn new() -> Self {
-        RunOptions::default()
-    }
-
-    /// Sets the number of uncounted warmup micro-ops.
-    pub fn warmup(mut self, ops: u64) -> Self {
-        self.warmup_ops = ops;
-        self
-    }
-
-    /// Selects the branch predictor for this run.
-    pub fn predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = Some(kind);
-        self
-    }
-
-    /// Enables interval sampling with the given configuration.
-    pub fn sampler(mut self, config: SamplerConfig) -> Self {
-        self.sampler = Some(config);
-        self
     }
 }
 
@@ -509,7 +450,8 @@ pub struct Engine {
     hierarchy: Hierarchy,
     predictor: PredictorImpl,
     predictor_kind: PredictorKind,
-    last_breakdown: Option<CycleBreakdown>,
+    /// The timing-model inputs of the most recent counted run.
+    last_inputs: Option<TimingInputs>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -535,7 +477,7 @@ impl Engine {
             hierarchy: Hierarchy::new(config),
             predictor: PredictorImpl::build(kind),
             predictor_kind: kind,
-            last_breakdown: None,
+            last_inputs: None,
         }
     }
 
@@ -601,63 +543,71 @@ impl Engine {
         } else {
             ProfState::off()
         };
+        self.select_predictor(plan);
+        let hints = &plan.hints;
+        let rate = hints.indirect_target_miss_rate;
+        let h = &mut self.hierarchy;
+        let drive = with_predictor!(&mut self.predictor, p => drive_counted(
+            &mut source,
+            &mut ExecSink::<_, PROFILE>::new(h, p, hints, rate, prof),
+            plan,
+        ));
+        let s = self.finish(drive, plan, &mut trace_span);
+        if PROFILE {
+            // Hand this run's samples to the collector before the worker
+            // moves on, so a drain on another thread sees them.
+            simprof::flush_thread();
+        }
+        s
+    }
+
+    /// Switches to the plan's predictor, if it names one, rebuilding it
+    /// fresh when it differs from the current one.
+    fn select_predictor(&mut self, plan: &ExecPlan) {
         if let Some(kind) = plan.predictor {
             if kind != self.predictor_kind {
                 self.predictor = PredictorImpl::build(kind);
                 self.predictor_kind = kind;
             }
         }
-        let hints = &plan.hints;
-        let rate = hints.indirect_target_miss_rate;
-        let h = &mut self.hierarchy;
+    }
+
+    /// The tail every counted run shares: prices the counted portion with
+    /// [`price`], closes the timeline, and records the run's metrics.
+    fn finish(
+        &mut self,
+        drive: Drive,
+        plan: &ExecPlan,
+        trace_span: &mut simtrace::SpanGuard,
+    ) -> PerfSession {
         let Drive {
             session: mut s,
             executed,
             counted,
             l1i_misses_at_warmup,
             mut marks,
-        } = with_predictor!(&mut self.predictor, p => drive_counted(
-            &mut source,
-            &mut ExecSink::<_, PROFILE>::new(h, p, hints, rate, prof),
-            plan,
-        ));
-        let warmup_ops = plan.warmup_ops;
-        let interval = plan.sampler.map(|c| c.interval_ops.max(1));
-
-        // Price the counted portion of the run.
+        } = drive;
+        let hints = &plan.hints;
         let l1i_total = self.hierarchy.l1i_stats().misses;
-        let l1i_counted = if executed > warmup_ops {
+        let l1i_counted = if executed > plan.warmup_ops {
             l1i_total - l1i_misses_at_warmup
         } else {
             0
         };
-        let inputs = TimingInputs {
-            uops: s.count(Event::UopsRetiredAll),
-            mispredicts: s.count(Event::BrMispExecAllBranches),
-            l2_served: s.count(Event::MemLoadUopsRetiredL2Hit),
-            l3_served: s.count(Event::MemLoadUopsRetiredL3Hit),
-            mem_served: s.count(Event::MemLoadUopsRetiredL3Miss),
-            l1i_misses: l1i_counted,
-            ilp: hints.ilp,
-            mlp: hints.mlp,
-        };
-        let breakdown = estimate_cycles(&self.config, &inputs);
-        let mut cycles = breakdown.total() as f64;
-        self.last_breakdown = Some(breakdown);
-        if hints.threads > 1 {
-            // Multi-threaded `speed` runs burn extra unhalted reference
-            // cycles on synchronization and shared-cache contention; the
-            // paper observes exactly this as the speed-fp IPC collapse.
-            cycles *= 1.0 + hints.sync_overhead * (hints.threads - 1) as f64;
-        }
-        s.set(Event::CpuClkUnhaltedRefTsc, cycles.max(1.0) as u64);
+        let inputs = TimingInputs::new(&s, l1i_counted, hints);
+        s.set(
+            Event::CpuClkUnhaltedRefTsc,
+            price(&self.config.timing, &inputs, hints),
+        );
+        self.last_inputs = Some(inputs);
 
-        if let Some(interval_ops) = interval {
+        if let Some(sampler) = plan.sampler {
             // Close the final (possibly partial) interval with the finished
             // session so the interval deltas telescope to the exact totals.
             if marks.last().is_none_or(|(end, _, _)| *end < counted) {
                 marks.push((counted, s.clone(), l1i_total));
             }
+            let interval_ops = sampler.interval_ops.max(1);
             s.set_timeline(self.build_timeline(interval_ops, &marks, &s, hints, l1i_counted));
         }
 
@@ -668,12 +618,7 @@ impl Engine {
         crate::metrics::sim_time_micros().record((self.seconds(&s) * 1e6) as u64);
         if trace_span.is_recording() {
             trace_span.arg("ops", executed);
-            trace_span.arg("warmup_ops", warmup_ops);
-        }
-        if PROFILE {
-            // Hand this run's samples to the collector before the worker
-            // moves on, so a drain on another thread sees them.
-            simprof::flush_thread();
+            trace_span.arg("warmup_ops", plan.warmup_ops);
         }
         s
     }
@@ -713,49 +658,23 @@ impl Engine {
         executed
     }
 
-    /// Runs a micro-op iterator to completion under [`RunOptions`] —
-    /// a thin compatibility shim over [`Engine::execute`].
-    pub fn run_with<I>(&mut self, ops: I, hints: &WorkloadHints, opts: &RunOptions) -> PerfSession
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        self.execute(from_iter(ops), &ExecPlan::from(*opts).hints(*hints))
-    }
-
-    /// Functional warming over a micro-op iterator — a thin compatibility
-    /// shim over [`Engine::warm`].
-    pub fn warm_with<I>(&mut self, ops: I, hints: &WorkloadHints) -> u64
-    where
-        I: IntoIterator<Item = MicroOp>,
-    {
-        self.warm(from_iter(ops), hints)
-    }
-
     /// The original one-op-at-a-time execution loop, kept verbatim as the
-    /// executable specification of the engine's counter semantics.
+    /// executable specification of the engine's counter semantics. Only
+    /// the pricing tail is shared with [`Engine::execute`].
     ///
     /// The sink-driven [`Engine::execute`] must produce bit-identical sessions
     /// (including timelines) for every stream and plan; the differential
     /// tests in this crate and the roster-wide suite in `workload-synth`
     /// pin that equivalence. Not a hot path — use [`Engine::execute`].
-    pub fn run_reference<I>(
-        &mut self,
-        ops: I,
-        hints: &WorkloadHints,
-        opts: &RunOptions,
-    ) -> PerfSession
+    pub fn run_reference<I>(&mut self, ops: I, plan: &ExecPlan) -> PerfSession
     where
         I: IntoIterator<Item = MicroOp>,
     {
         let mut trace_span = simtrace::span("engine/run");
-        if let Some(kind) = opts.predictor {
-            if kind != self.predictor_kind {
-                self.predictor = PredictorImpl::build(kind);
-                self.predictor_kind = kind;
-            }
-        }
-        let warmup_ops = opts.warmup_ops;
-        let interval = opts.sampler.map(|c| c.interval_ops.max(1));
+        let hints = &plan.hints;
+        self.select_predictor(plan);
+        let warmup_ops = plan.warmup_ops;
+        let interval = plan.sampler.map(|c| c.interval_ops.max(1));
         let mut next_sample = interval.unwrap_or(u64::MAX);
         let mut counted: u64 = 0;
         let mut marks: Vec<(u64, PerfSession, u64)> = Vec::new();
@@ -873,46 +792,14 @@ impl Engine {
             }
         }
 
-        // Price the counted portion of the run.
-        let l1i_total = self.hierarchy.l1i_stats().misses;
-        let l1i_counted = if executed > warmup_ops {
-            l1i_total - l1i_misses_at_warmup
-        } else {
-            0
+        let drive = Drive {
+            session: s,
+            executed,
+            counted,
+            l1i_misses_at_warmup,
+            marks,
         };
-        let inputs = TimingInputs {
-            uops: s.count(Event::UopsRetiredAll),
-            mispredicts: s.count(Event::BrMispExecAllBranches),
-            l2_served: s.count(Event::MemLoadUopsRetiredL2Hit),
-            l3_served: s.count(Event::MemLoadUopsRetiredL3Hit),
-            mem_served: s.count(Event::MemLoadUopsRetiredL3Miss),
-            l1i_misses: l1i_counted,
-            ilp: hints.ilp,
-            mlp: hints.mlp,
-        };
-        let breakdown = estimate_cycles(&self.config, &inputs);
-        let mut cycles = breakdown.total() as f64;
-        self.last_breakdown = Some(breakdown);
-        if hints.threads > 1 {
-            cycles *= 1.0 + hints.sync_overhead * (hints.threads - 1) as f64;
-        }
-        s.set(Event::CpuClkUnhaltedRefTsc, cycles.max(1.0) as u64);
-
-        if let Some(interval_ops) = interval {
-            if marks.last().is_none_or(|(end, _, _)| *end < counted) {
-                marks.push((counted, s.clone(), l1i_total));
-            }
-            s.set_timeline(self.build_timeline(interval_ops, &marks, &s, hints, l1i_counted));
-        }
-
-        crate::metrics::engine_runs().inc();
-        crate::metrics::ops_retired().add(executed);
-        crate::metrics::sim_time_micros().record((self.seconds(&s) * 1e6) as u64);
-        if trace_span.is_recording() {
-            trace_span.arg("ops", executed);
-            trace_span.arg("warmup_ops", warmup_ops);
-        }
-        s
+        self.finish(drive, plan, &mut trace_span)
     }
 
     /// Turns boundary snapshots into a [`CounterTimeline`].
@@ -942,17 +829,8 @@ impl Engine {
             };
             // Cycles are assigned below from the whole-run pricing.
             deltas.set(Event::CpuClkUnhaltedRefTsc, 0);
-            let inputs = TimingInputs {
-                uops: deltas.count(Event::UopsRetiredAll),
-                mispredicts: deltas.count(Event::BrMispExecAllBranches),
-                l2_served: deltas.count(Event::MemLoadUopsRetiredL2Hit),
-                l3_served: deltas.count(Event::MemLoadUopsRetiredL3Hit),
-                mem_served: deltas.count(Event::MemLoadUopsRetiredL3Miss),
-                l1i_misses: l1i_cum.saturating_sub(prev_l1i),
-                ilp: hints.ilp,
-                mlp: hints.mlp,
-            };
-            let b = estimate_cycles(&self.config, &inputs);
+            let inputs = TimingInputs::new(&deltas, l1i_cum.saturating_sub(prev_l1i), hints);
+            let b = estimate_cycles(&self.config.timing, &inputs);
             weights.push(b.base + b.branch + b.memory + b.frontend);
             intervals.push(IntervalSample {
                 start_op: prev_end,
@@ -990,16 +868,25 @@ impl Engine {
         }
     }
 
+    /// The timing-model inputs of the most recent counted run: its event
+    /// counts, L1I misses and ILP/MLP. [`price`] turns them into the run's
+    /// cycle count under any [`crate::config::Timing`], so a retimed
+    /// machine needs no second run.
+    pub fn last_inputs(&self) -> Option<TimingInputs> {
+        self.last_inputs
+    }
+
     /// The interval-model cycle breakdown of the most recent run — the
     /// CPI-stack view (base / branch / memory / frontend), before any
     /// multi-thread overhead scaling.
     pub fn last_breakdown(&self) -> Option<CycleBreakdown> {
-        self.last_breakdown
+        self.last_inputs
+            .map(|inputs| estimate_cycles(&self.config.timing, &inputs))
     }
 
     /// Simulated seconds for a session produced by this engine's config.
     pub fn seconds(&self, session: &PerfSession) -> f64 {
-        session.count(Event::CpuClkUnhaltedRefTsc) as f64 / (self.config.clock_ghz * 1e9)
+        session.count(Event::CpuClkUnhaltedRefTsc) as f64 / (self.config.timing.clock_ghz * 1e9)
     }
 }
 
@@ -1016,6 +903,8 @@ fn branch_kind_event(kind: BranchKind) -> Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::from_iter;
+    use crate::timeline::SamplerConfig;
 
     fn engine() -> Engine {
         Engine::new(&SystemConfig::tiny_test())
@@ -1035,7 +924,7 @@ mod tests {
                 taken: true,
             },
         ];
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s.count(Event::InstRetiredAny), 5);
         assert_eq!(s.count(Event::UopsRetiredAll), 5);
         assert_eq!(s.count(Event::MemUopsRetiredAllLoads), 1);
@@ -1051,7 +940,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..10_000u64)
             .map(|i| MicroOp::load((i % 2048) * 64))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         let loads = s.count(Event::MemUopsRetiredAllLoads);
         let l1h = s.count(Event::MemLoadUopsRetiredL1Hit);
         let l1m = s.count(Event::MemLoadUopsRetiredL1Miss);
@@ -1071,7 +960,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..10_000u64)
             .map(|i| MicroOp::load((i % 4) * 64))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.l1_miss_rate() < 0.01, "l1 miss rate {}", s.l1_miss_rate());
     }
 
@@ -1079,7 +968,7 @@ mod tests {
     fn streaming_load_misses_all_levels() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..10_000u64).map(|i| MicroOp::load(i * 64)).collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.l1_miss_rate() > 0.95);
         assert!(s.l2_miss_rate() > 0.95);
         assert!(s.l3_miss_rate() > 0.9);
@@ -1091,7 +980,7 @@ mod tests {
         let ops: Vec<MicroOp> = (0..50_000)
             .map(|_| MicroOp::conditional_branch(0x40, true))
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.mispredict_rate() < 0.001, "rate {}", s.mispredict_rate());
     }
 
@@ -1107,7 +996,7 @@ mod tests {
                 MicroOp::conditional_branch(0x40, x & 1 == 1)
             })
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert!(s.mispredict_rate() > 0.3, "rate {}", s.mispredict_rate());
     }
 
@@ -1125,7 +1014,7 @@ mod tests {
             indirect_target_miss_rate: 0.25,
             ..WorkloadHints::default()
         };
-        let s = e.run_with(ops, &hints, &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new().hints(hints));
         let rate = s.mispredict_rate();
         assert!((rate - 0.25).abs() < 0.01, "rate {rate}");
     }
@@ -1140,7 +1029,7 @@ mod tests {
                 taken: true,
             })
             .collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s.count(Event::BrMispExecAllBranches), 0);
     }
 
@@ -1148,22 +1037,20 @@ mod tests {
     fn higher_ilp_means_higher_ipc() {
         let ops: Vec<MicroOp> = (0..50_000).map(|_| MicroOp::Alu).collect();
         let mut e1 = engine();
-        let s1 = e1.run_with(
-            ops.clone(),
-            &WorkloadHints {
+        let s1 = e1.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().hints(WorkloadHints {
                 ilp: 1.0,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         let mut e2 = engine();
-        let s2 = e2.run_with(
-            ops,
-            &WorkloadHints {
+        let s2 = e2.execute(
+            from_iter(ops),
+            &ExecPlan::new().hints(WorkloadHints {
                 ilp: 2.0,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         assert!(s2.ipc() > s1.ipc() * 1.5);
     }
@@ -1172,14 +1059,14 @@ mod tests {
     fn thread_overhead_lowers_ipc() {
         let ops: Vec<MicroOp> = (0..50_000).map(|_| MicroOp::Alu).collect();
         let mut e1 = engine();
-        let s1 = e1.run_with(ops.clone(), &WorkloadHints::default(), &RunOptions::new());
+        let s1 = e1.execute(from_iter(ops.clone()), &ExecPlan::new());
         let mut e2 = engine();
         let hints = WorkloadHints {
             threads: 4,
             sync_overhead: 0.5,
             ..WorkloadHints::default()
         };
-        let s2 = e2.run_with(ops, &hints, &RunOptions::new());
+        let s2 = e2.execute(from_iter(ops), &ExecPlan::new().hints(hints));
         assert!(s2.ipc() < s1.ipc() * 0.5);
     }
 
@@ -1187,7 +1074,7 @@ mod tests {
     fn seconds_follows_clock() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..1000).map(|_| MicroOp::Alu).collect();
-        let s = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s = e.execute(from_iter(ops), &ExecPlan::new());
         let secs = e.seconds(&s);
         let expected = s.count(Event::CpuClkUnhaltedRefTsc) as f64 / 1e9; // 1 GHz tiny config
         assert!((secs - expected).abs() < 1e-15);
@@ -1197,9 +1084,9 @@ mod tests {
     fn reset_restores_cold_state() {
         let mut e = engine();
         let ops: Vec<MicroOp> = (0..100u64).map(|i| MicroOp::load(i * 64)).collect();
-        let s1 = e.run_with(ops.clone(), &WorkloadHints::default(), &RunOptions::new());
+        let s1 = e.execute(from_iter(ops.clone()), &ExecPlan::new());
         e.reset();
-        let s2 = e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        let s2 = e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(s1, s2, "cold runs are deterministic and identical");
     }
 
@@ -1207,22 +1094,20 @@ mod tests {
     fn large_code_footprint_costs_icache_misses() {
         let ops: Vec<MicroOp> = (0..200_000).map(|_| MicroOp::Alu).collect();
         let mut e_small = engine();
-        let small = e_small.run_with(
-            ops.clone(),
-            &WorkloadHints {
+        let small = e_small.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().hints(WorkloadHints {
                 code_footprint_bytes: 512,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         let mut e_big = engine();
-        let big = e_big.run_with(
-            ops,
-            &WorkloadHints {
+        let big = e_big.execute(
+            from_iter(ops),
+            &ExecPlan::new().hints(WorkloadHints {
                 code_footprint_bytes: 1 << 20,
                 ..WorkloadHints::default()
-            },
-            &RunOptions::new(),
+            }),
         );
         assert!(
             big.count(Event::CpuClkUnhaltedRefTsc) > small.count(Event::CpuClkUnhaltedRefTsc),
@@ -1299,16 +1184,16 @@ mod tests {
             indirect_target_miss_rate: 0.13,
             ..WorkloadHints::default()
         };
-        for opts in [
-            RunOptions::new(),
-            RunOptions::new().warmup(7_001),
-            RunOptions::new().sampler(SamplerConfig::every(997)),
-            RunOptions::new()
+        for base in [
+            ExecPlan::new(),
+            ExecPlan::new().warmup(7_001),
+            ExecPlan::new().sampler(SamplerConfig::every(997)),
+            ExecPlan::new()
                 .warmup(2_500)
                 .sampler(SamplerConfig::every(1_234)),
         ] {
             let mut scalar = Engine::new(&SystemConfig::tiny_test());
-            let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
+            let want = scalar.run_reference(ops.iter().copied(), &base.hints(hints));
             // Both monomorphizations of the execution sink: the profiled one
             // runs under the profiler guard, which serializes it against
             // every other test that toggles the global profiler.
@@ -1318,12 +1203,12 @@ mod tests {
                 // misalign with the warmup and sampler boundaries.
                 for batch_ops in [1usize, 7, 4096, 100_000] {
                     let mut fused = Engine::new(&SystemConfig::tiny_test());
-                    let plan = ExecPlan::from(opts).hints(hints).batch_ops(batch_ops);
+                    let plan = base.hints(hints).batch_ops(batch_ops);
                     let got = fused.execute(from_iter(ops.iter().copied()), &plan);
                     assert_eq!(
                         want, got,
                         "sink (batch_ops={batch_ops}, profiled={profiled}) must match \
-                         reference for {opts:?}"
+                         reference for {base:?}"
                     );
                 }
                 if guard.is_some() {
@@ -1337,37 +1222,17 @@ mod tests {
     }
 
     #[test]
-    fn run_with_is_a_shim_over_execute() {
-        let ops = phased_ops(20_000);
-        let hints = WorkloadHints::default();
-        let opts = RunOptions::new().warmup(5000);
-        let mut a = engine();
-        let via_shim = a.run_with(ops.iter().copied(), &hints, &opts);
-        let mut b = engine();
-        let via_plan = b.execute(
-            from_iter(ops.iter().copied()),
-            &ExecPlan::from(opts).hints(hints),
-        );
-        assert_eq!(via_shim, via_plan);
-    }
-
-    #[test]
     fn empty_stream_after_warmup_boundary() {
         // Stream length exactly equals warmup: nothing is counted, and the
         // l1i accounting must not underflow.
         let ops = phased_ops(1000);
         let mut a = engine();
-        let sa = a.run_with(
-            ops.iter().copied(),
-            &WorkloadHints::default(),
-            &RunOptions::new().warmup(1000),
+        let sa = a.execute(
+            from_iter(ops.iter().copied()),
+            &ExecPlan::new().warmup(1000),
         );
         let mut b = engine();
-        let sb = b.run_reference(
-            ops.iter().copied(),
-            &WorkloadHints::default(),
-            &RunOptions::new().warmup(1000),
-        );
+        let sb = b.run_reference(ops.iter().copied(), &ExecPlan::new().warmup(1000));
         assert_eq!(sa, sb);
         assert_eq!(sa.count(Event::InstRetiredAny), 0);
     }
@@ -1377,15 +1242,18 @@ mod tests {
         let ops = phased_ops(30_000);
         let hints = WorkloadHints::default();
         let mut a = engine();
-        let plain = a.run_with(ops.clone(), &hints, &RunOptions::new().warmup(3000));
+        let plain = a.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().warmup(3000).hints(hints),
+        );
         assert!(plain.timeline().is_none(), "no sampler, no timeline");
         let mut b = engine();
-        let mut sampled = b.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
+        let mut sampled = b.execute(
+            from_iter(ops),
+            &ExecPlan::new()
                 .warmup(3000)
-                .sampler(SamplerConfig::every(777)),
+                .sampler(SamplerConfig::every(777))
+                .hints(hints),
         );
         assert!(sampled.timeline().is_some());
         sampled.take_timeline();
@@ -1400,12 +1268,12 @@ mod tests {
             ..WorkloadHints::default()
         };
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new()
                 .warmup(2000)
-                .sampler(SamplerConfig::every(1000)),
+                .sampler(SamplerConfig::every(1000))
+                .hints(hints),
         );
         let t = s.timeline().expect("sampler attaches a timeline");
         assert!(t.len() >= 2, "expected several intervals, got {}", t.len());
@@ -1432,12 +1300,12 @@ mod tests {
         let ops = phased_ops(50_000);
         let hints = WorkloadHints::default();
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &hints,
-            &RunOptions::new()
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new()
                 .warmup(5000)
-                .sampler(SamplerConfig::every(1500)),
+                .sampler(SamplerConfig::every(1500))
+                .hints(hints),
         );
         let t = s.timeline().expect("sampler attaches a timeline");
         for ev in [
@@ -1460,7 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_with_reproduces_run_with_state_transitions() {
+    fn warm_reproduces_execute_state_transitions() {
         // Functional warming is only sound if a warmed prefix leaves the
         // engine in the exact state a counted run of the same prefix
         // would: the session of the chunk that follows must be
@@ -1474,16 +1342,24 @@ mod tests {
         let split = 15_000;
 
         let mut counted = Engine::new(&SystemConfig::haswell_e5_2650l_v3());
-        let _ = counted.run_with(ops[..split].iter().copied(), &hints, &RunOptions::new());
-        let tail_counted =
-            counted.run_with(ops[split..].iter().copied(), &hints, &RunOptions::new());
+        let _ = counted.execute(
+            from_iter(ops[..split].iter().copied()),
+            &ExecPlan::new().hints(hints),
+        );
+        let tail_counted = counted.execute(
+            from_iter(ops[split..].iter().copied()),
+            &ExecPlan::new().hints(hints),
+        );
 
         let mut warmed = Engine::new(&SystemConfig::haswell_e5_2650l_v3());
         assert_eq!(
-            warmed.warm_with(ops[..split].iter().copied(), &hints),
+            warmed.warm(from_iter(ops[..split].iter().copied()), &hints),
             split as u64
         );
-        let tail_warmed = warmed.run_with(ops[split..].iter().copied(), &hints, &RunOptions::new());
+        let tail_warmed = warmed.execute(
+            from_iter(ops[split..].iter().copied()),
+            &ExecPlan::new().hints(hints),
+        );
 
         assert_eq!(
             tail_counted, tail_warmed,
@@ -1506,10 +1382,9 @@ mod tests {
             })
             .collect();
         let mut e = engine();
-        let s = e.run_with(
-            ops,
-            &WorkloadHints::default(),
-            &RunOptions::new().sampler(SamplerConfig::every(n / 4)),
+        let s = e.execute(
+            from_iter(ops),
+            &ExecPlan::new().sampler(SamplerConfig::every(n / 4)),
         );
         let t = s.timeline().unwrap();
         assert_eq!(t.len(), 4);
@@ -1525,10 +1400,9 @@ mod tests {
     #[test]
     fn empty_run_with_sampler_keeps_invariant() {
         let mut e = engine();
-        let s = e.run_with(
-            std::iter::empty(),
-            &WorkloadHints::default(),
-            &RunOptions::new().sampler(SamplerConfig::every(100)),
+        let s = e.execute(
+            from_iter(std::iter::empty()),
+            &ExecPlan::new().sampler(SamplerConfig::every(100)),
         );
         let t = s.timeline().expect("even an empty run gets a timeline");
         assert_eq!(t.len(), 1);
@@ -1549,10 +1423,10 @@ mod tests {
             indirect_target_miss_rate: 0.13,
             ..WorkloadHints::default()
         };
-        let opts = RunOptions::new()
+        let plan = ExecPlan::new()
+            .hints(hints)
             .warmup(2_500)
             .sampler(SamplerConfig::every(1_234));
-        let plan = ExecPlan::from(opts).hints(hints);
         let mut plain_engine = engine();
         let plain = plain_engine.execute(from_iter(ops.iter().copied()), &plan);
         let (profiled, profile) = {
@@ -1577,10 +1451,7 @@ mod tests {
         let profile = {
             let _prof = simprof::test_support::enabled(interval);
             let mut e = engine();
-            e.execute(
-                from_iter(phased_ops(n)),
-                &ExecPlan::from(RunOptions::new().warmup(5_000)),
-            );
+            e.execute(from_iter(phased_ops(n)), &ExecPlan::new().warmup(5_000));
             simprof::drain()
         };
         // One sample per interval, each carrying the interval's weight.
@@ -1595,18 +1466,17 @@ mod tests {
     }
 
     #[test]
-    fn run_options_switch_predictor() {
+    fn plan_predictor_switches_the_engine_predictor() {
         let mut e = engine();
         assert_eq!(e.predictor_kind(), PredictorKind::Tournament);
         let ops: Vec<MicroOp> = (0..100).map(|_| MicroOp::Alu).collect();
-        e.run_with(
-            ops.clone(),
-            &WorkloadHints::default(),
-            &RunOptions::new().predictor(PredictorKind::Bimodal),
+        e.execute(
+            from_iter(ops.clone()),
+            &ExecPlan::new().predictor(PredictorKind::Bimodal),
         );
         assert_eq!(e.predictor_kind(), PredictorKind::Bimodal);
         // None keeps the switched predictor.
-        e.run_with(ops, &WorkloadHints::default(), &RunOptions::new());
+        e.execute(from_iter(ops), &ExecPlan::new());
         assert_eq!(e.predictor_kind(), PredictorKind::Bimodal);
     }
 
@@ -1620,11 +1490,11 @@ mod tests {
             PredictorKind::Bimodal,
             PredictorKind::AlwaysTaken,
         ] {
-            let opts = RunOptions::new().predictor(kind);
+            let plan = ExecPlan::new().hints(hints).predictor(kind);
             let mut scalar = engine();
-            let want = scalar.run_reference(ops.iter().copied(), &hints, &opts);
+            let want = scalar.run_reference(ops.iter().copied(), &plan);
             let mut fused = engine();
-            let got = fused.execute(from_iter(ops.iter().copied()), &ExecPlan::from(opts));
+            let got = fused.execute(from_iter(ops.iter().copied()), &plan);
             assert_eq!(want, got, "predictor {kind:?} must match reference");
         }
     }

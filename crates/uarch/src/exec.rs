@@ -27,7 +27,7 @@
 //! ```
 
 use crate::branch::PredictorKind;
-use crate::engine::{RunOptions, WorkloadHints};
+use crate::engine::WorkloadHints;
 use crate::microop::{BranchKind, MicroOp};
 use crate::timeline::SamplerConfig;
 
@@ -207,9 +207,8 @@ impl<S: UopSource + ?Sized> UopSource for &mut S {
 
 /// Adapts any µop iterator into a [`UopSource`].
 ///
-/// This is the path [`crate::engine::Engine::run_with`] rides on; sources
-/// with a native `drive` (the workload generator) skip the per-op iterator
-/// protocol entirely.
+/// Sources with a native `drive` (the workload generator) skip the per-op
+/// iterator protocol entirely.
 #[derive(Debug, Clone)]
 pub struct IterSource<I> {
     iter: I,
@@ -264,10 +263,6 @@ impl<S: UopSource> UopSource for TakeOps<S> {
 
 /// Everything one run needs: hints, warmup, predictor selection,
 /// sampling, and batch sizing.
-///
-/// The successor of [`RunOptions`] + a separate hints argument;
-/// `RunOptions` converts losslessly via `From` for one release of
-/// compatibility.
 ///
 /// ```
 /// use uarch_sim::branch::PredictorKind;
@@ -347,19 +342,6 @@ impl ExecPlan {
     pub fn batch_ops(mut self, ops: usize) -> Self {
         self.batch_ops = ops.max(1);
         self
-    }
-}
-
-impl From<RunOptions> for ExecPlan {
-    /// Lifts legacy [`RunOptions`] into a plan with default hints; chain
-    /// [`ExecPlan::hints`] to attach the hints `run_with` took separately.
-    fn from(opts: RunOptions) -> Self {
-        ExecPlan {
-            warmup_ops: opts.warmup_ops,
-            predictor: opts.predictor,
-            sampler: opts.sampler,
-            ..ExecPlan::default()
-        }
     }
 }
 
@@ -447,25 +429,18 @@ mod tests {
     }
 
     #[test]
-    fn run_options_lift_into_plan() {
-        let opts = RunOptions::new()
+    fn plan_builder_sets_fields_and_clamps_batch_ops() {
+        let plan = ExecPlan::new();
+        assert_eq!(plan.hints, WorkloadHints::default());
+        assert_eq!(plan.batch_ops, DEFAULT_BATCH_OPS);
+        let plan = plan
             .warmup(42)
             .predictor(PredictorKind::Bimodal)
-            .sampler(SamplerConfig::every(7));
-        let plan = ExecPlan::from(opts);
+            .sampler(SamplerConfig::every(7))
+            .batch_ops(0);
+        assert_eq!(plan.batch_ops, 1, "batch_ops clamps to at least 1");
         assert_eq!(plan.warmup_ops, 42);
         assert_eq!(plan.predictor, Some(PredictorKind::Bimodal));
         assert_eq!(plan.sampler, Some(SamplerConfig::every(7)));
-        assert_eq!(plan.hints, WorkloadHints::default());
-        assert_eq!(plan.batch_ops, DEFAULT_BATCH_OPS);
-    }
-
-    #[test]
-    fn plan_builder_mirrors_run_options() {
-        let plan = ExecPlan::new().warmup(5).batch_ops(0);
-        assert_eq!(plan.batch_ops, 1, "batch_ops clamps to at least 1");
-        assert_eq!(plan.warmup_ops, 5);
-        assert!(plan.predictor.is_none());
-        assert!(plan.sampler.is_none());
     }
 }

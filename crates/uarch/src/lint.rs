@@ -91,30 +91,30 @@ pub fn check_system(config: &SystemConfig) -> Report {
     }
 
     // C006: strictly increasing service latencies, at least one cycle.
-    if config.l2_latency < 1 {
+    if config.timing.l2_latency < 1 {
         report.push(Diagnostic::new(
             &codes::C006,
             Span::field(name, "l2_latency"),
             "L2 latency must be at least 1 cycle",
         ));
     }
-    if config.l3_latency <= config.l2_latency {
+    if config.timing.l3_latency <= config.timing.l2_latency {
         report.push(Diagnostic::new(
             &codes::C006,
             Span::field(name, "l3_latency"),
             format!(
                 "L3 latency ({} cy) must exceed L2 latency ({} cy)",
-                config.l3_latency, config.l2_latency
+                config.timing.l3_latency, config.timing.l2_latency
             ),
         ));
     }
-    if config.memory_latency <= config.l3_latency {
+    if config.timing.memory_latency <= config.timing.l3_latency {
         report.push(Diagnostic::new(
             &codes::C006,
             Span::field(name, "memory_latency"),
             format!(
                 "memory latency ({} cy) must exceed L3 latency ({} cy)",
-                config.memory_latency, config.l3_latency
+                config.timing.memory_latency, config.timing.l3_latency
             ),
         ));
     }
@@ -134,37 +134,40 @@ pub fn check_system(config: &SystemConfig) -> Report {
     }
 
     // C008: issue width.
-    if !(1..=16).contains(&config.issue_width) {
+    if !(1..=16).contains(&config.timing.issue_width) {
         report.push(Diagnostic::new(
             &codes::C008,
             Span::field(name, "issue_width"),
             format!(
                 "issue width must be within [1, 16], got {}",
-                config.issue_width
+                config.timing.issue_width
             ),
         ));
     }
 
     // C009: clock.
-    if !config.clock_ghz.is_finite() || config.clock_ghz <= 0.0 || config.clock_ghz > 10.0 {
+    if !config.timing.clock_ghz.is_finite()
+        || config.timing.clock_ghz <= 0.0
+        || config.timing.clock_ghz > 10.0
+    {
         report.push(Diagnostic::new(
             &codes::C009,
             Span::field(name, "clock_ghz"),
             format!(
                 "clock must be positive, finite, and at most 10 GHz, got {}",
-                config.clock_ghz
+                config.timing.clock_ghz
             ),
         ));
     }
 
     // C010: mispredict penalty band.
-    if !(5..=30).contains(&config.mispredict_penalty) {
+    if !(5..=30).contains(&config.timing.mispredict_penalty) {
         report.push(Diagnostic::new(
             &codes::C010,
             Span::field(name, "mispredict_penalty"),
             format!(
                 "mispredict penalty {} cy outside the modelled [5, 30] band",
-                config.mispredict_penalty
+                config.timing.mispredict_penalty
             ),
         ));
     }
@@ -302,7 +305,7 @@ mod tests {
     #[test]
     fn latency_inversion_fires_c006() {
         let mut config = SystemConfig::tiny_test();
-        config.memory_latency = config.l3_latency; // not strictly greater
+        config.timing.memory_latency = config.timing.l3_latency; // not strictly greater
         let report = check_system(&config);
         assert!(report.diagnostics().iter().any(|d| d.code.code == "C006"));
     }
@@ -310,8 +313,8 @@ mod tests {
     #[test]
     fn width_clock_cores_ranges() {
         let mut config = SystemConfig::tiny_test();
-        config.issue_width = 0;
-        config.clock_ghz = f64::NAN;
+        config.timing.issue_width = 0;
+        config.timing.clock_ghz = f64::NAN;
         config.cores = 0;
         let report = check_system(&config);
         for code in ["C008", "C009", "C011"] {

@@ -1,7 +1,7 @@
 //! This crate's process-metric handles (the `uarch_*` namespace).
 //!
 //! The engine records once per *run*, not per op — one counter add and one
-//! histogram observation at the end of [`crate::engine::Engine::run_with`]
+//! histogram observation at the end of [`crate::engine::Engine::execute`]
 //! — so enabled-mode overhead on the hot loop is a constant, which is what
 //! keeps the paired `engine_run_100k` bench under its 5% budget.
 

@@ -7,8 +7,14 @@
 //! parallelism (MLP) overlapping part of the miss latency. This turns the
 //! event counts produced by the cache and branch models into the
 //! `cpu_clk_unhalted.ref_tsc` cycle count, from which IPC emerges.
+//!
+//! [`price`] is the one pricing path: the engine calls it at the end of
+//! every counted run, and a sensitivity sweep calls it again with another
+//! [`Timing`] to price the same counts on a retimed machine.
 
-use crate::config::SystemConfig;
+use crate::config::Timing;
+use crate::counters::{Event, PerfSession};
+use crate::engine::WorkloadHints;
 
 /// Event counts and workload parameters consumed by the timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,6 +37,23 @@ pub struct TimingInputs {
     /// Memory-level parallelism: average overlapping long-latency loads.
     /// Clamped to `[1.0, 16.0]`.
     pub mlp: f64,
+}
+
+impl TimingInputs {
+    /// The inputs of a counted span: its event counts from `counts`, the
+    /// L1I misses over the same span, and the workload's ILP and MLP.
+    pub fn new(counts: &PerfSession, l1i_misses: u64, hints: &WorkloadHints) -> Self {
+        TimingInputs {
+            uops: counts.count(Event::UopsRetiredAll),
+            mispredicts: counts.count(Event::BrMispExecAllBranches),
+            l2_served: counts.count(Event::MemLoadUopsRetiredL2Hit),
+            l3_served: counts.count(Event::MemLoadUopsRetiredL3Hit),
+            mem_served: counts.count(Event::MemLoadUopsRetiredL3Miss),
+            l1i_misses,
+            ilp: hints.ilp,
+            mlp: hints.mlp,
+        }
+    }
 }
 
 impl Default for TimingInputs {
@@ -78,25 +101,25 @@ impl CycleBreakdown {
 /// use uarch_sim::config::SystemConfig;
 /// use uarch_sim::pipeline::{estimate_cycles, TimingInputs};
 ///
-/// let config = SystemConfig::haswell_e5_2650l_v3();
+/// let timing = SystemConfig::haswell_e5_2650l_v3().timing;
 /// let no_stalls = TimingInputs { uops: 4_000, ilp: 4.0, ..TimingInputs::default() };
 /// // Pure ALU work at full width: ~1000 cycles.
-/// assert_eq!(estimate_cycles(&config, &no_stalls).total(), 1000);
+/// assert_eq!(estimate_cycles(&timing, &no_stalls).total(), 1000);
 /// ```
-pub fn estimate_cycles(config: &SystemConfig, inputs: &TimingInputs) -> CycleBreakdown {
-    let width = config.issue_width as f64;
+pub fn estimate_cycles(timing: &Timing, inputs: &TimingInputs) -> CycleBreakdown {
+    let width = timing.issue_width as f64;
     let ilp = inputs.ilp.clamp(0.1, width);
     let mlp = inputs.mlp.clamp(1.0, 16.0);
 
     let base = inputs.uops as f64 / ilp;
-    let branch = inputs.mispredicts as f64 * config.mispredict_penalty as f64;
-    let raw_memory = inputs.l2_served as f64 * config.l2_latency as f64
-        + inputs.l3_served as f64 * config.l3_latency as f64
-        + inputs.mem_served as f64 * config.memory_latency as f64;
+    let branch = inputs.mispredicts as f64 * timing.mispredict_penalty as f64;
+    let raw_memory = inputs.l2_served as f64 * timing.l2_latency as f64
+        + inputs.l3_served as f64 * timing.l3_latency as f64
+        + inputs.mem_served as f64 * timing.memory_latency as f64;
     let memory = raw_memory / mlp;
     // An L1I miss stalls the front end for roughly an L2 hit; deeper fetch
     // misses are already folded into the L2/L3 served counts.
-    let frontend = inputs.l1i_misses as f64 * config.l2_latency as f64 * 0.5;
+    let frontend = inputs.l1i_misses as f64 * timing.l2_latency as f64 * 0.5;
 
     CycleBreakdown {
         base,
@@ -106,12 +129,26 @@ pub fn estimate_cycles(config: &SystemConfig, inputs: &TimingInputs) -> CycleBre
     }
 }
 
+/// Prices a counted run: the interval-model total under `timing`, scaled
+/// by the thread overhead of a multi-threaded run, and at least one cycle.
+/// This is the `cpu_clk_unhalted.ref_tsc` count of the run.
+pub fn price(timing: &Timing, inputs: &TimingInputs, hints: &WorkloadHints) -> u64 {
+    let mut cycles = estimate_cycles(timing, inputs).total() as f64;
+    if hints.threads > 1 {
+        // Multi-threaded `speed` runs burn extra unhalted reference
+        // cycles on synchronization and shared-cache contention; the
+        // paper observes exactly this as the speed-fp IPC collapse.
+        cycles *= 1.0 + hints.sync_overhead * (hints.threads - 1) as f64;
+    }
+    cycles.max(1.0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> SystemConfig {
-        SystemConfig::haswell_e5_2650l_v3()
+    fn cfg() -> Timing {
+        crate::config::SystemConfig::haswell_e5_2650l_v3().timing
     }
 
     #[test]

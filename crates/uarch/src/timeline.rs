@@ -23,7 +23,7 @@ use crate::counters::{Event, PerfSession};
 
 /// Configuration of the engine's interval sampler.
 ///
-/// Passed through [`crate::engine::RunOptions::sampler`]; `None` disables
+/// Passed through [`crate::exec::ExecPlan::sampler`]; `None` disables
 /// sampling entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {

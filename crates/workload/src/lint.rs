@@ -167,13 +167,13 @@ pub fn check_behavior(object: &str, b: &Behavior, config: Option<&SystemConfig>)
             ),
         ));
     } else if let Some(config) = config {
-        if b.ipc_target > config.issue_width as f64 {
+        if b.ipc_target > config.timing.issue_width as f64 {
             report.push(Diagnostic::new(
                 &codes::P010,
                 Span::field(object, "ipc_target"),
                 format!(
                     "ipc_target {} exceeds the machine's issue width {}",
-                    b.ipc_target, config.issue_width
+                    b.ipc_target, config.timing.issue_width
                 ),
             ));
         }

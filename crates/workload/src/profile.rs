@@ -241,17 +241,17 @@ impl Behavior {
     /// cache and predictor models produce the stalls, this only sets the
     /// workload's inherent parallelism.
     pub fn hints(&self, config: &SystemConfig) -> WorkloadHints {
-        let width = config.issue_width as f64;
+        let width = config.timing.issue_width as f64;
         let cpi_target = 1.0 / self.ipc_target.max(0.02);
         let branches_per_inst = self.branch_pct / 100.0;
         let misp_cycles =
-            config.mispredict_penalty as f64 * branches_per_inst * self.mispredict_target;
+            config.timing.mispredict_penalty as f64 * branches_per_inst * self.mispredict_target;
         // Expected front-end stall: far jumps through a text segment larger
         // than the L1I miss at roughly taken_branches/16 line-fetch rate
         // (see the engine's fetch model), each costing half an L2 hit.
         let taken_rate = branches_per_inst * 0.55;
         let frontend_cycles = if self.code_kib * 1024.0 > config.l1i.size_bytes as f64 {
-            taken_rate / 16.0 * config.l2_latency as f64 * 0.5
+            taken_rate / 16.0 * config.timing.l2_latency as f64 * 0.5
         } else {
             0.0
         };
@@ -259,9 +259,9 @@ impl Behavior {
         let [_, f2, f3, f4] = self.service_fractions();
         let loads_per_inst = self.load_pct / 100.0;
         let mem_raw = loads_per_inst
-            * (f2 * config.l2_latency as f64
-                + f3 * config.l3_latency as f64
-                + f4 * config.memory_latency as f64);
+            * (f2 * config.timing.l2_latency as f64
+                + f3 * config.timing.l3_latency as f64
+                + f4 * config.timing.memory_latency as f64);
 
         // Search the MLP grid (descending, so ties resolve to the highest
         // MLP — generous overlap is the safe default when memory stalls are
@@ -543,7 +543,7 @@ mod tests {
             ..Behavior::default()
         };
         let h = b.hints(&config);
-        assert!(h.ilp <= config.issue_width as f64);
+        assert!(h.ilp <= config.timing.issue_width as f64);
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn hints_are_always_sane() {
     let config = SystemConfig::haswell_e5_2650l_v3();
     for behavior in behaviors(0x5eed_0005) {
         let h = behavior.hints(&config);
-        assert!(h.ilp >= 0.1 && h.ilp <= config.issue_width as f64);
+        assert!(h.ilp >= 0.1 && h.ilp <= config.timing.issue_width as f64);
         assert!((1.0..=16.0).contains(&h.mlp));
         assert!(h.sync_overhead >= 0.0);
         assert!((0.0..=0.35).contains(&h.indirect_target_miss_rate));

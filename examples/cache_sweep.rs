@@ -2,9 +2,11 @@
 //! traces across machine variants and watch the suite respond — the
 //! design-space study the paper motivates using CPU2017 for.
 //!
-//! Sweeps are trace-driven: each application's micro-op stream is generated
-//! once on the baseline Haswell and replayed unchanged on every variant, so
-//! differences are attributable to the hardware alone.
+//! Sweeps are trace-driven: each application's generator is prepared once
+//! on the baseline Haswell, so every variant sees the identical micro-op
+//! stream and differences are attributable to the hardware alone. Both
+//! sweeps here vary timing only, so each application runs once and every
+//! point is priced from that run's event counts.
 //!
 //! ```text
 //! cargo run --release --example cache_sweep

@@ -97,7 +97,7 @@ fn illegal_cache_geometry_is_rejected_with_codes() {
     assert!(report.diagnostics().iter().any(|d| d.code.code == "C001"));
 
     let mut system = haswell();
-    system.issue_width = 64; // C008
+    system.timing.issue_width = 64; // C008
     system.l2.size_bytes = system.l3.size_bytes * 2; // C005 containment
     let report = system.check();
     let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code.code).collect();
