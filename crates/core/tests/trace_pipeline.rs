@@ -32,6 +32,12 @@ fn tracing_does_not_perturb_characterization_results() {
             .find(|s| s.name == "engine/run")
             .expect("engine span");
         assert!(engine.arg("ops").is_some(), "engine span carries op count");
+        // The L3 materializes only the sets the trace reached: some, not
+        // all 24,576 of the Table I geometry.
+        match engine.arg("l3_sets") {
+            Some(&simtrace::ArgValue::U64(sets)) => assert!(sets > 0 && sets < 24_576, "{sets}"),
+            other => panic!("engine span lacks l3_sets: {other:?}"),
+        }
         record
     };
 

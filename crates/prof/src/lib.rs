@@ -483,9 +483,9 @@ impl Profile {
                         ));
                     }
                     p.samples.push(Sample {
-                        tid: parse_u64(fields[0], lineno, "sample tid")? as u32,
+                        tid: parse_u32(fields[0], lineno, "sample tid")?,
                         clock: parse_u64(fields[1], lineno, "sample clock")?,
-                        stack_id: parse_u64(fields[2], lineno, "sample stack")? as u32,
+                        stack_id: parse_u32(fields[2], lineno, "sample stack")?,
                         weight: parse_u64(fields[3], lineno, "sample weight")?,
                     });
                 }
@@ -542,6 +542,13 @@ fn parse_u64(s: &str, line: usize, what: &str) -> Result<u64, ParseError> {
     s.trim()
         .parse()
         .map_err(|_| malformed(line, &format!("{what} is not a number")))
+}
+
+/// Parses a 32-bit id; a value above `u32::MAX` is malformed rather than
+/// truncated (a corrupt stack id of 2³² must not alias stack 0).
+fn parse_u32(s: &str, line: usize, what: &str) -> Result<u32, ParseError> {
+    u32::try_from(parse_u64(s, line, what)?)
+        .map_err(|_| malformed(line, &format!("{what} exceeds u32::MAX")))
 }
 
 /// Drains everything recorded so far into a [`Profile`] and leaves the
@@ -813,6 +820,27 @@ mod tests {
         // Non-sequential ids are structural errors, not lint findings.
         let err = Profile::from_text("simprof 1\nframe 3 run/x\n").unwrap_err();
         assert!(matches!(err, ParseError::Malformed { line: 2, .. }));
+    }
+
+    #[test]
+    fn sample_ids_above_u32_are_malformed_not_truncated() {
+        let base = "simprof 1\nframe 0 run/x\nstack 0 0\n";
+        let ok = Profile::from_text(&format!("{base}sample 4294967295 5 0 7\n")).unwrap();
+        assert_eq!(ok.samples[0].tid, u32::MAX);
+        for (sample, what) in [
+            ("sample 0 5 4294967296 7", "sample stack"),
+            ("sample 4294967296 5 0 7", "sample tid"),
+            ("sample 0 5 18446744073709551615 7", "sample stack"),
+        ] {
+            match Profile::from_text(&format!("{base}{sample}\n")).unwrap_err() {
+                ParseError::Malformed { line, message } => {
+                    assert_eq!(line, 4, "{sample}");
+                    assert!(message.contains(what), "{sample}: {message}");
+                    assert!(message.contains("u32::MAX"), "{sample}: {message}");
+                }
+                other => panic!("{sample}: wrong error {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,24 @@
 //! not their contents, which is exactly what is needed to produce the hit/miss
 //! counters the paper reads (`mem_load_uops_retired.l1_hit` and friends).
 //!
-//! Storage is flat: one contiguous tag lane and one valid/dirty metadata
-//! lane for the whole cache (`sets * ways` entries each), plus one
-//! whole-cache replacement-state allocation. The previous `Vec<Vec<Line>>`
-//! layout paid a pointer chase per probe; the hit scan now walks `ways`
-//! adjacent u64s.
+//! Storage is lazy. A per-set slot table (`u32`, 0 = never touched) maps
+//! each set to a row of a fixed-size, set-major chunk. A chunk holds the
+//! tag lane, the valid/dirty metadata lane and the replacement state of up
+//! to `CHUNK_SETS` sets and is allocated zeroed when a set first needs it.
+//! In a cache of more than `CHUNK_SETS` sets (the paper's L3), the first
+//! access to a set gives it the next row, so memory follows the sets a
+//! trace reaches. A smaller cache (every L1 and L2) is one chunk: its first
+//! access materializes every set in set order, so a set's row is its index
+//! and the hot path needs no slot lookup. A materialized set starts in
+//! exactly the state a fresh dense cache gives it (`ReplState::init_row`),
+//! so behaviour never depends on where a set lives. Within a row the hit
+//! scan still walks `ways` adjacent u64s.
+//!
+//! The paper's 30 MiB L3 has 24,576 sets, and a characterization trace
+//! touches a few thousand of them: dense lanes cost every engine ~4.7 MiB
+//! of clearing and resident memory, lazy sets the 96 KiB slot table plus
+//! the chunks a trace reaches. Chunks are never reallocated: growing one
+//! lane by doubling would copy and briefly double the storage.
 
 use crate::config::CacheConfig;
 use crate::replacement::{Policy, ReplState};
@@ -69,6 +82,158 @@ impl CacheStats {
     }
 }
 
+/// Sets per storage chunk. A cache of at most this many sets is one chunk
+/// whose row `r` holds set `r`; larger caches hand out rows in first-touch
+/// order. 512 covers the 256 KiB 8-way L2; an L3 chunk is ~100 KiB.
+const CHUNK_SETS: usize = 512;
+
+/// Storage for one chunk's worth of materialized sets, set-major: row `r`
+/// owns `tags[r * ways..][..ways]`, the same `meta` range and row `r` of
+/// `state`.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Tags with `TAG_VALID` embedded; meaningful only where valid.
+    tags: Vec<u64>,
+    /// Valid/dirty bits per way, parallel to `tags`.
+    meta: Vec<u8>,
+    state: ReplState,
+}
+
+impl Chunk {
+    fn new(rows: usize, ways: usize, policy: Policy) -> Self {
+        Chunk {
+            tags: vec![0; rows * ways],
+            meta: vec![0; rows * ways],
+            state: ReplState::new(policy, rows, ways),
+        }
+    }
+}
+
+/// Lazily materialized set storage: the slot table plus the chunks.
+#[derive(Debug, Clone)]
+struct SetStore {
+    /// `slots[set]` is 1 + the set's storage ordinal, or 0 while the set
+    /// holds no storage. Ordinal `o` lives in chunk `o >> chunk_shift`,
+    /// row `o & row_mask`.
+    slots: Vec<u32>,
+    /// Chunk 0, held inline so a one-chunk cache reaches its lanes with no
+    /// extra indirection. Empty lanes until the first set materializes.
+    first: Chunk,
+    /// Chunks 1 and up.
+    more: Vec<Chunk>,
+    /// Number of sets materialized so far (the next ordinal).
+    materialized: usize,
+    /// True for a cache of at most `CHUNK_SETS` sets (every L1 and L2 of
+    /// the paper's machine). Its first access materializes every set in
+    /// set order, so a set's row is its index and the hot path needs no
+    /// slot lookup.
+    one_chunk: bool,
+    chunk_shift: u32,
+    row_mask: usize,
+    ways: usize,
+    policy: Policy,
+}
+
+impl SetStore {
+    fn new(config: &CacheConfig) -> Self {
+        let sets = config.sets();
+        let chunk_sets = CHUNK_SETS.min(sets.next_power_of_two());
+        SetStore {
+            slots: vec![0; sets],
+            first: Chunk::new(0, config.ways, config.policy),
+            more: Vec::with_capacity(sets.div_ceil(chunk_sets) - 1),
+            materialized: 0,
+            one_chunk: sets <= CHUNK_SETS,
+            chunk_shift: chunk_sets.trailing_zeros(),
+            row_mask: chunk_sets - 1,
+            ways: config.ways,
+            policy: config.policy,
+        }
+    }
+
+    /// Chunk `c` (0 is `first`).
+    fn chunk(&self, c: usize) -> &Chunk {
+        match c {
+            0 => &self.first,
+            c => &self.more[c - 1],
+        }
+    }
+
+    #[inline]
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        match c {
+            0 => &mut self.first,
+            c => &mut self.more[c - 1],
+        }
+    }
+
+    /// Every chunk, in ordinal order (`first` is empty before any touch).
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        std::iter::once(&self.first).chain(&self.more)
+    }
+
+    /// The chunk and row holding `set`, materializing storage on first
+    /// touch.
+    #[inline]
+    fn row_mut(&mut self, set: usize) -> (&mut Chunk, usize) {
+        if self.one_chunk {
+            if self.first.tags.is_empty() {
+                self.materialize_all();
+            }
+            return (&mut self.first, set);
+        }
+        let slot = match self.slots[set] {
+            0 => self.materialize(set),
+            slot => slot,
+        };
+        let ordinal = (slot - 1) as usize;
+        let row = ordinal & self.row_mask;
+        (self.chunk_mut(ordinal >> self.chunk_shift), row)
+    }
+
+    /// The tags of `set`, or `None` if it holds no storage.
+    fn tags(&self, set: usize) -> Option<&[u64]> {
+        let ordinal = (self.slots[set] as usize).checked_sub(1)?;
+        let row = ordinal & self.row_mask;
+        let tags = &self.chunk(ordinal >> self.chunk_shift).tags;
+        Some(&tags[row * self.ways..(row + 1) * self.ways])
+    }
+
+    /// Gives `set` the next storage row, allocating a zeroed chunk when
+    /// the previous one is full, and puts the row's replacement state in
+    /// the fresh state of `set`. Returns the set's new slot value.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, set: usize) -> u32 {
+        let ordinal = self.materialized;
+        let row = ordinal & self.row_mask;
+        if row == 0 {
+            let chunk = Chunk::new(self.row_mask + 1, self.ways, self.policy);
+            match ordinal {
+                0 => self.first = chunk,
+                _ => self.more.push(chunk),
+            }
+        }
+        let ways = self.ways;
+        let chunk = self.chunk_mut(ordinal >> self.chunk_shift);
+        chunk.state.init_row(row, set, ways);
+        self.materialized += 1;
+        let slot = u32::try_from(self.materialized).expect("set count fits the u32 slot table");
+        self.slots[set] = slot;
+        slot
+    }
+
+    /// Materializes every set of a one-chunk cache in set order, so that
+    /// row `r` holds set `r`.
+    #[cold]
+    #[inline(never)]
+    fn materialize_all(&mut self) {
+        for set in 0..self.slots.len() {
+            self.materialize(set);
+        }
+    }
+}
+
 /// One set-associative, write-back, write-allocate cache.
 ///
 /// # Example
@@ -86,11 +251,7 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `tags[set * ways + way]`; meaningful only where the valid bit is set.
-    tags: Vec<u64>,
-    /// Valid/dirty bits per way, parallel to `tags`.
-    meta: Vec<u8>,
-    state: ReplState,
+    store: SetStore,
     stats: CacheStats,
     line_shift: u32,
     sets: usize,
@@ -108,13 +269,13 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Builds an empty (all-invalid) cache with the given geometry.
+    /// Builds an empty (all-invalid) cache with the given geometry. Only
+    /// the slot table and the chunk list are allocated here; set storage
+    /// comes on first touch.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         Cache {
-            tags: vec![0; sets * config.ways],
-            meta: vec![0; sets * config.ways],
-            state: ReplState::new(config.policy, sets, config.ways),
+            store: SetStore::new(&config),
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             sets,
@@ -140,6 +301,15 @@ impl Cache {
     /// Resets statistics (contents are kept — useful for warmup).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+    }
+
+    /// Number of sets holding storage: in a cache of more than
+    /// `CHUNK_SETS` (512) sets, those some access has reached since
+    /// construction; in a smaller one, every set once any access has.
+    /// `contains` and `resident_lines` never materialize a set, and
+    /// `flush` keeps the storage.
+    pub fn materialized_sets(&self) -> usize {
+        self.store.materialized
     }
 
     #[inline]
@@ -179,10 +349,15 @@ impl Cache {
         let line = addr >> self.line_shift;
         let set_idx = (line & self.set_mask) as usize;
         let tagv = line | TAG_VALID;
-        let base = set_idx * 8;
-        let tags: &mut [u64; 8] = (&mut self.tags[base..base + 8]).try_into().expect("8 ways");
-        let meta: &mut [u8; 8] = (&mut self.meta[base..base + 8]).try_into().expect("8 ways");
-        let ReplState::Lru { ranks } = &mut self.state else {
+        let (chunk, row) = self.store.row_mut(set_idx);
+        let base = row * 8;
+        let tags: &mut [u64; 8] = (&mut chunk.tags[base..base + 8])
+            .try_into()
+            .expect("8 ways");
+        let meta: &mut [u8; 8] = (&mut chunk.meta[base..base + 8])
+            .try_into()
+            .expect("8 ways");
+        let ReplState::Lru { ranks } = &mut chunk.state else {
             unreachable!("fast path is only taken for LRU caches")
         };
         let ranks: &mut [u8; 8] = (&mut ranks[base..base + 8]).try_into().expect("8 ways");
@@ -245,9 +420,10 @@ impl Cache {
         let (set_idx, tag) = self.index(addr);
         let tagv = tag | TAG_VALID;
         let ways = self.config.ways;
-        let base = set_idx * ways;
-        let tags = &mut self.tags[base..base + ways];
-        let meta = &mut self.meta[base..base + ways];
+        let (chunk, row) = self.store.row_mut(set_idx);
+        let base = row * ways;
+        let tags = &mut chunk.tags[base..base + ways];
+        let meta = &mut chunk.meta[base..base + ways];
 
         // Hit path: scan ways in order (valid is embedded in the tag word).
         let mut hit_way = usize::MAX;
@@ -261,7 +437,7 @@ impl Cache {
             if write {
                 meta[hit_way] |= META_DIRTY;
             }
-            self.state.touch(set_idx, hit_way, ways);
+            chunk.state.touch(row, hit_way, ways);
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
@@ -270,7 +446,7 @@ impl Cache {
         self.stats.misses += 1;
         let way = match meta.iter().position(|&m| m & META_VALID == 0) {
             Some(w) => w,
-            None => self.state.victim(set_idx, ways),
+            None => chunk.state.victim(row, ways),
         };
         let writeback = if meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY {
             self.stats.writebacks += 1;
@@ -284,29 +460,37 @@ impl Cache {
         } else {
             META_VALID
         };
-        self.state.touch(set_idx, way, ways);
+        chunk.state.touch(row, way, ways);
         AccessResult::Miss { writeback }
     }
 
-    /// True if the line containing `addr` is currently resident.
+    /// True if the line containing `addr` is currently resident. Never
+    /// materializes a set.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        let tagv = tag | TAG_VALID;
-        let base = set_idx * self.config.ways;
-        let end = base + self.config.ways;
-        self.tags[base..end].contains(&tagv)
+        self.store
+            .tags(set_idx)
+            .is_some_and(|tags| tags.contains(&(tag | TAG_VALID)))
     }
 
-    /// Invalidates every line and clears statistics.
+    /// Invalidates every line and clears statistics. Replacement state and
+    /// set storage are kept, as on a dense cache whose lanes are cleared.
     pub fn flush(&mut self) {
-        self.meta.fill(0);
-        self.tags.fill(0);
+        let store = &mut self.store;
+        for chunk in std::iter::once(&mut store.first).chain(&mut store.more) {
+            chunk.meta.fill(0);
+            chunk.tags.fill(0);
+        }
         self.stats = CacheStats::default();
     }
 
     /// Number of currently valid lines.
     pub fn resident_lines(&self) -> usize {
-        self.meta.iter().filter(|&&m| m & META_VALID != 0).count()
+        self.store
+            .chunks()
+            .flat_map(|chunk| &chunk.meta)
+            .filter(|&&m| m & META_VALID != 0)
+            .count()
     }
 }
 
@@ -500,5 +684,51 @@ mod tests {
         c.flush();
         assert!(!c.access(0x0, false).is_hit());
         assert!(c.access(0x0, false).is_hit());
+    }
+
+    #[test]
+    fn sets_materialize_on_first_access_only() {
+        // 1024 sets x 2 ways: more sets than one chunk, so rows follow
+        // first touch.
+        let mut c = Cache::new(CacheConfig::new(1024 * 2 * 64, 2, 64, Policy::Lru));
+        assert!(!c.store.one_chunk);
+        assert_eq!(c.materialized_sets(), 0);
+        assert!(!c.contains(0x40));
+        assert_eq!(c.materialized_sets(), 0);
+        // Touch 600 sets in reverse order, each twice: set 599 takes
+        // ordinal 0 and the last 88 sets spill into a second chunk.
+        for set in (0..600u64).rev() {
+            c.access(set * 64, set % 3 == 0);
+            c.access(set * 64, false);
+        }
+        assert_eq!(c.materialized_sets(), 600);
+        assert_eq!(c.store.more.len(), 1);
+        assert_eq!(c.store.slots[599], 1);
+        assert_eq!(c.store.slots[0], 600);
+        assert!((0..600u64).all(|set| c.contains(set * 64)));
+        assert!(!c.contains(600 * 64));
+        assert_eq!(c.resident_lines(), 600);
+        assert_eq!(c.stats().hits, 600);
+        // Flushing empties the lines and keeps the storage.
+        c.flush();
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.materialized_sets(), 600);
+        assert!(!c.contains(0));
+    }
+
+    #[test]
+    fn small_caches_materialize_whole_on_first_access() {
+        let mut c = Cache::new(CacheConfig::new(5 * 3 * 64, 3, 64, Policy::Srrip));
+        assert!(c.store.one_chunk);
+        assert!(!c.contains(3 * 64));
+        assert!(c.store.first.tags.is_empty(), "no storage before an access");
+        c.access(3 * 64, false);
+        // Every set, in set order: row r holds set r.
+        assert_eq!(c.materialized_sets(), 5);
+        assert_eq!(c.store.slots, [1, 2, 3, 4, 5]);
+        assert_eq!(c.store.first.tags.len(), 8 * 3);
+        assert!(c.store.more.is_empty());
+        assert!(c.contains(3 * 64));
+        assert_eq!(c.resident_lines(), 1);
     }
 }

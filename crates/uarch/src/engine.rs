@@ -619,6 +619,7 @@ impl Engine {
         if trace_span.is_recording() {
             trace_span.arg("ops", executed);
             trace_span.arg("warmup_ops", plan.warmup_ops);
+            trace_span.arg("l3_sets", self.hierarchy.l3_materialized_sets() as u64);
         }
         s
     }

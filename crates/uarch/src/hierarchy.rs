@@ -189,6 +189,11 @@ impl Hierarchy {
         self.l3.stats()
     }
 
+    /// Number of L3 sets holding storage (see [`Cache::materialized_sets`]).
+    pub fn l3_materialized_sets(&self) -> usize {
+        self.l3.materialized_sets()
+    }
+
     /// Invalidates all levels and clears statistics.
     pub fn flush(&mut self) {
         self.l1i.flush();

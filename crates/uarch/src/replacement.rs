@@ -5,8 +5,9 @@
 //! paper-machine default; FIFO, random, tree-PLRU, and SRRIP exist for the
 //! replacement-policy ablation bench.
 //!
-//! State lives in one flat allocation per cache (indexed by set), not one
-//! enum per set: the per-set-enum layout cost the engine's hot loop a
+//! State lives in flat lanes per storage chunk of a cache (see
+//! [`crate::cache`]), indexed by the set's row in that chunk, not one enum
+//! per set: the per-set-enum layout cost the engine's hot loop a
 //! discriminant match and a potential heap indirection on every probe.
 
 /// Replacement policy selector.
@@ -27,67 +28,76 @@ pub enum Policy {
     Srrip,
 }
 
-/// Whole-cache replacement state: one variant for the whole cache, flat
-/// per-set (or per-way) arrays inside.
+/// Replacement state of one storage chunk: one variant per chunk, flat
+/// per-row (or per-way) lanes inside. A row holds one materialized set.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplState {
-    /// `ranks[set * ways + way]` is the recency rank of the way
+    /// `ranks[row * ways + way]` is the recency rank of the way
     /// (0 = most recent).
     Lru { ranks: Vec<u8> },
-    /// `next[set]` is the next way to evict, advancing round-robin on
+    /// `next[row]` is the next way to evict, advancing round-robin on
     /// fills.
     Fifo { next: Vec<u8> },
-    /// `state[set]` is the set's xorshift32 state.
+    /// `state[row]` is the set's xorshift32 state.
     Random { state: Vec<u32> },
-    /// `bits[set]` holds the set's PLRU tree bits; bit `i` covers internal
+    /// `bits[row]` holds the set's PLRU tree bits; bit `i` covers internal
     /// node `i` of a complete binary tree over the ways.
     TreePlru { bits: Vec<u64> },
-    /// `rrpv[set * ways + way]` is the way's 2-bit re-reference prediction
+    /// `rrpv[row * ways + way]` is the way's 2-bit re-reference prediction
     /// value (3 = distant, 0 = near).
     Srrip { rrpv: Vec<u8> },
 }
 
 impl ReplState {
-    /// Fresh state for `sets` sets of `ways` ways each. Per-set random
-    /// seeds match the historical per-set construction
-    /// (`seed = set_index ^ 0x9e37_79b9`, forced odd).
-    pub(crate) fn new(policy: Policy, sets: usize, ways: usize) -> Self {
+    /// Zeroed lanes for `rows` rows of `ways` ways each. A row holds no
+    /// meaningful state until [`ReplState::init_row`] gives it a set, so
+    /// allocation is one zeroed `Vec` per lane and no per-row work happens
+    /// for rows a trace never reaches.
+    pub(crate) fn new(policy: Policy, rows: usize, ways: usize) -> Self {
         match policy {
-            Policy::Lru => {
-                // Filled in place rather than collected through a
-                // flat_map iterator: for an L3-sized cache (~500k ways)
-                // the sized fill is ~8x faster, and Engine construction
-                // is on the benchmarked path.
-                let mut ranks = vec![0u8; sets * ways];
-                for set in ranks.chunks_exact_mut(ways) {
-                    for (i, r) in set.iter_mut().enumerate() {
-                        *r = i as u8;
-                    }
-                }
-                ReplState::Lru { ranks }
-            }
+            Policy::Lru => ReplState::Lru {
+                ranks: vec![0; rows * ways],
+            },
             Policy::Fifo => ReplState::Fifo {
-                next: vec![0; sets],
+                next: vec![0; rows],
             },
             Policy::Random => ReplState::Random {
-                state: (0..sets).map(|i| (i as u32 ^ 0x9e37_79b9) | 1).collect(),
+                state: vec![0; rows],
             },
             Policy::TreePlru => ReplState::TreePlru {
-                bits: vec![0; sets],
+                bits: vec![0; rows],
             },
-            // New sets start with every way predicted "distant".
             Policy::Srrip => ReplState::Srrip {
-                rrpv: vec![3; sets * ways],
+                rrpv: vec![0; rows * ways],
             },
         }
     }
 
-    /// Chooses the victim way among `ways` in `set` (all valid/full).
-    pub(crate) fn victim(&mut self, set: usize, ways: usize) -> usize {
+    /// Puts `row` in the fresh state of cache set `set`: LRU ranks
+    /// `0..ways`, every SRRIP way "distant" (3), FIFO and PLRU 0, and the
+    /// Random seed `(set ^ 0x9e37_79b9) | 1` of the historical per-set
+    /// construction. The seed depends on the real set index, never on the
+    /// row, so a set behaves the same wherever its storage lives.
+    pub(crate) fn init_row(&mut self, row: usize, set: usize, ways: usize) {
+        match self {
+            ReplState::Lru { ranks } => {
+                for (i, r) in ranks[row * ways..(row + 1) * ways].iter_mut().enumerate() {
+                    *r = i as u8;
+                }
+            }
+            ReplState::Fifo { next } => next[row] = 0,
+            ReplState::Random { state } => state[row] = (set as u32 ^ 0x9e37_79b9) | 1,
+            ReplState::TreePlru { bits } => bits[row] = 0,
+            ReplState::Srrip { rrpv } => rrpv[row * ways..(row + 1) * ways].fill(3),
+        }
+    }
+
+    /// Chooses the victim way among the `ways` of `row` (all valid/full).
+    pub(crate) fn victim(&mut self, row: usize, ways: usize) -> usize {
         match self {
             ReplState::Lru { ranks } => {
                 // Least recent = maximum rank.
-                let order = &ranks[set * ways..set * ways + ways];
+                let order = &ranks[row * ways..row * ways + ways];
                 let (way, _) = order
                     .iter()
                     .enumerate()
@@ -96,23 +106,23 @@ impl ReplState {
                 way
             }
             ReplState::Fifo { next } => {
-                let way = next[set] as usize % ways;
-                next[set] = ((way + 1) % ways) as u8;
+                let way = next[row] as usize % ways;
+                next[row] = ((way + 1) % ways) as u8;
                 way
             }
             ReplState::Random { state } => {
                 // xorshift32
-                let mut x = state[set];
+                let mut x = state[row];
                 x ^= x << 13;
                 x ^= x >> 17;
                 x ^= x << 5;
-                state[set] = x;
+                state[row] = x;
                 (x as usize) % ways
             }
             ReplState::Srrip { rrpv } => {
                 // Evict the first way at RRPV 3, aging everyone until one
                 // appears (the SRRIP search-and-increment loop).
-                let rrpv = &mut rrpv[set * ways..set * ways + ways];
+                let rrpv = &mut rrpv[row * ways..row * ways + ways];
                 loop {
                     if let Some(way) = rrpv.iter().position(|&v| v >= 3) {
                         return way.min(ways - 1);
@@ -124,7 +134,7 @@ impl ReplState {
             }
             ReplState::TreePlru { bits } => {
                 // Follow the tree: a clear bit points left, a set bit right.
-                let bits = bits[set];
+                let bits = bits[row];
                 let mut node = 0usize;
                 let levels = ways.next_power_of_two().trailing_zeros() as usize;
                 for _ in 0..levels {
@@ -137,12 +147,12 @@ impl ReplState {
         }
     }
 
-    /// Records that `way` of `set` was touched (hit or just filled).
+    /// Records that `way` of `row` was touched (hit or just filled).
     #[inline]
-    pub(crate) fn touch(&mut self, set: usize, way: usize, ways: usize) {
+    pub(crate) fn touch(&mut self, row: usize, way: usize, ways: usize) {
         match self {
             ReplState::Lru { ranks } => {
-                let order = &mut ranks[set * ways..set * ways + ways];
+                let order = &mut ranks[row * ways..row * ways + ways];
                 let old = order[way];
                 for r in order.iter_mut() {
                     if *r < old {
@@ -156,7 +166,7 @@ impl ReplState {
                 // SRRIP inserts at "long" (2) and promotes to "near" (0) on
                 // a hit; we cannot distinguish fill from hit here, so the
                 // first touch after a fill sets 2 and subsequent touches 0.
-                let v = &mut rrpv[set * ways + way];
+                let v = &mut rrpv[row * ways + way];
                 *v = if *v >= 3 { 2 } else { 0 };
             }
             ReplState::TreePlru { bits } => {
@@ -164,7 +174,7 @@ impl ReplState {
                 // bit to point *away* from the touched way. Each internal
                 // node is written once, so the bottom-up order is equivalent
                 // to the top-down walk.
-                let bits = &mut bits[set];
+                let bits = &mut bits[row];
                 let total = ways.next_power_of_two();
                 let mut node = way + total - 1;
                 while node > 0 {
@@ -185,9 +195,18 @@ impl ReplState {
 mod tests {
     use super::*;
 
+    /// A fresh state with row `i` holding set `i`, as a dense cache would.
+    fn fresh(policy: Policy, sets: usize, ways: usize) -> ReplState {
+        let mut s = ReplState::new(policy, sets, ways);
+        for set in 0..sets {
+            s.init_row(set, set, ways);
+        }
+        s
+    }
+
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = ReplState::new(Policy::Lru, 1, 4);
+        let mut s = fresh(Policy::Lru, 1, 4);
         // Touch ways 0..3 in order: way 0 is now least recent.
         for w in 0..4 {
             s.touch(0, w, 4);
@@ -199,7 +218,7 @@ mod tests {
 
     #[test]
     fn fifo_cycles_round_robin() {
-        let mut s = ReplState::new(Policy::Fifo, 1, 3);
+        let mut s = fresh(Policy::Fifo, 1, 3);
         assert_eq!(s.victim(0, 3), 0);
         assert_eq!(s.victim(0, 3), 1);
         assert_eq!(s.victim(0, 3), 2);
@@ -211,7 +230,7 @@ mod tests {
 
     #[test]
     fn random_victims_in_range_and_vary() {
-        let mut s = ReplState::new(Policy::Random, 1, 8);
+        let mut s = fresh(Policy::Random, 1, 8);
         let victims: Vec<usize> = (0..64).map(|_| s.victim(0, 8)).collect();
         assert!(victims.iter().all(|&v| v < 8));
         let distinct: std::collections::HashSet<_> = victims.iter().collect();
@@ -222,7 +241,7 @@ mod tests {
     fn random_sets_are_decorrelated() {
         // Sets 0 and 1 share a seed (the historical `| 1` erases the xor'd
         // low bit) — sets differing above bit 0 must diverge.
-        let mut s = ReplState::new(Policy::Random, 3, 8);
+        let mut s = fresh(Policy::Random, 3, 8);
         let a: Vec<usize> = (0..32).map(|_| s.victim(0, 8)).collect();
         let b: Vec<usize> = (0..32).map(|_| s.victim(2, 8)).collect();
         assert_ne!(a, b, "per-set seeds must differ");
@@ -230,7 +249,7 @@ mod tests {
 
     #[test]
     fn plru_protects_recent_way() {
-        let mut s = ReplState::new(Policy::TreePlru, 1, 4);
+        let mut s = fresh(Policy::TreePlru, 1, 4);
         for w in 0..4 {
             s.touch(0, w, 4);
         }
@@ -242,7 +261,7 @@ mod tests {
 
     #[test]
     fn plru_single_way() {
-        let mut s = ReplState::new(Policy::TreePlru, 1, 1);
+        let mut s = fresh(Policy::TreePlru, 1, 1);
         s.touch(0, 0, 1);
         assert_eq!(s.victim(0, 1), 0);
     }
@@ -250,7 +269,7 @@ mod tests {
     #[test]
     fn srrip_is_scan_resistant() {
         // A frequently re-touched way survives a scan of one-shot fills.
-        let mut s = ReplState::new(Policy::Srrip, 1, 4);
+        let mut s = fresh(Policy::Srrip, 1, 4);
         s.touch(0, 0, 4);
         s.touch(0, 0, 4); // way 0 now "near" (RRPV 0)
         for _ in 0..3 {
@@ -262,7 +281,7 @@ mod tests {
 
     #[test]
     fn srrip_victims_in_range() {
-        let mut s = ReplState::new(Policy::Srrip, 1, 8);
+        let mut s = fresh(Policy::Srrip, 1, 8);
         for i in 0..32 {
             let v = s.victim(0, 8);
             assert!(v < 8);
@@ -273,7 +292,7 @@ mod tests {
 
     #[test]
     fn lru_full_rotation() {
-        let mut s = ReplState::new(Policy::Lru, 1, 2);
+        let mut s = fresh(Policy::Lru, 1, 2);
         s.touch(0, 0, 2);
         s.touch(0, 1, 2);
         assert_eq!(s.victim(0, 2), 0);
@@ -286,7 +305,7 @@ mod tests {
     #[test]
     fn sets_are_independent() {
         // Touching set 1 must not disturb set 0's LRU order.
-        let mut s = ReplState::new(Policy::Lru, 2, 2);
+        let mut s = fresh(Policy::Lru, 2, 2);
         s.touch(0, 0, 2);
         s.touch(0, 1, 2);
         s.touch(1, 1, 2);
