@@ -690,15 +690,12 @@ fn fig8(data: &Dataset) -> Artifact {
         let values: Vec<f64> = (0..labels.len())
             .map(|v| analysis.loadings[(v, k)])
             .collect();
-        // Bars render magnitudes; signs are preserved in the CSV.
-        let magnitudes: Vec<f64> = values.iter().map(|v| v.abs()).collect();
         fig.push(Series::points(
             &format!("PC{}", k + 1),
             &labels,
             &(0..labels.len()).map(|i| i as f64).collect::<Vec<_>>(),
             &values,
         ));
-        let _ = magnitudes;
     }
     // Render as CSV-friendly point series but present dominants as text.
     for k in 0..analysis.n_components {

@@ -189,13 +189,15 @@ impl RunManifest {
         let schema = value
             .get("schema")
             .and_then(Value::as_u64)
-            .ok_or_else(|| malformed("missing numeric \"schema\""))? as u32;
-        if schema > SCHEMA {
+            .ok_or_else(|| malformed("missing numeric \"schema\""))?;
+        // Compare before narrowing: `as u32` would wrap 2^32 + 1 to 1.
+        if schema > u64::from(SCHEMA) {
             return Err(ManifestError::SchemaTooNew {
                 found: schema,
                 supported: SCHEMA,
             });
         }
+        let schema = schema as u32;
         let field = |key: &str| -> Result<String, ManifestError> {
             value
                 .get(key)
@@ -273,7 +275,7 @@ pub enum ManifestError {
     /// Written by a newer toolchain than this build supports.
     SchemaTooNew {
         /// Schema declared by the file.
-        found: u32,
+        found: u64,
         /// Highest schema this build reads.
         supported: u32,
     },
@@ -516,17 +518,18 @@ mod tests {
 
     #[test]
     fn schema_too_new_is_refused() {
-        let text = sample()
-            .to_json()
-            .replace("\"schema\": 1", "\"schema\": 99");
-        match RunManifest::from_json(&text) {
-            Err(ManifestError::SchemaTooNew {
-                found: 99,
-                supported,
-            }) => {
-                assert_eq!(supported, SCHEMA);
+        // 2^32 + 1 would read as schema 1 if narrowed before the check.
+        for declared in [99, 4_294_967_297] {
+            let text = sample()
+                .to_json()
+                .replace("\"schema\": 1", &format!("\"schema\": {declared}"));
+            match RunManifest::from_json(&text) {
+                Err(ManifestError::SchemaTooNew { found, supported }) => {
+                    assert_eq!(found, declared);
+                    assert_eq!(supported, SCHEMA);
+                }
+                other => panic!("expected SchemaTooNew, got {other:?}"),
             }
-            other => panic!("expected SchemaTooNew, got {other:?}"),
         }
     }
 

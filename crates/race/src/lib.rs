@@ -343,6 +343,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_inert() {
+        let _off = test_support::disabled();
         assert!(!is_enabled());
         let token = fork();
         assert!(token.is_none());
