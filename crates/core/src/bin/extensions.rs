@@ -5,7 +5,7 @@
 //! extensions [--results DIR] [--no-cache] [--cache-dir DIR]
 //!            [--lint] [--deny-warnings] [--timeline] [--simpoint]
 //!            [--events FILE] [--trace] [--race] [--profile]
-//!            [--profile-interval N] [--serve-metrics ADDR]
+//!            [--profile-interval N]
 //! ```
 //!
 //! `--lint` statically checks the rate-suite profiles and the system
@@ -34,9 +34,9 @@
 //! vector-clock happens-before checker (`X`-rules), `--profile` records an
 //! op-clocked statistical profile (artifacts under `<results>/profiles/`,
 //! cache bypassed so engine work exists to sample). Process metrics are
-//! always on — `--serve-metrics ADDR` scrapes them live, a final snapshot
-//! lands in `<results>/metrics.json`, and a panic dumps the flight
-//! recorder to `<results>/flight-recorder.json`. Errors render on stderr
+//! always on — a snapshot lands in `<results>/metrics.json` when the run
+//! ends, and a panic dumps the flight recorder to
+//! `<results>/flight-recorder.json`. Errors render on stderr
 //! and exit nonzero.
 
 use std::io::Write;
@@ -69,7 +69,7 @@ fn parse_args() -> Result<PipelineFlags> {
                     "usage: extensions [--results DIR] [--no-cache] [--cache-dir DIR] \
                      [--lint] [--deny-warnings] [--timeline] [--simpoint] \
                      [--events FILE] [--trace] [--race] [--profile] \
-                     [--profile-interval N] [--serve-metrics ADDR]"
+                     [--profile-interval N]"
                 );
                 print!("{}", PipelineFlags::usage_lines());
                 std::process::exit(0);
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
 fn real_main(opts: PipelineFlags) -> Result<()> {
     // The run opens its manifest and run-root span before any stage; every
     // write site below registers its artifact pointer with the manifest.
-    let mut run = Run::start("extensions", "default", &opts.config_summary(""), &opts)?;
+    let mut run = Run::start("extensions", "default", &opts.config_summary(""), &opts);
     std::fs::create_dir_all(&opts.results_dir)?;
     let mut all = String::new();
     let mut config = RunConfig::default();

@@ -5,7 +5,6 @@
 //!           [--no-cache] [--cache-dir DIR]
 //!           [--timeline] [--simpoint] [--events FILE] [--trace] [--race]
 //!           [--profile] [--profile-interval N]
-//!           [--serve-metrics ADDR]
 //!           [table1 .. fig10]
 //! ```
 //!
@@ -41,11 +40,9 @@
 //! `.prof` artifact, folded stacks, and a flamegraph SVG under
 //! `<results>/profiles/` (feed the `.prof` to `prof-report`; profiled runs
 //! bypass the result cache so there is always engine work to sample).
-//! Process metrics are always on: `--serve-metrics
-//! ADDR` scrapes them live (Prometheus text at `/metrics`, JSON at
-//! `/metrics.json`), a final snapshot lands in `<results>/metrics.json`,
-//! and a panic dumps the flight recorder's last events to
-//! `<results>/flight-recorder.json`. Any pipeline error renders on stderr
+//! Process metrics are always on: a snapshot lands in
+//! `<results>/metrics.json` when the run ends, and a panic dumps the flight
+//! recorder's last events to `<results>/flight-recorder.json`. Any pipeline error renders on stderr
 //! and exits nonzero.
 
 use std::io::Write;
@@ -87,6 +84,9 @@ fn parse_args() -> Result<Option<Options>> {
             "--help" | "-h" => {
                 print_usage();
                 return Ok(None);
+            }
+            flag if flag.starts_with('-') => {
+                return Err(Error::Usage(format!("unknown argument '{flag}'")));
             }
             slug => match ExperimentId::from_slug(slug) {
                 Some(id) => opts.selected.push(id),
@@ -131,7 +131,7 @@ fn real_main(opts: Options) -> Result<()> {
             .shared
             .config_summary(&experiment_summary(&opts.selected)),
         &opts.shared,
-    )?;
+    );
     run.arg("quick", opts.quick);
 
     // A cache-hit run executes no engine ops, leaving nothing to sample,
@@ -384,8 +384,7 @@ fn print_usage() {
         "usage: reproduce [--quick] [--markdown] [--results DIR] \
          [--no-cache] [--cache-dir DIR] [--lint] [--deny-warnings] \
          [--timeline] [--simpoint] [--events FILE] [--trace] [--race] \
-         [--profile] [--profile-interval N] \
-         [--serve-metrics ADDR] [table1..table10 fig1..fig10]"
+         [--profile] [--profile-interval N] [table1..table10 fig1..fig10]"
     );
     print!("{}", PipelineFlags::usage_lines());
     println!("experiments:");

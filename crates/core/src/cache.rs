@@ -2,8 +2,9 @@
 //!
 //! A characterization campaign is deterministic: the [`CharRecord`] of one
 //! application–input pair is a pure function of the pair's identity and
-//! behaviour, the simulated [`SystemConfig`], the [`TraceScale`], and the
-//! record schema itself. This module derives a stable 128-bit [`Key`] from
+//! behaviour, the simulated [`SystemConfig`], the
+//! [`TraceScale`](workload_synth::generator::TraceScale), and the record
+//! schema itself. This module derives a stable 128-bit [`Key`] from
 //! exactly those inputs and persists each record in a [`simstore::Store`],
 //! so repeated runs — the `reproduce` binary, ablations, sensitivity sweeps,
 //! tests — replay from disk instead of re-simulating. Changing *any* key

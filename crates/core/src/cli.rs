@@ -10,9 +10,8 @@
 //! - [`PipelineFlags`]: the observability/caching flag block the two
 //!   campaign binaries share (`--results`, `--cache-dir`, `--no-cache`,
 //!   `--lint`, `--deny-warnings`, `--timeline`, `--simpoint`, `--trace`,
-//!   `--race`, `--profile`, `--profile-interval`, `--events`,
-//!   `--serve-metrics`), parsed by a single `accept` call so the binaries
-//!   cannot drift apart flag by flag.
+//!   `--race`, `--profile`, `--profile-interval`, `--events`), parsed by a
+//!   single `accept` call so the binaries cannot drift apart flag by flag.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -99,8 +98,6 @@ pub struct PipelineFlags {
     /// Write the run's top-level stages as perfmon JSONL to this file at
     /// the end of the run (`--events FILE`).
     pub events: Option<PathBuf>,
-    /// Serve live process metrics on this address (`--serve-metrics ADDR`).
-    pub serve_metrics: Option<String>,
 }
 
 impl Default for PipelineFlags {
@@ -118,7 +115,6 @@ impl Default for PipelineFlags {
             profile: false,
             profile_interval: simprof::DEFAULT_INTERVAL,
             events: None,
-            serve_metrics: None,
         }
     }
 }
@@ -149,9 +145,6 @@ impl PipelineFlags {
                 self.profile_interval = args.number::<u64>(arg, "an op count")?.max(1);
             }
             "--events" => self.events = Some(args.path(arg, "a file path")?),
-            "--serve-metrics" => {
-                self.serve_metrics = Some(args.value(arg, "an address like 127.0.0.1:9184")?);
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -202,7 +195,6 @@ impl PipelineFlags {
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",
             "  --profile-interval N  ops per profile sample (default 10000; implies --profile)\n",
-            "  --serve-metrics ADDR  serve Prometheus text at http://ADDR/metrics (JSON at /metrics.json)\n",
         )
     }
 }
@@ -240,7 +232,6 @@ mod tests {
             "--events",
             "ev.jsonl",
             "--serve-metrics",
-            "127.0.0.1:9184",
             "--quick",
         ]);
         let mut flags = PipelineFlags::new();
@@ -258,8 +249,11 @@ mod tests {
             flags.events.as_deref(),
             Some(std::path::Path::new("ev.jsonl"))
         );
-        assert_eq!(flags.serve_metrics.as_deref(), Some("127.0.0.1:9184"));
-        assert_eq!(rest, ["--quick"], "unknown args flow back to the caller");
+        assert_eq!(
+            rest,
+            ["--serve-metrics", "--quick"],
+            "unknown args flow back to the caller"
+        );
     }
 
     #[test]

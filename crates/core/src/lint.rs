@@ -350,9 +350,9 @@ const RACE_SHAPES: &[(usize, usize, &[usize])] =
 /// through the deterministic `simrace` shuffle harness under `seeds`
 /// schedules each (vector-clock happens-before audit per schedule, deadlock
 /// detection when no thread can step), and one *live* instrumented
-/// [`Scheduler`] batch is audited with the same checker. Returns the number
-/// of schedules explored and the merged report; a clean protocol yields an
-/// empty report for every seed.
+/// [`Scheduler`](simstore::Scheduler) batch is audited with the same
+/// checker. Returns the number of schedules explored and the merged report;
+/// a clean protocol yields an empty report for every seed.
 pub fn check_race(seeds: u64) -> (usize, Report) {
     let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
     let mut report = Report::new();

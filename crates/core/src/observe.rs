@@ -132,8 +132,8 @@ impl Drop for Stage {
 
 /// One run of a pipeline binary: process metrics (always on), its
 /// manifest, its run-root span (open for the whole run, with span
-/// recording always on), and the optional metrics endpoint, race
-/// recording and profile root frame the flags ask for.
+/// recording always on), and the optional race recording and profile root
+/// frame the flags ask for.
 pub struct Run<'a> {
     name: &'static str,
     flags: &'a PipelineFlags,
@@ -144,7 +144,6 @@ pub struct Run<'a> {
     root: Option<SpanGuard>,
     root_id: u64,
     prof_root: Option<simprof::FrameGuard>,
-    _metrics_server: Option<simmetrics::http::Server>,
 }
 
 impl<'a> Run<'a> {
@@ -153,16 +152,7 @@ impl<'a> Run<'a> {
     /// stage, so every span of the run, including per-pair jobs on
     /// scheduler worker threads, nests under it; the profile root frame
     /// does the same for samples.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] when `--serve-metrics` cannot bind its address.
-    pub fn start(
-        name: &'static str,
-        scale: &str,
-        config: &str,
-        flags: &'a PipelineFlags,
-    ) -> Result<Self> {
+    pub fn start(name: &'static str, scale: &str, config: &str, flags: &'a PipelineFlags) -> Self {
         // Metrics are on for the whole run: the substrate crates' counters
         // are sentinel-gated and cost one atomic add per hit, and the
         // flight recorder dumps its last events to the results directory
@@ -170,14 +160,6 @@ impl<'a> Run<'a> {
         simmetrics::enable();
         crate::telemetry::register_pipeline_metrics();
         simmetrics::flight::install_dump(&flags.results_dir.join("flight-recorder.json"));
-        let metrics_server = match &flags.serve_metrics {
-            Some(addr) => {
-                let server = simmetrics::http::serve(addr)?;
-                eprintln!("serving metrics on http://{}/metrics", server.local_addr());
-                Some(server)
-            }
-            None => None,
-        };
         let mut manifest = ManifestBuilder::start(name, scale, config);
         if let Some(path) = &flags.events {
             manifest.artifact(
@@ -203,15 +185,14 @@ impl<'a> Run<'a> {
             );
             simprof::frame(&format!("run/{name}"))
         });
-        Ok(Run {
+        Run {
             name,
             flags,
             manifest,
             root_id: root.context().span_id,
             root: Some(root),
             prof_root,
-            _metrics_server: metrics_server,
-        })
+        }
     }
 
     /// Attaches an arg to the run-root span.
@@ -252,8 +233,8 @@ impl<'a> Run<'a> {
     /// the race report when it fails.
     pub fn finish(mut self) -> Result<()> {
         let results = &self.flags.results_dir;
-        // The same series the HTTP endpoint serves, persisted for offline
-        // inspection; a lost snapshot only warns.
+        // The registry's one sink: every series, read once as the run
+        // ends; a lost snapshot only warns.
         let metrics = results.join("metrics.json");
         match std::fs::write(&metrics, simmetrics::json::render(&simmetrics::snapshot())) {
             Ok(()) => self

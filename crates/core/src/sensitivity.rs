@@ -1,7 +1,7 @@
 //! Design-space sensitivity studies over the characterized suite.
 //!
 //! The paper positions CPU2017 as the workload set for "simulation-based
-//! design and optimization research for next-generation processors [and]
+//! design and optimization research for next-generation processors \[and\]
 //! memory subsystems". This module runs that use case end to end: sweep one
 //! architectural parameter, run a set of applications at each point, and
 //! tabulate how the suite responds — the what-if analysis a

@@ -4,8 +4,8 @@
 //! [`crate::characterize::characterize_pair`] splits into three stages —
 //! preparing the trace and hints, running the engine, and sampling the
 //! footprint model — and each gets a latency histogram here, fed by the
-//! stage's [`crate::observe::Stage`], so a scrape of a long campaign shows
-//! where pair wall-time actually goes. The handles
+//! stage's [`crate::observe::Stage`], so a run's `metrics.json` shows where
+//! pair wall-time actually goes. The handles
 //! are `OnceLock`-cached so the per-pair cost is one pointer load per
 //! stage; when metrics are disabled the histograms' own sentinel check
 //! makes every record a no-op.
@@ -70,7 +70,7 @@ handle! {
 /// crate's `workchar_*` handles plus the `simstore_*`, `uarch_*`, and
 /// `workload_*` families owned by the substrate crates.
 ///
-/// Call this before rendering an exposition (or linting the registry with
+/// Call this before rendering a snapshot (or linting the registry with
 /// `--metrics`) so the output is complete even when a run never exercised
 /// a given path.
 pub fn register_pipeline_metrics() {

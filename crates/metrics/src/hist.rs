@@ -206,8 +206,8 @@ impl Histogram {
         Some(c.max.load(Ordering::Relaxed))
     }
 
-    /// Freezes the current state (count, sum, extrema, non-empty buckets,
-    /// and the three headline quantiles).
+    /// Freezes the current state (count, sum, extrema, exemplars and the
+    /// three headline quantiles).
     pub fn snapshot(&self) -> HistSnapshot {
         let c = &self.core;
         let count = c.count.load(Ordering::Relaxed);
@@ -217,15 +217,6 @@ impl Histogram {
             sum: c.sum.load(Ordering::Relaxed),
             min: (min != u64::MAX).then_some(min),
             max: (count > 0).then(|| c.max.load(Ordering::Relaxed)),
-            buckets: c
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then(|| (bucket_upper(i), n))
-                })
-                .collect(),
             exemplars: {
                 let store = self.core.exemplars.lock().unwrap();
                 let mut out: Vec<(u64, Vec<Exemplar>)> = store
@@ -274,8 +265,6 @@ pub struct HistSnapshot {
     pub min: Option<u64>,
     /// Exact largest observation, if any.
     pub max: Option<u64>,
-    /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
-    pub buckets: Vec<(u64, u64)>,
     /// Buckets that captured span exemplars, as `(inclusive upper bound,
     /// last-k exemplars oldest-first)`, ascending by bound. Empty unless
     /// values were recorded via [`Histogram::record_spanned`] under a live
@@ -366,7 +355,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.min, Some(100));
         assert_eq!(snap.max, Some(50_000));
-        assert_eq!(snap.buckets.iter().map(|(_, n)| n).sum::<u64>(), 100);
+        assert_eq!(snap.count, 100);
     }
 
     #[test]

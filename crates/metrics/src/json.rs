@@ -1,5 +1,5 @@
-//! JSON snapshot rendering for `results/metrics.json` and the
-//! `/metrics.json` HTTP route.
+//! JSON snapshot rendering for `results/metrics.json`, the metrics
+//! registry's one sink. The binaries write it once, when a run ends.
 //!
 //! Schema 1, one document per snapshot:
 //!
@@ -18,9 +18,6 @@ use std::fmt::Write as _;
 pub(crate) use perfmon::json::escape;
 
 use crate::{SeriesValue, Snapshot};
-
-/// The JSON `Content-Type` for the HTTP route.
-pub const CONTENT_TYPE: &str = "application/json";
 
 /// Renders a snapshot as a schema-1 JSON document (one line, trailing
 /// newline).

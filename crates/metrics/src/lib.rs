@@ -2,16 +2,11 @@
 //!
 //! A dependency-free, thread-safe metrics core: atomic [`Counter`]s and
 //! [`Gauge`]s plus log-linear [`Histogram`]s with quantile estimation,
-//! behind a static [`Registry`] of namespaced metric names. Three sinks
-//! read the registry:
+//! behind a static [`Registry`] of namespaced metric names. The pipeline
+//! is a batch run, so the registry has one sink: [`json::render`] writes a
+//! snapshot document to `results/metrics.json` when the run ends.
 //!
-//! - [`prometheus::render`] — text exposition format 0.0.4 (plus a strict
-//!   parser used by the golden tests and the live-scrape acceptance test);
-//! - [`json::render`] — a JSON snapshot document for `results/metrics.json`;
-//! - [`http::serve`] — an optional std-only, single-threaded HTTP endpoint
-//!   (`--serve-metrics ADDR` on the binaries) exposing both.
-//!
-//! A fourth component, the [`flight`] recorder, is a fixed-size lock-free
+//! A second component, the [`flight`] recorder, is a fixed-size lock-free
 //! ring of recent pipeline events whose tail is dumped to JSON from a
 //! chained panic hook, so scheduler-isolated panics leave a forensic trail.
 //!
@@ -31,10 +26,8 @@
 
 pub mod flight;
 pub mod hist;
-pub mod http;
 pub mod json;
 pub mod lint;
-pub mod prometheus;
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -65,8 +58,8 @@ pub fn is_enabled() -> bool {
 
 // ---------------------------------------------------------------- handles
 
-/// What a registered metric measures; drives exposition rendering and the
-/// M005 suffix-convention lint.
+/// What a registered metric measures; drives the snapshot's `kind` field
+/// and the M005 suffix-convention lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// Monotonically increasing event count (`_total` names).
@@ -78,7 +71,8 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// The Prometheus `# TYPE` keyword.
+    /// The kind's name in the JSON snapshot (`counter`, `gauge`,
+    /// `histogram`).
     pub fn as_str(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
@@ -282,7 +276,7 @@ impl Registry {
 
     /// A point-in-time copy of every registered series, sorted by name
     /// (stable, so registration order breaks ties) for deterministic
-    /// exposition output.
+    /// snapshot output.
     pub fn snapshot(&self) -> Snapshot {
         let entries = poison_ok(self.entries.read());
         let _hook = simrace::shared_held(|| "metrics/registry".to_string());
@@ -366,7 +360,7 @@ pub fn snapshot() -> Snapshot {
 pub struct Series {
     /// Metric name, e.g. `simstore_cache_hits_total`.
     pub name: String,
-    /// Help text for the `# HELP` exposition line.
+    /// One-line description given at registration.
     pub help: String,
     /// Counter / gauge / histogram.
     pub kind: Kind,
@@ -382,7 +376,7 @@ pub enum SeriesValue {
     Counter(u64),
     /// Gauge level.
     Gauge(i64),
-    /// Histogram state (buckets, sum, count, extrema, quantiles).
+    /// Histogram state (sum, count, extrema, exemplars, quantiles).
     Histogram(HistSnapshot),
 }
 

@@ -4,18 +4,41 @@
 //! instrumentation path is the wrong place to panic); instead these rules
 //! audit a snapshot after the fact. The `lint` binary wires them in as
 //! `--metrics`, registering the full pipeline metric set and checking it,
-//! so a typo'd metric name fails CI rather than a production scrape.
+//! so a typo'd metric name fails CI rather than a later reader of
+//! `metrics.json`.
 
 use std::collections::{HashMap, HashSet};
 
 use simcheck::{codes, Diagnostic, Report, Span};
 
-use crate::prometheus::{is_legal_label_name, is_legal_metric_name};
 use crate::{Kind, Snapshot};
 
-/// Suffixes the histogram exposition writer appends itself; a base name
-/// carrying one collides with its own derived series.
+/// Suffixes Prometheus conventions reserve for a histogram's derived
+/// series; a base name carrying one reads as a fragment of another metric.
 const RESERVED_SUFFIXES: [&str; 3] = ["_bucket", "_sum", "_count"];
+
+/// Is `name` a legal Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
+fn is_legal_metric_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    match chars.next() {
+        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
+        _ => return false,
+    }
+    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
+/// Is `name` a legal (non-reserved) Prometheus label name?
+fn is_legal_label_name(name: &str) -> bool {
+    if name.starts_with("__") {
+        return false;
+    }
+    let mut chars = name.chars();
+    match chars.next() {
+        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
+        _ => return false,
+    }
+    chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
 
 /// Audits one snapshot: name/label legality (M001/M003/M004), duplicate
 /// registrations (M002), and suffix conventions (M005).
@@ -136,6 +159,19 @@ mod tests {
 
     fn codes_of(report: &Report) -> Vec<&str> {
         report.diagnostics().iter().map(|d| d.code.code).collect()
+    }
+
+    #[test]
+    fn name_legality_matches_prometheus_rules() {
+        for good in ["a", "_x", "a:b", "simstore_cache_hits_total", "A9_"] {
+            assert!(is_legal_metric_name(good), "{good}");
+        }
+        for bad in ["", "9a", "a-b", "a b", "café"] {
+            assert!(!is_legal_metric_name(bad), "{bad}");
+        }
+        assert!(is_legal_label_name("size"));
+        assert!(!is_legal_label_name("__reserved"));
+        assert!(!is_legal_label_name("le:"));
     }
 
     #[test]

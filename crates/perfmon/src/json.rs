@@ -6,8 +6,16 @@
 //! observability layer needs: emitting event lines (escaping only — the
 //! writers format their own objects) and parsing them back for validation
 //! and for merging `BENCH_results.json`.
+//!
+//! The parser runs in time linear in its input, and it refuses documents
+//! nested deeper than [`MAX_DEPTH`] containers with a [`ParseError`], so a
+//! hostile line cannot overflow the stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the workspace writes stays far below it.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects preserve key order (insertion order of the
 /// document) so re-emitted files diff cleanly.
@@ -130,21 +138,24 @@ impl std::error::Error for ParseError {}
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -156,7 +167,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -176,8 +187,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -189,7 +211,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -220,8 +242,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("invalid number"))
     }
@@ -272,23 +294,27 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those are all ASCII, so the
+                    // cut falls on a char boundary of the input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let text = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -380,13 +406,37 @@ mod tests {
             parse("\"\\u00e9\\ud83d\\ude00\"").unwrap().as_str(),
             Some("é😀")
         );
+        // Escapes only a foreign writer uses, cutting runs of multi-byte
+        // characters.
+        assert_eq!(
+            parse(r#""é\/\b€\f\ud83d\ude00日""#).unwrap().as_str(),
+            Some("é/\u{8}€\u{c}😀日")
+        );
     }
 
     #[test]
     fn escape_round_trips_through_parser() {
         let nasty = "a\"b\\c\nd\te\u{1}f é";
-        let doc = format!("\"{}\"", escape(nasty));
-        assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+        let mixed = "é€😀 \"q\" \\ \n\r\t \u{1}\u{1f} 日本語 end";
+        // Over 1 MiB: the scan must stay linear in the input.
+        let long = "aé😀\"\n".repeat(1 << 17);
+        assert!(long.len() > 1 << 20);
+        for s in [nasty, mixed, &long] {
+            let doc = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("128"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&format!("{}1", "{\"a\":".repeat(MAX_DEPTH + 1))).is_err());
+        // Far past the cap the parser stops at the cap, not at the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

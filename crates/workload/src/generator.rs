@@ -2,8 +2,8 @@
 //!
 //! A [`TraceGenerator`] expands one behaviour profile into a finite stream of
 //! [`MicroOp`]s: per-op class selection follows the profile's instruction-mix
-//! percentages, data addresses come from the [`reuse::LocalityModel`], and
-//! branches from the [`branchmodel::BranchModel`]. Everything is driven by a
+//! percentages, data addresses come from the [`LocalityModel`], and
+//! branches from the [`BranchModel`]. Everything is driven by a
 //! single seeded RNG (the in-tree [`crate::rng::Rng64`]), so a given
 //! (application, input, size) pair always produces the identical trace — the
 //! reproduction is bit-deterministic.

@@ -10,7 +10,7 @@
 //! - [`simrace`] — happens-before race checker and schedule-exploration harness.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
 //! - [`perfmon`] — the JSONL run-event schema, its validator, and the JSON codec.
-//! - [`simmetrics`] — process-wide metrics registry, exporters, and flight recorder.
+//! - [`simmetrics`] — process-wide metrics registry, its `metrics.json` snapshot, and flight recorder.
 //! - [`simpoint`] — phase detection and representative-interval simulation.
 //! - [`simdash`] — run manifests, cross-layer correlation, HTML dashboard.
 //! - [`workchar`] — the paper's characterization + subsetting pipeline.

@@ -233,6 +233,27 @@ fn pipeline_metric_registry_lints_clean() {
     );
     let report = spec2017_workchar::simmetrics::lint::check_snapshot(&snapshot);
     assert!(report.is_empty(), "{}", report.to_table());
+
+    // Registration alone puts every family in the `metrics.json` snapshot,
+    // even before the first pair finishes.
+    let json = spec2017_workchar::simmetrics::json::render(&snapshot);
+    assert!(json.starts_with("{\"schema\":1,"), "{json}");
+    for name in [
+        "simstore_cache_hits_total",
+        "simstore_jobs_total",
+        "uarch_ops_retired_total",
+        "workload_uops_generated_total",
+        "workchar_pairs_characterized_total",
+    ] {
+        assert!(
+            json.contains(&format!("\"name\":\"{name}\"")),
+            "missing {name} in:\n{json}"
+        );
+    }
+    assert!(
+        json.contains("\"name\":\"workchar_stage_simulate_micros\",\"kind\":\"histogram\""),
+        "stage latency histogram not typed in:\n{json}"
+    );
 }
 
 #[test]

@@ -28,7 +28,7 @@ fn failed_collect_dataset_still_writes_events_and_manifest() {
     };
 
     // The same steps as the binaries' failure path.
-    let run = Run::start("reproduce", "quick", "test", &flags).expect("run starts");
+    let run = Run::start("reproduce", "quick", "test", &flags);
     let stage = Stage::open("collect-dataset");
     let apps = common::poisoned_apps();
     let result = characterize_suite_with(&apps, InputSize::Ref, &RunConfig::quick(), None);
