@@ -201,23 +201,10 @@ fn bench_engine(r: &mut Runner) {
 }
 
 fn bench_scheduler(r: &mut Runner) {
-    // Paired pair for the simrace design budget: the scheduler's sync hooks
-    // are compiled in unconditionally and cost one relaxed atomic load per
-    // site when disabled, so the ratio of the raced median to the anchor is
-    // the hooks' full recording overhead and the anchor's own median tracks
-    // the disabled-path cost (budgeted at <5% vs the pre-hook scheduler).
     let sched = simstore::Scheduler::new(4);
-    let anchor = r.bench("sched_batch_64x4", || {
+    r.bench("sched_batch_64x4", || {
         black_box(sched.run(64, |i| format!("job-{i}"), |i| black_box(i) * 3, |_| {}))
     });
-    simrace::enable();
-    bench_paired(r, anchor, "sched_batch_64x4_raced", || {
-        let report = black_box(sched.run(64, |i| format!("job-{i}"), |i| black_box(i) * 3, |_| {}));
-        black_box(simrace::drain().len());
-        report
-    });
-    simrace::disable();
-    simrace::drain();
 }
 
 fn bench_pca(r: &mut Runner) {

@@ -23,8 +23,6 @@ pub enum Family {
     Trace,
     /// `S…` — simpoint artifact consistency (simpoint).
     Simpoint,
-    /// `X…` — execution-order / happens-before violations (simrace).
-    Race,
     /// `F…` — statistical-profile artifact integrity (simprof).
     Profiler,
     /// `D…` — run-manifest integrity under `results/runs/` (simdash).
@@ -42,7 +40,6 @@ impl Family {
             Family::Metrics => "metrics",
             Family::Trace => "trace",
             Family::Simpoint => "simpoint",
-            Family::Race => "race",
             Family::Profiler => "profiler",
             Family::Dash => "dash",
         }
@@ -421,36 +418,42 @@ pub mod codes {
 
     rule!(pub M001, "M001", "metric-name-charset", Error, Metrics,
         "metric name is not Prometheus-legal",
-        "Prometheus metric names must match [a-zA-Z_:][a-zA-Z0-9_:]* and \
-         be non-empty. An illegal name renders the whole /metrics page \
-         unparseable for a scraper, silently losing every other series \
-         exposed alongside it.");
+        "Metric names must be non-empty and match [a-zA-Z_:][a-zA-Z0-9_:]* \
+         (the Prometheus charset). Readers of results/metrics.json look \
+         series up by name, in scripts or after loading the snapshot into \
+         a Prometheus-style store, where a name outside this charset is \
+         not a legal identifier and must be renamed or dropped. The rule \
+         catches the typo at lint time instead of in every reader.");
     rule!(pub M002, "M002", "metric-duplicate", Error, Metrics,
         "metric name registered more than once",
-        "Two registrations under one name (same or different kinds) emit \
-         duplicate series: scrapers either reject the page or keep an \
-         arbitrary one, and dashboards silently read whichever survived. \
+        "Two registrations under one name (different kinds, or the same \
+         label set twice) write two entries with that name into \
+         results/metrics.json. A reader that looks series up by name \
+         takes whichever comes first and silently ignores the other. \
          Every metric name must be registered exactly once per process.");
     rule!(pub M003, "M003", "label-name-charset", Error, Metrics,
         "label name is not Prometheus-legal",
         "Label names must match [a-zA-Z_][a-zA-Z0-9_]* and must not start \
          with '__', which Prometheus reserves for internally generated \
-         labels (__name__, __address__). Illegal labels break the \
-         exposition parse exactly like illegal metric names.");
+         labels (__name__, __address__). Label names are the keys of a \
+         series' \"labels\" object in results/metrics.json, so an illegal \
+         one misleads its readers exactly like an illegal metric name.");
     rule!(pub M004, "M004", "label-duplicate", Error, Metrics,
         "duplicate label name on one metric",
         "A series key is the sorted set of its label pairs; repeating a \
-         label name within one metric makes the key ambiguous, and \
-         Prometheus rejects the scrape. Each label name may appear at \
-         most once per metric.");
+         label name within one metric makes the key ambiguous. In \
+         results/metrics.json the series' \"labels\" object then holds one \
+         key twice, and a reader keeps one of the two values and drops \
+         the other. Each label name may appear at most once per metric.");
     rule!(pub M005, "M005", "metric-suffix-convention", Warning, Metrics,
         "metric name violates the suffix conventions for its kind",
         "Convention carries meaning for downstream tooling: counters end \
          in '_total' (rate() targets), while no metric may end in the \
-         histogram-reserved suffixes '_bucket', '_sum', or '_count' — the \
-         exposition writer appends those itself, so a base name carrying \
-         one collides with its own derived series. Gauges ending in \
-         '_total' read as counters and get mis-aggregated.");
+         histogram-reserved suffixes '_bucket', '_sum', or '_count' — \
+         Prometheus-style tools derive those series from a histogram, so \
+         a base name carrying one reads as a fragment of another metric. \
+         Gauges ending in '_total' read as counters and get \
+         mis-aggregated.");
 
     // ------------------------------------------------------------------ T: trace
 
@@ -524,42 +527,6 @@ pub mod codes {
          or trailing bytes) is either corruption or a foreign artifact \
          under the simpoint prefix; the reporter would otherwise skip it \
          silently and under-report the roster.");
-
-    // ------------------------------------------------------------------- X: race
-
-    rule!(pub X001, "X001", "unordered-conflicting-access", Error, Race,
-        "conflicting accesses to a shared resource must be ordered",
-        "Two accesses to one named shared resource, at least one of them a \
-         write, recorded on different threads with no happens-before path \
-         between them (no spawn/join edge, no common lock, no channel \
-         hand-off) can execute in either order — the textbook data race. \
-         For the pipeline it means a result slot, failure list, or counter \
-         whose final value depends on thread timing, which breaks the \
-         reproducibility every cached record and golden test relies on.");
-    rule!(pub X002, "X002", "lock-order-inversion", Error, Race,
-        "locks must be acquired in one global order",
-        "A cycle in the lock-order graph (thread A takes L1 then L2, \
-         thread B takes L2 then L1 — or a schedule already deadlocked on \
-         such a cycle) means there exists an interleaving where every \
-         participant holds one lock and waits forever for the other. The \
-         scheduler would hang mid-roster with workers parked, which no \
-         test timeout in CI distinguishes from a slow run.");
-    rule!(pub X003, "X003", "joinless-spawn", Warning, Race,
-        "every forked thread must be joined",
-        "A fork token that is never joined means nothing orders the \
-         spawned thread's writes before the code that reads its results: \
-         the parent may observe half-finished state, and under std::thread \
-         a detached worker can outlive the batch that spawned it. Scoped \
-         spawns make this structurally impossible, which is why the \
-         scheduler's instrumentation must show a join edge per worker.");
-    rule!(pub X004, "X004", "release-without-acquire", Error, Race,
-        "a lock release must match a prior acquire by the same thread",
-        "Releasing a lock the releasing thread does not hold (never \
-         acquired, already released, or acquired shared but released \
-         exclusive) means the instrumentation disagrees with the real \
-         locking discipline — either a hook is misplaced or a guard \
-         escaped its critical section. Every happens-before edge the \
-         checker derives from that lock is then untrustworthy.");
 
     // --------------------------------------------------------------- F: profiler
 
@@ -733,10 +700,6 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::S003,
     &codes::S004,
     &codes::S005,
-    &codes::X001,
-    &codes::X002,
-    &codes::X003,
-    &codes::X004,
     &codes::F001,
     &codes::F002,
     &codes::F003,
@@ -820,7 +783,6 @@ mod tests {
                 Family::Metrics => 'M',
                 Family::Trace => 'T',
                 Family::Simpoint => 'S',
-                Family::Race => 'X',
                 Family::Profiler => 'F',
                 Family::Dash => 'D',
             };
@@ -847,8 +809,8 @@ mod tests {
 
     #[test]
     fn suggest_finds_near_misses_only() {
-        assert_eq!(suggest("X01"), Some("X001"));
-        assert_eq!(suggest("x002"), Some("X002"));
+        assert_eq!(suggest("m01"), Some("M001"));
+        assert_eq!(suggest("D0002"), Some("D002"));
         assert_eq!(suggest("P04"), Some("P004"));
         assert_eq!(suggest("R0200"), Some("R020"));
         assert_eq!(suggest("qqqqqq"), None, "far-off strings get no hint");

@@ -12,8 +12,8 @@
 //! - [`RuleCode`] — stable, documented rule identities (`P004`, `C005`,
 //!   `R010`, …) grouped into [`Family`]s: profile well-formedness, config
 //!   legality, result/counter auditing, perfmon event streams, metric
-//!   registry hygiene, trace integrity, simpoint artifacts, concurrency
-//!   order, and statistical-profiler artifacts.
+//!   registry hygiene, trace integrity, simpoint artifacts,
+//!   statistical-profiler artifacts, and run manifests.
 //! - [`Span`] — a field-level location (`"505.mcf_r/ref/in1.load_pct"`)
 //!   naming exactly which object and field violated the rule.
 //! - [`Report`] — an ordered collection of [`Diagnostic`]s with a

@@ -4,7 +4,7 @@
 //! ```text
 //! extensions [--results DIR] [--no-cache] [--cache-dir DIR]
 //!            [--lint] [--deny-warnings] [--timeline] [--simpoint]
-//!            [--events FILE] [--trace] [--race] [--profile]
+//!            [--events FILE] [--trace] [--profile]
 //!            [--profile-interval N]
 //! ```
 //!
@@ -30,13 +30,11 @@
 //! per-stage summary table on stderr and, with `--events FILE`, perfmon
 //! JSONL. `--trace` also exports the span tree under `<results>/traces/`
 //! (Perfetto-loadable JSON plus the binary format `trace-report` reads),
-//! `--race` records sync events and audits the whole run with the
-//! vector-clock happens-before checker (`X`-rules), `--profile` records an
-//! op-clocked statistical profile (artifacts under `<results>/profiles/`,
-//! cache bypassed so engine work exists to sample). Process metrics are
-//! always on — a snapshot lands in `<results>/metrics.json` when the run
-//! ends, and a panic dumps the flight recorder to
-//! `<results>/flight-recorder.json`. Errors render on stderr
+//! `--profile` records an op-clocked statistical profile (artifacts under
+//! `<results>/profiles/`, cache bypassed so engine work exists to sample).
+//! Process metrics are always on — a snapshot lands in
+//! `<results>/metrics.json` when the run ends, and a panic dumps the flight
+//! recorder to `<results>/flight-recorder.json`. Errors render on stderr
 //! and exit nonzero.
 
 use std::io::Write;
@@ -68,7 +66,7 @@ fn parse_args() -> Result<PipelineFlags> {
                 println!(
                     "usage: extensions [--results DIR] [--no-cache] [--cache-dir DIR] \
                      [--lint] [--deny-warnings] [--timeline] [--simpoint] \
-                     [--events FILE] [--trace] [--race] [--profile] \
+                     [--events FILE] [--trace] [--profile] \
                      [--profile-interval N]"
                 );
                 print!("{}", PipelineFlags::usage_lines());

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR]
-//!      [--simpoint] [--simpoint-dir DIR] [--race] [--race-seeds N]
-//!      [--dash] [--runs-dir DIR]
+//!      [--simpoint] [--simpoint-dir DIR] [--dash] [--runs-dir DIR]
 //!      [--events FILE]... [--trace FILE]... [--prof FILE]... [--quick]
 //!      [--json] [--deny-warnings] [--explain CODE]
 //! ```
@@ -18,17 +17,15 @@
 //! `results/runs/`.
 //! Individual passes can be selected with `--profiles`, `--config`,
 //! `--metrics`, `--cache-dir DIR`, `--simpoint` (default store location) /
-//! `--simpoint-dir DIR`, `--race` (schedule exploration of the scheduler's
-//! synchronization protocol; `--race-seeds N` schedules per model shape,
-//! default 16), `--dash` (default manifest location) / `--runs-dir DIR`,
-//! `--events FILE` (repeatable), `--trace FILE` (repeatable; either
-//! simtrace export format), and `--prof FILE` (repeatable; simprof
-//! `.prof` artifacts).
+//! `--simpoint-dir DIR`, `--dash` (default manifest location) /
+//! `--runs-dir DIR`, `--events FILE` (repeatable), `--trace FILE`
+//! (repeatable; either simtrace export format), and `--prof FILE`
+//! (repeatable; simprof `.prof` artifacts).
 //!
 //! Every violation carries a stable rule code (`P...` profile, `C...`
 //! config, `R...` result, `E...` events, `M...` metrics, `T...` trace,
-//! `S...` simpoint, `X...` concurrency, `F...` profiler, `D...` run
-//! manifest); `--explain CODE` prints the catalog entry for one rule.
+//! `S...` simpoint, `F...` profiler, `D...` run manifest); `--explain CODE`
+//! prints the catalog entry for one rule.
 //! Exits 0 when clean, 1 when any error (or, under `--deny-warnings`,
 //! any warning) was found, 2 on usage errors.
 
@@ -51,8 +48,6 @@ struct Options {
     events: Vec<PathBuf>,
     traces: Vec<PathBuf>,
     profs: Vec<PathBuf>,
-    race: bool,
-    race_seeds: u64,
     quick: bool,
     json: bool,
     deny_warnings: bool,
@@ -69,8 +64,6 @@ fn parse_args() -> Result<Option<Options>> {
         events: Vec::new(),
         traces: Vec::new(),
         profs: Vec::new(),
-        race: false,
-        race_seeds: 16,
         quick: false,
         json: false,
         deny_warnings: false,
@@ -82,7 +75,6 @@ fn parse_args() -> Result<Option<Options>> {
                 opts.profiles = true;
                 opts.config = true;
                 opts.metrics = true;
-                opts.race = true;
                 // Audit the default cache location only if a cache exists
                 // there; a fresh checkout must still lint clean.
                 let default_cache = PathBuf::from("results/cache");
@@ -135,16 +127,6 @@ fn parse_args() -> Result<Option<Options>> {
             "--profiles" => opts.profiles = true,
             "--config" => opts.config = true,
             "--metrics" => opts.metrics = true,
-            "--race" => opts.race = true,
-            "--race-seeds" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| Error::Usage("--race-seeds needs a count".to_string()))?;
-                opts.race_seeds = raw
-                    .parse()
-                    .map_err(|_| Error::Usage(format!("--race-seeds: '{raw}' is not a number")))?;
-                opts.race = true;
-            }
             "--quick" => opts.quick = true,
             "--json" => opts.json = true,
             "--deny-warnings" => opts.deny_warnings = true,
@@ -208,7 +190,7 @@ fn parse_args() -> Result<Option<Options>> {
                             None => String::new(),
                         };
                         return Err(Error::Usage(format!(
-                            "unknown rule code '{code}' (codes are P/C/R/E/M/T/S/X/F/Dxxx; \
+                            "unknown rule code '{code}' (codes are P/C/R/E/M/T/S/F/Dxxx; \
                              see DESIGN.md){hint}"
                         )));
                     }
@@ -226,7 +208,6 @@ fn parse_args() -> Result<Option<Options>> {
     let selected_any = opts.profiles
         || opts.config
         || opts.metrics
-        || opts.race
         || opts.cache_dir.is_some()
         || opts.simpoint_dir.is_some()
         || opts.runs_dir.is_some()
@@ -285,12 +266,6 @@ fn run(opts: &Options) -> Result<Report> {
         let snapshot = simmetrics::snapshot();
         eprintln!("linted {} registered metric series", snapshot.series.len());
         report.merge(simmetrics::lint::check_snapshot(&snapshot));
-    }
-
-    if opts.race {
-        let (explored, race_report) = lint::check_race(opts.race_seeds);
-        eprintln!("explored {explored} scheduler schedules for races and deadlocks");
-        report.merge(race_report);
     }
 
     if let Some(dir) = &opts.cache_dir {
@@ -390,14 +365,14 @@ fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "usage: lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR] \
-         [--simpoint] [--simpoint-dir DIR] [--race] [--race-seeds N] \
+         [--simpoint] [--simpoint-dir DIR] \
          [--dash] [--runs-dir DIR] \
          [--events FILE]... [--trace FILE]... [--prof FILE]... [--quick] [--json] \
          [--deny-warnings] [--explain CODE]"
     );
     println!(
-        "  --all            lint shipped rosters + config + metric registry + scheduler \
-         race check (+ results/cache, results/simpoints, results/traces, \
+        "  --all            lint shipped rosters + config + metric registry \
+         (+ results/cache, results/simpoints, results/traces, \
          results/profiles, and results/runs if present)"
     );
     println!("  --profiles       lint the CPU2017 and CPU2006 behavior profiles (P-rules)");
@@ -406,8 +381,6 @@ fn print_usage() {
     println!("  --cache-dir DIR  audit every cached record in DIR (R-rules)");
     println!("  --simpoint       audit simpoint records under results/simpoints (S-rules)");
     println!("  --simpoint-dir DIR  audit simpoint records in DIR (S-rules)");
-    println!("  --race           explore scheduler schedules for races and deadlocks (X-rules)");
-    println!("  --race-seeds N   schedules per model shape for --race (default 16)");
     println!("  --dash           audit run manifests under results/runs (D-rules)");
     println!("  --runs-dir DIR   audit run manifests in DIR (D-rules)");
     println!("  --events FILE    audit a perfmon JSONL stream (E-rules; repeatable)");

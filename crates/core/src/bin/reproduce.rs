@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [--quick] [--markdown] [--results DIR]
 //!           [--no-cache] [--cache-dir DIR]
-//!           [--timeline] [--simpoint] [--events FILE] [--trace] [--race]
+//!           [--timeline] [--simpoint] [--events FILE] [--trace]
 //!           [--profile] [--profile-interval N]
 //!           [table1 .. fig10]
 //! ```
@@ -31,19 +31,15 @@
 //! `--events FILE`, one perfmon JSONL span record each. `--trace` also
 //! exports the tree as Perfetto-loadable Chrome Trace Event JSON plus the
 //! compact binary format under `<results>/traces/` (feed either to
-//! `trace-report`). `--race` records synchronization events from the
-//! scheduler, the store's index shards, and the metrics registry, and at
-//! the end of the run audits them with the vector-clock happens-before
-//! checker (`X`-rules; any finding exits nonzero). `--profile` records an
-//! op-clocked statistical profile of the whole run — engine samples fold
-//! under the pipeline stage and scheduler job frames — and writes the
-//! `.prof` artifact, folded stacks, and a flamegraph SVG under
-//! `<results>/profiles/` (feed the `.prof` to `prof-report`; profiled runs
-//! bypass the result cache so there is always engine work to sample).
-//! Process metrics are always on: a snapshot lands in
-//! `<results>/metrics.json` when the run ends, and a panic dumps the flight
-//! recorder's last events to `<results>/flight-recorder.json`. Any pipeline error renders on stderr
-//! and exits nonzero.
+//! `trace-report`). `--profile` records an op-clocked statistical profile
+//! of the whole run — engine samples fold under the pipeline stage and
+//! scheduler job frames — and writes the `.prof` artifact, folded stacks,
+//! and a flamegraph SVG under `<results>/profiles/` (feed the `.prof` to
+//! `prof-report`; profiled runs bypass the result cache so there is always
+//! engine work to sample). Process metrics are always on: a snapshot lands
+//! in `<results>/metrics.json` when the run ends, and a panic dumps the
+//! flight recorder's last events to `<results>/flight-recorder.json`. Any
+//! pipeline error renders on stderr and exits nonzero.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -383,7 +379,7 @@ fn print_usage() {
     println!(
         "usage: reproduce [--quick] [--markdown] [--results DIR] \
          [--no-cache] [--cache-dir DIR] [--lint] [--deny-warnings] \
-         [--timeline] [--simpoint] [--events FILE] [--trace] [--race] \
+         [--timeline] [--simpoint] [--events FILE] [--trace] \
          [--profile] [--profile-interval N] [table1..table10 fig1..fig10]"
     );
     print!("{}", PipelineFlags::usage_lines());

@@ -10,7 +10,7 @@
 //! - [`PipelineFlags`]: the observability/caching flag block the two
 //!   campaign binaries share (`--results`, `--cache-dir`, `--no-cache`,
 //!   `--lint`, `--deny-warnings`, `--timeline`, `--simpoint`, `--trace`,
-//!   `--race`, `--profile`, `--profile-interval`, `--events`), parsed by a
+//!   `--profile`, `--profile-interval`, `--events`), parsed by a
 //!   single `accept` call so the binaries cannot drift apart flag by flag.
 
 use std::path::PathBuf;
@@ -89,8 +89,6 @@ pub struct PipelineFlags {
     pub simpoint: bool,
     /// Export the run's span trace as trace files (`--trace`).
     pub trace: bool,
-    /// Record sync events and audit the run for data races (`--race`).
-    pub race: bool,
     /// Record an op-clocked statistical profile of the run (`--profile`).
     pub profile: bool,
     /// Profile sampling interval in engine ops (`--profile-interval N`).
@@ -111,7 +109,6 @@ impl Default for PipelineFlags {
             timeline: false,
             simpoint: false,
             trace: false,
-            race: false,
             profile: false,
             profile_interval: simprof::DEFAULT_INTERVAL,
             events: None,
@@ -138,7 +135,6 @@ impl PipelineFlags {
             "--timeline" => self.timeline = true,
             "--simpoint" => self.simpoint = true,
             "--trace" => self.trace = true,
-            "--race" => self.race = true,
             "--profile" => self.profile = true,
             "--profile-interval" => {
                 self.profile = true;
@@ -162,7 +158,6 @@ impl PipelineFlags {
             (self.timeline, "timeline"),
             (self.simpoint, "simpoint"),
             (self.trace, "trace"),
-            (self.race, "race"),
             (self.profile, "profile"),
             (self.events.is_some(), "events"),
         ] {
@@ -191,7 +186,6 @@ impl PipelineFlags {
             "  --simpoint       run the representative-interval campaign (records under results/simpoints)\n",
             "  --events FILE    write one perfmon JSONL span record per top-level stage to FILE\n",
             "  --trace          export the run's span trace under results/traces/ (Perfetto JSON + binary)\n",
-            "  --race           record sync events and audit the run for data races (X-rules)\n",
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",
             "  --profile-interval N  ops per profile sample (default 10000; implies --profile)\n",
@@ -244,7 +238,7 @@ mod tests {
         assert_eq!(flags.results_dir, PathBuf::from("out"));
         assert_eq!(flags.cache_dir, PathBuf::from("results/cache"));
         assert!(flags.no_cache && flags.timeline);
-        assert!(!flags.lint && !flags.trace && !flags.simpoint && !flags.race && !flags.profile);
+        assert!(!flags.lint && !flags.trace && !flags.simpoint && !flags.profile);
         assert_eq!(
             flags.events.as_deref(),
             Some(std::path::Path::new("ev.jsonl"))

@@ -339,51 +339,6 @@ pub fn check_campaign(rosters: &[&[AppProfile]], config: &RunConfig) -> Report {
     report
 }
 
-/// The scheduler-shape roster explored by [`check_race`]: `(workers, jobs,
-/// failing job indices)`. Covers the serial path, the jobs-shorter-than-pool
-/// path, a contended batch, and the panic/failure-list protocol.
-const RACE_SHAPES: &[(usize, usize, &[usize])] =
-    &[(4, 16, &[]), (1, 4, &[]), (4, 2, &[]), (3, 12, &[0, 5, 10])];
-
-/// Explores the scheduler's job/slot/failure synchronization protocol for
-/// concurrency bugs (`X`-rules): every shape in the model roster is replayed
-/// through the deterministic `simrace` shuffle harness under `seeds`
-/// schedules each (vector-clock happens-before audit per schedule, deadlock
-/// detection when no thread can step), and one *live* instrumented
-/// [`Scheduler`](simstore::Scheduler) batch is audited with the same
-/// checker. Returns the number of schedules explored and the merged report;
-/// a clean protocol yields an empty report for every seed.
-pub fn check_race(seeds: u64) -> (usize, Report) {
-    let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
-    let mut report = Report::new();
-    let mut explored = 0usize;
-    for &(workers, jobs, failing) in RACE_SHAPES {
-        let suffix = if failing.is_empty() { "" } else { "-failing" };
-        let object = format!("race/model/scheduler-{workers}x{jobs}{suffix}");
-        let threads = simrace::scenarios::scheduler_model(workers, jobs, failing);
-        report.merge(simrace::scenarios::check_model(
-            &object, &threads, &seed_list,
-        ));
-        explored += seed_list.len();
-    }
-    // One real batch through the instrumented scheduler, audited by the
-    // same vector-clock checker the models use. The guard serializes with
-    // any concurrently running simrace tests and leaves the hooks disabled.
-    {
-        let _guard = simrace::test_support::enabled();
-        let sched = simstore::Scheduler::new(4);
-        let run = sched.run(32, |i| format!("job-{i}"), |i| i * i, |_| {});
-        debug_assert!(run.failures.is_empty());
-        let events = simrace::drain();
-        report.merge(simrace::checker::check_events(
-            "race/live/scheduler",
-            &events,
-        ));
-        explored += 1;
-    }
-    (explored, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

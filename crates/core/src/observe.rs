@@ -132,8 +132,8 @@ impl Drop for Stage {
 
 /// One run of a pipeline binary: process metrics (always on), its
 /// manifest, its run-root span (open for the whole run, with span
-/// recording always on), and the optional race recording and profile root
-/// frame the flags ask for.
+/// recording always on), and the optional profile root frame the flags
+/// ask for.
 pub struct Run<'a> {
     name: &'static str,
     flags: &'a PipelineFlags,
@@ -170,12 +170,6 @@ impl<'a> Run<'a> {
         simtrace::enable();
         let mut root = simtrace::root(&format!("run/{name}"));
         root.arg("run_id", manifest.run_id());
-        // Race auditing records every sync event for the whole run; the
-        // happens-before check happens once at the end, after all stages.
-        if flags.race {
-            simrace::enable();
-            eprintln!("race auditing on: recording sync events for a happens-before check");
-        }
         let prof_root = flags.profile.then(|| {
             simprof::enable_with_interval(flags.profile_interval);
             eprintln!(
@@ -223,14 +217,12 @@ impl<'a> Run<'a> {
 
     /// Ends a successful run: writes the final metric snapshot, exports
     /// the trace (`--trace`) and profile (`--profile`) artifacts, writes
-    /// the events file (`--events`), audits recorded sync events
-    /// (`--race`), writes the manifest, and prints the stage table to
-    /// stderr.
+    /// the events file (`--events`), writes the manifest, and prints the
+    /// stage table to stderr.
     ///
     /// # Errors
     ///
-    /// Any error writing an artifact other than the metric snapshot, or
-    /// the race report when it fails.
+    /// Any error writing an artifact other than the metric snapshot.
     pub fn finish(mut self) -> Result<()> {
         let results = &self.flags.results_dir;
         // The registry's one sink: every series, read once as the run
@@ -276,22 +268,6 @@ impl<'a> Run<'a> {
                 paths.prof.display(),
                 paths.svg.display()
             );
-        }
-        if self.flags.race {
-            simrace::disable();
-            let events = simrace::drain();
-            let report = simrace::checker::check_events(&format!("run/{}", self.name), &events);
-            eprintln!(
-                "race audit: {} sync events — {}",
-                events.len(),
-                report.summary()
-            );
-            if !report.is_empty() {
-                eprint!("{}", report.to_table());
-            }
-            if report.failed(self.flags.deny_warnings) {
-                return Err(report.into());
-            }
         }
         let run_id = self.manifest.run_id().to_string();
         let manifest_path = self.manifest.write(results)?;

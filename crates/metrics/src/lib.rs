@@ -243,20 +243,11 @@ impl Registry {
                     .all(|((k, v), (wk, wv))| k == wk && v == wv)
         };
         let entries = poison_ok(self.entries.read());
-        let hook = simrace::shared_held(|| "metrics/registry".to_string());
-        if simrace::is_enabled() {
-            simrace::read("metrics/registry");
-        }
         if let Some(e) = entries.iter().find(|e| matches(e)) {
             return clone_handle(&e.handle);
         }
-        drop(hook);
         drop(entries);
         let mut entries = poison_ok(self.entries.write());
-        let _hook = simrace::exclusive_held(|| "metrics/registry".to_string());
-        if simrace::is_enabled() {
-            simrace::write("metrics/registry");
-        }
         // Re-check under the write lock: another thread may have raced us.
         if let Some(e) = entries.iter().find(|e| matches(e)) {
             return clone_handle(&e.handle);
@@ -279,10 +270,6 @@ impl Registry {
     /// snapshot output.
     pub fn snapshot(&self) -> Snapshot {
         let entries = poison_ok(self.entries.read());
-        let _hook = simrace::shared_held(|| "metrics/registry".to_string());
-        if simrace::is_enabled() {
-            simrace::read("metrics/registry");
-        }
         let mut series: Vec<Series> = entries
             .iter()
             .map(|e| Series {

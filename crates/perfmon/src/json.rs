@@ -308,14 +308,19 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.text.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let text = self
+        let digits = self
             .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Exactly four hex digits: `u32::from_str_radix` would also take a
+        // leading `+`.
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let v = digits
+            .iter()
+            .fold(0, |v, &d| v << 4 | char::from(d).to_digit(16).unwrap_or(0));
         self.pos += 4;
         Ok(v)
     }
@@ -412,6 +417,15 @@ mod tests {
             parse(r#""é\/\b€\f\ud83d\ude00日""#).unwrap().as_str(),
             Some("é/\u{8}€\u{c}😀日")
         );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""a\u+041b""#, r#""\u-041""#, r#""\u004""#, r#""\u00g1""#] {
+            let err: ParseError = parse(bad).unwrap_err();
+            assert!(err.message.contains("\\u escape"), "{bad}: {err}");
+        }
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
     }
 
     #[test]

@@ -40,74 +40,30 @@ fn shard_of(key: Key) -> usize {
 
 type Index = HashMap<Key, ()>;
 
-/// A read-locked shard plus its simrace held-lock witness. The witness is
-/// declared first so it drops before the guard: the recorded release event
-/// always precedes the real unlock.
-struct ReadShard<'a> {
-    _hook: simrace::HeldLock,
-    guard: RwLockReadGuard<'a, Index>,
-}
-
-impl std::ops::Deref for ReadShard<'_> {
-    type Target = Index;
-    fn deref(&self) -> &Index {
-        &self.guard
-    }
-}
-
-/// A write-locked shard plus its simrace witness (see [`ReadShard`]).
-struct WriteShard<'a> {
-    _hook: simrace::HeldLock,
-    guard: RwLockWriteGuard<'a, Index>,
-}
-
-impl std::ops::Deref for WriteShard<'_> {
-    type Target = Index;
-    fn deref(&self) -> &Index {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for WriteShard<'_> {
-    fn deref_mut(&mut self) -> &mut Index {
-        &mut self.guard
-    }
-}
-
-/// Read-locks shard `n`, counting a contention event when the lock was
-/// already held (the `simstore_index_contention_total` metric). `None`
+/// Read-locks one index shard, counting a contention event when the lock
+/// was already held (the `simstore_index_contention_total` metric). `None`
 /// only on poisoning, which callers treat as an empty index.
-fn read_shard(shard: &RwLock<Index>, n: usize) -> Option<ReadShard<'_>> {
-    let guard = match shard.try_read() {
+fn read_shard(shard: &RwLock<Index>) -> Option<RwLockReadGuard<'_, Index>> {
+    match shard.try_read() {
         Ok(guard) => Some(guard),
         Err(TryLockError::WouldBlock) => {
             metrics::index_contention().inc();
             shard.read().ok()
         }
         Err(TryLockError::Poisoned(_)) => None,
-    }?;
-    let hook = simrace::shared_held(|| format!("store/index-shard:{n}"));
-    if simrace::is_enabled() {
-        simrace::read(&format!("store/index-shard:{n}"));
     }
-    Some(ReadShard { _hook: hook, guard })
 }
 
-/// Write-locks shard `n`, counting contention like [`read_shard`].
-fn write_shard(shard: &RwLock<Index>, n: usize) -> Option<WriteShard<'_>> {
-    let guard = match shard.try_write() {
+/// Write-locks one index shard, counting contention like [`read_shard`].
+fn write_shard(shard: &RwLock<Index>) -> Option<RwLockWriteGuard<'_, Index>> {
+    match shard.try_write() {
         Ok(guard) => Some(guard),
         Err(TryLockError::WouldBlock) => {
             metrics::index_contention().inc();
             shard.write().ok()
         }
         Err(TryLockError::Poisoned(_)) => None,
-    }?;
-    let hook = simrace::exclusive_held(|| format!("store/index-shard:{n}"));
-    if simrace::is_enabled() {
-        simrace::write(&format!("store/index-shard:{n}"));
     }
-    Some(WriteShard { _hook: hook, guard })
 }
 
 /// A persistent, concurrently readable content-addressed record store.
@@ -175,8 +131,7 @@ impl Store {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .enumerate()
-            .map(|(n, s)| read_shard(s, n).map(|m| m.len()).unwrap_or(0))
+            .map(|s| read_shard(s).map(|m| m.len()).unwrap_or(0))
             .sum()
     }
 
@@ -190,8 +145,8 @@ impl Store {
     /// knowing which pairs produced them.
     pub fn keys(&self) -> Vec<Key> {
         let mut keys = Vec::with_capacity(self.len());
-        for (n, shard) in self.shards.iter().enumerate() {
-            if let Some(index) = read_shard(shard, n) {
+        for shard in &self.shards {
+            if let Some(index) = read_shard(shard) {
                 keys.extend(index.keys().copied());
             }
         }
@@ -200,8 +155,7 @@ impl Store {
 
     /// True when `key` is indexed (cheap: no file I/O).
     pub fn contains(&self, key: Key) -> bool {
-        let n = shard_of(key);
-        read_shard(&self.shards[n], n)
+        read_shard(&self.shards[shard_of(key)])
             .map(|m| m.contains_key(&key))
             .unwrap_or(false)
     }
@@ -254,16 +208,14 @@ impl Store {
         ));
         fs::write(&tmp, wrap_envelope(key, payload))?;
         fs::rename(&tmp, &final_path)?;
-        let n = shard_of(key);
-        if let Some(mut index) = write_shard(&self.shards[n], n) {
+        if let Some(mut index) = write_shard(&self.shards[shard_of(key)]) {
             index.insert(key, ());
         }
         Ok(())
     }
 
     fn evict(&self, key: Key) {
-        let n = shard_of(key);
-        if let Some(mut index) = write_shard(&self.shards[n], n) {
+        if let Some(mut index) = write_shard(&self.shards[shard_of(key)]) {
             index.remove(&key);
         }
     }

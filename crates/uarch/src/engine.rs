@@ -1449,12 +1449,24 @@ mod tests {
     fn profile_samples_cover_the_run() {
         let interval = 1_000u64;
         let n = 30_000u64;
-        let profile = {
+        // The profiler is process-global: another test's engine run may be
+        // sampled into the same drain. Only samples under this test's own
+        // root frame count.
+        let root = "test/profile_samples_cover_the_run";
+        let mut profile = {
             let _prof = simprof::test_support::enabled(interval);
+            let _root = simprof::frame(root);
             let mut e = engine();
             e.execute(from_iter(phased_ops(n)), &ExecPlan::new().warmup(5_000));
             simprof::drain()
         };
+        profile.samples = (profile.samples.iter().copied())
+            .filter(|s| {
+                profile
+                    .stack_names(s)
+                    .is_some_and(|f| f.first() == Some(&root))
+            })
+            .collect();
         // One sample per interval, each carrying the interval's weight.
         assert_eq!(profile.total_weight(), (n / interval) * interval);
         assert_eq!(profile.samples.len(), (n / interval) as usize);

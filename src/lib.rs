@@ -7,7 +7,6 @@
 //! - [`uarch_sim`] — cache / branch-predictor / pipeline simulator with perf-style counters.
 //! - [`stat_analysis`] — PCA, hierarchical clustering, Pareto analysis.
 //! - [`simstore`] — content-addressed result store + fault-tolerant scheduler.
-//! - [`simrace`] — happens-before race checker and schedule-exploration harness.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
 //! - [`perfmon`] — the JSONL run-event schema, its validator, and the JSON codec.
 //! - [`simmetrics`] — process-wide metrics registry, its `metrics.json` snapshot, and flight recorder.
@@ -22,7 +21,6 @@ pub use simdash;
 pub use simmetrics;
 pub use simpoint;
 pub use simprof;
-pub use simrace;
 pub use simreport;
 pub use simstore;
 pub use simtrace;
