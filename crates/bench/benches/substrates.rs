@@ -94,7 +94,7 @@ fn bench_engine(r: &mut Runner) {
         black_box(engine.execute(gen, &ExecPlan::new()))
     });
     // Paired with engine_run_100k above: the ratio of the two medians is the
-    // interval-sampling overhead the perfmon design budgets at <5%.
+    // interval-sampling overhead the observability design budgets at <5%.
     let sampled = ExecPlan::new().sampler(SamplerConfig::every(10_000));
     bench_paired(r, anchor, "engine_run_100k_sampled_10k", || {
         let gen =

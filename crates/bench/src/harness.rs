@@ -8,6 +8,7 @@
 //! batches, and honours a substring filter passed on the command line
 //! (`cargo bench --bench substrates -- cache`).
 
+use std::fmt::Write as _;
 use std::hint::black_box as std_black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -279,7 +280,7 @@ impl ResultEntry {
 
 /// Parses a `BENCH_results.json` file (schema 1) into its entries, in file
 /// order. Unlike the merge path, a malformed file is an error here — the
-/// regression gate (`benchcmp`) must not silently treat one as empty.
+/// regression gate (`simgate bench`) must not silently treat one as empty.
 pub fn read_results(path: &Path) -> std::io::Result<Vec<ResultEntry>> {
     let text = std::fs::read_to_string(path)?;
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
@@ -378,6 +379,85 @@ fn merge_results(path: &Path, results: &[Measurement]) -> std::io::Result<()> {
     write_results(path, &entries)
 }
 
+/// The outcome of [`compare`]: its report, which benchmarks slowed past
+/// the threshold, and which baseline entries the current run never
+/// measured.
+pub struct Comparison {
+    /// One line per benchmark, then a summary line.
+    pub report: String,
+    /// Names whose median grew by more than the threshold.
+    pub regressed: Vec<String>,
+    /// Baseline names absent from the current run.
+    pub missing: Vec<String>,
+}
+
+/// Compares `current` medians against `baseline` by name. A benchmark
+/// regresses when its median grew by more than `max_regression` (a
+/// fraction); current-only entries are reported as new and never fail.
+pub fn compare(
+    baseline: &[ResultEntry],
+    current: &[ResultEntry],
+    max_regression: f64,
+) -> Comparison {
+    let ns = |ns: u64| format_duration(Duration::from_nanos(ns));
+    let mut report = String::new();
+    let mut regressed = Vec::new();
+    let mut missing = Vec::new();
+    let mut compared = 0usize;
+    let mut improved = 0usize;
+    for cur in current {
+        let name = &cur.name;
+        let Some(base) = baseline.iter().find(|e| &e.name == name) else {
+            let _ = writeln!(
+                report,
+                "{name:<55} (new)            {:>12}",
+                ns(cur.median_ns)
+            );
+            continue;
+        };
+        compared += 1;
+        let ratio = cur.median_ns as f64 / base.median_ns.max(1) as f64;
+        let verdict = if ratio > 1.0 + max_regression {
+            regressed.push(name.clone());
+            "REGRESSED"
+        } else {
+            if ratio < 1.0 {
+                improved += 1;
+            }
+            "ok"
+        };
+        let _ = writeln!(
+            report,
+            "{name:<55} {:>12} -> {:>12}  {ratio:>5.2}x  {verdict}",
+            ns(base.median_ns),
+            ns(cur.median_ns),
+        );
+    }
+    for base in baseline {
+        if !current.iter().any(|e| e.name == base.name) {
+            let _ = writeln!(
+                report,
+                "{:<55} {:>12} ->      MISSING from current",
+                base.name,
+                ns(base.median_ns)
+            );
+            missing.push(base.name.clone());
+        }
+    }
+    let _ = writeln!(
+        report,
+        "{compared} compared, {improved} improved, {} regressed (> +{:.0}%), {} missing",
+        regressed.len(),
+        max_regression * 100.0,
+        missing.len()
+    );
+    Comparison {
+        report,
+        regressed,
+        missing,
+    }
+}
+
 fn format_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
     if nanos >= 1_000_000_000 {
@@ -394,6 +474,41 @@ fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entries(list: &[(&str, u64)]) -> Vec<ResultEntry> {
+        list.iter()
+            .map(|(n, ns)| ResultEntry::new(*n, *ns, 10))
+            .collect()
+    }
+
+    #[test]
+    fn within_threshold_passes() {
+        let base = entries(&[("a", 1000), ("b", 2000)]);
+        let cur = entries(&[("a", 1050), ("b", 1500)]);
+        let outcome = compare(&base, &cur, 0.10);
+        assert!(outcome.regressed.is_empty() && outcome.missing.is_empty());
+    }
+
+    #[test]
+    fn slowdown_beyond_threshold_is_reported() {
+        let base = entries(&[("a", 1000), ("b", 2000)]);
+        let cur = entries(&[("a", 1200), ("b", 2000)]);
+        let outcome = compare(&base, &cur, 0.10);
+        assert_eq!(outcome.regressed, vec!["a".to_string()]);
+        assert!(outcome.report.contains("REGRESSED"), "{}", outcome.report);
+    }
+
+    #[test]
+    fn new_benchmarks_are_not_regressions_but_missing_are_flagged() {
+        let base = entries(&[("gone", 1000)]);
+        let cur = entries(&[("fresh", 999_999)]);
+        let outcome = compare(&base, &cur, 0.10);
+        assert!(
+            outcome.regressed.is_empty(),
+            "one-sided entries never regress"
+        );
+        assert_eq!(outcome.missing, vec!["gone".to_string()]);
+    }
 
     fn quick_runner(filter: Option<String>) -> Runner {
         let mut r = Runner::new("test", filter);

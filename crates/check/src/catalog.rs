@@ -15,8 +15,6 @@ pub enum Family {
     Config,
     /// `R…` — cached-result and timeline counter identities (workchar).
     Result,
-    /// `E…` — perfmon JSONL event-stream schema (perfmon).
-    Events,
     /// `M…` — metric registry hygiene (simmetrics).
     Metrics,
     /// `T…` — collected causal-trace integrity (simtrace).
@@ -36,7 +34,6 @@ impl Family {
             Family::Profile => "profile",
             Family::Config => "config",
             Family::Result => "result",
-            Family::Events => "events",
             Family::Metrics => "metrics",
             Family::Trace => "trace",
             Family::Simpoint => "simpoint",
@@ -357,63 +354,6 @@ pub mod codes {
          CharRecord encoding — typically a schema-version mismatch from \
          an older binary. Re-run to repopulate.");
 
-    // ----------------------------------------------------------------- E: events
-
-    rule!(pub E001, "E001", "json-parse", Error, Events,
-        "line is not valid JSON",
-        "Every perfmon event line must parse as a JSON document; a parse \
-         failure means a torn write or interleaved writer.");
-    rule!(pub E002, "E002", "not-object", Error, Events,
-        "event line is not a JSON object",
-        "Events are objects with schema/kind/name members; arrays or \
-         bare scalars cannot carry the schema.");
-    rule!(pub E003, "E003", "schema-missing", Error, Events,
-        "event is missing a numeric 'schema' field",
-        "The version discriminator must be present and numeric so \
-         readers can dispatch on it.");
-    rule!(pub E004, "E004", "schema-version", Error, Events,
-        "event declares an unsupported schema version",
-        "This validator understands schema 1 only; other versions need a \
-         matching reader.");
-    rule!(pub E005, "E005", "name-kind", Error, Events,
-        "event 'kind' or 'name' is missing or not a string",
-        "kind and name identify what was measured; both must be \
-         non-empty strings.");
-    rule!(pub E006, "E006", "wall-ms", Error, Events,
-        "span wall_ms is missing, negative, or NaN",
-        "Span events carry elapsed wall time; a negative or NaN duration \
-         cannot be aggregated into the stage summary table.");
-    rule!(pub E007, "E007", "kind-unknown", Error, Events,
-        "event kind is not recognized",
-        "Schema 1 defines 'span' and 'event' kinds; anything else is a \
-         producer bug or version skew.");
-    rule!(pub E008, "E008", "mem-hwm", Error, Events,
-        "mem_hwm_bytes is not a non-negative whole number",
-        "Peak RSS comes from /proc VmHWM in whole bytes; fractional or \
-         negative values indicate unit confusion.");
-    rule!(pub E009, "E009", "fields-object", Error, Events,
-        "event 'fields' member is not an object",
-        "Typed key/value payloads must be a JSON object mapping field \
-         names to values.");
-    rule!(pub E010, "E010", "empty-stream", Error, Events,
-        "event stream contains no records",
-        "An empty or all-blank JSONL file means instrumentation never \
-         ran or the sink path was wrong; auditing it would vacuously \
-         pass. The validator fails instead of reporting 0 clean events.");
-    rule!(pub E011, "E011", "truncated-line", Error, Events,
-        "final event line is truncated (no trailing newline)",
-        "JSONL appenders terminate every record with a newline; a \
-         missing final newline means the last write was cut off \
-         mid-record and later appends would corrupt it.");
-
-    rule!(pub E012, "E012", "schema-too-new", Error, Events,
-        "event declares a schema version newer than this reader supports",
-        "A version above the reader's maximum means the file was written \
-         by a newer binary: the stream may carry kinds and members this \
-         validator has never heard of, so 'clean' would be meaningless. \
-         Distinct from E004 (a version the producer never emitted) so \
-         tooling can say 'upgrade the reader' instead of 'corrupt file'.");
-
     // ---------------------------------------------------------------- M: metrics
 
     rule!(pub M001, "M001", "metric-name-charset", Error, Metrics,
@@ -601,7 +541,7 @@ pub mod codes {
          toolchain, or upgrade the linter.");
     rule!(pub D003, "D003", "dangling-artifact-pointer", Error, Dash,
         "every artifact a manifest points at must exist on disk",
-        "Manifests carry typed pointers (events, traces, profiles, \
+        "Manifests carry typed pointers (traces, profiles, \
          timelines, simpoints, metrics, records) relative to the results \
          directory, and the dashboard joins across them by pointer — \
          never by filename guessing. A pointer whose target is missing \
@@ -613,7 +553,7 @@ pub mod codes {
         "The 128-bit run id is the primary key every other layer joins \
          on (trace root arg, dashboard file name, diff gate identity). \
          Two manifests sharing an id means a manifest was copied by hand \
-         or the id inputs lost their entropy — `dash-report RUN_ID` and \
+         or the id inputs lost their entropy — `simgate dash --run ID` and \
          the baseline gate would pick one of the two arbitrarily.");
     rule!(pub D005, "D005", "non-monotonic-run-time", Error, Dash,
         "a manifest's end time must not precede its start time",
@@ -674,18 +614,6 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::R015,
     &codes::R020,
     &codes::R021,
-    &codes::E001,
-    &codes::E002,
-    &codes::E003,
-    &codes::E004,
-    &codes::E005,
-    &codes::E006,
-    &codes::E007,
-    &codes::E008,
-    &codes::E009,
-    &codes::E010,
-    &codes::E011,
-    &codes::E012,
     &codes::M001,
     &codes::M002,
     &codes::M003,
@@ -779,7 +707,6 @@ mod tests {
                 Family::Profile => 'P',
                 Family::Config => 'C',
                 Family::Result => 'R',
-                Family::Events => 'E',
                 Family::Metrics => 'M',
                 Family::Trace => 'T',
                 Family::Simpoint => 'S',

@@ -45,7 +45,7 @@ impl fmt::Display for Severity {
 ///
 /// Objects are free-form pipeline identities: a pair id
 /// (`"505.mcf_r/ref/in1"`), a config path (`"haswell.l3"`), a cache key, or
-/// an events-file line (`"events.jsonl:17"`).
+/// a file line (`"reproduce.prof:17"`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Span {
     /// The offending object's identity.

@@ -148,8 +148,8 @@ mod tests {
     fn json_escapes_and_counts() {
         let mut r = Report::new();
         r.push(Diagnostic::new(
-            &codes::E001,
-            Span::object("events.jsonl:3"),
+            &codes::F001,
+            Span::object("reproduce.prof:3"),
             "unexpected byte '\"' in \\path\n",
         ));
         let j = json(&r);

@@ -4,8 +4,7 @@
 //! ```text
 //! extensions [--results DIR] [--no-cache] [--cache-dir DIR]
 //!            [--lint] [--deny-warnings] [--timeline] [--simpoint]
-//!            [--events FILE] [--trace] [--profile]
-//!            [--profile-interval N]
+//!            [--trace] [--profile] [--profile-interval N]
 //! ```
 //!
 //! `--lint` statically checks the rate-suite profiles and the system
@@ -14,7 +13,7 @@
 //!
 //! `--simpoint` additionally runs the representative-interval campaign over
 //! the rate-suite ref pairs, persisting per-pair speedup-vs-error records
-//! content-addressed under `<results>/simpoints/` (see `simpoint-report`).
+//! content-addressed under `<results>/simpoints/` (see `simgate simpoint`).
 //!
 //! Characterization-backed tables share the `reproduce` binary's result
 //! cache (default `results/cache`): the rate-suite records feeding the
@@ -27,9 +26,9 @@
 //! timelines for the rate-suite characterization (artifacts under
 //! `<results>/timelines/`). Every run records its stages as spans under one
 //! run root; at the end of the run the root's children become the
-//! per-stage summary table on stderr and, with `--events FILE`, perfmon
-//! JSONL. `--trace` also exports the span tree under `<results>/traces/`
-//! (Perfetto-loadable JSON plus the binary format `trace-report` reads),
+//! per-stage summary table on stderr. `--trace` also exports the span tree
+//! under `<results>/traces/` (Perfetto-loadable JSON plus the binary
+//! format `simgate trace` reads),
 //! `--profile` records an op-clocked statistical profile (artifacts under
 //! `<results>/profiles/`, cache bypassed so engine work exists to sample).
 //! Process metrics are always on — a snapshot lands in
@@ -66,7 +65,7 @@ fn parse_args() -> Result<PipelineFlags> {
                 println!(
                     "usage: extensions [--results DIR] [--no-cache] [--cache-dir DIR] \
                      [--lint] [--deny-warnings] [--timeline] [--simpoint] \
-                     [--events FILE] [--trace] [--profile] \
+                     [--trace] [--profile] \
                      [--profile-interval N]"
                 );
                 print!("{}", PipelineFlags::usage_lines());
@@ -144,9 +143,9 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
     {
         Ok(records) => records,
         Err(e) => {
-            // Even a failed campaign leaves a manifest and the events file
-            // with the per-pair failure details the --diff gate and the
-            // dashboard explain.
+            // Even a failed campaign leaves a manifest with the per-pair
+            // failure details the --diff gate and the dashboard explain,
+            // and prints its stage table.
             drop(stage);
             return Err(run.fail(e));
         }

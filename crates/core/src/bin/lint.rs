@@ -1,10 +1,10 @@
 //! Static model analysis: lints profiles, configs, cached results, and
-//! events files without running any simulation.
+//! run artifacts without running any simulation.
 //!
 //! ```text
 //! lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR]
 //!      [--simpoint] [--simpoint-dir DIR] [--dash] [--runs-dir DIR]
-//!      [--events FILE]... [--trace FILE]... [--prof FILE]... [--quick]
+//!      [--trace FILE]... [--prof FILE]... [--quick]
 //!      [--json] [--deny-warnings] [--explain CODE]
 //! ```
 //!
@@ -18,12 +18,12 @@
 //! Individual passes can be selected with `--profiles`, `--config`,
 //! `--metrics`, `--cache-dir DIR`, `--simpoint` (default store location) /
 //! `--simpoint-dir DIR`, `--dash` (default manifest location) /
-//! `--runs-dir DIR`, `--events FILE` (repeatable), `--trace FILE`
+//! `--runs-dir DIR`, `--trace FILE`
 //! (repeatable; either simtrace export format), and `--prof FILE`
 //! (repeatable; simprof `.prof` artifacts).
 //!
 //! Every violation carries a stable rule code (`P...` profile, `C...`
-//! config, `R...` result, `E...` events, `M...` metrics, `T...` trace,
+//! config, `R...` result, `M...` metrics, `T...` trace,
 //! `S...` simpoint, `F...` profiler, `D...` run manifest); `--explain CODE`
 //! prints the catalog entry for one rule.
 //! Exits 0 when clean, 1 when any error (or, under `--deny-warnings`,
@@ -45,7 +45,6 @@ struct Options {
     cache_dir: Option<PathBuf>,
     simpoint_dir: Option<PathBuf>,
     runs_dir: Option<PathBuf>,
-    events: Vec<PathBuf>,
     traces: Vec<PathBuf>,
     profs: Vec<PathBuf>,
     quick: bool,
@@ -61,7 +60,6 @@ fn parse_args() -> Result<Option<Options>> {
         cache_dir: None,
         simpoint_dir: None,
         runs_dir: None,
-        events: Vec::new(),
         traces: Vec::new(),
         profs: Vec::new(),
         quick: false,
@@ -157,12 +155,6 @@ fn parse_args() -> Result<Option<Options>> {
                         Error::Usage("--runs-dir needs a directory".to_string())
                     })?));
             }
-            "--events" => {
-                opts.events
-                    .push(PathBuf::from(args.next().ok_or_else(|| {
-                        Error::Usage("--events needs a file path".to_string())
-                    })?));
-            }
             "--trace" => {
                 opts.traces
                     .push(PathBuf::from(args.next().ok_or_else(|| {
@@ -211,7 +203,6 @@ fn parse_args() -> Result<Option<Options>> {
         || opts.cache_dir.is_some()
         || opts.simpoint_dir.is_some()
         || opts.runs_dir.is_some()
-        || !opts.events.is_empty()
         || !opts.traces.is_empty()
         || !opts.profs.is_empty();
     if !selected_any {
@@ -296,18 +287,6 @@ fn run(opts: &Options) -> Result<Report> {
         report.merge(audit);
     }
 
-    for path in &opts.events {
-        let text = std::fs::read_to_string(path)?;
-        let (summary, events_report) = perfmon::check_events(&path.display().to_string(), &text);
-        eprintln!(
-            "audited {}: {} spans, {} events",
-            path.display(),
-            summary.spans,
-            summary.events
-        );
-        report.merge(events_report);
-    }
-
     for path in &opts.traces {
         let spans = simtrace::load(path)?;
         eprintln!("audited {}: {} trace spans", path.display(), spans.len());
@@ -367,7 +346,7 @@ fn print_usage() {
         "usage: lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR] \
          [--simpoint] [--simpoint-dir DIR] \
          [--dash] [--runs-dir DIR] \
-         [--events FILE]... [--trace FILE]... [--prof FILE]... [--quick] [--json] \
+         [--trace FILE]... [--prof FILE]... [--quick] [--json] \
          [--deny-warnings] [--explain CODE]"
     );
     println!(
@@ -383,7 +362,6 @@ fn print_usage() {
     println!("  --simpoint-dir DIR  audit simpoint records in DIR (S-rules)");
     println!("  --dash           audit run manifests under results/runs (D-rules)");
     println!("  --runs-dir DIR   audit run manifests in DIR (D-rules)");
-    println!("  --events FILE    audit a perfmon JSONL stream (E-rules; repeatable)");
     println!(
         "  --trace FILE     audit a simtrace artifact, .trace.json or .trace.bin \
          (T-rules; repeatable)"

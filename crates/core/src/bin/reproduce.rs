@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [--quick] [--markdown] [--results DIR]
 //!           [--no-cache] [--cache-dir DIR]
-//!           [--timeline] [--simpoint] [--events FILE] [--trace]
+//!           [--timeline] [--simpoint] [--trace]
 //!           [--profile] [--profile-interval N]
 //!           [table1 .. fig10]
 //! ```
@@ -19,23 +19,22 @@
 //! the CPU2017 ref pairs: each pair is profiled in intervals, clustered,
 //! sparsely replayed, and the per-pair speedup-vs-error record lands
 //! content-addressed under `<results>/simpoints/` (rendered by
-//! `simpoint-report`, audited by `lint --simpoint`).
+//! `simgate simpoint`, audited by `lint --simpoint`).
 //!
 //! Observability: `--timeline` records an interval-sampled counter timeline
 //! per pair (written as CSV + SVG sparkline under `<results>/timelines/`;
 //! sampled runs bypass the result cache). Every run records a causal span
 //! tree: each stage is a span under the run root, and every per-pair job
 //! nests under it across the scheduler's worker threads. At the end of the
-//! run, the root's direct children become a per-stage summary table on
-//! stderr (wall time, peak RSS, throughput, cache statistics) and, with
-//! `--events FILE`, one perfmon JSONL span record each. `--trace` also
-//! exports the tree as Perfetto-loadable Chrome Trace Event JSON plus the
-//! compact binary format under `<results>/traces/` (feed either to
-//! `trace-report`). `--profile` records an op-clocked statistical profile
+//! run, failed or not, the root's direct children become a per-stage
+//! summary table on stderr (wall time, peak RSS, throughput, cache
+//! statistics). `--trace` also exports the tree as Perfetto-loadable
+//! Chrome Trace Event JSON plus the compact binary format under
+//! `<results>/traces/` (feed either to `simgate trace`). `--profile` records an op-clocked statistical profile
 //! of the whole run — engine samples fold under the pipeline stage and
 //! scheduler job frames — and writes the `.prof` artifact, folded stacks,
 //! and a flamegraph SVG under `<results>/profiles/` (feed the `.prof` to
-//! `prof-report`; profiled runs bypass the result cache so there is always
+//! `simgate prof`; profiled runs bypass the result cache so there is always
 //! engine work to sample). Process metrics are always on: a snapshot lands
 //! in `<results>/metrics.json` when the run ends, and a panic dumps the
 //! flight recorder's last events to `<results>/flight-recorder.json`. Any
@@ -191,9 +190,10 @@ fn real_main(opts: Options) -> Result<()> {
     let data = match Dataset::collect_with(config.clone(), cache.as_ref()) {
         Ok(data) => data,
         Err(e) => {
-            // Even a failed campaign leaves a manifest and the events
-            // file: the per-pair failure details are exactly what the
-            // --diff gate and the dashboard need to explain a regression.
+            // Even a failed campaign leaves a manifest and prints its
+            // stage table: the per-pair failure details are exactly what
+            // the --diff gate and the dashboard need to explain a
+            // regression.
             drop(stage);
             return Err(run.fail(e));
         }
@@ -379,7 +379,7 @@ fn print_usage() {
     println!(
         "usage: reproduce [--quick] [--markdown] [--results DIR] \
          [--no-cache] [--cache-dir DIR] [--lint] [--deny-warnings] \
-         [--timeline] [--simpoint] [--events FILE] [--trace] \
+         [--timeline] [--simpoint] [--trace] \
          [--profile] [--profile-interval N] [table1..table10 fig1..fig10]"
     );
     print!("{}", PipelineFlags::usage_lines());

@@ -1,17 +1,17 @@
-//! Shared command-line parsing for the pipeline binaries.
+//! Shared command-line parsing for the workspace binaries.
 //!
-//! `reproduce`, `extensions`, and `simpoint-report` grew three copies of
-//! the same hand-rolled flag loop (the workspace is dependency-free, so
-//! there is no clap). This module centralizes the two duplicated pieces:
+//! The workspace is dependency-free, so there is no clap. This module
+//! holds the two pieces every hand-written flag loop shares:
 //!
 //! - [`ArgStream`]: a cursor over the argument list with value-taking
 //!   helpers that produce consistent [`Error::Usage`] diagnostics
-//!   (`--flag needs a …`, `--flag: 'x' is not a number`).
+//!   (`--flag needs a …`, `--flag: 'x' is not a number`). `reproduce`,
+//!   `extensions` and every `simgate` subcommand parse with it.
 //! - [`PipelineFlags`]: the observability/caching flag block the two
 //!   campaign binaries share (`--results`, `--cache-dir`, `--no-cache`,
 //!   `--lint`, `--deny-warnings`, `--timeline`, `--simpoint`, `--trace`,
-//!   `--profile`, `--profile-interval`, `--events`), parsed by a
-//!   single `accept` call so the binaries cannot drift apart flag by flag.
+//!   `--profile`, `--profile-interval`), parsed by a single `accept` call
+//!   so the binaries cannot drift apart flag by flag.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -93,9 +93,6 @@ pub struct PipelineFlags {
     pub profile: bool,
     /// Profile sampling interval in engine ops (`--profile-interval N`).
     pub profile_interval: u64,
-    /// Write the run's top-level stages as perfmon JSONL to this file at
-    /// the end of the run (`--events FILE`).
-    pub events: Option<PathBuf>,
 }
 
 impl Default for PipelineFlags {
@@ -111,7 +108,6 @@ impl Default for PipelineFlags {
             trace: false,
             profile: false,
             profile_interval: simprof::DEFAULT_INTERVAL,
-            events: None,
         }
     }
 }
@@ -140,7 +136,6 @@ impl PipelineFlags {
                 self.profile = true;
                 self.profile_interval = args.number::<u64>(arg, "an op count")?.max(1);
             }
-            "--events" => self.events = Some(args.path(arg, "a file path")?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -159,7 +154,6 @@ impl PipelineFlags {
             (self.simpoint, "simpoint"),
             (self.trace, "trace"),
             (self.profile, "profile"),
-            (self.events.is_some(), "events"),
         ] {
             if on {
                 parts.push(name);
@@ -184,7 +178,6 @@ impl PipelineFlags {
             "  --deny-warnings  with --lint, refuse to run on warnings too\n",
             "  --timeline       sample a per-pair counter timeline (CSV + SVG under results/timelines)\n",
             "  --simpoint       run the representative-interval campaign (records under results/simpoints)\n",
-            "  --events FILE    write one perfmon JSONL span record per top-level stage to FILE\n",
             "  --trace          export the run's span trace under results/traces/ (Perfetto JSON + binary)\n",
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",
@@ -200,8 +193,8 @@ mod tests {
     #[test]
     fn value_helpers_produce_uniform_usage_errors() {
         let mut args = ArgStream::from_args(Vec::<String>::new());
-        let err = args.value("--events", "a file path").unwrap_err();
-        assert_eq!(err.to_string(), "usage: --events needs a file path");
+        let err = args.value("--out", "a file path").unwrap_err();
+        assert_eq!(err.to_string(), "usage: --out needs a file path");
         let mut args = ArgStream::from_args(["abc"]);
         let err = args
             .number::<f64>("--max-error", "a percentage")
@@ -223,8 +216,6 @@ mod tests {
             "out",
             "--no-cache",
             "--timeline",
-            "--events",
-            "ev.jsonl",
             "--serve-metrics",
             "--quick",
         ]);
@@ -239,10 +230,6 @@ mod tests {
         assert_eq!(flags.cache_dir, PathBuf::from("results/cache"));
         assert!(flags.no_cache && flags.timeline);
         assert!(!flags.lint && !flags.trace && !flags.simpoint && !flags.profile);
-        assert_eq!(
-            flags.events.as_deref(),
-            Some(std::path::Path::new("ev.jsonl"))
-        );
         assert_eq!(
             rest,
             ["--serve-metrics", "--quick"],

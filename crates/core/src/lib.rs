@@ -32,7 +32,7 @@
 //! 12. [`simpoints`] drives roster-wide `simpoint` campaigns (SimPoint-style
 //!     representative-interval simulation) behind the binaries' `--simpoint`
 //!     flag, persisting speedup-vs-error records under `results/simpoints/`;
-//!     the `simpoint-report` binary renders and gates them.
+//!     `simgate simpoint` renders and gates them.
 //!
 //! # Example
 //!

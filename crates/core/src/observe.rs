@@ -6,10 +6,9 @@
 //! frame, and, for per-pair stages, a latency histogram sample whose
 //! exemplar names the span. The `reproduce` and `extensions` binaries
 //! always record spans under one run root ([`Run`]). When the run ends,
-//! each direct child of the root becomes one row of the stderr stage
-//! table and one `kind:"span"` record of the `--events` JSONL
-//! ([`stages`], [`stage_table`], [`events_jsonl`]); `--trace` only decides
-//! whether the trace files are exported as well.
+//! whether it succeeded or failed, each direct child of the root becomes
+//! one row of the stderr stage table ([`stages`], [`stage_table`]);
+//! `--trace` only decides whether the trace files are exported as well.
 //!
 //! With interval sampling (`--timeline`), every [`CharRecord`]'s session
 //! carries a [`uarch_sim::timeline::CounterTimeline`];
@@ -20,7 +19,6 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use perfmon::json;
 use simdash::manifest::kind as artifact_kind;
 use simdash::ManifestBuilder;
 use simmetrics::Histogram;
@@ -44,8 +42,28 @@ pub fn rel_artifact(results_dir: &Path, path: &Path) -> String {
 }
 
 /// The arg a top-level stage records the process peak RSS under. The
-/// stage view lifts it into the record's `mem_hwm_bytes` member.
+/// stage table lifts it into its `peak_rss_mb` column.
 const MEM_HWM_ARG: &str = "mem_hwm_bytes";
+
+/// The process's peak resident set size in bytes, if the platform exposes
+/// it (`VmHWM` in `/proc/self/status` on Linux).
+fn mem_high_water_bytes() -> Option<u64> {
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        for line in status.lines() {
+            if let Some(rest) = line.strip_prefix("VmHWM:") {
+                let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+                return Some(kb * 1024);
+            }
+        }
+        None
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        None
+    }
+}
 
 /// One pipeline stage: a simtrace span and a simprof frame opened and
 /// closed in the same scope, so the trace, the stage view and the
@@ -112,7 +130,7 @@ impl Drop for Stage {
         match self.on_close {
             OnClose::MemHighWater => {
                 if self.span.is_recording() {
-                    if let Some(bytes) = perfmon::mem_high_water_bytes() {
+                    if let Some(bytes) = mem_high_water_bytes() {
                         self.span.arg(MEM_HWM_ARG, bytes);
                     }
                 }
@@ -160,13 +178,7 @@ impl<'a> Run<'a> {
         simmetrics::enable();
         crate::telemetry::register_pipeline_metrics();
         simmetrics::flight::install_dump(&flags.results_dir.join("flight-recorder.json"));
-        let mut manifest = ManifestBuilder::start(name, scale, config);
-        if let Some(path) = &flags.events {
-            manifest.artifact(
-                artifact_kind::EVENTS,
-                rel_artifact(&flags.results_dir, path),
-            );
-        }
+        let manifest = ManifestBuilder::start(name, scale, config);
         simtrace::enable();
         let mut root = simtrace::root(&format!("run/{name}"));
         root.arg("run_id", manifest.run_id());
@@ -197,8 +209,9 @@ impl<'a> Run<'a> {
     }
 
     /// Ends a run whose campaign failed. Records each failed pair in the
-    /// manifest, then writes the events file and the manifest, so a failed
-    /// campaign still leaves both behind. Returns `error` to propagate.
+    /// manifest, writes the manifest, and prints the stage table to stderr,
+    /// so a failed campaign still leaves both behind. Returns `error` to
+    /// propagate.
     pub fn fail(mut self, error: Error) -> Error {
         if let Error::Characterization { failures, .. } = &error {
             for f in failures {
@@ -206,19 +219,16 @@ impl<'a> Run<'a> {
             }
         }
         let spans = self.close();
-        if let Err(e) = self.write_events(&spans) {
-            eprintln!("warning: cannot write events: {e}");
-        }
         if let Err(e) = self.manifest.write(&self.flags.results_dir) {
             eprintln!("warning: cannot write run manifest: {e}");
         }
+        eprint!("{}", stage_table(&stages(&spans, self.root_id)));
         error
     }
 
     /// Ends a successful run: writes the final metric snapshot, exports
     /// the trace (`--trace`) and profile (`--profile`) artifacts, writes
-    /// the events file (`--events`), writes the manifest, and prints the
-    /// stage table to stderr.
+    /// the manifest, and prints the stage table to stderr.
     ///
     /// # Errors
     ///
@@ -243,12 +253,11 @@ impl<'a> Run<'a> {
             self.manifest
                 .artifact(artifact_kind::TRACE_BIN, rel_artifact(results, &bin_path));
             eprintln!(
-                "wrote {} trace spans to {} (load in Perfetto, or run trace-report)",
+                "wrote {} trace spans to {} (load in Perfetto, or run simgate trace)",
                 spans.len(),
                 json_path.display()
             );
         }
-        self.write_events(&spans)?;
         if let Some(frame) = self.prof_root.take() {
             drop(frame);
             simprof::disable();
@@ -262,7 +271,7 @@ impl<'a> Run<'a> {
                 self.manifest.artifact(kind, rel_artifact(results, path));
             }
             eprintln!(
-                "wrote {} profile samples ({} ops) to {} (run prof-report, or open {})",
+                "wrote {} profile samples ({} ops) to {} (run simgate prof, or open {})",
                 profile.samples.len(),
                 profile.total_weight(),
                 paths.prof.display(),
@@ -272,7 +281,7 @@ impl<'a> Run<'a> {
         let run_id = self.manifest.run_id().to_string();
         let manifest_path = self.manifest.write(results)?;
         eprintln!(
-            "run {run_id}: manifest at {} (render with dash-report)",
+            "run {run_id}: manifest at {} (render with simgate dash)",
             manifest_path.display()
         );
         eprint!("{}", stage_table(&stages(&spans, self.root_id)));
@@ -283,17 +292,6 @@ impl<'a> Run<'a> {
     fn close(&mut self) -> Vec<SpanRecord> {
         self.root.take();
         simtrace::drain()
-    }
-
-    /// Writes the `--events` file, if asked for, from the root's children.
-    fn write_events(&self, spans: &[SpanRecord]) -> std::io::Result<()> {
-        let Some(path) = &self.flags.events else {
-            return Ok(());
-        };
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, events_jsonl(&stages(spans, self.root_id)))
     }
 }
 
@@ -322,40 +320,6 @@ fn mem_hwm_bytes(span: &SpanRecord) -> Option<u64> {
         Some(ArgValue::U64(bytes)) => Some(*bytes),
         _ => None,
     }
-}
-
-/// Renders `stages` as perfmon JSONL (schema [`perfmon::SCHEMA`]): one
-/// `kind:"span"` record per stage with its name, `wall_ms` to three
-/// decimals, `mem_hwm_bytes` when recorded, and its other args as
-/// `fields` in insertion order.
-pub fn events_jsonl(stages: &[&SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in stages {
-        let _ = write!(
-            out,
-            "{{\"schema\":{},\"kind\":\"span\",\"name\":\"{}\",\"wall_ms\":{:.3}",
-            perfmon::SCHEMA,
-            json::escape(&s.name),
-            wall_ms(s)
-        );
-        if let Some(bytes) = mem_hwm_bytes(s) {
-            let _ = write!(out, ",\"mem_hwm_bytes\":{bytes}");
-        }
-        let mut fields = fields(s).peekable();
-        if fields.peek().is_some() {
-            out.push_str(",\"fields\":{");
-            for (i, (key, value)) in fields.enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":", json::escape(key));
-                simtrace::chrome::render_arg(&mut out, value);
-            }
-            out.push('}');
-        }
-        out.push_str("}\n");
-    }
-    out
 }
 
 /// Renders `stages` as the aligned end-of-run table the binaries print
@@ -524,54 +488,13 @@ mod tests {
         let stages = stages(&spans, 1);
         let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["collect-dataset", "experiment"]);
-        let jsonl = events_jsonl(&stages);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(
-            lines,
-            [
-                "{\"schema\":1,\"kind\":\"span\",\"name\":\"collect-dataset\",\
-                 \"wall_ms\":4.000,\"fields\":{\"records\":2,\"rate\":1.5,\"hit\":true}}",
-                "{\"schema\":1,\"kind\":\"span\",\"name\":\"experiment\",\"wall_ms\":0.250,\
-                 \"mem_hwm_bytes\":4194304,\"fields\":{\"id\":\"table2\",\"tables\":1}}",
-            ]
-        );
-        let (summary, report) = perfmon::check_events("events.jsonl", &jsonl);
-        assert!(report.is_empty(), "{}", report.to_table());
-        assert_eq!((summary.spans, summary.events), (2, 0));
     }
 
     #[test]
     fn stages_of_an_absent_root_are_empty() {
         assert!(stages(&run_tree(), 0).is_empty());
         assert!(stages(&run_tree(), 42).is_empty());
-        assert_eq!(events_jsonl(&[]), "");
         assert_eq!(stage_table(&[]), "");
-    }
-
-    #[test]
-    fn tricky_strings_survive_the_events_view() {
-        let spans = vec![
-            rec(1, 0, "run/test", (0, 10), vec![]),
-            rec(
-                2,
-                1,
-                "weird \"name\"\nwith\tcontrol\u{1}chars",
-                (1, 2),
-                vec![("note", "back\\slash é 😀".into())],
-            ),
-            rec(3, 1, "bare", (3, 4), vec![]),
-        ];
-        let jsonl = events_jsonl(&stages(&spans, 1));
-        assert_eq!(jsonl.lines().count(), 2, "escaped newline keeps one line");
-        assert!(
-            !jsonl.contains("\"fields\":{}"),
-            "no args, no fields member"
-        );
-        let (_, report) = perfmon::check_events("events.jsonl", &jsonl);
-        assert!(report.is_empty(), "{}", report.to_table());
-        let first = json::parse(jsonl.lines().next().unwrap()).unwrap();
-        let note = first.get("fields").and_then(|f| f.get("note"));
-        assert_eq!(note.and_then(json::Value::as_str), Some("back\\slash é 😀"));
     }
 
     #[test]
@@ -591,6 +514,13 @@ mod tests {
         assert!(rows[1].contains(" - "), "no peak RSS recorded: {}", rows[1]);
         assert!(rows[2].contains("4.0"), "4 MiB peak RSS: {}", rows[2]);
         assert!(rows[2].ends_with("id=table2 tables=1"), "{}", rows[2]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn mem_high_water_is_positive_on_linux() {
+        let hwm = mem_high_water_bytes().expect("/proc/self/status has VmHWM");
+        assert!(hwm > 0);
     }
 
     #[test]

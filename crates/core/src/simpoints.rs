@@ -9,7 +9,7 @@
 //! cache-first — a decodable stored record short-circuits the
 //! analysis — and run pairs in parallel on the panic-isolated
 //! [`Scheduler`]. The `reproduce`/`extensions` binaries drive this behind
-//! `--simpoint`; `simpoint-report` renders and gates the stored records.
+//! `--simpoint`; `simgate simpoint` renders and gates the stored records.
 
 use simpoint::{analyze, GapMode, SimpointConfig, SimpointRecord, SIMPOINT_SCHEMA_VERSION};
 use simreport::table::{num, Table};
@@ -144,7 +144,7 @@ pub fn run_roster(
     analyze_pairs(&pairs, run, sp, store)
 }
 
-/// The per-pair speedup-vs-error summary table `simpoint-report` (and the
+/// The per-pair speedup-vs-error summary table `simgate simpoint` (and the
 /// binaries' `--simpoint` sections) print.
 pub fn summary_table(records: &[SimpointRecord]) -> Table {
     let mut table = Table::new(

@@ -30,8 +30,6 @@ pub const RUNS_DIR: &str = "runs";
 /// Typed artifact pointer kinds. Free-form strings on disk; these
 /// constants are the vocabulary both binaries and all consumers use.
 pub mod kind {
-    /// Perfmon JSONL event stream.
-    pub const EVENTS: &str = "events";
     /// Chrome Trace Event JSON export.
     pub const TRACE_JSON: &str = "trace-json";
     /// Compact SIMTRC01 binary trace.

@@ -3,9 +3,9 @@
 //!
 //! The workspace builds fully offline, so rather than pulling in a JSON
 //! dependency this module implements the small subset of functionality the
-//! observability layer needs: emitting event lines (escaping only — the
-//! writers format their own objects) and parsing them back for validation
-//! and for merging `BENCH_results.json`.
+//! observability layer needs: escaping strings for the writers (which
+//! format their own objects) and parsing traces, manifests, metric
+//! snapshots and `BENCH_results.json` back.
 //!
 //! The parser runs in time linear in its input, and it refuses documents
 //! nested deeper than [`MAX_DEPTH`] containers with a [`ParseError`], so a

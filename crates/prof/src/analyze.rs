@@ -115,7 +115,7 @@ pub struct DiffReport {
     /// Per-frame rows, largest absolute delta first.
     pub rows: Vec<DiffRow>,
     /// Frame names present in the baseline but absent from the current
-    /// profile — benchcmp-style, this is a structural mismatch (exit 3)
+    /// profile — like `simgate bench`, this is a structural mismatch (exit 3)
     /// unless explicitly allowed.
     pub missing: Vec<String>,
     /// Frame names new in the current profile; informational only.

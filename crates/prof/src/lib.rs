@@ -29,7 +29,7 @@
 //!   folded-stack text) and [`flame::flamegraph_svg`] (a self-contained
 //!   SVG, no external flamegraph.pl).
 //! - [`analyze`](mod@analyze) — self/total attribution tables and the
-//!   pct+abs differential regression gate behind `prof-report --diff`.
+//!   pct+abs differential regression gate behind `simgate prof --diff`.
 //! - [`lint`](mod@lint) — the simcheck F-rule family over artifacts.
 //!
 //! Threading model: frames are per-thread context; samples recorded on a
@@ -51,8 +51,10 @@ pub mod analyze;
 pub mod flame;
 pub mod lint;
 
-/// Artifact schema version written by [`Profile::to_text`].
-pub const SCHEMA_VERSION: u32 = 1;
+/// Artifact schema version written by [`Profile::to_text`]. Version 2
+/// added the `end <sample count>` trailer, so a truncated artifact no
+/// longer parses as a shorter profile.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Default op-count sampling interval (one sample per this many ops).
 pub const DEFAULT_INTERVAL: u64 = 10_000;
@@ -386,7 +388,9 @@ impl Profile {
         out
     }
 
-    /// Serializes to the versioned line-based artifact format.
+    /// Serializes to the versioned line-based artifact format: a
+    /// `simprof <version>` header, the `interval`, `wall_ns`, `frame`,
+    /// `stack` and `sample` records, and an `end <sample count>` trailer.
     pub fn to_text(&self) -> String {
         let mut out = format!("simprof {SCHEMA_VERSION}\n");
         out.push_str(&format!("interval {}\n", self.interval));
@@ -404,13 +408,16 @@ impl Profile {
                 s.tid, s.clock, s.stack_id, s.weight
             ));
         }
+        out.push_str(&format!("end {}\n", self.samples.len()));
         out
     }
 
     /// Parses the artifact format.
     ///
     /// Structural errors (unknown record, bad field count, id gaps) fail
-    /// with [`ParseError::Malformed`]; a header version above
+    /// with [`ParseError::Malformed`], and so does a truncated artifact: the
+    /// `end` trailer must be the last record, end in a newline, and count
+    /// exactly the samples parsed. A header version above
     /// [`SCHEMA_VERSION`] fails with [`ParseError::SchemaTooNew`].
     /// Cross-reference validity (stack → frame, sample → stack) is *not*
     /// checked here — that is the linter's job (F001/F006), and analyses
@@ -429,14 +436,21 @@ impl Profile {
             });
         }
         let mut p = Profile::default();
+        let mut end: Option<(usize, u64)> = None;
+        let mut last = 1;
         for (idx, line) in lines {
             let lineno = idx + 1;
+            last = lineno;
             let line = line.trim_end();
             if line.is_empty() {
                 continue;
             }
+            if end.is_some() {
+                return Err(malformed(lineno, "record after the `end` trailer"));
+            }
             let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
             match kind {
+                "end" => end = Some((lineno, parse_u64(rest, lineno, "end sample count")?)),
                 "interval" => {
                     p.interval = parse_u64(rest, lineno, "interval")?;
                 }
@@ -494,7 +508,24 @@ impl Profile {
                 }
             }
         }
-        Ok(p)
+        match end {
+            None => Err(malformed(
+                last,
+                "no `end` trailer: the artifact is truncated",
+            )),
+            Some((line, count)) if count != p.samples.len() as u64 => Err(malformed(
+                line,
+                &format!(
+                    "`end` counts {count} samples but {} were parsed",
+                    p.samples.len()
+                ),
+            )),
+            Some(_) if !text.ends_with('\n') => Err(malformed(
+                last,
+                "the `end` trailer is not newline-terminated: the artifact is truncated",
+            )),
+            Some(_) => Ok(p),
+        }
     }
 }
 
@@ -631,7 +662,7 @@ pub fn drain() -> Profile {
 /// Paths written by [`export`].
 #[derive(Debug, Clone)]
 pub struct ProfilePaths {
-    /// The versioned `.prof` artifact (machine-read by `prof-report`).
+    /// The versioned `.prof` artifact (machine-read by `simgate prof`).
     pub prof: PathBuf,
     /// Folded-stack text (`.folded`), flamegraph.pl-compatible.
     pub folded: PathBuf,
@@ -769,7 +800,62 @@ mod tests {
         let text = p.to_text();
         let back = Profile::from_text(&text).expect("round trip");
         assert_eq!(p, back);
-        assert!(text.starts_with("simprof 1\n"), "{text}");
+        assert!(text.starts_with("simprof 2\n"), "{text}");
+        assert!(text.ends_with("\nend 2\n"), "{text}");
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let _guard = test_support::enabled(10);
+        {
+            let _root = frame("run/test");
+            for kind in [KIND_ALU, KIND_LOAD, KIND_STORE] {
+                let _stage = frame("stage/simulate");
+                for _ in 0..4 {
+                    record_engine_sample(10, kind, LEVEL_MEM, false);
+                }
+            }
+        }
+        let p = drain();
+        let text = p.to_text();
+        assert_eq!(Profile::from_text(&text).expect("whole text"), p);
+        assert!(p.samples.len() >= 10, "a two-digit count: {text}");
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            assert!(
+                Profile::from_text(&text[..cut]).is_err(),
+                "truncated at byte {cut} of {} parsed",
+                text.len()
+            );
+        }
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for keep in 0..lines.len() {
+            let cut = lines[..keep].concat();
+            assert!(
+                matches!(Profile::from_text(&cut), Err(ParseError::Malformed { .. })),
+                "first {keep} of {} lines parsed",
+                lines.len()
+            );
+        }
+    }
+
+    #[test]
+    fn trailer_must_be_last_and_agree_with_the_samples() {
+        let base = "simprof 2\nframe 0 run/x\nstack 0 0\nsample 0 5 0 7\n";
+        assert!(Profile::from_text(&format!("{base}end 1\n")).is_ok());
+        for (tail, line, what) in [
+            ("", 4, "no `end` trailer"),
+            ("end 2\n", 5, "counts 2 samples but 1"),
+            ("end 1\nsample 0 6 0 7\n", 6, "after the `end` trailer"),
+            ("end x\n", 5, "end sample count"),
+        ] {
+            match Profile::from_text(&format!("{base}{tail}")).unwrap_err() {
+                ParseError::Malformed { line: at, message } => {
+                    assert_eq!(at, line, "{tail:?}: {message}");
+                    assert!(message.contains(what), "{tail:?}: {message}");
+                }
+                other => panic!("{tail:?}: wrong error {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -809,7 +895,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_name_their_line() {
-        let err = Profile::from_text("simprof 1\nfrobnicate 3\n").unwrap_err();
+        let err = Profile::from_text("simprof 2\nfrobnicate 3\n").unwrap_err();
         match err {
             ParseError::Malformed { line, message } => {
                 assert_eq!(line, 2);
@@ -818,14 +904,14 @@ mod tests {
             other => panic!("wrong error {other:?}"),
         }
         // Non-sequential ids are structural errors, not lint findings.
-        let err = Profile::from_text("simprof 1\nframe 3 run/x\n").unwrap_err();
+        let err = Profile::from_text("simprof 2\nframe 3 run/x\n").unwrap_err();
         assert!(matches!(err, ParseError::Malformed { line: 2, .. }));
     }
 
     #[test]
     fn sample_ids_above_u32_are_malformed_not_truncated() {
-        let base = "simprof 1\nframe 0 run/x\nstack 0 0\n";
-        let ok = Profile::from_text(&format!("{base}sample 4294967295 5 0 7\n")).unwrap();
+        let base = "simprof 2\nframe 0 run/x\nstack 0 0\n";
+        let ok = Profile::from_text(&format!("{base}sample 4294967295 5 0 7\nend 1\n")).unwrap();
         assert_eq!(ok.samples[0].tid, u32::MAX);
         for (sample, what) in [
             ("sample 0 5 4294967296 7", "sample stack"),

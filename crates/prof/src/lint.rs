@@ -1,5 +1,5 @@
 //! F-rule checks over a profile artifact: the integrity every consumer
-//! (`prof-report`, the flamegraph exporter, the diff gate) silently
+//! (`simgate prof`, the flamegraph exporter, the diff gate) silently
 //! assumes.
 //!
 //! Rule logic lives here, next to the artifact it audits; the stable
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn f004_flags_malformed_lines_with_position() {
-        let report = check_profile_text("p", "simprof 1\nzorp 1 2\n");
+        let report = check_profile_text("p", "simprof 2\nzorp 1 2\n");
         assert_eq!(codes_in(&report), vec!["F004"]);
         assert!(report.to_table().contains("p:2"), "{}", report.to_table());
     }

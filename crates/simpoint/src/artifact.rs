@@ -4,7 +4,7 @@
 //!
 //! The record is self-contained: besides the clustering itself (medoids,
 //! labels, weights) it carries both the reference and the reconstructed
-//! counter files in [`Event::ALL`] order, so `simpoint-report` and the
+//! counter files in [`Event::ALL`] order, so `simgate simpoint` and the
 //! S-rule lints can recompute every speedup and error figure without
 //! re-simulating anything.
 
@@ -112,7 +112,7 @@ impl SimpointRecord {
     }
 
     /// The worst of the IPC error and the three per-level MPKI errors —
-    /// the figure `simpoint-report --max-error` gates on.
+    /// the figure `simgate simpoint --max-error` gates on.
     pub fn max_headline_error(&self) -> f64 {
         self.ipc_error()
             .max(self.mpki_error(Event::MemLoadUopsRetiredL1Miss))

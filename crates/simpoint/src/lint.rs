@@ -1,5 +1,5 @@
 //! S-rule checks over simpoint artifacts: the structural invariants the
-//! reconstruction math and `simpoint-report` silently assume.
+//! reconstruction math and `simgate simpoint` silently assume.
 //!
 //! Rule logic lives here, next to the records it audits; the stable codes,
 //! severities, and explanations live in simcheck's catalog like every other

@@ -15,7 +15,7 @@
 //!   scheduler's `sched/batch` / `sched/job` spans.
 //! - [`diff`] — aligns two traces by stable span key (name plus the
 //!   `pair` arg when present) and flags wall-time regressions past a
-//!   relative threshold and an absolute floor; `trace-report --diff`
+//!   relative threshold and an absolute floor; `simgate trace --diff`
 //!   turns its verdict into an exit code CI can gate on.
 
 use crate::{ArgValue, SpanRecord};

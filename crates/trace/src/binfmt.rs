@@ -1,4 +1,4 @@
-//! Compact binary trace codec: the in-tree format `trace-report` consumes.
+//! Compact binary trace codec: the in-tree format `simgate trace` consumes.
 //!
 //! Layout (all integers little-endian):
 //!

@@ -8,7 +8,7 @@
 //! - [`stat_analysis`] — PCA, hierarchical clustering, Pareto analysis.
 //! - [`simstore`] — content-addressed result store + fault-tolerant scheduler.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
-//! - [`perfmon`] — the JSONL run-event schema, its validator, and the JSON codec.
+//! - [`perfmon`] — the workspace's JSON codec.
 //! - [`simmetrics`] — process-wide metrics registry, its `metrics.json` snapshot, and flight recorder.
 //! - [`simpoint`] — phase detection and representative-interval simulation.
 //! - [`simdash`] — run manifests, cross-layer correlation, HTML dashboard.

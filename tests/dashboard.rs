@@ -1,9 +1,13 @@
 //! End-to-end acceptance for the observability dashboard: one quick
 //! reproduce run with tracing and profiling on, then a single
-//! `dash-report` invocation, must yield one self-contained HTML file
+//! `simgate dash` invocation, must yield one self-contained HTML file
 //! whose correlation table joins — for at least one pair — a histogram
 //! bucket exemplar to its trace span and the pair's top profile frame,
 //! with no manual filename matching anywhere in the chain.
+//!
+//! `reproduce` belongs to another package, so it runs through
+//! `cargo run --release`, which reuses the release artifacts the tier-1
+//! build leaves; `simgate` is this package's own binary.
 
 use std::fs;
 use std::path::PathBuf;
@@ -16,22 +20,8 @@ fn scratch() -> PathBuf {
     dir
 }
 
-fn run(package: &str, binary: &str, args: &[&str]) -> (i32, String) {
-    let output = Command::new(env!("CARGO"))
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            package,
-            "--bin",
-            binary,
-            "--",
-        ])
-        .args(args)
-        .output()
-        .expect("spawn cargo run");
+fn run(command: &mut Command, args: &[&str]) -> (i32, String) {
+    let output = command.args(args).output().expect("spawn");
     (
         output.status.code().expect("binary exited"),
         format!(
@@ -47,9 +37,19 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
     let results = scratch();
     let results_str = results.to_str().expect("utf-8 temp path");
 
-    let (code, context) = run(
+    let mut reproduce = Command::new(env!("CARGO"));
+    reproduce.current_dir(env!("CARGO_MANIFEST_DIR")).args([
+        "run",
+        "--release",
+        "-q",
+        "-p",
         "workchar",
+        "--bin",
         "reproduce",
+        "--",
+    ]);
+    let (code, context) = run(
+        &mut reproduce,
         &[
             "--quick",
             "--no-cache",
@@ -62,8 +62,11 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
     );
     assert_eq!(code, 0, "reproduce failed: {context}");
 
-    let (code, context) = run("simdash", "dash-report", &["--results", results_str]);
-    assert_eq!(code, 0, "dash-report failed: {context}");
+    let (code, context) = run(
+        &mut Command::new(env!("CARGO_BIN_EXE_simgate")),
+        &["dash", "--results", results_str],
+    );
+    assert_eq!(code, 0, "simgate dash failed: {context}");
 
     // Exactly one manifest and one dashboard landed under runs/.
     let runs = results.join("runs");

@@ -183,39 +183,6 @@ fn simpoint_store_audit_catches_corruption() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-// --------------------------------------------------------------- E: events
-
-#[test]
-fn event_stream_rules_fire_with_line_numbers() {
-    let good = concat!(
-        r#"{"schema":1,"kind":"span","name":"collect","wall_ms":12.5}"#,
-        "\n"
-    );
-    let (_, report) = spec2017_workchar::perfmon::check_events("ci.jsonl", good);
-    assert!(report.is_empty(), "{}", report.to_table());
-
-    let (_, report) = spec2017_workchar::perfmon::check_events("ci.jsonl", "");
-    assert!(report.diagnostics().iter().any(|d| d.code.code == "E010"));
-
-    let truncated = concat!(
-        r#"{"schema":1,"kind":"event","name":"x"}"#,
-        "\n",
-        r#"{"schema":1,"kind":"event","#
-    );
-    let (_, report) = spec2017_workchar::perfmon::check_events("ci.jsonl", truncated);
-    let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code.code).collect();
-    assert!(codes.contains(&"E011"), "{codes:?}");
-    let spans: Vec<String> = report
-        .diagnostics()
-        .iter()
-        .map(|d| d.span.to_string())
-        .collect();
-    assert!(
-        spans.iter().any(|s| s.contains("ci.jsonl:2")),
-        "line numbers missing: {spans:?}"
-    );
-}
-
 // ------------------------------------------------------------- M: metrics
 
 /// The pipeline's full metric registry — every series the substrate crates
@@ -286,7 +253,9 @@ fn metric_rules_fire_on_a_hostile_registry() {
 
 #[test]
 fn every_rule_family_is_explainable() {
-    for code in ["P004", "C010", "R020", "E010", "M002", "S003"] {
+    for code in [
+        "P004", "C010", "R020", "M002", "T001", "S003", "F004", "D003",
+    ] {
         let text = simcheck::explain(code).unwrap();
         assert!(text.contains(code), "{text}");
         assert!(text.len() > 80, "explanation too thin for {code}");
