@@ -114,39 +114,34 @@ fn bench_engine(r: &mut Runner) {
         black_box(engine.execute(gen, &ExecPlan::new()))
     });
     simmetrics::disable();
-    // Paired with engine_run_100k above: with tracing enabled, the engine
+    // Paired with engine_run_100k above: under a trace root, the engine
     // pays one span open/close per *run* (never per op) and the generator
     // one per expansion, so the ratio of the two medians is the simtrace
-    // overhead the design budgets at <5%. Spans are drained per iteration
-    // so the collector never grows past one iteration's worth.
-    simtrace::enable();
+    // overhead the design budgets at <5%. Each iteration drains its own
+    // root, so the collector never grows past one iteration's worth.
     bench_paired(r, anchor, "engine_run_100k_traced", || {
-        let _root = simtrace::root("bench/engine-run");
+        let root = simtrace::root("bench/engine-run");
         let gen =
             TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
         let mut engine = Engine::new(&config);
         let stats = black_box(engine.execute(gen, &ExecPlan::new()));
-        drop(_root);
-        black_box(simtrace::drain().len());
+        black_box(root.drain().len());
         stats
     });
-    simtrace::disable();
-    simtrace::drain();
-    // Paired with engine_run_100k above: with profiling enabled at the
+    // Paired with engine_run_100k above: under a root sampled at the
     // default interval, the engine takes one op-clocked sample per 10k ops
     // on a countdown folded into the hot loop, so the ratio of the two
     // medians is the simprof overhead the design budgets at <5%. The
     // drained profile's leaf self-weights ride into BENCH_results.json as
     // this entry's attribution breakdown.
-    simprof::enable_with_interval(simprof::DEFAULT_INTERVAL);
+    let root = simtrace::sampled_root("bench/engine-run", simprof::DEFAULT_INTERVAL);
     bench_paired(r, anchor, "engine_run_100k_profiled", || {
         let gen =
             TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
         let mut engine = Engine::new(&config);
         black_box(engine.execute(gen, &ExecPlan::new()))
     });
-    simprof::disable();
-    let profile = simprof::drain();
+    let profile = simprof::drain(&root.drain());
     let attribution: Vec<(String, u64)> = simprof::analyze::attribute(&profile)
         .into_iter()
         .filter(|(_, a)| a.self_weight > 0)

@@ -27,9 +27,12 @@
 //! `S...` simpoint, `F...` profiler, `D...` run manifest); `--explain CODE`
 //! prints the catalog entry for one rule.
 //! Exits 0 when clean, 1 when any error (or, under `--deny-warnings`,
-//! any warning) was found, 2 on usage errors.
+//! any warning) was found, 2 on usage or I/O errors. The store audits
+//! only read: a `--cache-dir` or `--simpoint-dir` that does not exist is
+//! an I/O error, and no directory is created.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use simcheck::Report;
@@ -260,14 +263,14 @@ fn run(opts: &Options) -> Result<Report> {
     }
 
     if let Some(dir) = &opts.cache_dir {
-        let store = simstore::Store::open(dir)?;
+        let store = open_store(dir)?;
         let (visited, audit) = lint::audit_cache(&store, Some(&config.system));
         eprintln!("audited {visited} cached records under {}", dir.display());
         report.merge(audit);
     }
 
     if let Some(dir) = &opts.simpoint_dir {
-        let store = simstore::Store::open(dir)?;
+        let store = open_store(dir)?;
         let (visited, audit) = simpoint::lint::audit_store(&store);
         eprintln!("audited {visited} simpoint records under {}", dir.display());
         report.merge(audit);
@@ -312,6 +315,13 @@ fn run(opts: &Options) -> Result<Report> {
     Ok(report)
 }
 
+/// Opens the store at `dir` for an audit, creating nothing; the error
+/// names the path.
+fn open_store(dir: &Path) -> io::Result<simstore::Store> {
+    simstore::Store::open_existing(dir)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", dir.display())))
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(Some(opts)) => opts,
@@ -326,7 +336,7 @@ fn main() -> ExitCode {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     if opts.json {

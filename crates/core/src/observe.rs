@@ -2,10 +2,12 @@
 //! owns the span tree, the stage view derived from it, and timeline
 //! artifacts.
 //!
-//! Every pipeline stage is one [`Stage`]: a simtrace span, a simprof
-//! frame, and, for per-pair stages, a latency histogram sample whose
-//! exemplar names the span. The `reproduce` and `extensions` binaries
-//! always record spans under one run root ([`Run`]). When the run ends,
+//! Every pipeline stage is one [`Stage`]: a simtrace span plus an action
+//! on close — the peak RSS for top-level stages, a latency histogram
+//! sample whose exemplar names the span for per-pair ones. The span is
+//! also the stage's profile frame. The `reproduce` and `extensions`
+//! binaries always record spans under one run root ([`Run`]), a sampled
+//! root under `--profile`. When the run ends,
 //! whether it succeeded or failed, each direct child of the root becomes
 //! one row of the stderr stage table ([`stages`], [`stage_table`]);
 //! `--trace` only decides whether the trace files are exported as well.
@@ -65,17 +67,15 @@ fn mem_high_water_bytes() -> Option<u64> {
     }
 }
 
-/// One pipeline stage: a simtrace span and a simprof frame opened and
-/// closed in the same scope, so the trace, the stage view and the
-/// profile's stage attribution describe the same window. Both nest under
-/// whatever is current on this thread: the run root for top-level stages,
-/// the scheduler's per-job span for per-pair ones. Every layer that is
-/// disabled stays inert.
+/// One pipeline stage: a simtrace span and its on-close action. The span
+/// is the stage's row in the trace and the stage view and its frame in
+/// the profile, and nests under whatever is current on this thread: the
+/// run root for top-level stages, the scheduler's per-job span for
+/// per-pair ones. With no root open it is inert.
 #[must_use = "a stage measures the scope it is held across"]
 pub struct Stage {
     on_close: OnClose,
     span: SpanGuard,
-    _frame: simprof::FrameGuard,
 }
 
 #[derive(Clone, Copy)]
@@ -95,7 +95,6 @@ impl Stage {
         Stage {
             on_close: OnClose::MemHighWater,
             span: simtrace::span(name),
-            _frame: simprof::frame(name),
         }
     }
 
@@ -103,7 +102,7 @@ impl Stage {
     /// `latency` when it closes. The sample is recorded while the span is
     /// still open, so the bucket's exemplar carries this span's id, the
     /// hook `simdash::correlate` joins on. With metrics disabled the clock
-    /// is never read; with tracing disabled no exemplar is kept.
+    /// is never read; with no root open no exemplar is kept.
     pub fn timed(name: &str, latency: &'static Histogram) -> Stage {
         Stage {
             on_close: if simmetrics::is_enabled() {
@@ -112,7 +111,6 @@ impl Stage {
                 OnClose::Nothing
             },
             span: simtrace::span(name),
-            _frame: simprof::frame(name),
         }
     }
 
@@ -149,9 +147,8 @@ impl Drop for Stage {
 }
 
 /// One run of a pipeline binary: process metrics (always on), its
-/// manifest, its run-root span (open for the whole run, with span
-/// recording always on), and the optional profile root frame the flags
-/// ask for.
+/// manifest, and its run-root span, open for the whole run and sampled
+/// for the profiler when the flags ask for one.
 pub struct Run<'a> {
     name: &'static str,
     flags: &'a PipelineFlags,
@@ -161,15 +158,14 @@ pub struct Run<'a> {
     pub manifest: ManifestBuilder,
     root: Option<SpanGuard>,
     root_id: u64,
-    prof_root: Option<simprof::FrameGuard>,
 }
 
 impl<'a> Run<'a> {
     /// Starts the run `name` (`reproduce`, `extensions`) at `scale` with
     /// the manifest config token `config`. The run root opens before any
     /// stage, so every span of the run, including per-pair jobs on
-    /// scheduler worker threads, nests under it; the profile root frame
-    /// does the same for samples.
+    /// scheduler worker threads, nests under it, and under `--profile`
+    /// its sample interval reaches every engine run.
     pub fn start(name: &'static str, scale: &str, config: &str, flags: &'a PipelineFlags) -> Self {
         // Metrics are on for the whole run: the substrate crates' counters
         // are sentinel-gated and cost one atomic add per hit, and the
@@ -179,25 +175,24 @@ impl<'a> Run<'a> {
         crate::telemetry::register_pipeline_metrics();
         simmetrics::flight::install_dump(&flags.results_dir.join("flight-recorder.json"));
         let manifest = ManifestBuilder::start(name, scale, config);
-        simtrace::enable();
-        let mut root = simtrace::root(&format!("run/{name}"));
-        root.arg("run_id", manifest.run_id());
-        let prof_root = flags.profile.then(|| {
-            simprof::enable_with_interval(flags.profile_interval);
+        let interval = if flags.profile {
             eprintln!(
                 "profiling on: one sample per {} engine ops, artifacts under {}",
                 flags.profile_interval,
                 flags.results_dir.join("profiles").display()
             );
-            simprof::frame(&format!("run/{name}"))
-        });
+            flags.profile_interval
+        } else {
+            0
+        };
+        let mut root = simtrace::sampled_root(&format!("run/{name}"), interval);
+        root.arg("run_id", manifest.run_id());
         Run {
             name,
             flags,
             manifest,
             root_id: root.context().span_id,
             root: Some(root),
-            prof_root,
         }
     }
 
@@ -258,10 +253,8 @@ impl<'a> Run<'a> {
                 json_path.display()
             );
         }
-        if let Some(frame) = self.prof_root.take() {
-            drop(frame);
-            simprof::disable();
-            let profile = simprof::drain();
+        if self.flags.profile {
+            let profile = simprof::drain(&spans);
             let paths = simprof::export(&results.join("profiles"), self.name, &profile)?;
             for (kind, path) in [
                 (artifact_kind::PROFILE, &paths.prof),
@@ -290,8 +283,7 @@ impl<'a> Run<'a> {
 
     /// Closes the run root and drains the finished span tree.
     fn close(&mut self) -> Vec<SpanRecord> {
-        self.root.take();
-        simtrace::drain()
+        self.root.take().map(SpanGuard::drain).unwrap_or_default()
     }
 }
 

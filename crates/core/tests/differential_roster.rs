@@ -25,6 +25,8 @@ const WARMUP: u64 = 1_000;
 /// Deliberately not a divisor of the counted span, so every pair also
 /// exercises the partial final timeline interval.
 const INTERVAL: u64 = 900;
+/// Engine ops per profile sample of the fused run.
+const PROFILE_INTERVAL: u64 = 500;
 
 /// The canonical (generator, hints) pair for one roster entry, mirroring
 /// `workchar::characterize::prepared_run` at quick scale.
@@ -46,15 +48,15 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
         .collect();
     assert_eq!(pairs.len(), 64, "the paper's ref roster is 64 pairs");
 
-    // Metrics and tracing stay on for the whole sweep: their hooks must
-    // not perturb a single counter on either path.
+    // Metrics stay on for the whole sweep and every pair runs under a
+    // sampled trace root, so the fused run takes its profiled path: no hook
+    // may perturb a single counter on either path.
     simmetrics::enable();
-    simtrace::enable();
     let base = ExecPlan::new()
         .warmup(WARMUP)
         .sampler(SamplerConfig::every(INTERVAL));
     for pair in &pairs {
-        let span = simtrace::root("test/differential-roster");
+        let root = simtrace::sampled_root("test/differential-roster", PROFILE_INTERVAL);
         let (gen, hints) = prepared(pair, &config);
 
         let mut fused = Engine::new(&config);
@@ -78,10 +80,14 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
                 pair.id()
             );
         }
-        drop(span);
-        simtrace::drain();
+        let profile = simprof::drain(&root.drain());
+        assert_eq!(
+            profile.total_weight(),
+            OPS / PROFILE_INTERVAL * PROFILE_INTERVAL,
+            "the fused run was sampled on {}",
+            pair.id()
+        );
     }
-    simtrace::disable();
     simmetrics::disable();
 }
 

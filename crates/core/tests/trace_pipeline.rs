@@ -1,4 +1,4 @@
-//! Pipeline-level guarantees of the tracing layer: enabling simtrace must
+//! Pipeline-level guarantees of the tracing layer: an open trace root must
 //! not perturb simulation results, the per-pair stages must appear as
 //! spans, and an exported artifact must round-trip through both formats.
 
@@ -15,11 +15,9 @@ fn tracing_does_not_perturb_characterization_results() {
     let baseline = characterize_pair(pair, &config).expect("untraced run");
 
     let traced = {
-        let _on = simtrace::test_support::enabled();
         let root = simtrace::root("run/test");
         let record = characterize_pair(pair, &config).expect("traced run");
-        drop(root);
-        let spans = simtrace::drain();
+        let spans = root.drain();
         for stage in ["stage/prepare", "stage/simulate", "stage/footprint"] {
             assert!(
                 spans.iter().any(|s| s.name == stage),
@@ -50,13 +48,11 @@ fn tracing_does_not_perturb_characterization_results() {
 #[test]
 fn exported_pipeline_trace_round_trips_through_both_formats() {
     let spans = {
-        let _on = simtrace::test_support::enabled();
         let root = simtrace::root("run/test");
         let app = cpu2017::app("541.leela_r").expect("shipped profile");
         let pair = &app.pairs(InputSize::Ref)[0];
         characterize_pair(pair, &RunConfig::quick()).expect("traced run");
-        drop(root);
-        simtrace::drain()
+        root.drain()
     };
     assert!(!spans.is_empty());
 

@@ -1,29 +1,32 @@
-//! simprof: a deterministic, inert-when-disabled statistical profiler.
+//! simprof: a deterministic statistical profiler whose stacks are the
+//! simtrace span tree.
 //!
 //! Wall-clock profilers answer "where did the time go" with samples taken
 //! on a timer; their output changes run to run and machine to machine,
 //! which makes it useless as a CI gate. This profiler samples on the
 //! engine's *op-count clock* instead: every `interval` simulated micro-ops
-//! the engine records one sample carrying the logical stack of frames
-//! currently open on the executing thread plus three synthesized leaves —
-//! the warmup/measured segment, the µop kind, and (for loads) the cache
-//! level that served it. Sample positions and weights are then a pure
-//! function of the workload, so two runs of the same code produce the same
-//! folded profile and a *differential* profile isolates the frame whose
-//! work actually grew.
+//! the engine records one sample carrying the span open on the executing
+//! thread plus three synthesized leaves — the warmup/measured segment, the
+//! µop kind, and (for loads) the cache level that served it. Sample
+//! positions and weights are then a pure function of the workload, so two
+//! runs of the same code produce the same folded profile and a
+//! *differential* profile isolates the frame whose work actually grew.
 //!
 //! The moving parts:
 //!
-//! - [`frame`] — RAII context frames (`run/reproduce`, `sched/job [pair]`,
-//!   `stage/simulate`, `engine/run`), reusing the simtrace span-naming
-//!   scheme so profiles and traces share one vocabulary. Inert (one
-//!   relaxed atomic load, no allocation) while profiling is disabled.
-//! - [`record_engine_sample`] — the engine hot-loop hook: pushes a compact
-//!   entry onto a per-thread ring that is flushed to the global collector
-//!   in batches, never per sample.
-//! - [`drain`] — snapshots everything recorded so far into a [`Profile`]:
-//!   interned frame/stack tables plus `(tid, clock, stack, weight)`
-//!   samples.
+//! - A trace opened with `simtrace::sampled_root` is the only on-switch:
+//!   its interval travels in every descendant's `SpanContext`, across
+//!   scheduler workers too, and the engine reads it once per run. With no
+//!   sampled root in scope nothing is recorded.
+//! - [`record_engine_sample`] — the engine hot-loop hook: stamps the
+//!   current span id onto a compact entry in a per-thread ring that is
+//!   flushed to the collector in batches, never per sample.
+//! - [`drain`] — takes one trace's samples into a [`Profile`]: each stack
+//!   is the sample's span walked up to the root (`run/reproduce`, a stage,
+//!   `sched/batch`, `sched/job [pair]`, `sched/attempt`, `stage/simulate`,
+//!   `engine/run`), then the leaves; frame and stack tables are numbered in
+//!   sorted order, so the same samples give the same tables whichever
+//!   thread flushed first.
 //! - [`Profile::to_text`] / [`Profile::from_text`] — the versioned
 //!   line-based artifact (`.prof`), plus [`Profile::folded`] (classic
 //!   folded-stack text) and [`flame::flamegraph_svg`] (a self-contained
@@ -32,20 +35,19 @@
 //!   pct+abs differential regression gate behind `simgate prof --diff`.
 //! - [`lint`](mod@lint) — the simcheck F-rule family over artifacts.
 //!
-//! Threading model: frames are per-thread context; samples recorded on a
-//! worker thread carry whatever frames that worker has open. Thread ids
-//! and per-thread clocks depend on scheduling, but the *folded* view
-//! aggregates across threads by stack, so folded weights — and everything
-//! the diff gate compares — are deterministic for a deterministic
-//! workload.
+//! Threading model: thread ids and per-thread clocks depend on
+//! scheduling, but the *folded* view aggregates across threads by stack,
+//! so folded weights — and everything the diff gate compares — are
+//! deterministic for a deterministic workload.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+
+use simtrace::{ArgValue, SpanRecord};
 
 pub mod analyze;
 pub mod flame;
@@ -79,129 +81,41 @@ pub const LEVEL_MEM: u8 = 3;
 /// Cache-level code: sample is not a load (no memory leaf).
 pub const LEVEL_NONE: u8 = 0xff;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INTERVAL: AtomicU64 = AtomicU64::new(0);
-/// Interval as configured at the last `enable`, kept readable after
-/// `disable` so a post-run `drain` can still stamp the artifact.
-static LAST_INTERVAL: AtomicU64 = AtomicU64::new(DEFAULT_INTERVAL);
-
 /// Flush a thread's pending ring to the collector at this many samples.
 const RING_FLUSH_AT: usize = 1024;
 
-/// Enables profiling at [`DEFAULT_INTERVAL`].
-pub fn enable() {
-    enable_with_interval(DEFAULT_INTERVAL);
-}
-
-/// Enables profiling, sampling every `interval` simulated ops (minimum 1).
-pub fn enable_with_interval(interval: u64) {
-    let interval = interval.max(1);
-    let c = collector();
-    *c.started.lock().unwrap_or_else(|p| p.into_inner()) = Some(Instant::now());
-    LAST_INTERVAL.store(interval, Ordering::SeqCst);
-    INTERVAL.store(interval, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disables profiling. Already-recorded samples stay until [`drain`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-    INTERVAL.store(0, Ordering::SeqCst);
-}
-
-/// Whether profiling is currently enabled (one relaxed load — callers
-/// gate any formatting work on this, like the other observability layers).
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The engine's sampling interval in ops; `0` means profiling is off and
-/// the hot loop must take its unhooked path.
-#[inline]
-pub fn engine_interval() -> u64 {
-    INTERVAL.load(Ordering::Relaxed)
-}
-
 // ------------------------------------------------------------- collector
 
-/// One raw engine sample after leaving its thread: the interned context
-/// stack plus the leaf codes, expanded into full stacks at [`drain`].
+/// One raw engine sample after leaving its thread: the span it was taken
+/// under plus the leaf codes, expanded into a full stack at [`drain`].
 #[derive(Clone, Copy)]
 struct RawSample {
+    trace_id: u64,
+    span_id: u64,
     tid: u32,
     clock: u64,
-    stack_id: u32,
     weight: u64,
     kind: u8,
     level: u8,
     warmup: bool,
 }
 
-/// Global frame/stack interner. Stack id 0 is the empty stack.
-struct Interner {
-    frames: Vec<String>,
-    frame_ids: HashMap<String, u32>,
-    stacks: Vec<Vec<u32>>,
-    stack_ids: HashMap<Vec<u32>, u32>,
-}
-
-impl Interner {
-    fn new() -> Self {
-        let mut stack_ids = HashMap::new();
-        stack_ids.insert(Vec::new(), 0);
-        Interner {
-            frames: Vec::new(),
-            frame_ids: HashMap::new(),
-            stacks: vec![Vec::new()],
-            stack_ids,
-        }
-    }
-
-    fn frame(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.frame_ids.get(name) {
-            return id;
-        }
-        let id = self.frames.len() as u32;
-        self.frames.push(name.to_string());
-        self.frame_ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn stack(&mut self, frames: Vec<u32>) -> u32 {
-        if let Some(&id) = self.stack_ids.get(&frames) {
-            return id;
-        }
-        let id = self.stacks.len() as u32;
-        self.stacks.push(frames.clone());
-        self.stack_ids.insert(frames, id);
-        id
-    }
-}
-
 struct Collector {
-    interner: Mutex<Interner>,
-    samples: Mutex<Vec<RawSample>>,
-    started: Mutex<Option<Instant>>,
+    /// Flushed samples per trace id, held until [`drain`] takes that trace.
+    samples: Mutex<HashMap<u64, Vec<RawSample>>>,
     next_tid: AtomicU32,
 }
 
 fn collector() -> &'static Collector {
     static COLLECTOR: OnceLock<Collector> = OnceLock::new();
     COLLECTOR.get_or_init(|| Collector {
-        interner: Mutex::new(Interner::new()),
-        samples: Mutex::new(Vec::new()),
-        started: Mutex::new(None),
+        samples: Mutex::new(HashMap::new()),
         next_tid: AtomicU32::new(1),
     })
 }
 
 struct ThreadState {
     tid: u32,
-    /// Current frame-id stack (root first) and its interned id, cached so
-    /// the per-sample hook never touches the interner lock.
-    frames: Vec<u32>,
-    stack_id: u32,
     /// Persistent per-thread sample clock: strictly increases across every
     /// engine run this thread ever executes, so per-thread monotonicity
     /// (rule F002) holds for a whole campaign, not just one run.
@@ -212,8 +126,6 @@ struct ThreadState {
 thread_local! {
     static THREAD: RefCell<ThreadState> = RefCell::new(ThreadState {
         tid: collector().next_tid.fetch_add(1, Ordering::Relaxed),
-        frames: Vec::new(),
-        stack_id: 0,
         clock: 0,
         pending: Vec::new(),
     });
@@ -227,86 +139,37 @@ fn flush_state(t: &mut ThreadState) {
         .samples
         .lock()
         .unwrap_or_else(|p| p.into_inner());
-    samples.append(&mut t.pending);
+    for s in t.pending.drain(..) {
+        samples.entry(s.trace_id).or_default().push(s);
+    }
 }
 
-/// Moves this thread's pending samples into the global collector. Called
-/// automatically when the ring fills, when the outermost frame closes,
-/// and by [`drain`] for the draining thread; long-lived worker threads
-/// that sample outside any frame should call it when their batch ends.
+/// Moves this thread's pending samples into the collector. The engine
+/// calls it at the end of every profiled run and [`drain`] calls it for
+/// the draining thread; anything else that records samples on a worker
+/// thread calls it before the worker's job ends.
 pub fn flush_thread() {
     THREAD.with(|t| flush_state(&mut t.borrow_mut()));
 }
 
-// ----------------------------------------------------------------- frames
-
-/// RAII guard for one logical frame; see [`frame`].
-#[must_use = "a frame is open only while its guard lives"]
-#[derive(Debug)]
-pub struct FrameGuard {
-    /// `Some(previous stack id)` when the frame was actually pushed.
-    prev: Option<u32>,
-}
-
-/// Pushes `name` as a frame on this thread's logical stack until the
-/// returned guard drops. Inert while profiling is disabled. Frame names
-/// follow the simtrace span-naming scheme (`sched/job`, `stage/simulate`),
-/// optionally suffixed with a bracketed pair label (`sched/job [505.mcf_r
-/// /refrate-1]`) so per-pair attribution folds separately.
-pub fn frame(name: &str) -> FrameGuard {
-    if !is_enabled() {
-        return FrameGuard { prev: None };
-    }
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        let (fid, sid) = {
-            let mut interner = collector()
-                .interner
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            let fid = interner.frame(name);
-            let mut stack = t.frames.clone();
-            stack.push(fid);
-            (fid, interner.stack(stack))
-        };
-        let prev = t.stack_id;
-        t.frames.push(fid);
-        t.stack_id = sid;
-        FrameGuard { prev: Some(prev) }
-    })
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            THREAD.with(|t| {
-                let mut t = t.borrow_mut();
-                t.frames.pop();
-                t.stack_id = prev;
-                if t.frames.is_empty() {
-                    // Outermost frame closed: hand the thread's samples to
-                    // the collector so a later drain on another thread
-                    // (the scheduler's submitting thread) sees them.
-                    flush_state(&mut t);
-                }
-            });
-        }
-    }
-}
-
-/// Records one engine sample standing for `weight` ops: the current
-/// thread's frame stack plus `(kind, level, warmup)` leaf codes. Called by
-/// the engine every `interval` ops — per-thread state only, no locks
-/// unless the ring fills.
+/// Records one engine sample standing for `weight` ops: the thread's
+/// current span plus `(kind, level, warmup)` leaf codes. Called by the
+/// engine every `interval` ops — per-thread state only, no locks unless
+/// the ring fills. Without a live span it records nothing.
 #[inline]
 pub fn record_engine_sample(weight: u64, kind: u8, level: u8, warmup: bool) {
+    let ctx = simtrace::current_context();
+    if ctx.is_none() {
+        return;
+    }
     THREAD.with(|t| {
         let mut t = t.borrow_mut();
         t.clock += weight;
         let sample = RawSample {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
             tid: t.tid,
             clock: t.clock,
-            stack_id: t.stack_id,
             weight,
             kind,
             level,
@@ -582,77 +445,115 @@ fn parse_u32(s: &str, line: usize, what: &str) -> Result<u32, ParseError> {
         .map_err(|_| malformed(line, &format!("{what} exceeds u32::MAX")))
 }
 
-/// Drains everything recorded so far into a [`Profile`] and leaves the
-/// collector empty. Frame/stack tables are rebuilt per drain, so only
-/// referenced entries survive and ids are dense; the engine's leaf codes
-/// are expanded into `seg/…`, `uop/…`, and `mem/…` frames here, off the
-/// hot path.
-pub fn drain() -> Profile {
+/// A span's frame name: its name, suffixed ` [pair]` when it carries a
+/// `pair` arg (`sched/job [505.mcf_r-in1]`), the convention per-pair
+/// attribution folds on.
+fn frame_name(span: &SpanRecord) -> String {
+    match span.arg("pair") {
+        Some(ArgValue::Str(pair)) => format!("{} [{pair}]", span.name),
+        _ => span.name.clone(),
+    }
+}
+
+/// Takes the samples of the trace whose drained spans are `trace` into a
+/// [`Profile`]; `interval` and `wall_ns` come from its root (the span
+/// with no parent). Each sample's stack is its span walked up to that
+/// root, then the engine's leaf codes expanded into `seg/…`, `uop/…` and
+/// `mem/…` frames, off the hot path. Frames and stacks are numbered in
+/// sorted order, so the tables do not depend on which thread flushed
+/// first. Empty without a root.
+pub fn drain(trace: &[SpanRecord]) -> Profile {
+    let Some(root) = trace.iter().find(|s| s.parent_id == 0) else {
+        return Profile::default();
+    };
     flush_thread();
-    let c = collector();
-    let raw: Vec<RawSample> =
-        std::mem::take(&mut *c.samples.lock().unwrap_or_else(|p| p.into_inner()));
-    let wall_ns = c
-        .started
+    let raw = collector()
+        .samples
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-        .map(|t| t.elapsed().as_nanos() as u64)
-        .unwrap_or(0);
-    let global = c.interner.lock().unwrap_or_else(|p| p.into_inner());
+        .remove(&root.trace_id)
+        .unwrap_or_default();
 
-    let mut local = Interner::new();
-    // Drop the placeholder empty stack: profile stacks are never empty
-    // because every sample gains at least the seg and uop leaves.
-    local.stacks.clear();
-    local.stack_ids.clear();
-    // Dense tids in first-sample order so artifacts do not leak the
-    // process's global thread counter.
-    let mut tids: HashMap<u32, u32> = HashMap::new();
-    let mut samples = Vec::with_capacity(raw.len());
-    for r in &raw {
-        let Some(context) = global.stacks.get(r.stack_id as usize) else {
-            continue;
-        };
-        let mut frames: Vec<u32> = Vec::with_capacity(context.len() + 3);
-        for &fid in context {
-            if let Some(name) = global.frames.get(fid as usize) {
-                frames.push(local.frame(name));
-            }
-        }
-        frames.push(local.frame(if r.warmup {
-            "seg/warmup"
-        } else {
-            "seg/measured"
-        }));
-        frames.push(local.frame(match r.kind {
-            KIND_ALU => "uop/alu",
-            KIND_LOAD => "uop/load",
-            KIND_STORE => "uop/store",
-            _ => "uop/branch",
-        }));
-        match r.level {
-            LEVEL_L1 => frames.push(local.frame("mem/l1")),
-            LEVEL_L2 => frames.push(local.frame("mem/l2")),
-            LEVEL_L3 => frames.push(local.frame("mem/l3")),
-            LEVEL_MEM => frames.push(local.frame("mem/dram")),
-            _ => {}
-        }
-        let stack_id = local.stack(frames);
-        let next = tids.len() as u32;
-        let tid = *tids.entry(r.tid).or_insert(next);
-        samples.push(Sample {
-            tid,
+    let by_id: HashMap<u64, &SpanRecord> = trace.iter().map(|s| (s.span_id, s)).collect();
+    let mut contexts: HashMap<u64, Vec<String>> = HashMap::new();
+    let paths: Vec<Vec<String>> = raw
+        .iter()
+        .map(|r| {
+            let mut path = contexts
+                .entry(r.span_id)
+                .or_insert_with(|| {
+                    let mut names = Vec::new();
+                    let mut cursor = by_id.get(&r.span_id);
+                    while let Some(span) = cursor {
+                        names.push(frame_name(span));
+                        cursor = by_id.get(&span.parent_id);
+                    }
+                    names.reverse();
+                    names
+                })
+                .clone();
+            let seg = if r.warmup {
+                "seg/warmup"
+            } else {
+                "seg/measured"
+            };
+            let uop = ["uop/alu", "uop/load", "uop/store", "uop/branch"];
+            let mem = ["mem/l1", "mem/l2", "mem/l3", "mem/dram"].get(usize::from(r.level));
+            let uop = uop[usize::from(r.kind.min(KIND_BRANCH))];
+            path.extend(
+                [seg, uop]
+                    .into_iter()
+                    .chain(mem.copied())
+                    .map(str::to_string),
+            );
+            path
+        })
+        .collect();
+
+    let frames: Vec<String> = BTreeSet::from_iter(paths.iter().flatten().cloned())
+        .into_iter()
+        .collect();
+    let named_stacks: Vec<&Vec<String>> = BTreeSet::from_iter(&paths).into_iter().collect();
+    let frame_id = |name: &String| {
+        frames
+            .binary_search(name)
+            .expect("every frame is in the table") as u32
+    };
+    let stacks = named_stacks
+        .iter()
+        .map(|path| path.iter().map(frame_id).collect())
+        .collect();
+    let mut samples: Vec<Sample> = raw
+        .iter()
+        .zip(&paths)
+        .map(|(r, path)| Sample {
+            tid: r.tid,
             clock: r.clock,
-            stack_id,
+            stack_id: named_stacks
+                .binary_search(&path)
+                .expect("every stack is in the table") as u32,
             weight: r.weight,
-        });
+        })
+        .collect();
+    // Dense tids in first-sample order over the sorted samples, so
+    // artifacts neither leak the process's thread counter nor depend on
+    // flush order.
+    samples.sort_by_key(|s| (s.stack_id, s.clock, s.tid));
+    let mut tids: HashMap<u32, u32> = HashMap::new();
+    for s in &mut samples {
+        let next = tids.len() as u32;
+        s.tid = *tids.entry(s.tid).or_insert(next);
     }
     samples.sort_by_key(|s| (s.tid, s.clock, s.stack_id));
+    let interval = match root.arg(simtrace::SAMPLE_INTERVAL_ARG) {
+        Some(ArgValue::U64(interval)) => *interval,
+        _ => 0,
+    };
     Profile {
-        interval: LAST_INTERVAL.load(Ordering::SeqCst),
-        wall_ns,
-        frames: local.frames,
-        stacks: local.stacks,
+        interval,
+        wall_ns: root.wall_ns(),
+        frames,
+        stacks,
         samples,
     }
 }
@@ -705,65 +606,36 @@ pub fn load(path: &Path) -> io::Result<Profile> {
     })
 }
 
-/// Serialized test coordination for the global profiler state, mirroring
-/// the other observability layers' `test_support`.
-pub mod test_support {
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    static ENABLE_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-    /// Holds profiling enabled; disables and drains on drop.
-    pub struct EnabledGuard {
-        _lock: MutexGuard<'static, ()>,
-    }
-
-    impl Drop for EnabledGuard {
-        fn drop(&mut self) {
-            super::disable();
-            super::drain();
-        }
-    }
-
-    /// Enables profiling at `interval` for the guard's lifetime. Tests
-    /// that toggle the global profiler must hold this guard so they
-    /// serialize against each other.
-    pub fn enabled(interval: u64) -> EnabledGuard {
-        let lock = ENABLE_LOCK
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        // A panicked predecessor may have left state behind.
-        super::disable();
-        super::drain();
-        super::enable_with_interval(interval);
-        EnabledGuard { _lock: lock }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Closes `root` and drains its trace's profile.
+    fn drain_root(root: simtrace::SpanGuard) -> Profile {
+        drain(&root.drain())
+    }
+
     #[test]
-    fn disabled_recording_is_inert() {
-        let _guard = test_support::enabled(100);
-        disable();
-        let _f = frame("run/test");
-        let p = drain();
+    fn recording_without_a_root_is_inert() {
+        record_engine_sample(100, KIND_ALU, LEVEL_NONE, false);
+        flush_thread();
+        let p = drain_root(simtrace::sampled_root("run/test", 100));
         assert!(p.samples.is_empty());
         assert!(p.frames.is_empty());
+        assert_eq!(p.interval, 100);
+        assert_eq!(drain(&[]), Profile::default(), "no root, no profile");
     }
 
     #[test]
     fn samples_fold_under_open_frames() {
-        let _guard = test_support::enabled(50);
+        let root = simtrace::sampled_root("run/test", 50);
         {
-            let _root = frame("run/test");
-            let _inner = frame("stage/simulate");
+            let _inner = simtrace::span("stage/simulate");
             record_engine_sample(50, KIND_LOAD, LEVEL_L2, false);
             record_engine_sample(50, KIND_ALU, LEVEL_NONE, true);
         }
-        let p = drain();
+        let p = drain_root(root);
+        assert_eq!(p.interval, 50);
         assert_eq!(p.samples.len(), 2);
         assert_eq!(p.total_weight(), 100);
         let folded = p.folded();
@@ -779,24 +651,21 @@ mod tests {
 
     #[test]
     fn clocks_are_monotonic_within_a_thread() {
-        let _guard = test_support::enabled(10);
+        let root = simtrace::sampled_root("run/test", 10);
         for _ in 0..5 {
             record_engine_sample(10, KIND_ALU, LEVEL_NONE, false);
         }
-        let p = drain();
+        let p = drain_root(root);
         let clocks: Vec<u64> = p.samples.iter().map(|s| s.clock).collect();
         assert!(clocks.windows(2).all(|w| w[0] < w[1]), "{clocks:?}");
     }
 
     #[test]
     fn artifact_round_trips() {
-        let _guard = test_support::enabled(25);
-        {
-            let _root = frame("run/test");
-            record_engine_sample(25, KIND_STORE, LEVEL_NONE, false);
-            record_engine_sample(25, KIND_LOAD, LEVEL_MEM, false);
-        }
-        let p = drain();
+        let root = simtrace::sampled_root("run/test", 25);
+        record_engine_sample(25, KIND_STORE, LEVEL_NONE, false);
+        record_engine_sample(25, KIND_LOAD, LEVEL_MEM, false);
+        let p = drain_root(root);
         let text = p.to_text();
         let back = Profile::from_text(&text).expect("round trip");
         assert_eq!(p, back);
@@ -806,17 +675,14 @@ mod tests {
 
     #[test]
     fn every_truncation_is_an_error() {
-        let _guard = test_support::enabled(10);
-        {
-            let _root = frame("run/test");
-            for kind in [KIND_ALU, KIND_LOAD, KIND_STORE] {
-                let _stage = frame("stage/simulate");
-                for _ in 0..4 {
-                    record_engine_sample(10, kind, LEVEL_MEM, false);
-                }
+        let root = simtrace::sampled_root("run/test", 10);
+        for kind in [KIND_ALU, KIND_LOAD, KIND_STORE] {
+            let _stage = simtrace::span("stage/simulate");
+            for _ in 0..4 {
+                record_engine_sample(10, kind, LEVEL_MEM, false);
             }
         }
-        let p = drain();
+        let p = drain_root(root);
         let text = p.to_text();
         assert_eq!(Profile::from_text(&text).expect("whole text"), p);
         assert!(p.samples.len() >= 10, "a two-digit count: {text}");
@@ -860,29 +726,64 @@ mod tests {
 
     #[test]
     fn cross_thread_samples_fold_by_stack() {
-        let _guard = test_support::enabled(10);
+        let root = simtrace::sampled_root("run/test", 10);
+        let ctx = root.context();
         let handles: Vec<_> = (0..3)
             .map(|_| {
-                std::thread::spawn(|| {
-                    let _f = frame("sched/job [pair]");
+                std::thread::spawn(move || {
+                    let mut job = simtrace::child_of(ctx, "sched/job");
+                    job.arg("pair", "a-pair");
                     record_engine_sample(10, KIND_ALU, LEVEL_NONE, false);
+                    flush_thread();
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        let p = drain();
+        let p = drain_root(root);
         assert_eq!(p.samples.len(), 3);
         let folded = p.folded();
-        assert!(
-            folded.contains("sched/job [pair];seg/measured;uop/alu 30"),
-            "three threads, one folded line: {folded}"
+        assert_eq!(
+            folded, "run/test;sched/job [a-pair];seg/measured;uop/alu 30\n",
+            "three threads, one folded line"
         );
         // Dense tids, one per thread.
         let tids: std::collections::HashSet<u32> = p.samples.iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 3);
         assert!(tids.iter().all(|&t| t < 3));
+    }
+
+    #[test]
+    fn tables_do_not_depend_on_flush_order() {
+        // Two workers record the same samples under their own job spans;
+        // only the order in which they reach the collector differs.
+        let profile = |order: [usize; 2]| {
+            let root = simtrace::sampled_root("run/test", 10);
+            let ctx = root.context();
+            for worker in order {
+                std::thread::spawn(move || {
+                    let mut job = simtrace::child_of(ctx, "sched/job");
+                    job.arg("pair", format!("pair-{worker}"));
+                    let _stage = simtrace::span("stage/simulate");
+                    for kind in [KIND_BRANCH, KIND_LOAD, KIND_ALU][worker..].iter() {
+                        record_engine_sample(10, *kind, LEVEL_L3, worker == 1);
+                    }
+                    flush_thread();
+                })
+                .join()
+                .unwrap();
+            }
+            let mut p = drain_root(root);
+            p.wall_ns = 0;
+            p
+        };
+        let ab = profile([0, 1]);
+        let ba = profile([1, 0]);
+        assert_eq!(ab.samples.len(), 5);
+        assert_eq!(ab.to_text(), ba.to_text());
+        assert!(ab.frames.windows(2).all(|w| w[0] < w[1]), "sorted frames");
+        assert!(ab.stacks.windows(2).all(|w| w[0] < w[1]), "sorted stacks");
     }
 
     #[test]
@@ -931,9 +832,9 @@ mod tests {
 
     #[test]
     fn export_writes_all_three_artifacts() {
-        let _guard = test_support::enabled(10);
+        let root = simtrace::sampled_root("run/test", 10);
         record_engine_sample(10, KIND_ALU, LEVEL_NONE, false);
-        let p = drain();
+        let p = drain_root(root);
         let dir = std::env::temp_dir().join(format!("simprof-export-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let paths = export(&dir, "test", &p).expect("export");

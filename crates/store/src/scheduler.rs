@@ -148,10 +148,6 @@ impl Scheduler {
         batch_span.arg("workers", worker_count);
         batch_span.arg("jobs", total);
         let batch_ctx = batch_span.context();
-        // Profile frames are per-thread context: the batch frame covers the
-        // submitting thread; workers open their own job frames below, so
-        // engine samples from a worker fold under that worker's job label.
-        let _batch_frame = simprof::frame("sched/batch");
         thread::scope(|scope| {
             let (next, done, failed) = (&next, &done, &failed);
             let (slots, failures) = (&slots, &failures);
@@ -170,19 +166,14 @@ impl Scheduler {
                         if simmetrics::is_enabled() {
                             flight::note("job-start", label(i));
                         }
+                        // The `pair` arg also names the job's profile frame
+                        // (`sched/job [pair]`), so each pair's engine samples
+                        // fold separately in the flamegraph.
                         let mut job_span = simtrace::child_of(batch_ctx, "sched/job");
                         if job_span.is_recording() {
                             job_span.arg("pair", label(i));
                             job_span.arg("index", i);
                         }
-                        // Label formatting only when profiling is on; the
-                        // bracketed pair label folds each pair's engine
-                        // samples separately in the flamegraph.
-                        let _job_frame = if simprof::is_enabled() {
-                            Some(simprof::frame(&format!("sched/job [{}]", label(i))))
-                        } else {
-                            None
-                        };
                         let timer = metrics::job_wall_micros().start_timer();
                         let mut outcome = None;
                         let mut message = String::new();
@@ -336,20 +327,25 @@ mod tests {
 
     #[test]
     fn jobs_record_profile_frames_per_pair() {
-        let _prof = simprof::test_support::enabled(10);
+        let root = simtrace::sampled_root("run/test", 10);
         let report = Scheduler::new(2).run(
             3,
             |i| format!("pair-{i}"),
-            |_| simprof::record_engine_sample(10, simprof::KIND_ALU, simprof::LEVEL_NONE, false),
+            |_| {
+                simprof::record_engine_sample(10, simprof::KIND_ALU, simprof::LEVEL_NONE, false);
+                simprof::flush_thread();
+            },
             |_| {},
         );
         assert!(report.failures.is_empty());
-        let profile = simprof::drain();
+        let profile = simprof::drain(&root.drain());
         assert_eq!(profile.samples.len(), 3);
         let folded = profile.folded();
         for i in 0..3 {
             assert!(
-                folded.contains(&format!("sched/job [pair-{i}];seg/measured;uop/alu 10")),
+                folded.contains(&format!(
+                    "run/test;sched/batch;sched/job [pair-{i}];sched/attempt;seg/measured;uop/alu 10"
+                )),
                 "job frame for pair-{i} missing:\n{folded}"
             );
         }

@@ -95,28 +95,49 @@ impl Store {
     ///
     /// Any filesystem error creating or scanning the root.
     pub fn open<P: AsRef<Path>>(root: P) -> io::Result<Store> {
-        let root = root.as_ref().to_path_buf();
+        Store::load(root.as_ref(), true)
+    }
+
+    /// Opens the store already rooted at `root` for reading, creating
+    /// nothing: a shard directory that is missing indexes as empty.
+    ///
+    /// # Errors
+    ///
+    /// `root` is missing or not a directory, or any other filesystem error
+    /// scanning it.
+    pub fn open_existing<P: AsRef<Path>>(root: P) -> io::Result<Store> {
+        Store::load(root.as_ref(), false)
+    }
+
+    fn load(root: &Path, create: bool) -> io::Result<Store> {
+        if !create {
+            fs::read_dir(root)?;
+        }
         let mut shards: Vec<RwLock<HashMap<Key, ()>>> = Vec::with_capacity(SHARDS);
         for nibble in 0..SHARDS {
             let dir = root.join(format!("{nibble:x}"));
-            fs::create_dir_all(&dir)?;
+            if create {
+                fs::create_dir_all(&dir)?;
+            }
             let mut index = HashMap::new();
-            for entry in fs::read_dir(&dir)? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".rec")) else {
-                    continue; // tmp files and strays are not records
-                };
-                if let Some(key) = Key::from_hex(stem) {
-                    if shard_of(key) == nibble {
-                        index.insert(key, ());
+            if create || dir.is_dir() {
+                for entry in fs::read_dir(&dir)? {
+                    let entry = entry?;
+                    let name = entry.file_name();
+                    let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".rec")) else {
+                        continue; // tmp files and strays are not records
+                    };
+                    if let Some(key) = Key::from_hex(stem) {
+                        if shard_of(key) == nibble {
+                            index.insert(key, ());
+                        }
                     }
                 }
             }
             shards.push(RwLock::new(index));
         }
         Ok(Store {
-            root,
+            root: root.to_path_buf(),
             shards,
             tmp_counter: AtomicU64::new(0),
         })
@@ -264,6 +285,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("simstore-unit-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn open_existing_creates_nothing() {
+        let root = tmp_root("existing");
+        let err = Store::open_existing(&root).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(
+            !root.exists(),
+            "a failed read-only open must not create the root"
+        );
+        fs::create_dir_all(&root).unwrap();
+        let empty = Store::open_existing(&root).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(
+            fs::read_dir(&root).unwrap().count(),
+            0,
+            "no shard dirs created"
+        );
+        let key = key_of("record-a");
+        Store::open(&root).unwrap().put(key, b"payload").unwrap();
+        assert_eq!(
+            Store::open_existing(&root).unwrap().get(key),
+            Some(b"payload".to_vec())
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use simstore::Scheduler;
 
 #[test]
 fn scheduler_jobs_join_the_submitters_trace_across_threads() {
-    let _on = simtrace::test_support::enabled();
     let root = simtrace::root("run/test");
     let root_ctx = root.context();
     let report = Scheduler::new(2).run(
@@ -21,8 +20,7 @@ fn scheduler_jobs_join_the_submitters_trace_across_threads() {
         |_| {},
     );
     assert!(report.failures.is_empty());
-    drop(root);
-    let spans = simtrace::drain();
+    let spans = root.drain();
 
     let batch = spans
         .iter()
@@ -60,7 +58,7 @@ fn scheduler_jobs_join_the_submitters_trace_across_threads() {
 
 #[test]
 fn panicking_jobs_become_error_spans_with_retry_marked() {
-    let _on = simtrace::test_support::enabled();
+    let root = simtrace::root("run/test");
     let report = Scheduler::new(1).run(
         1,
         |_| "flaky".to_string(),
@@ -68,7 +66,7 @@ fn panicking_jobs_become_error_spans_with_retry_marked() {
         |_| {},
     );
     assert_eq!(report.failures.len(), 1);
-    let spans = simtrace::drain();
+    let spans = root.drain();
 
     let attempts: Vec<_> = spans.iter().filter(|s| s.name == "sched/attempt").collect();
     assert_eq!(
@@ -91,12 +89,11 @@ fn panicking_jobs_become_error_spans_with_retry_marked() {
 
 #[test]
 fn untraced_batches_record_nothing() {
-    // Hold the serialization lock but flip tracing back off: the
-    // scheduler's span calls must all be inert no-ops (the production
-    // default).
-    let _lock = simtrace::test_support::enabled();
-    simtrace::disable();
-    let report = Scheduler::new(2).run(3, |i| i.to_string(), |i| i, |_| {});
+    // With no root open, every span the batch and its jobs open is inert,
+    // on the submitting thread and on every worker.
+    let inner = |_| simtrace::span("work/inner").is_recording();
+    let report = Scheduler::new(2).run(3, |i| i.to_string(), inner, |_| {});
     assert!(report.failures.is_empty());
-    assert!(simtrace::drain().is_empty());
+    assert_eq!(report.results, [Some(false); 3]);
+    assert!(simtrace::current_context().is_none());
 }

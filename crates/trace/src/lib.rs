@@ -16,9 +16,9 @@
 //!   worker, and the worker opens children with [`child_of`]; the whole
 //!   run becomes one tree regardless of which thread ran what.
 //! - [`SpanGuard`] — a scope guard recording name, thread, wall-clock
-//!   window, error status, and key/value args into the process-global
-//!   collector on drop. Within one thread, [`span`] nests automatically
-//!   under the innermost live guard.
+//!   window, error status, and key/value args into its trace on drop.
+//!   Within one thread, [`span`] nests automatically under the innermost
+//!   live guard.
 //! - [`chrome`] — Chrome Trace Event JSON, loadable in Perfetto or
 //!   `about://tracing`, plus a strict parser that round-trips it.
 //! - [`binfmt`] — a compact versioned binary codec for the same records.
@@ -28,9 +28,16 @@
 //! - [`lint`] — `T…` rule checks (name legality, orphan parents,
 //!   non-monotonic timestamps, duplicate ids) over a collected trace.
 //!
-//! Like simmetrics, recording is gated on one process-wide flag: while
-//! [`is_enabled`] is false every guard is inert — no allocation, no clock
-//! read, no lock — so the engine path is bit-identical with tracing off.
+//! An open root is the only on-switch. [`root`] starts a trace; [`span`]
+//! records only under a live context on its thread and [`child_of`] only
+//! under a live parent, so code that runs with no root open gets inert
+//! guards — no allocation, no clock read, no lock — and the engine path
+//! is bit-identical untraced. Each trace collects apart from every other
+//! one and [`SpanGuard::drain`] on its root takes exactly its spans, so
+//! two roots on two threads (two tests, say) never see each other's
+//! records. A root opened with [`sampled_root`] also carries the
+//! profiler's sample interval, which reaches every descendant, on any
+//! thread, through its [`SpanContext`].
 
 pub mod analyze;
 pub mod binfmt;
@@ -38,47 +45,39 @@ pub mod chrome;
 pub mod lint;
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The root arg a [`sampled_root`] records its sample interval under, so
+/// the profile drained from the trace can stamp it.
+pub const SAMPLE_INTERVAL_ARG: &str = "sample_interval";
 
-/// Turns span recording on process-wide.
-pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turns span recording off process-wide.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether spans are currently being recorded. One relaxed atomic load —
-/// cheap enough to gate label formatting on hot paths.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The identity of one live span: which trace it belongs to and which span
-/// it is. Copy it across a thread boundary and open children with
-/// [`child_of`] to keep causality intact.
+/// The identity of one live span: which trace it belongs to, which span
+/// it is, and the trace's profile sample interval. Copy it across a
+/// thread boundary and open children with [`child_of`] to keep causality
+/// intact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanContext {
     /// Trace (suite-run) identity; 0 means "no trace".
     pub trace_id: u64,
     /// Span identity within the process; 0 means "no span".
     pub span_id: u64,
+    /// Engine ops per profile sample, set by [`sampled_root`] and
+    /// inherited by every descendant; 0 means the trace is not profiled.
+    pub sample_interval: u64,
 }
 
 impl SpanContext {
-    /// The absent context: children of it start fresh traces.
+    /// The absent context: nothing opened under it records.
     pub const NONE: SpanContext = SpanContext {
         trace_id: 0,
         span_id: 0,
+        sample_interval: 0,
     };
 
     /// True when this context names no live span.
@@ -184,7 +183,9 @@ impl SpanRecord {
 
 struct Collector {
     epoch: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
+    /// Finished spans per open trace. A root's drain or drop removes its
+    /// trace, and spans that close after that are dropped.
+    traces: Mutex<HashMap<u64, Vec<SpanRecord>>>,
     next_span: AtomicU64,
     next_trace: AtomicU64,
     next_tid: AtomicU64,
@@ -194,11 +195,15 @@ fn collector() -> &'static Collector {
     static C: OnceLock<Collector> = OnceLock::new();
     C.get_or_init(|| Collector {
         epoch: Instant::now(),
-        spans: Mutex::new(Vec::new()),
+        traces: Mutex::new(HashMap::new()),
         next_span: AtomicU64::new(1),
         next_trace: AtomicU64::new(1),
         next_tid: AtomicU64::new(1),
     })
+}
+
+fn traces() -> std::sync::MutexGuard<'static, HashMap<u64, Vec<SpanRecord>>> {
+    collector().traces.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
@@ -219,60 +224,66 @@ fn thread_tid() -> u32 {
 }
 
 /// The innermost live span on this thread ([`SpanContext::NONE`] when no
-/// guard is live or tracing is disabled). Capture this on the submitting
-/// thread and pass it to workers.
+/// guard is live). Capture this on the submitting thread and pass it to
+/// workers.
 pub fn current_context() -> SpanContext {
-    if !is_enabled() {
-        return SpanContext::NONE;
-    }
     CURRENT.with(Cell::get)
 }
 
-/// Opens a root span starting a fresh trace.
+/// Opens a root span starting a fresh, unprofiled trace.
 pub fn root(name: &str) -> SpanGuard {
-    open(name, SpanContext::NONE, true)
+    sampled_root(name, 0)
 }
 
-/// Opens a span nested under this thread's innermost live guard (a fresh
-/// trace root when there is none).
-pub fn span(name: &str) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { inner: None };
+/// Opens a root span starting a fresh trace whose engine runs record one
+/// profile sample per `interval` ops (0 leaves the trace unprofiled). A
+/// nonzero interval is also recorded as the root's
+/// [`SAMPLE_INTERVAL_ARG`] arg.
+pub fn sampled_root(name: &str, interval: u64) -> SpanGuard {
+    let trace_id = collector().next_trace.fetch_add(1, Ordering::Relaxed);
+    traces().insert(trace_id, Vec::new());
+    let parent = SpanContext {
+        trace_id,
+        span_id: 0,
+        sample_interval: interval,
+    };
+    let mut guard = open(name, parent);
+    if interval != 0 {
+        guard.arg(SAMPLE_INTERVAL_ARG, interval);
     }
-    open(name, CURRENT.with(Cell::get), false)
+    guard
+}
+
+/// Opens a span nested under this thread's innermost live guard; inert
+/// when there is none.
+pub fn span(name: &str) -> SpanGuard {
+    child_of(current_context(), name)
 }
 
 /// Opens a span under an explicitly propagated parent context — the
-/// cross-thread edge. A [`SpanContext::NONE`] parent degrades to [`span`].
+/// cross-thread edge. Inert under [`SpanContext::NONE`].
 pub fn child_of(parent: SpanContext, name: &str) -> SpanGuard {
-    if !is_enabled() {
+    if parent.is_none() {
         return SpanGuard { inner: None };
     }
-    if parent.is_none() {
-        span(name)
-    } else {
-        open(name, parent, false)
-    }
+    open(name, parent)
 }
 
-fn open(name: &str, parent: SpanContext, force_root: bool) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { inner: None };
-    }
+/// Opens a span under `parent`; a `parent` with span id 0 makes it its
+/// trace's root.
+fn open(name: &str, parent: SpanContext) -> SpanGuard {
     let c = collector();
-    let span_id = c.next_span.fetch_add(1, Ordering::Relaxed);
-    let (trace_id, parent_id) = if force_root || parent.is_none() {
-        (c.next_trace.fetch_add(1, Ordering::Relaxed), 0)
-    } else {
-        (parent.trace_id, parent.span_id)
+    let ctx = SpanContext {
+        span_id: c.next_span.fetch_add(1, Ordering::Relaxed),
+        ..parent
     };
-    let prev = CURRENT.with(|cur| cur.replace(SpanContext { trace_id, span_id }));
+    let prev = CURRENT.with(|cur| cur.replace(ctx));
     SpanGuard {
         inner: Some(ActiveSpan {
             record: SpanRecord {
-                trace_id,
-                span_id,
-                parent_id,
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
+                parent_id: parent.span_id,
                 name: name.to_string(),
                 tid: thread_tid(),
                 start_ns: c.epoch.elapsed().as_nanos() as u64,
@@ -280,6 +291,7 @@ fn open(name: &str, parent: SpanContext, force_root: bool) -> SpanGuard {
                 error: None,
                 args: Vec::new(),
             },
+            ctx,
             prev,
         }),
     }
@@ -287,12 +299,14 @@ fn open(name: &str, parent: SpanContext, force_root: bool) -> SpanGuard {
 
 struct ActiveSpan {
     record: SpanRecord,
+    ctx: SpanContext,
     prev: SpanContext,
 }
 
-/// A live span: records itself into the collector when finished or
-/// dropped, restoring the thread's previous context either way. Inert
-/// (and free) while tracing is disabled.
+/// A live span: records itself into its trace when finished or dropped,
+/// restoring the thread's previous context either way. Inert (and free)
+/// when opened with no live parent. Dropping a root without
+/// [`SpanGuard::drain`] discards its trace.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is held across"]
 pub struct SpanGuard {
@@ -309,8 +323,8 @@ impl fmt::Debug for ActiveSpan {
 }
 
 impl SpanGuard {
-    /// Whether this guard records anything (false when tracing was
-    /// disabled at creation) — gate expensive label formatting on it.
+    /// Whether this guard records anything (false when it was opened
+    /// with no live parent) — gate expensive label formatting on it.
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
     }
@@ -318,13 +332,7 @@ impl SpanGuard {
     /// This span's context, for handing to other threads.
     /// [`SpanContext::NONE`] when inert.
     pub fn context(&self) -> SpanContext {
-        match &self.inner {
-            Some(a) => SpanContext {
-                trace_id: a.record.trace_id,
-                span_id: a.record.span_id,
-            },
-            None => SpanContext::NONE,
-        }
+        self.inner.as_ref().map_or(SpanContext::NONE, |a| a.ctx)
     }
 
     /// Attaches a key/value arg (pair id, op count, hit flag, …).
@@ -344,32 +352,42 @@ impl SpanGuard {
     /// Finishes the span now (drop does the same).
     pub fn finish(self) {}
 
-    fn close(&mut self) {
-        if let Some(mut a) = self.inner.take() {
-            a.record.end_ns = collector().epoch.elapsed().as_nanos() as u64;
-            CURRENT.with(|cur| cur.set(a.prev));
-            collector()
-                .spans
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(a.record);
+    /// Finishes this span and takes its trace's finished spans, sorted by
+    /// start time: the whole tree when this is the root. Spans still open
+    /// elsewhere are not included, and a root's trace is gone afterwards.
+    /// Empty when inert.
+    pub fn drain(mut self) -> Vec<SpanRecord> {
+        let Some(trace_id) = self.close() else {
+            return Vec::new();
+        };
+        let mut spans = traces().remove(&trace_id).unwrap_or_default();
+        spans.sort_by_key(|s| (s.start_ns, s.span_id));
+        spans
+    }
+
+    /// Records the span into its trace and restores the thread's previous
+    /// context; returns the trace id when the span was live.
+    fn close(&mut self) -> Option<u64> {
+        let mut a = self.inner.take()?;
+        a.record.end_ns = collector().epoch.elapsed().as_nanos() as u64;
+        CURRENT.with(|cur| cur.set(a.prev));
+        let trace_id = a.record.trace_id;
+        if let Some(spans) = traces().get_mut(&trace_id) {
+            spans.push(a.record);
         }
+        Some(trace_id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.close();
+        let root = self.inner.as_ref().is_some_and(|a| a.record.parent_id == 0);
+        if let Some(trace_id) = self.close() {
+            if root {
+                traces().remove(&trace_id);
+            }
+        }
     }
-}
-
-/// Takes every finished span out of the collector, sorted by start time.
-/// Live (unfinished) guards are not included — finish the root first.
-pub fn drain() -> Vec<SpanRecord> {
-    let mut spans =
-        std::mem::take(&mut *collector().spans.lock().unwrap_or_else(|e| e.into_inner()));
-    spans.sort_by_key(|s| (s.start_ns, s.span_id));
-    spans
 }
 
 /// Writes `<name>.trace.json` (Chrome Trace Event, Perfetto-loadable) and
@@ -411,97 +429,88 @@ pub fn load(path: &Path) -> io::Result<Vec<SpanRecord>> {
     }
 }
 
-/// Test-only coordination: the tracer is process-global, so tests that
-/// enable it serialize on one lock and start from a drained collector.
-pub mod test_support {
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes every test that flips the process-wide enable flag.
-    static ENABLE_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Guard from [`enabled`]: disables tracing and drains leftovers on
-    /// drop.
-    pub struct EnabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    /// Guard from [`disabled`]: holds tracing off until dropped.
-    pub struct DisabledGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-    impl Drop for EnabledGuard {
-        fn drop(&mut self) {
-            crate::disable();
-            let _ = crate::drain();
-        }
-    }
-
-    /// Enables tracing for the duration of the returned guard, starting
-    /// from an empty collector.
-    pub fn enabled() -> EnabledGuard {
-        let g = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = crate::drain();
-        crate::enable();
-        EnabledGuard(g)
-    }
-
-    /// Holds tracing off for the duration of the returned guard, so a test
-    /// asserting the disabled path cannot overlap one that enabled it.
-    pub fn disabled() -> DisabledGuard {
-        DisabledGuard(ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Recording is off until a root opens: every guard opened without
+    /// one is inert.
     #[test]
     fn disabled_guards_are_inert() {
-        let _off = test_support::disabled();
-        assert!(!is_enabled());
+        assert_eq!(current_context(), SpanContext::NONE);
         let mut g = span("noop");
         assert!(!g.is_recording());
         assert!(g.context().is_none());
         g.arg("k", 1u64);
         g.set_error("nope");
+        let orphan = child_of(SpanContext::NONE, "orphan");
+        assert!(!orphan.is_recording());
+        assert!(orphan.drain().is_empty());
         drop(g);
         assert_eq!(current_context(), SpanContext::NONE);
     }
 
+    /// Only a root starts a trace: a root opened inside another trace
+    /// does not join it, while a parentless `child_of` stays inert rather
+    /// than falling back to the current context.
+    #[test]
+    fn span_without_parent_starts_a_fresh_trace() {
+        let a = root("lone/a");
+        let a_ctx = a.context();
+        let b = child_of(SpanContext::NONE, "lone/b");
+        assert!(!b.is_recording(), "NONE no longer degrades to span()");
+        drop(b);
+        let c = root("lone/c");
+        let c_ctx = c.context();
+        assert_ne!(c_ctx.trace_id, a_ctx.trace_id);
+        let c_spans = c.drain();
+        assert_eq!(current_context(), a_ctx);
+        let a_spans = a.drain();
+        assert_eq!(c_spans.len(), 1);
+        assert_eq!(c_spans[0].parent_id, 0);
+        assert_eq!(a_spans.len(), 1);
+        assert_eq!(a_spans[0].parent_id, 0);
+        let d = root("lone/d");
+        assert_ne!(
+            d.context().trace_id,
+            a_ctx.trace_id,
+            "fresh trace once a closed"
+        );
+        assert_ne!(d.context().trace_id, c_ctx.trace_id);
+    }
+
     #[test]
     fn spans_nest_within_a_thread() {
-        let _on = test_support::enabled();
         let root = root("run/test");
         let rctx = root.context();
-        {
+        let (octx, ictx) = {
             let outer = span("outer");
             let octx = outer.context();
             let inner = span("inner");
-            assert_eq!(inner.context().trace_id, rctx.trace_id);
+            let ictx = inner.context();
+            assert_eq!(ictx.trace_id, rctx.trace_id);
             drop(inner);
             drop(outer);
             // After inner+outer close, the root is current again.
             assert_eq!(current_context(), rctx);
-            let spans = {
-                let c = collector();
-                let guard = c.spans.lock().unwrap();
-                guard.clone()
-            };
-            let inner_rec = spans.iter().find(|s| s.name == "inner").unwrap();
-            assert_eq!(inner_rec.parent_id, octx.span_id);
-            let outer_rec = spans.iter().find(|s| s.name == "outer").unwrap();
-            assert_eq!(outer_rec.parent_id, rctx.span_id);
-        }
-        drop(root);
-        let spans = drain();
+            (octx, ictx)
+        };
+        let spans = root.drain();
+        assert_eq!(current_context(), SpanContext::NONE);
         assert_eq!(spans.len(), 3);
         assert!(spans.iter().all(|s| s.trace_id == rctx.trace_id));
         assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
+        let parent_of = |id: u64| spans.iter().find(|s| s.span_id == id).unwrap().parent_id;
+        assert_eq!(parent_of(ictx.span_id), octx.span_id);
+        assert_eq!(parent_of(octx.span_id), rctx.span_id);
+        assert_eq!(parent_of(rctx.span_id), 0);
     }
 
     #[test]
     fn context_propagates_across_threads() {
-        let _on = test_support::enabled();
-        let root = root("run/xthread");
+        let root = sampled_root("run/xthread", 77);
         let parent = root.context();
+        assert_eq!(parent.sample_interval, 77);
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
@@ -515,10 +524,10 @@ mod tests {
             })
             .collect();
         let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        drop(root);
-        let spans = drain();
+        let spans = root.drain();
         for (jctx, nctx) in results {
             assert_eq!(jctx.trace_id, parent.trace_id);
+            assert_eq!(nctx.sample_interval, 77, "the interval reaches workers");
             let job = spans.iter().find(|s| s.span_id == jctx.span_id).unwrap();
             assert_eq!(job.parent_id, parent.span_id);
             let nested = spans.iter().find(|s| s.span_id == nctx.span_id).unwrap();
@@ -526,6 +535,7 @@ mod tests {
         }
         // Worker threads get their own tids, distinct from the main thread.
         let root_rec = spans.iter().find(|s| s.name == "run/xthread").unwrap();
+        assert_eq!(root_rec.arg(SAMPLE_INTERVAL_ARG), Some(&ArgValue::U64(77)));
         assert!(spans
             .iter()
             .filter(|s| s.name == "sched/job")
@@ -534,15 +544,12 @@ mod tests {
 
     #[test]
     fn errors_and_args_land_in_the_record() {
-        let _on = test_support::enabled();
-        {
-            let mut g = root("run/err");
-            g.arg("pair", "505.mcf_r");
-            g.arg("ops", 1234u64);
-            g.arg("hit", false);
-            g.set_error("injected failure");
-        }
-        let spans = drain();
+        let mut g = root("run/err");
+        g.arg("pair", "505.mcf_r");
+        g.arg("ops", 1234u64);
+        g.arg("hit", false);
+        g.set_error("injected failure");
+        let spans = g.drain();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].error.as_deref(), Some("injected failure"));
         assert_eq!(
@@ -551,22 +558,36 @@ mod tests {
         );
         assert_eq!(spans[0].arg("ops"), Some(&ArgValue::U64(1234)));
         assert_eq!(spans[0].arg("hit"), Some(&ArgValue::Bool(false)));
+        assert_eq!(spans[0].arg(SAMPLE_INTERVAL_ARG), None, "unprofiled root");
     }
 
     #[test]
-    fn span_without_parent_starts_a_fresh_trace() {
-        let _on = test_support::enabled();
-        let a = span("lone/a");
-        let b_ctx = {
-            let b = child_of(SpanContext::NONE, "lone/b");
-            b.context()
+    fn each_root_drains_only_its_own_trace() {
+        let a = root("run/a");
+        let b_spans = {
+            let b = root("run/b");
+            span("b/child").finish();
+            b.drain()
         };
-        // `b` was opened while `a` was current, so NONE degrades to span().
-        assert_eq!(b_ctx.trace_id, a.context().trace_id);
-        drop(a);
-        let c = span("lone/c");
-        let c_ctx = c.context();
-        drop(c);
-        assert_ne!(c_ctx.trace_id, b_ctx.trace_id, "fresh trace once a closed");
+        span("a/child").finish();
+        let a_spans = a.drain();
+        let names = |spans: &[SpanRecord]| -> Vec<String> {
+            spans.iter().map(|s| s.name.clone()).collect()
+        };
+        assert_eq!(names(&b_spans), ["run/b", "b/child"]);
+        assert_eq!(names(&a_spans), ["run/a", "a/child"]);
+        assert_ne!(a_spans[0].trace_id, b_spans[0].trace_id);
+    }
+
+    #[test]
+    fn a_dropped_root_discards_its_trace() {
+        let root = root("run/dropped");
+        let ctx = root.context();
+        span("child").finish();
+        drop(root);
+        assert!(!traces().contains_key(&ctx.trace_id));
+        // A straggler closing after its root is dropped, not kept.
+        child_of(ctx, "late").finish();
+        assert!(!traces().contains_key(&ctx.trace_id));
     }
 }

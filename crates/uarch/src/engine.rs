@@ -510,11 +510,12 @@ impl Engine {
     /// stream for every plan.
     ///
     /// Counters are also independent of profiling: one dispatch here picks
-    /// the profiled or unprofiled monomorphization of the hot loop, and
-    /// the simprof hook only ever reads engine state (pinned by
-    /// `profiling_does_not_perturb_counters`).
+    /// the profiled or unprofiled monomorphization of the hot loop from
+    /// the sample interval of the trace in scope (0, or no trace, takes
+    /// the unprofiled one), and the simprof hook only ever reads engine
+    /// state (pinned by `profiling_does_not_perturb_counters`).
     pub fn execute<S: UopSource>(&mut self, source: S, plan: &ExecPlan) -> PerfSession {
-        match simprof::engine_interval() {
+        match simtrace::current_context().sample_interval {
             0 => self.execute_impl::<S, false>(source, plan, 0),
             interval => self.execute_impl::<S, true>(source, plan, interval),
         }
@@ -527,13 +528,9 @@ impl Engine {
         prof_interval: u64,
     ) -> PerfSession {
         // One guard around the whole run: constant cost, never per op, and
-        // inert while tracing is disabled so the hot loop is untouched.
+        // inert with no trace open so the hot loop is untouched. Profile
+        // samples taken in the run are stamped with this span.
         let mut trace_span = simtrace::span("engine/run");
-        let _prof_frame = if PROFILE {
-            Some(simprof::frame("engine/run"))
-        } else {
-            None
-        };
         let prof = if PROFILE {
             ProfState {
                 countdown: prof_interval,
@@ -1196,10 +1193,9 @@ mod tests {
             let mut scalar = Engine::new(&SystemConfig::tiny_test());
             let want = scalar.run_reference(ops.iter().copied(), &base.hints(hints));
             // Both monomorphizations of the execution sink: the profiled one
-            // runs under the profiler guard, which serializes it against
-            // every other test that toggles the global profiler.
+            // runs under a sampled root of its own.
             for profiled in [false, true] {
-                let guard = profiled.then(|| simprof::test_support::enabled(777));
+                let root = profiled.then(|| simtrace::sampled_root("test/sink", 777));
                 // Exercise several per-drive caps, including ones that
                 // misalign with the warmup and sampler boundaries.
                 for batch_ops in [1usize, 7, 4096, 100_000] {
@@ -1212,9 +1208,9 @@ mod tests {
                          reference for {base:?}"
                     );
                 }
-                if guard.is_some() {
+                if let Some(root) = root {
                     assert!(
-                        simprof::drain().total_weight() > 0,
+                        simprof::drain(&root.drain()).total_weight() > 0,
                         "the profiled sink must have taken samples"
                     );
                 }
@@ -1431,15 +1427,16 @@ mod tests {
         let mut plain_engine = engine();
         let plain = plain_engine.execute(from_iter(ops.iter().copied()), &plan);
         let (profiled, profile) = {
-            let _prof = simprof::test_support::enabled(777);
+            let root = simtrace::sampled_root("test/perturb", 777);
             let mut e = engine();
             let session = e.execute(from_iter(ops.iter().copied()), &plan);
-            (session, simprof::drain())
+            (session, simprof::drain(&root.drain()))
         };
         assert_eq!(plain, profiled, "profiling must not perturb any counter");
         // The profiled sink ran the whole stream: one sample per interval.
-        assert!(
-            profile.total_weight() >= (30_000 / 777) * 777,
+        assert_eq!(
+            profile.total_weight(),
+            (30_000 / 777) * 777,
             "profiled sink sampled {} ops",
             profile.total_weight()
         );
@@ -1449,33 +1446,55 @@ mod tests {
     fn profile_samples_cover_the_run() {
         let interval = 1_000u64;
         let n = 30_000u64;
-        // The profiler is process-global: another test's engine run may be
-        // sampled into the same drain. Only samples under this test's own
-        // root frame count.
-        let root = "test/profile_samples_cover_the_run";
-        let mut profile = {
-            let _prof = simprof::test_support::enabled(interval);
-            let _root = simprof::frame(root);
+        let profile = {
+            let root = simtrace::sampled_root("test/cover", interval);
             let mut e = engine();
             e.execute(from_iter(phased_ops(n)), &ExecPlan::new().warmup(5_000));
-            simprof::drain()
+            simprof::drain(&root.drain())
         };
-        profile.samples = (profile.samples.iter().copied())
-            .filter(|s| {
-                profile
-                    .stack_names(s)
-                    .is_some_and(|f| f.first() == Some(&root))
-            })
-            .collect();
         // One sample per interval, each carrying the interval's weight.
+        assert_eq!(profile.interval, interval);
         assert_eq!(profile.total_weight(), (n / interval) * interval);
         assert_eq!(profile.samples.len(), (n / interval) as usize);
         let folded = profile.folded();
-        assert!(folded.contains("engine/run;seg/warmup;"), "{folded}");
-        assert!(folded.contains("engine/run;seg/measured;"), "{folded}");
+        assert!(
+            folded.contains("test/cover;engine/run;seg/warmup;"),
+            "{folded}"
+        );
+        assert!(
+            folded.contains("test/cover;engine/run;seg/measured;"),
+            "{folded}"
+        );
         // The phased stream streams loads first: the memory leaves must
         // show up under the load samples.
         assert!(folded.contains("uop/load;mem/"), "{folded}");
+    }
+
+    #[test]
+    fn concurrent_sampled_roots_drain_only_their_own_runs() {
+        let n = 30_000u64;
+        let barrier = std::sync::Barrier::new(2);
+        let run = |interval: u64| {
+            let root = simtrace::sampled_root(&format!("test/iso-{interval}"), interval);
+            barrier.wait();
+            engine().execute(from_iter(phased_ops(n)), &ExecPlan::new());
+            barrier.wait();
+            let spans = root.drain();
+            let names: Vec<String> = spans.iter().map(|s| s.name.clone()).collect();
+            assert_eq!(names, [format!("test/iso-{interval}"), "engine/run".into()]);
+            let profile = simprof::drain(&spans);
+            assert_eq!(profile.interval, interval);
+            assert_eq!(profile.samples.len() as u64, n / interval);
+            assert_eq!(profile.total_weight(), (n / interval) * interval);
+            let own = format!("test/iso-{interval};engine/run;");
+            let folded = profile.folded();
+            assert!(folded.lines().all(|l| l.starts_with(&own)), "{folded}");
+        };
+        std::thread::scope(|scope| {
+            let other = scope.spawn(|| run(700));
+            run(1_000);
+            other.join().unwrap();
+        });
     }
 
     #[test]

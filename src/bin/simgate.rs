@@ -557,8 +557,8 @@ fn simpoint(invocation: &mut Invocation) -> Result<Verdict, Stop> {
         }
         Ok(true)
     })?;
-    let store =
-        simstore::Store::open(&dir).map_err(|e| Stop::Broken(format!("{}: {e}", dir.display())))?;
+    let store = simstore::Store::open_existing(&dir)
+        .map_err(|e| Stop::Broken(format!("{}: {e}", dir.display())))?;
     let mut records = Vec::new();
     let mut undecodable = 0usize;
     for key in store.keys() {

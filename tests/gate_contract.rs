@@ -154,6 +154,7 @@ fn missing_baseline_exits_3_and_allow_missing_downgrades_to_0() {
     let dir = Scratch::new("missing");
     let gone = dir.path("no-such-baseline");
     let empty_store = dir.path("simpoints");
+    fs::create_dir(&empty_store).expect("create empty store dir");
     let bench_base = dir.bench("base.json", &[("suite/alpha", 1000), ("suite/gone", 1000)]);
     let bench_cur = dir.bench("cur.json", &[("suite/alpha", 1000)]);
     let cases: [Vec<&str>; 6] = [
@@ -333,4 +334,18 @@ fn simpoint_io_error_exits_2() {
     let file = dir.path("not-a-directory");
     fs::write(&file, "").expect("write file");
     assert_code(&["simpoint", "--dir", &file], 2);
+}
+
+#[test]
+fn simpoint_missing_dir_exits_2_and_creates_nothing() {
+    let dir = Scratch::new("simpoint-missing");
+    let missing = dir.path("no-such-store");
+    for args in [
+        vec!["simpoint", "--dir", &missing],
+        vec!["simpoint", "--dir", &missing, "--allow-missing"],
+    ] {
+        let (_, stderr) = assert_code(&args, 2);
+        assert!(stderr.contains("no-such-store"), "{args:?}: {stderr}");
+        assert!(!Path::new(&missing).exists(), "{args:?} created {missing}");
+    }
 }

@@ -262,3 +262,29 @@ fn every_rule_family_is_explainable() {
     }
     assert!(simcheck::explain("Z999").is_none());
 }
+
+// ------------------------------------------------------ read-only audits
+
+#[test]
+fn store_audits_of_a_missing_dir_exit_2_and_create_nothing() {
+    let scratch =
+        std::env::temp_dir().join(format!("workchar-lint-missing-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let missing = scratch.join("no-such-store");
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+    for flag in ["--simpoint-dir", "--cache-dir"] {
+        let output = std::process::Command::new(env!("CARGO"))
+            .args(["run", "--release", "-q", "--manifest-path"])
+            .arg(&manifest)
+            .args(["-p", "workchar", "--bin", "lint", "--", flag])
+            .arg(&missing)
+            .output()
+            .expect("spawn lint");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("no-such-store"), "{flag}: {stderr}");
+        assert!(!missing.exists(), "{flag} created {}", missing.display());
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
