@@ -103,9 +103,9 @@ fn bench_engine(r: &mut Runner) {
         black_box(engine.execute(gen, &sampled))
     });
     // Paired with engine_run_100k above: with metrics enabled, the engine
-    // pays one histogram record and two counter adds per *run* (never per
-    // op), and the generator one counter add per drop, so the ratio of the
-    // two medians is the simmetrics overhead the design budgets at <5%.
+    // pays two counter adds per *run* (never per op), and the generator one
+    // counter add per drop, so the ratio of the two medians is the
+    // simmetrics overhead the design budgets at <5%.
     simmetrics::enable();
     bench_paired(r, anchor, "engine_run_100k_metrics_enabled", || {
         let gen =
@@ -260,34 +260,6 @@ fn bench_trace_io(r: &mut Runner) {
     });
 }
 
-fn bench_histogram_exemplars(r: &mut Runner) {
-    // Paired at one batch size. The pipeline always goes through
-    // record_spanned; with no live span (span_id 0 — tracing off, the
-    // common case) it must cost the same as a plain record, budgeted <5%
-    // like every observability substrate. The third entry measures the
-    // full exemplar capture with a live span (bucket-slot scan plus a
-    // mutex push per sample) — paid only on spanned stage records, a
-    // handful per pair, so it is tracked for trend but has no budget.
-    simmetrics::enable();
-    let hist = simmetrics::histogram("bench_exemplar_micros", "Exemplar overhead probe.");
-    let anchor = r.bench("hist_record_1k", || {
-        for i in 0..1000u64 {
-            hist.record(black_box(i % 97));
-        }
-    });
-    bench_paired(r, anchor, "hist_record_spanned_inert_1k", || {
-        for i in 0..1000u64 {
-            hist.record_spanned(black_box(i % 97), 0, 0);
-        }
-    });
-    bench_paired(r, anchor, "hist_record_spanned_live_1k", || {
-        for i in 0..1000u64 {
-            hist.record_spanned(black_box(i % 97), 0x42, i + 1);
-        }
-    });
-    simmetrics::disable();
-}
-
 fn bench_phase_detection(r: &mut Runner) {
     let config = SystemConfig::haswell_e5_2650l_v3();
     let workload = demo_three_phase();
@@ -318,7 +290,6 @@ fn main() {
     bench_kmedoids_and_silhouette(&mut r);
     bench_varimax(&mut r);
     bench_trace_io(&mut r);
-    bench_histogram_exemplars(&mut r);
     bench_phase_detection(&mut r);
     r.finish();
 }

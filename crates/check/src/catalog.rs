@@ -389,11 +389,11 @@ pub mod codes {
         "metric name violates the suffix conventions for its kind",
         "Convention carries meaning for downstream tooling: counters end \
          in '_total' (rate() targets), while no metric may end in the \
-         histogram-reserved suffixes '_bucket', '_sum', or '_count' — \
-         Prometheus-style tools derive those series from a histogram, so \
-         a base name carrying one reads as a fragment of another metric. \
-         Gauges ending in '_total' read as counters and get \
-         mis-aggregated.");
+         reserved suffixes '_bucket', '_sum', or '_count' — \
+         Prometheus-style tools derive those series from a summary or \
+         histogram, so a base name carrying one reads as a fragment of \
+         another metric. Gauges and summaries ending in '_total' read as \
+         counters and get mis-aggregated.");
 
     // ------------------------------------------------------------------ T: trace
 

@@ -13,7 +13,6 @@ use workload_synth::profile::{AppInputPair, AppProfile, InputSize, Suite};
 
 use crate::cache::{characterize_pair_cached, CacheContext};
 use crate::error::{Error, Result};
-use crate::observe::Stage;
 use crate::telemetry;
 
 /// Configuration of a characterization campaign: which system to simulate
@@ -224,7 +223,7 @@ pub fn prepared_run(
 /// [`Error::Behavior`] when the pair's profile fails validation.
 pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<CharRecord> {
     let behavior = &pair.input.behavior;
-    let prepare = Stage::timed("stage/prepare", telemetry::stage_prepare_micros());
+    let prepare = simtrace::span("stage/prepare");
     let (trace, hints) = prepared_run(pair, config)?;
     drop(prepare);
     let sim_ops = trace.remaining();
@@ -235,7 +234,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     let mut plan = ExecPlan::new().hints(hints).warmup(warmup);
     plan.sampler = config.sampler;
     let mut engine = Engine::new(&config.system);
-    let simulate = Stage::timed("stage/simulate", telemetry::stage_simulate_micros());
+    let simulate = simtrace::span("stage/simulate");
     // The generator drives the engine's execution sink: each µop is
     // executed as it is drawn, with no buffer or iterator hand-off.
     let session = engine.execute(trace, &plan);
@@ -252,7 +251,7 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     } else {
         GrowthCurve::Saturating
     };
-    let footprint = Stage::timed("stage/footprint", telemetry::stage_footprint_micros());
+    let footprint = simtrace::span("stage/footprint");
     let map = MemoryMap::from_behavior(behavior, growth);
     let mut sampler = PsSampler::new();
     sampler.sample_run(&map, 60);

@@ -2,15 +2,15 @@
 //! owns the span tree, the stage view derived from it, and timeline
 //! artifacts.
 //!
-//! Every pipeline stage is one [`Stage`]: a simtrace span plus an action
-//! on close — the peak RSS for top-level stages, a latency histogram
-//! sample whose exemplar names the span for per-pair ones. The span is
-//! also the stage's profile frame. The `reproduce` and `extensions`
-//! binaries always record spans under one run root ([`Run`]), a sampled
-//! root under `--profile`. When the run ends,
-//! whether it succeeded or failed, each direct child of the root becomes
-//! one row of the stderr stage table ([`stages`], [`stage_table`]);
-//! `--trace` only decides whether the trace files are exported as well.
+//! Every top-level pipeline stage is one [`Stage`]: a simtrace span that
+//! records the process peak RSS when it closes. The `reproduce` and
+//! `extensions` binaries always record spans under one run root ([`Run`]),
+//! a sampled root under `--profile`. When the run ends, whether it
+//! succeeded or failed, each direct child of the root becomes one row of
+//! the stderr stage table ([`stages`], [`stage_table`]), and a successful
+//! run's `metrics.json` summarizes the per-pair span latencies
+//! ([`crate::telemetry::run_snapshot`]); `--trace` only decides whether
+//! the trace files are exported as well.
 //!
 //! With interval sampling (`--timeline`), every [`CharRecord`]'s session
 //! carries a [`uarch_sim::timeline::CounterTimeline`];
@@ -19,11 +19,9 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::time::Instant;
 
 use simdash::manifest::kind as artifact_kind;
-use simdash::ManifestBuilder;
-use simmetrics::Histogram;
+use simdash::{artifact_stem, ManifestBuilder};
 use simreport::sparkline::sparkline_svg;
 use simtrace::{ArgValue, SpanGuard, SpanRecord};
 use uarch_sim::timeline::IntervalSample;
@@ -67,49 +65,19 @@ fn mem_high_water_bytes() -> Option<u64> {
     }
 }
 
-/// One pipeline stage: a simtrace span and its on-close action. The span
-/// is the stage's row in the trace and the stage view and its frame in
-/// the profile, and nests under whatever is current on this thread: the
-/// run root for top-level stages, the scheduler's per-job span for
-/// per-pair ones. With no root open it is inert.
+/// One top-level pipeline stage: a simtrace span that records the
+/// process peak RSS as its `mem_hwm_bytes` arg when it closes. It nests
+/// under whatever is current on this thread, the run root for the
+/// binaries' stages, and is inert with no root open.
 #[must_use = "a stage measures the scope it is held across"]
 pub struct Stage {
-    on_close: OnClose,
     span: SpanGuard,
 }
 
-#[derive(Clone, Copy)]
-enum OnClose {
-    /// A top-level stage: record the process peak RSS as an arg.
-    MemHighWater,
-    /// A per-pair stage with metrics on: feed the histogram in µs.
-    Latency(&'static Histogram, Instant),
-    /// A per-pair stage with metrics off.
-    Nothing,
-}
-
 impl Stage {
-    /// Opens the top-level stage `name`. When it closes it records the
-    /// process peak RSS as the `mem_hwm_bytes` arg.
+    /// Opens the top-level stage `name`.
     pub fn open(name: &str) -> Stage {
         Stage {
-            on_close: OnClose::MemHighWater,
-            span: simtrace::span(name),
-        }
-    }
-
-    /// Opens the per-pair stage `name`, whose wall time in µs feeds
-    /// `latency` when it closes. The sample is recorded while the span is
-    /// still open, so the bucket's exemplar carries this span's id, the
-    /// hook `simdash::correlate` joins on. With metrics disabled the clock
-    /// is never read; with no root open no exemplar is kept.
-    pub fn timed(name: &str, latency: &'static Histogram) -> Stage {
-        Stage {
-            on_close: if simmetrics::is_enabled() {
-                OnClose::Latency(latency, Instant::now())
-            } else {
-                OnClose::Nothing
-            },
             span: simtrace::span(name),
         }
     }
@@ -125,23 +93,10 @@ impl Stage {
 
 impl Drop for Stage {
     fn drop(&mut self) {
-        match self.on_close {
-            OnClose::MemHighWater => {
-                if self.span.is_recording() {
-                    if let Some(bytes) = mem_high_water_bytes() {
-                        self.span.arg(MEM_HWM_ARG, bytes);
-                    }
-                }
+        if self.span.is_recording() {
+            if let Some(bytes) = mem_high_water_bytes() {
+                self.span.arg(MEM_HWM_ARG, bytes);
             }
-            OnClose::Latency(hist, start) => {
-                let ctx = self.span.context();
-                hist.record_spanned(
-                    start.elapsed().as_micros() as u64,
-                    ctx.trace_id,
-                    ctx.span_id,
-                );
-            }
-            OnClose::Nothing => {}
         }
     }
 }
@@ -221,25 +176,27 @@ impl<'a> Run<'a> {
         error
     }
 
-    /// Ends a successful run: writes the final metric snapshot, exports
-    /// the trace (`--trace`) and profile (`--profile`) artifacts, writes
-    /// the manifest, and prints the stage table to stderr.
+    /// Ends a successful run: closes the run root, writes the final metric
+    /// snapshot with the latency summaries of its spans, exports the trace
+    /// (`--trace`) and profile (`--profile`) artifacts, writes the
+    /// manifest, and prints the stage table to stderr.
     ///
     /// # Errors
     ///
     /// Any error writing an artifact other than the metric snapshot.
     pub fn finish(mut self) -> Result<()> {
         let results = &self.flags.results_dir;
-        // The registry's one sink: every series, read once as the run
-        // ends; a lost snapshot only warns.
+        let spans = self.close();
+        // The registry's one sink, read once as the run ends; a lost
+        // snapshot only warns.
         let metrics = results.join("metrics.json");
-        match std::fs::write(&metrics, simmetrics::json::render(&simmetrics::snapshot())) {
+        let snapshot = crate::telemetry::run_snapshot(&spans);
+        match std::fs::write(&metrics, simmetrics::json::render(&snapshot)) {
             Ok(()) => self
                 .manifest
                 .artifact(artifact_kind::METRICS, "metrics.json"),
             Err(e) => eprintln!("warning: cannot write {}: {e}", metrics.display()),
         }
-        let spans = self.close();
         if self.flags.trace {
             let dir = results.join("traces");
             let (json_path, bin_path) = simtrace::export(&dir, self.name, &spans)?;
@@ -351,21 +308,6 @@ pub fn stage_table(stages: &[&SpanRecord]) -> String {
         );
     }
     out
-}
-
-/// Pair ids as written turn into file names; everything outside
-/// `[A-Za-z0-9._-]` is mapped to `_` so ids like `505.mcf_r/ref` stay
-/// filesystem-safe.
-fn artifact_stem(id: &str) -> String {
-    id.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Writes `<stem>.csv` and `<stem>.svg` under `dir` for every record whose
@@ -513,12 +455,6 @@ mod tests {
     fn mem_high_water_is_positive_on_linux() {
         let hwm = mem_high_water_bytes().expect("/proc/self/status has VmHWM");
         assert!(hwm > 0);
-    }
-
-    #[test]
-    fn stems_are_filesystem_safe() {
-        assert_eq!(artifact_stem("505.mcf_r"), "505.mcf_r");
-        assert_eq!(artifact_stem("a/b c:d"), "a_b_c_d");
     }
 
     #[test]

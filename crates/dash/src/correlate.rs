@@ -1,185 +1,118 @@
-//! The cross-layer join: histogram-bucket exemplar → trace span →
-//! profile frame → pair id, driven entirely by one run manifest.
+//! The per-pair latency table: trace span → pair id → profile frame,
+//! driven entirely by one run manifest.
 //!
-//! Each stage histogram bucket keeps its last-k exemplars (value +
-//! trace/span id, recorded by `workchar::observe::Stage` while the stage
-//! span is still open). Resolving an exemplar is then pure navigation: the
-//! span id indexes the run's exported trace, walking parents finds the
-//! enclosing `sched/job` span whose `pair` arg names the benchmark/input
-//! pair, and the pair label selects the profile stacks whose samples
-//! explain where that pair's ops went. No filename matching anywhere —
-//! every artifact comes out of the manifest's typed pointers.
+//! Each `stage/simulate` span in the run's exported trace is one pair's
+//! engine stage. Walking its parents finds the enclosing `sched/job` span
+//! whose `pair` arg names the benchmark/input pair; its `engine/run` child
+//! carries the op count, so wall over ops is the pair's cost per op; and
+//! the pair label selects the profile stacks whose samples explain where
+//! that pair's ops went. No filename matching anywhere — every artifact
+//! comes out of the manifest's typed pointers.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use perfmon::json::{self, Value};
-use simtrace::SpanRecord;
+use simtrace::{ArgValue, SpanRecord};
 
 use crate::manifest::{kind, RunManifest};
 
-/// One resolved exemplar: a latency observation tied back to its span
-/// and the pair (and hottest profile frame) that produced it.
+/// One simulated pair: its `stage/simulate` span, the engine ops it ran,
+/// and the pair's hottest profile frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelatedRow {
-    /// Benchmark/input pair id (`505.mcf_r-in1`), or `"?"` when the
-    /// exemplar's span chain reaches no `pair`-tagged ancestor.
+    /// Benchmark/input pair id (`505.mcf_r-in1`).
     pub pair: String,
-    /// Histogram the exemplar came from.
-    pub metric: String,
-    /// Inclusive upper bound of the bucket that kept the exemplar.
-    pub bucket_le: u64,
-    /// The recorded value (microseconds for the stage histograms).
-    pub value: u64,
-    /// Trace id of the recording span.
-    pub trace_id: u64,
-    /// Span id of the recording span.
+    /// Span id of the pair's `stage/simulate` span.
     pub span_id: u64,
-    /// Name of that span (e.g. `stage/simulate`).
-    pub span_name: String,
     /// Wall time of that span, nanoseconds.
-    pub span_wall_ns: u64,
+    pub wall_ns: u64,
+    /// The `ops` arg of its `engine/run` child, when it has one.
+    pub ops: Option<u64>,
     /// Heaviest leaf frame among the pair's profile samples, with its
     /// self weight in ops. `None` without a profile artifact (or when
     /// the pair was never sampled).
     pub top_frame: Option<(String, u64)>,
 }
 
-/// The per-pair correlation table for one run.
+impl CorrelatedRow {
+    /// Wall nanoseconds per engine op; `None` without a nonzero op count.
+    pub fn ns_per_op(&self) -> Option<f64> {
+        self.ops
+            .filter(|&ops| ops > 0)
+            .map(|ops| self.wall_ns as f64 / ops as f64)
+    }
+}
+
+/// The per-pair latency table for one run.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelatedRun {
     /// Run id the table was built from.
     pub run_id: String,
-    /// Resolved exemplars, metric-major then bucket order.
+    /// One row per simulated pair, slowest first.
     pub rows: Vec<CorrelatedRow>,
 }
 
-impl CorrelatedRun {
-    /// Rows that resolved all the way to a pair id.
-    pub fn resolved(&self) -> impl Iterator<Item = &CorrelatedRow> {
-        self.rows.iter().filter(|r| r.pair != "?")
-    }
-}
-
-/// Builds the correlation table for `manifest`, resolving artifacts
+/// Builds the per-pair latency table for `manifest`, resolving artifacts
 /// against `results_dir`. Missing optional layers degrade gracefully: no
-/// metrics or no trace artifact means an empty table (the binaries record
-/// spans, and so exemplars, on every run, but only `--trace` exports the
-/// spans they name), no profile means `top_frame: None`.
+/// trace artifact means an empty table (the binaries record spans on
+/// every run, but only `--trace` exports them), and so does a run whose
+/// pairs were all cache hits; no profile means `top_frame: None`.
 pub fn correlate(manifest: &RunManifest, results_dir: &Path) -> io::Result<CorrelatedRun> {
     let mut out = CorrelatedRun {
         run_id: manifest.run_id.clone(),
         rows: Vec::new(),
     };
-
-    let (Some(metrics), Some(trace)) = (
-        manifest.artifact_path(kind::METRICS, results_dir),
-        manifest.artifact_path(kind::TRACE_JSON, results_dir),
-    ) else {
+    let Some(trace) = manifest.artifact_path(kind::TRACE_JSON, results_dir) else {
         return Ok(out);
     };
-    let exemplars = parse_metrics_exemplars(&std::fs::read_to_string(metrics)?);
-    if exemplars.is_empty() {
-        return Ok(out);
-    }
-
-    let spans: Vec<SpanRecord> = simtrace::load(&trace)?;
-    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
-
-    let profile = match manifest.artifact_path(kind::PROFILE, results_dir) {
-        Some(path) => Some(simprof::load(&path)?),
-        None => None,
+    let spans = simtrace::load(&trace)?;
+    let top_frames = match manifest.artifact_path(kind::PROFILE, results_dir) {
+        Some(path) => top_frame_per_pair(&simprof::load(&path)?),
+        None => HashMap::new(),
     };
-    let mut top_frames: HashMap<String, (String, u64)> = HashMap::new();
-    if let Some(profile) = &profile {
-        top_frames = top_frame_per_pair(profile);
-    }
-
-    for e in exemplars {
-        let mut pair = "?".to_string();
-        let mut span_name = String::new();
-        let mut span_wall_ns = 0;
-        if let Some(span) = by_id.get(&e.span_id) {
-            span_name = span.name.clone();
-            span_wall_ns = span.wall_ns();
-            // Walk ancestors (the span itself first) to the enclosing
-            // pair-tagged span; parent_id 0 terminates at the trace root.
-            let mut cursor = Some(*span);
-            while let Some(s) = cursor {
-                if let Some(arg) = s.arg("pair") {
-                    pair = arg.to_string();
-                    break;
-                }
-                cursor = by_id.get(&s.parent_id).copied();
-            }
-        }
-        let top_frame = top_frames.get(&pair).cloned();
-        out.rows.push(CorrelatedRow {
-            pair,
-            metric: e.metric,
-            bucket_le: e.bucket_le,
-            value: e.value,
-            trace_id: e.trace_id,
-            span_id: e.span_id,
-            span_name,
-            span_wall_ns,
-            top_frame,
-        });
-    }
+    out.rows = pair_rows(&spans, &top_frames);
     Ok(out)
 }
 
-struct RawExemplar {
-    metric: String,
-    bucket_le: u64,
-    value: u64,
-    trace_id: u64,
-    span_id: u64,
-}
-
-/// Pulls every histogram exemplar out of a schema-1 `metrics.json`
-/// document. Unparseable documents (or ones without exemplars — all
-/// snapshots written before this layer existed) yield an empty list.
-fn parse_metrics_exemplars(text: &str) -> Vec<RawExemplar> {
-    let mut out = Vec::new();
-    let Ok(doc) = json::parse(text) else {
-        return out;
-    };
-    let Some(metrics) = doc.get("metrics").and_then(Value::as_array) else {
-        return out;
-    };
-    for series in metrics {
-        let Some(name) = series.get("name").and_then(Value::as_str) else {
-            continue;
-        };
-        let Some(exemplars) = series.get("exemplars").and_then(Value::as_array) else {
-            continue;
-        };
-        for e in exemplars {
-            let hex = |key: &str| {
-                e.get(key)
-                    .and_then(Value::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-            };
-            let (Some(bucket_le), Some(value), Some(trace_id), Some(span_id)) = (
-                e.get("le").and_then(Value::as_u64),
-                e.get("value").and_then(Value::as_u64),
-                hex("trace_id"),
-                hex("span_id"),
-            ) else {
-                continue;
-            };
-            out.push(RawExemplar {
-                metric: name.to_string(),
-                bucket_le,
-                value,
-                trace_id,
-                span_id,
-            });
-        }
-    }
-    out
+/// One row per `stage/simulate` span with a `pair`-tagged ancestor,
+/// slowest first (span id breaks ties).
+fn pair_rows(
+    spans: &[SpanRecord],
+    top_frames: &HashMap<String, (String, u64)>,
+) -> Vec<CorrelatedRow> {
+    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
+    // Each engine run's op count, keyed by its parent stage span.
+    let ops: HashMap<u64, u64> = spans
+        .iter()
+        .filter(|s| s.name == "engine/run")
+        .filter_map(|s| match s.arg("ops") {
+            Some(ArgValue::U64(ops)) => Some((s.parent_id, *ops)),
+            _ => None,
+        })
+        .collect();
+    let mut rows: Vec<CorrelatedRow> = spans
+        .iter()
+        .filter(|s| s.name == "stage/simulate")
+        .filter_map(|stage| {
+            let parent = |s: &&SpanRecord| by_id.get(&s.parent_id).copied();
+            // A loaded trace is outside input: bound the walk so a parent
+            // cycle cannot hang it.
+            let pair = std::iter::successors(parent(&stage), parent)
+                .take(spans.len())
+                .find_map(|s| s.arg("pair"))?
+                .to_string();
+            Some(CorrelatedRow {
+                top_frame: top_frames.get(&pair).cloned(),
+                pair,
+                span_id: stage.span_id,
+                wall_ns: stage.wall_ns(),
+                ops: ops.get(&stage.span_id).copied(),
+            })
+        })
+        .collect();
+    rows.sort_by(|a, b| b.wall_ns.cmp(&a.wall_ns).then(a.span_id.cmp(&b.span_id)));
+    rows
 }
 
 /// The heaviest leaf frame per pair label. A sample belongs to a pair
@@ -239,18 +172,68 @@ mod tests {
         assert_eq!(pair_suffix("odd [unterminated"), None);
     }
 
+    fn span(
+        id: u64,
+        parent: u64,
+        name: &str,
+        wall_ns: u64,
+        arg: Option<(&str, ArgValue)>,
+    ) -> SpanRecord {
+        SpanRecord {
+            trace_id: 1,
+            span_id: id,
+            parent_id: parent,
+            name: name.to_string(),
+            tid: 1,
+            start_ns: 0,
+            end_ns: wall_ns,
+            error: None,
+            args: arg.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
+
     #[test]
-    fn metrics_exemplars_parse_from_rendered_json() {
-        let text = "{\"schema\":1,\"metrics\":[\
-            {\"name\":\"plain_total\",\"kind\":\"counter\",\"value\":3},\
-            {\"name\":\"stage_micros\",\"kind\":\"histogram\",\"count\":1,\"sum\":7,\
-             \"exemplars\":[{\"le\":7,\"value\":7,\
-             \"trace_id\":\"00000000000000aa\",\"span_id\":\"00000000000000bb\"}]}]}";
-        let raw = parse_metrics_exemplars(text);
-        assert_eq!(raw.len(), 1);
-        assert_eq!(raw[0].metric, "stage_micros");
-        assert_eq!((raw[0].trace_id, raw[0].span_id), (0xAA, 0xBB));
-        assert!(parse_metrics_exemplars("not json").is_empty());
+    fn rows_join_each_simulated_pair_to_its_ops_and_frame_slowest_first() {
+        let pair = |p: &str| Some(("pair", ArgValue::Str(p.to_string())));
+        let spans = [
+            span(1, 0, "run/reproduce", 100_000, None),
+            span(2, 1, "sched/job", 50_000, pair("505.mcf_r-in1")),
+            span(3, 2, "sched/attempt", 50_000, None),
+            span(4, 3, "stage/simulate", 40_000, None),
+            span(
+                5,
+                4,
+                "engine/run",
+                39_000,
+                Some(("ops", ArgValue::U64(2_000))),
+            ),
+            span(6, 1, "sched/job", 90_000, pair("541.leela_r-in1")),
+            span(7, 6, "stage/simulate", 80_000, None),
+            span(
+                8,
+                7,
+                "engine/run",
+                79_000,
+                Some(("ops", ArgValue::U64(1_000))),
+            ),
+            // No pair-tagged ancestor, or a parent cycle: not a row.
+            span(9, 1, "stage/simulate", 99_000, None),
+            span(10, 11, "stage/simulate", 99_000, None),
+            span(11, 10, "sched/attempt", 99_000, None),
+        ];
+        let frames =
+            HashMap::from([("505.mcf_r-in1".to_string(), ("uop/load".to_string(), 3_000))]);
+        let rows = pair_rows(&spans, &frames);
+        let pairs: Vec<&str> = rows.iter().map(|r| r.pair.as_str()).collect();
+        assert_eq!(pairs, ["541.leela_r-in1", "505.mcf_r-in1"]);
+        assert_eq!(
+            (rows[0].span_id, rows[0].wall_ns, rows[0].ops),
+            (7, 80_000, Some(1_000))
+        );
+        assert_eq!(rows[0].ns_per_op(), Some(80.0));
+        assert_eq!(rows[0].top_frame, None);
+        assert_eq!(rows[1].ns_per_op(), Some(20.0));
+        assert_eq!(rows[1].top_frame, Some(("uop/load".to_string(), 3_000)));
     }
 
     #[test]

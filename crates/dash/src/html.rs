@@ -125,49 +125,49 @@ fn summary_section(out: &mut String, m: &RunManifest) {
 }
 
 fn correlation_section(out: &mut String, c: &CorrelatedRun) {
-    out.push_str("<h2>Exemplar correlation</h2>\n");
+    out.push_str("<h2>Per-pair latency</h2>\n");
     if c.rows.is_empty() {
         out.push_str(
-            "<p class=\"muted\">No histogram exemplars to join (metrics were \
-             off, or the run exported no trace).</p>\n",
+            "<p class=\"muted\">No simulated pairs to show (the run exported \
+             no trace, or every pair was a cache hit).</p>\n",
         );
         return;
     }
     out.push_str(
-        "<p>Latency-bucket exemplars joined to their trace span and the \
-         pair's hottest profile frame — no filename matching involved.</p>\n\
-         <table>\n<tr><th class=\"l\">pair</th><th class=\"l\">histogram</th>\
-         <th>bucket ≤</th><th>value µs</th><th class=\"l\">span</th>\
-         <th>span id</th><th>span wall ms</th>\
+        "<p>Each pair's <code>stage/simulate</code> span, slowest first, with \
+         its engine ops and the pair's hottest profile frame.</p>\n\
+         <table>\n<tr><th class=\"l\">pair</th><th>span id</th>\
+         <th>wall ms</th><th>ops</th><th>ns/op</th>\
          <th class=\"l\">top frame</th><th>self ops</th></tr>\n",
     );
+    let dash = || "—".to_string();
     for r in &c.rows {
         let (frame, weight) = match &r.top_frame {
             Some((frame, weight)) => (esc(frame), weight.to_string()),
-            None => ("—".to_string(), "—".to_string()),
+            None => (dash(), dash()),
         };
+        let ops = r.ops.map_or_else(dash, |ops| ops.to_string());
+        let ns_per_op = r.ns_per_op().map_or_else(dash, |ns| format!("{ns:.1}"));
         out.push_str(&format!(
-            "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td><td>{}</td>\
-             <td>{}</td><td class=\"l\">{}</td><td><code>{:016x}</code></td>\
-             <td>{:.3}</td><td class=\"l\">{frame}</td><td>{weight}</td></tr>\n",
+            "<tr><td class=\"l\">{}</td><td><code>{:016x}</code></td>\
+             <td>{:.3}</td><td>{ops}</td><td>{ns_per_op}</td>\
+             <td class=\"l\">{frame}</td><td>{weight}</td></tr>\n",
             esc(&r.pair),
-            esc(&r.metric),
-            r.bucket_le,
-            r.value,
-            esc(&r.span_name),
             r.span_id,
-            r.span_wall_ns as f64 / 1e6,
+            r.wall_ns as f64 / 1e6,
         ));
     }
     out.push_str("</table>\n");
 }
 
-/// Mirrors `workchar::observe::artifact_stem`: pair ids become filenames
-/// by mapping every byte outside `[A-Za-z0-9._-]` to `_`.
-fn artifact_stem(id: &str) -> String {
+/// A pair id as a file stem: every character outside `[A-Za-z0-9._-]`
+/// maps to `_`, so ids like `505.mcf_r/ref` stay filesystem-safe. The
+/// binaries name per-pair timeline files with it, and the dashboard finds
+/// them by it.
+pub fn artifact_stem(id: &str) -> String {
     id.chars()
         .map(|c| {
-            if c.is_ascii_alphanumeric() || "._-".contains(c) {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
                 c
             } else {
                 '_'
@@ -386,6 +386,12 @@ mod tests {
     #[test]
     fn esc_covers_html_specials() {
         assert_eq!(esc("a<b>&\"c'\u{e9}"), "a&lt;b&gt;&amp;&quot;c&#39;\u{e9}");
+    }
+
+    #[test]
+    fn stems_are_filesystem_safe() {
+        assert_eq!(artifact_stem("505.mcf_r"), "505.mcf_r");
+        assert_eq!(artifact_stem("a/b c:d"), "a_b_c_d");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! simmetrics: always-on process metrics for the characterization pipeline.
 //!
-//! A dependency-free, thread-safe metrics core: atomic [`Counter`]s and
-//! [`Gauge`]s plus log-linear [`Histogram`]s with quantile estimation,
-//! behind a static [`Registry`] of namespaced metric names. The pipeline
-//! is a batch run, so the registry has one sink: [`json::render`] writes a
-//! snapshot document to `results/metrics.json` when the run ends.
+//! A thread-safe metrics core: atomic [`Counter`]s and [`Gauge`]s behind a
+//! static [`Registry`] of namespaced metric names. The pipeline is a batch
+//! run, so the registry has one sink: [`json::render`] writes a snapshot
+//! document to `results/metrics.json` when the run ends. Latencies are not
+//! recorded here. The run's closed spans already hold every wall time, so
+//! the binaries add one [`Kind::Summary`] series per latency to the final
+//! snapshot ([`Snapshot::push_summary`]), computed by
+//! [`simtrace::analyze::span_summary`].
 //!
 //! A second component, the [`flight`] recorder, is a fixed-size lock-free
 //! ring of recent pipeline events whose tail is dumped to JSON from a
@@ -25,14 +28,13 @@
 //! binary as `--metrics`.
 
 pub mod flight;
-pub mod hist;
 pub mod json;
 pub mod lint;
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-pub use hist::{Exemplar, HistSnapshot, Histogram, Timer};
+pub use simtrace::analyze::SpanSummary;
 
 // ------------------------------------------------------------ the sentinel
 
@@ -66,18 +68,19 @@ pub enum Kind {
     Counter,
     /// Instantaneous signed level (queue depths, in-flight work).
     Gauge,
-    /// Log-linear distribution of non-negative integer observations.
-    Histogram,
+    /// Count, sum, extrema and quantiles of one latency, derived from the
+    /// run's spans at snapshot time rather than registered.
+    Summary,
 }
 
 impl Kind {
     /// The kind's name in the JSON snapshot (`counter`, `gauge`,
-    /// `histogram`).
+    /// `summary`).
     pub fn as_str(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
+            Kind::Summary => "summary",
         }
     }
 }
@@ -149,7 +152,6 @@ impl Gauge {
 enum Handle {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
 }
 
 impl Handle {
@@ -157,7 +159,6 @@ impl Handle {
         match self {
             Handle::Counter(_) => Kind::Counter,
             Handle::Gauge(_) => Kind::Gauge,
-            Handle::Histogram(_) => Kind::Histogram,
         }
     }
 }
@@ -217,14 +218,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or finds) an unlabelled histogram.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        match self.get_or_insert(name, help, &[], || Handle::Histogram(Histogram::new())) {
-            Handle::Histogram(h) => h,
-            _ => unreachable!("get_or_insert returned the inserted kind"),
-        }
-    }
-
     fn get_or_insert(
         &self,
         name: &str,
@@ -280,7 +273,6 @@ impl Registry {
                 value: match &e.handle {
                     Handle::Counter(c) => SeriesValue::Counter(c.value()),
                     Handle::Gauge(g) => SeriesValue::Gauge(g.value()),
-                    Handle::Histogram(h) => SeriesValue::Histogram(h.snapshot()),
                 },
             })
             .collect();
@@ -299,7 +291,6 @@ fn clone_handle(h: &Handle) -> Handle {
     match h {
         Handle::Counter(c) => Handle::Counter(c.clone()),
         Handle::Gauge(g) => Handle::Gauge(g.clone()),
-        Handle::Histogram(hist) => Handle::Histogram(hist.clone()),
     }
 }
 
@@ -331,11 +322,6 @@ pub fn gauge(name: &str, help: &str) -> Gauge {
     GLOBAL.gauge(name, help)
 }
 
-/// Registers (or finds) an unlabelled histogram in the global registry.
-pub fn histogram(name: &str, help: &str) -> Histogram {
-    GLOBAL.histogram(name, help)
-}
-
 /// A point-in-time copy of the global registry.
 pub fn snapshot() -> Snapshot {
     GLOBAL.snapshot()
@@ -349,7 +335,7 @@ pub struct Series {
     pub name: String,
     /// One-line description given at registration.
     pub help: String,
-    /// Counter / gauge / histogram.
+    /// Counter / gauge / summary.
     pub kind: Kind,
     /// Constant labels attached at registration.
     pub labels: Vec<(String, String)>,
@@ -363,14 +349,29 @@ pub enum SeriesValue {
     Counter(u64),
     /// Gauge level.
     Gauge(i64),
-    /// Histogram state (sum, count, extrema, exemplars, quantiles).
-    Histogram(HistSnapshot),
+    /// Latency summary.
+    Summary(SpanSummary),
 }
 
 /// A point-in-time copy of a registry, sorted by metric name.
 pub struct Snapshot {
     /// Every series, name-sorted.
     pub series: Vec<Series>,
+}
+
+impl Snapshot {
+    /// Adds the unlabelled latency summary `name`, keeping the series
+    /// name-sorted.
+    pub fn push_summary(&mut self, name: &str, help: &str, summary: SpanSummary) {
+        self.series.push(Series {
+            name: name.to_string(),
+            help: help.to_string(),
+            kind: Kind::Summary,
+            labels: Vec::new(),
+            value: SeriesValue::Summary(summary),
+        });
+        self.series.sort_by(|a, b| a.name.cmp(&b.name));
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@ use simcheck::{codes, Diagnostic, Report, Span};
 
 use crate::{Kind, Snapshot};
 
-/// Suffixes Prometheus conventions reserve for a histogram's derived
-/// series; a base name carrying one reads as a fragment of another metric.
+/// Suffixes Prometheus conventions reserve for the derived series of a
+/// summary or histogram; a base name carrying one reads as a fragment of
+/// another metric.
 const RESERVED_SUFFIXES: [&str; 3] = ["_bucket", "_sum", "_count"];
 
 /// Is `name` a legal Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
@@ -116,10 +117,7 @@ pub fn check_snapshot(snapshot: &Snapshot) -> Report {
                 report.push(Diagnostic::new(
                     &codes::M005,
                     Span::object(name),
-                    format!(
-                        "name ends in histogram-reserved suffix '{}'",
-                        reserved.unwrap()
-                    ),
+                    format!("name ends in reserved suffix '{}'", reserved.unwrap()),
                 ));
             }
             Kind::Counter if !name.ends_with("_total") => {
@@ -129,7 +127,7 @@ pub fn check_snapshot(snapshot: &Snapshot) -> Report {
                     "counter names should end in '_total'".to_string(),
                 ));
             }
-            Kind::Gauge | Kind::Histogram if name.ends_with("_total") => {
+            Kind::Gauge | Kind::Summary if name.ends_with("_total") => {
                 report.push(Diagnostic::new(
                     &codes::M005,
                     Span::object(name),
@@ -157,6 +155,18 @@ mod tests {
     use super::*;
     use crate::Registry;
 
+    fn summary() -> crate::SpanSummary {
+        crate::SpanSummary {
+            count: 1,
+            sum: 5,
+            min: 5,
+            max: 5,
+            p50: 5,
+            p90: 5,
+            p99: 5,
+        }
+    }
+
     fn codes_of(report: &Report) -> Vec<&str> {
         report.diagnostics().iter().map(|d| d.code.code).collect()
     }
@@ -179,9 +189,10 @@ mod tests {
         let r = Registry::new();
         r.counter("good_requests_total", "x");
         r.gauge("good_queue_depth", "x");
-        r.histogram("good_latency_micros", "x");
         r.counter_with("good_tagged_total", "x", &[("size", "ref"), ("input", "1")]);
-        let report = check_snapshot(&r.snapshot());
+        let mut snapshot = r.snapshot();
+        snapshot.push_summary("good_latency_micros", "x", summary());
+        let report = check_snapshot(&snapshot);
         assert!(report.is_empty(), "{}", report.to_table());
     }
 
@@ -194,8 +205,9 @@ mod tests {
         r.counter_with("lab_total", "x", &[("__reserved", "v")]); // M003
         r.counter_with("dup_lab_total", "x", &[("k", "1"), ("k", "2")]); // M004
         r.gauge("wrong_total", "x"); // M005: gauge named _total
-        r.histogram("wrong_bucket", "x"); // M005: reserved suffix
-        let report = check_snapshot(&r.snapshot());
+        let mut snapshot = r.snapshot();
+        snapshot.push_summary("wrong_count", "x", summary()); // M005: reserved suffix
+        let report = check_snapshot(&snapshot);
         let codes = codes_of(&report);
         for expect in ["M001", "M002", "M003", "M004", "M005"] {
             assert!(codes.contains(&expect), "missing {expect} in {codes:?}");

@@ -36,6 +36,8 @@ pub enum CodecError {
     },
     /// A length-prefixed string held invalid UTF-8.
     BadUtf8,
+    /// The payload does not hash to the digest stored with it.
+    BadDigest,
 }
 
 impl fmt::Display for CodecError {
@@ -58,6 +60,7 @@ impl fmt::Display for CodecError {
                 write!(f, "{remaining} trailing bytes after record")
             }
             CodecError::BadUtf8 => f.write_str("invalid UTF-8 in record string"),
+            CodecError::BadDigest => f.write_str("record payload does not match its digest"),
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use simmetrics::{Counter, Gauge, Histogram};
+use simmetrics::{Counter, Gauge};
 
 macro_rules! handle {
     ($vis:vis $fn_name:ident, $ctor:ident, $ty:ty, $name:literal, $help:literal) => {
@@ -45,9 +45,6 @@ handle!(pub(crate) job_panics, counter, Counter,
 handle!(pub(crate) queue_depth, gauge, Gauge,
     "simstore_queue_depth",
     "Scheduler jobs submitted but not yet settled.");
-handle!(pub(crate) job_wall_micros, histogram, Histogram,
-    "simstore_job_wall_micros",
-    "Per-job wall time in microseconds, attempts included.");
 
 /// Forces registration of every `simstore_*` metric (the lint binary's
 /// `--metrics` pass calls this so the M-rules see the full namespace).
@@ -61,5 +58,4 @@ pub fn register() {
     job_retries();
     job_panics();
     queue_depth();
-    job_wall_micros();
 }

@@ -174,7 +174,6 @@ impl Scheduler {
                             job_span.arg("pair", label(i));
                             job_span.arg("index", i);
                         }
-                        let timer = metrics::job_wall_micros().start_timer();
                         let mut outcome = None;
                         let mut message = String::new();
                         for attempt in 0..2 {
@@ -203,7 +202,6 @@ impl Scheduler {
                                 }
                             }
                         }
-                        drop(timer);
                         metrics::jobs().inc();
                         metrics::queue_depth().sub(1);
                         if outcome.is_none() {

@@ -9,7 +9,9 @@
 //! contend — mirrors the directory and is rebuilt by scanning it on open.
 //!
 //! Records are wrapped in a versioned envelope (magic, format version, key
-//! echo, payload length). Writes go to a temporary file in the same
+//! echo, payload length, and the payload's 128-bit [`StableHasher`]
+//! digest), so a damaged payload reads as absent instead of decoding as a
+//! different record. Writes go to a temporary file in the same
 //! directory and are `rename`d into place, so a crash mid-write leaves
 //! either the old record or none — never a torn one. A record that fails
 //! envelope validation on read is treated as absent and evicted from the
@@ -23,13 +25,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use crate::codec::{CodecError, Decoder, Encoder};
-use crate::hash::Key;
+use crate::hash::{Key, StableHasher};
 use crate::metrics;
 
 /// Envelope format version; bump when the envelope layout itself changes.
 /// (Payload schema changes are the *key's* concern — schema versions are
 /// hashed into keys, so old-schema records are simply never addressed.)
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"SIMSTOR1";
 const SHARDS: usize = 16;
@@ -190,7 +192,8 @@ impl Store {
     /// Fetches the payload stored under `key`, or `None` if absent.
     ///
     /// A record whose envelope fails validation (torn write, wrong magic,
-    /// key mismatch) is evicted from the index and reported absent.
+    /// key mismatch, payload digest mismatch) is evicted from the index
+    /// and reported absent.
     pub fn get(&self, key: Key) -> Option<Vec<u8>> {
         if !self.contains(key) {
             return None;
@@ -242,13 +245,22 @@ impl Store {
     }
 }
 
+fn digest(payload: &[u8]) -> Key {
+    let mut h = StableHasher::new();
+    h.write_bytes(payload);
+    h.finish()
+}
+
 fn wrap_envelope(key: Key, payload: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::with_capacity(MAGIC.len() + 28 + payload.len());
+    let mut e = Encoder::with_capacity(MAGIC.len() + 44 + payload.len());
     e.put_bytes(MAGIC);
     e.put_u32(FORMAT_VERSION);
     e.put_u64(key.hi);
     e.put_u64(key.lo);
     e.put_u64(payload.len() as u64);
+    let sum = digest(payload);
+    e.put_u64(sum.hi);
+    e.put_u64(sum.lo);
     e.put_bytes(payload);
     e.into_bytes()
 }
@@ -271,8 +283,15 @@ fn unwrap_envelope(bytes: &[u8], key: Key) -> Result<&[u8], CodecError> {
         return Err(CodecError::BadMagic);
     }
     let len = d.take_u64()? as usize;
+    let sum = Key {
+        hi: d.take_u64()?,
+        lo: d.take_u64()?,
+    };
     let payload = d.take_bytes(len)?;
     d.finish()?;
+    if digest(payload) != sum {
+        return Err(CodecError::BadDigest);
+    }
     Ok(payload)
 }
 
@@ -351,6 +370,63 @@ mod tests {
         assert_eq!(store.get(key), None, "corrupt envelope is a miss");
         assert!(!store.contains(key), "and is evicted from the index");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn flipped_payload_bit_reads_as_absent() {
+        let root = tmp_root("bitflip");
+        let store = Store::open(&root).unwrap();
+        let key = key_of("record-d");
+        let payload = b"ipc=1.25 l2_mpki=3.5";
+        store.put(key, payload).unwrap();
+        let path = store.record_path(key);
+        let mut bytes = fs::read(&path).unwrap();
+        // The payload is the envelope's tail; flip one bit in its middle,
+        // a change a record decoder would happily read as other numbers.
+        let at = bytes.len() - payload.len() / 2;
+        bytes[at] ^= 0x04;
+        assert_eq!(unwrap_envelope(&bytes, key), Err(CodecError::BadDigest));
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.get(key), None, "a damaged payload is a miss");
+        assert!(!store.contains(key), "and is evicted from the index");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Every way a stored record can be cut short or have one bit flipped
+    /// reads back as a miss, never as another payload and never as a
+    /// panic: truncation at every byte offset, plus seeded single-bit
+    /// flips anywhere in the envelope.
+    #[test]
+    fn truncated_or_bit_flipped_envelopes_never_yield_other_payloads() {
+        let key = key_of("sweep-record");
+        let mut e = Encoder::new();
+        e.put_str("505.mcf_r-in1");
+        for i in 0..24u64 {
+            e.put_f64(i as f64 * 1.375);
+            e.put_u64(i * 7_919);
+        }
+        let payload = e.into_bytes();
+        let good = wrap_envelope(key, &payload);
+        assert_eq!(unwrap_envelope(&good, key), Ok(&payload[..]));
+        for cut in 0..good.len() {
+            assert!(
+                unwrap_envelope(&good[..cut], key).is_err(),
+                "truncated at byte {cut} of {}",
+                good.len()
+            );
+        }
+        let mut rng = workload_synth::rng::Rng64::seed_from(0x5eed);
+        for _ in 0..20_000 {
+            let mut bytes = good.clone();
+            let bit = rng.gen_below(bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            // Every bit is covered by the magic, version, key echo, length
+            // or digest, so every flip is a miss.
+            assert!(
+                unwrap_envelope(&bytes, key).is_err(),
+                "flipped bit {bit} still decoded"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Trace analysis: where did the wall-clock go?
 //!
-//! Three questions over one collected trace, and one across two:
+//! Four questions over one collected trace, and one across two:
 //!
 //! - [`self_time`] — flamegraph-style attribution: per span name, how
 //!   much time was spent *in* that span, excluding child spans (self
 //!   time), aggregated over the whole trace.
+//! - [`span_summary`] — the latency distribution of one span name:
+//!   count, sum, extrema and exact quantiles of the walls, the summaries
+//!   a run writes into `metrics.json`.
 //! - [`critical_path`] — the chain of spans that bounded the run: start
 //!   at the widest root and at each level descend into the widest child.
 //!   Through sequential phases this keeps following where the time went
@@ -73,6 +76,50 @@ pub fn self_time(spans: &[SpanRecord]) -> Vec<SelfTimeRow> {
     let mut rows: Vec<SelfTimeRow> = by_name.into_values().collect();
     rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
     rows
+}
+
+/// The latency distribution of every span with one name, in whole µs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanSummary {
+    /// Number of spans with the name.
+    pub count: u64,
+    /// Summed wall time, µs.
+    pub sum: u64,
+    /// Shortest wall, µs.
+    pub min: u64,
+    /// Longest wall, µs.
+    pub max: u64,
+    /// Nearest-rank median wall, µs.
+    pub p50: u64,
+    /// Nearest-rank 90th-percentile wall, µs.
+    pub p90: u64,
+    /// Nearest-rank 99th-percentile wall, µs.
+    pub p99: u64,
+}
+
+/// Summarizes the walls of all spans named `name`, each truncated to
+/// whole µs. Quantiles are exact nearest-rank values: the `p`th
+/// percentile is the smallest wall with at least `p`% of the walls at or
+/// below it. `None` when no span has the name.
+pub fn span_summary(spans: &[SpanRecord], name: &str) -> Option<SpanSummary> {
+    let mut micros: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.wall_ns() / 1000)
+        .collect();
+    micros.sort_unstable();
+    let (&min, &max) = (micros.first()?, micros.last()?);
+    let n = micros.len();
+    let rank = |p: usize| micros[(p * n).div_ceil(100).max(1) - 1];
+    Some(SpanSummary {
+        count: n as u64,
+        sum: micros.iter().sum(),
+        min,
+        max,
+        p50: rank(50),
+        p90: rank(90),
+        p99: rank(99),
+    })
 }
 
 /// One hop on the critical path, root first.
@@ -451,6 +498,45 @@ mod tests {
             with_pair(span(3, 1, "sched/job", 20, 90), "520.omnetpp_r"),
             span(4, 3, "engine/run", 30, 80),
         ]
+    }
+
+    #[test]
+    fn span_summary_gives_exact_nearest_rank_quantiles() {
+        // Walls of 1..=100 µs (plus a sub-µs remainder that truncates),
+        // shuffled, among spans of other names that must not count.
+        let mut spans: Vec<SpanRecord> = (1..=100u64)
+            .map(|us| {
+                let id = (us * 37) % 101;
+                span(id, 0, "stage/simulate", 0, us * 1000 + 999)
+            })
+            .collect();
+        spans.push(span(200, 0, "stage/prepare", 0, 5_000_000));
+        spans.push(span(201, 0, "stage/simulate/inner", 0, 7_000_000));
+        let s = span_summary(&spans, "stage/simulate").unwrap();
+        assert_eq!(
+            s,
+            SpanSummary {
+                count: 100,
+                sum: 5050,
+                min: 1,
+                max: 100,
+                p50: 50,
+                p90: 90,
+                p99: 99,
+            }
+        );
+        // Nearest rank on few values: ⌈p·n/100⌉-th smallest.
+        let three = [
+            span(1, 0, "x", 0, 30_000),
+            span(2, 0, "x", 0, 10_000),
+            span(3, 0, "x", 0, 20_000),
+        ];
+        let s = span_summary(&three, "x").unwrap();
+        assert_eq!((s.p50, s.p90, s.p99), (20, 30, 30));
+        let one = span_summary(&three[..1], "x").unwrap();
+        assert_eq!((one.min, one.p50, one.p99, one.max), (30, 30, 30, 30));
+        assert_eq!(span_summary(&spans, "sched/job"), None);
+        assert_eq!(span_summary(&[], "x"), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Every pipeline stage is a span of this crate, from the binaries'
 //! top-level stages down to the per-pair `stage/*` work. One span tree
 //! feeds several views: the trace files, the stage table the binaries
-//! derive from the run root's children, and the histogram exemplars
-//! simmetrics keeps. Spans carry **causality**: when
+//! derive from the run root's children, the profile's stacks, and the
+//! latency summaries in `metrics.json`. Spans carry **causality**: when
 //! the scheduler fans a suite run out across worker threads, a worker's
 //! `stage/simulate` span still nests under the pair job that ran it and
 //! the run root that submitted it, through explicit contexts that survive
@@ -22,9 +22,10 @@
 //! - [`chrome`] — Chrome Trace Event JSON, loadable in Perfetto or
 //!   `about://tracing`, plus a strict parser that round-trips it.
 //! - [`binfmt`] — a compact versioned binary codec for the same records.
-//! - [`analyze`] — self-time aggregation, critical-path extraction,
-//!   worker-utilization accounting, and differential trace comparison
-//!   with a regression gate (`simgate trace` drives it).
+//! - [`analyze`] — self-time aggregation, per-name latency summaries,
+//!   critical-path extraction, worker-utilization accounting, and
+//!   differential trace comparison with a regression gate (`simgate
+//!   trace` drives it).
 //! - [`lint`] — `T…` rule checks (name legality, orphan parents,
 //!   non-monotonic timestamps, duplicate ids) over a collected trace.
 //!

@@ -612,7 +612,6 @@ impl Engine {
         // enabled-vs-disabled overhead of the hot loop stays flat.
         crate::metrics::engine_runs().inc();
         crate::metrics::ops_retired().add(executed);
-        crate::metrics::sim_time_micros().record((self.seconds(&s) * 1e6) as u64);
         if trace_span.is_recording() {
             trace_span.arg("ops", executed);
             trace_span.arg("warmup_ops", plan.warmup_ops);

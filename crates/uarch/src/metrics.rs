@@ -1,13 +1,13 @@
 //! This crate's process-metric handles (the `uarch_*` namespace).
 //!
-//! The engine records once per *run*, not per op — one counter add and one
-//! histogram observation at the end of [`crate::engine::Engine::execute`]
-//! — so enabled-mode overhead on the hot loop is a constant, which is what
-//! keeps the paired `engine_run_100k` bench under its 5% budget.
+//! The engine records once per *run*, not per op — two counter adds at the
+//! end of [`crate::engine::Engine::execute`] — so enabled-mode overhead on
+//! the hot loop is a constant, which is what keeps the paired
+//! `engine_run_100k` bench under its 5% budget.
 
 use std::sync::OnceLock;
 
-use simmetrics::{Counter, Histogram};
+use simmetrics::Counter;
 
 macro_rules! handle {
     ($vis:vis $fn_name:ident, $ctor:ident, $ty:ty, $name:literal, $help:literal) => {
@@ -25,9 +25,6 @@ handle!(pub(crate) ops_retired, counter, Counter,
 handle!(pub(crate) engine_runs, counter, Counter,
     "uarch_engine_runs_total",
     "Completed engine runs (one per characterized pair or ablation leg).");
-handle!(pub(crate) sim_time_micros, histogram, Histogram,
-    "uarch_sim_time_micros",
-    "Simulated (projected target-machine) time per run, in microseconds.");
 handle!(pub(crate) ops_warmed, counter, Counter,
     "uarch_ops_warmed_total",
     "Micro-ops run through functional warming (state updates without \
@@ -38,6 +35,5 @@ handle!(pub(crate) ops_warmed, counter, Counter,
 pub fn register() {
     ops_retired();
     engine_runs();
-    sim_time_micros();
     ops_warmed();
 }

@@ -1,9 +1,10 @@
 //! End-to-end acceptance for the observability dashboard: one quick
 //! reproduce run with tracing and profiling on, then a single
 //! `simgate dash` invocation, must yield one self-contained HTML file
-//! whose correlation table joins — for at least one pair — a histogram
-//! bucket exemplar to its trace span and the pair's top profile frame,
-//! with no manual filename matching anywhere in the chain.
+//! whose per-pair latency table joins every simulated pair to its trace
+//! span, its ns/op and its top profile frame, with no manual filename
+//! matching anywhere in the chain. The run's `metrics.json` summarizes
+//! the same spans.
 //!
 //! `reproduce` belongs to another package, so it runs through
 //! `cargo run --release`, which reuses the release artifacts the tier-1
@@ -87,17 +88,20 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
         );
     }
 
-    // The correlation section joins at least one pair all the way
-    // through: exemplar bucket -> trace span (16-hex id) -> top frame.
+    // One row per simulated pair, each joined all the way through:
+    // stage span (16-hex id) -> ns/op -> top frame.
     let section = html
-        .split("Exemplar correlation")
+        .split("Per-pair latency")
         .nth(1)
         .and_then(|rest| rest.split("<h2>").next())
-        .expect("correlation section present");
+        .expect("per-pair latency section present");
+    let rows: Vec<&str> = section.split("<tr><td").skip(1).collect();
+    assert_eq!(rows.len(), 223, "one row per simulated pair:\n{section}");
     assert!(
-        section.matches("<tr><td").count() >= 1,
-        "no joined rows in correlation section:\n{section}"
+        rows.iter().all(|r| !r.contains("—")),
+        "a row lacks its ops, ns/op or top frame:\n{section}"
     );
+    assert!(section.contains("ns/op"), "no ns/op column:\n{section}");
     assert!(
         section.contains("stage/"),
         "no span name joined:\n{section}"
@@ -114,6 +118,25 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
 
     // The per-pair counter table rendered from the same file.
     assert!(html.contains("223 pairs."), "pair table missing");
+
+    // metrics.json summarizes the same stage spans: one per simulated pair.
+    let metrics = fs::read_to_string(results.join("metrics.json")).expect("read metrics.json");
+    let simulate = metrics
+        .split("{\"name\":\"workchar_stage_simulate_micros\",\"kind\":\"summary\",")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .unwrap_or_else(|| panic!("no simulate-stage summary in:\n{metrics}"));
+    let field = |key: &str| -> u64 {
+        simulate
+            .split(&format!("\"{key}\":"))
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in {simulate}"))
+    };
+    assert_eq!(field("count"), 223, "{simulate}");
+    let order = ["min", "p50", "p90", "p99", "max"].map(field);
+    assert!(order.windows(2).all(|w| w[0] <= w[1]), "{simulate}");
 
     _ = fs::remove_dir_all(&results);
 }
