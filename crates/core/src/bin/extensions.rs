@@ -45,7 +45,7 @@ use uarch_sim::timeline::SamplerConfig;
 use workchar::ablation;
 use workchar::cache::CacheContext;
 use workchar::characterize::{characterize_suite_with, RunConfig};
-use workchar::cli::{ArgStream, PipelineFlags};
+use workchar::cli::{ArgStream, PipelineFlags, Stdout};
 use workchar::error::{Error, Result};
 use workchar::observe::{rel_artifact, write_timeline_artifacts, Run, Stage};
 use workchar::phase::analyze_phases;
@@ -62,13 +62,13 @@ fn parse_args() -> Result<PipelineFlags> {
         }
         match arg.as_str() {
             "--help" | "-h" => {
-                println!(
+                Stdout::new().print(format_args!(
                     "usage: extensions [--results DIR] [--no-cache] [--cache-dir DIR] \
                      [--lint] [--deny-warnings] [--timeline] [--simpoint] \
                      [--trace] [--profile] \
-                     [--profile-interval N]"
-                );
-                print!("{}", PipelineFlags::usage_lines());
+                     [--profile-interval N]\n{}",
+                    PipelineFlags::usage_lines()
+                ));
                 std::process::exit(0);
             }
             other => {
@@ -100,6 +100,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
     // The run opens its manifest and run-root span before any stage; every
     // write site below registers its artifact pointer with the manifest.
     let mut run = Run::start("extensions", "default", &opts.config_summary(""), &opts);
+    let mut stdout = Stdout::new();
     std::fs::create_dir_all(&opts.results_dir)?;
     let mut all = String::new();
     let mut config = RunConfig::default();
@@ -172,7 +173,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         ablation::cpi_stack_table(&refs),
     ] {
         let text = table.render_ascii();
-        println!("{text}");
+        stdout.print(format_args!("{text}\n"));
         all.push_str(&text);
         all.push('\n');
     }
@@ -203,7 +204,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         workchar::sensitivity::issue_width_sweep(&sweep_apps, &config, &[1, 2, 4, 6]),
     ] {
         let text = sweep.table().render_ascii();
-        println!("{text}");
+        stdout.print(format_args!("{text}\n"));
         all.push_str(&text);
         all.push('\n');
     }
@@ -246,7 +247,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
                 analysis.estimated_ipc(),
                 analysis.simulation_fraction() * 100.0
             ));
-            println!("{text}");
+            stdout.print(format_args!("{text}\n"));
             all.push_str(&text);
         }
         Err(e) => eprintln!("phase analysis failed: {e}"),
@@ -272,7 +273,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         )?;
         stage.arg("pairs", sp_records.len());
         let text = workchar::simpoints::summary_table(&sp_records).render_ascii();
-        println!("{text}");
+        stdout.print(format_args!("{text}\n"));
         all.push_str(&text);
         all.push('\n');
         run.manifest.artifact(

@@ -48,7 +48,7 @@ use simdash::manifest::kind as artifact_kind;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::cache::CacheContext;
 use workchar::characterize::RunConfig;
-use workchar::cli::{ArgStream, PipelineFlags};
+use workchar::cli::{ArgStream, PipelineFlags, Stdout};
 use workchar::dataset::Dataset;
 use workchar::error::{Error, Result};
 use workchar::experiments::{self, correlation_notes, ExperimentId};
@@ -117,6 +117,7 @@ fn main() -> ExitCode {
 }
 
 fn real_main(opts: Options) -> Result<()> {
+    let mut stdout = Stdout::new();
     // The run opens its manifest and run-root span before any stage; every
     // write site below registers its artifact pointer with the manifest.
     let mut run = Run::start(
@@ -244,7 +245,7 @@ fn real_main(opts: Options) -> Result<()> {
         stage.arg("tables", artifact.tables.len());
         stage.arg("figures", artifact.figures.len());
         let text = artifact.render();
-        println!("{text}");
+        stdout.print(format_args!("{text}\n"));
         write_file(
             &opts.shared.results_dir,
             &format!("{}.txt", id.slug()),
@@ -319,7 +320,7 @@ fn real_main(opts: Options) -> Result<()> {
         stage.arg("pairs", records.len());
         let table = workchar::simpoints::summary_table(&records);
         let text = table.render_ascii();
-        println!("{text}");
+        stdout.print(format_args!("{text}\n"));
         write_file(&opts.shared.results_dir, "simpoints.txt", &text);
         run.manifest.artifact(
             artifact_kind::SIMPOINTS_DIR,
@@ -345,9 +346,11 @@ fn real_main(opts: Options) -> Result<()> {
     run.manifest
         .artifact(artifact_kind::RECORDS_CSV, "records_cpu2006.csv");
 
-    println!("==== inline correlations (Sections IV-C / IV-D) ====");
+    stdout.print(format_args!(
+        "==== inline correlations (Sections IV-C / IV-D) ====\n"
+    ));
     for (name, c) in correlation_notes(&data) {
-        println!("{name}: {c:+.3}");
+        stdout.print(format_args!("{name}: {c:+.3}\n"));
     }
 
     run.finish()
@@ -376,15 +379,15 @@ fn write_file(dir: &std::path::Path, name: &str, contents: &str) {
 }
 
 fn print_usage() {
-    println!(
+    let mut stdout = Stdout::new();
+    stdout.print(format_args!(
         "usage: reproduce [--quick] [--markdown] [--results DIR] \
          [--no-cache] [--cache-dir DIR] [--lint] [--deny-warnings] \
          [--timeline] [--simpoint] [--trace] \
-         [--profile] [--profile-interval N] [table1..table10 fig1..fig10]"
-    );
-    print!("{}", PipelineFlags::usage_lines());
-    println!("experiments:");
+         [--profile] [--profile-interval N] [table1..table10 fig1..fig10]\n{}experiments:\n",
+        PipelineFlags::usage_lines()
+    ));
     for id in ExperimentId::ALL {
-        println!("  {id}");
+        stdout.print(format_args!("  {id}\n"));
     }
 }

@@ -1,6 +1,9 @@
 //! Per-pair characterization: run one application–input pair on the
 //! simulated system and collect every metric the paper reports.
 
+use std::fmt::Write as _;
+
+use simreport::csv::Field;
 use simstore::{Progress, RunReport, Scheduler};
 use uarch_sim::config::SystemConfig;
 use uarch_sim::counters::{Event, PerfSession};
@@ -140,7 +143,7 @@ impl CharRecord {
 }
 
 impl CharRecord {
-    /// Column names for [`CharRecord::csv_row`].
+    /// Column names of [`records_csv`].
     pub const CSV_HEADER: [&'static str; 18] = [
         "id",
         "app",
@@ -161,38 +164,38 @@ impl CharRecord {
         "vsz_gib",
         "projected_seconds",
     ];
-
-    /// One CSV record of the headline metrics (the full counter file stays
-    /// in [`CharRecord::session`]).
-    pub fn csv_row(&self) -> Vec<String> {
-        vec![
-            self.id.clone(),
-            self.app.clone(),
-            self.input.clone(),
-            self.suite.label().to_owned(),
-            self.size.label().to_owned(),
-            self.sim_ops.to_string(),
-            format!("{:.3}", self.instructions_billions),
-            format!("{:.4}", self.ipc),
-            format!("{:.3}", self.load_pct),
-            format!("{:.3}", self.store_pct),
-            format!("{:.3}", self.branch_pct),
-            format!("{:.3}", self.l1_miss_pct),
-            format!("{:.3}", self.l2_miss_pct),
-            format!("{:.3}", self.l3_miss_pct),
-            format!("{:.3}", self.mispredict_pct),
-            format!("{:.4}", self.rss_gib),
-            format!("{:.4}", self.vsz_gib),
-            format!("{:.3}", self.projected_seconds),
-        ]
-    }
 }
 
-/// Renders a record set as one CSV document (header + one row per record).
+/// Renders a record set as one CSV document: the header, then one row of
+/// headline metrics per record (the full counter file stays in
+/// [`CharRecord::session`]). Text fields are quoted as CSV requires.
 pub fn records_csv(records: &[CharRecord]) -> String {
-    let mut out = simreport::csv::line(&CharRecord::CSV_HEADER);
+    let mut out = String::new();
+    simreport::csv::line(&mut out, &CharRecord::CSV_HEADER);
     for r in records {
-        out.push_str(&simreport::csv::line(&r.csv_row()));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{},{:.3},{:.4},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.4},{:.4},{:.3}",
+            Field(&r.id),
+            Field(&r.app),
+            Field(&r.input),
+            Field(r.suite.label()),
+            Field(r.size.label()),
+            r.sim_ops,
+            r.instructions_billions,
+            r.ipc,
+            r.load_pct,
+            r.store_pct,
+            r.branch_pct,
+            r.l1_miss_pct,
+            r.l2_miss_pct,
+            r.l3_miss_pct,
+            r.mispredict_pct,
+            r.rss_gib,
+            r.vsz_gib,
+            r.projected_seconds,
+        );
     }
     out
 }
@@ -366,6 +369,11 @@ pub fn characterize_pairs_with(
 /// the full [`RunReport`] comes back — partial results survive individual
 /// failures. `progress` fires after each pair settles (from worker threads).
 ///
+/// Each job is labelled with the pair id and input size (`505.mcf_r/ref`),
+/// so the test, train and ref runs of one pair stay apart in failure
+/// reports, `sched/job` spans and profile frames; records keep the plain
+/// id.
+///
 /// Per-pair errors are re-raised as panics inside the scheduler's workers so
 /// its isolation and retry machinery applies uniformly; they come back as
 /// [`simstore::JobFailure`] entries, not unwinds.
@@ -377,7 +385,7 @@ pub fn characterize_pairs_report<P: Fn(Progress) + Sync>(
 ) -> RunReport<CharRecord> {
     Scheduler::available().run(
         pairs.len(),
-        |i| pairs[i].id(),
+        |i| format!("{}/{}", pairs[i].id(), pairs[i].size.label()),
         |i| {
             let run = match cache {
                 Some(ctx) => characterize_pair_cached(&pairs[i], config, ctx),
@@ -488,7 +496,7 @@ mod tests {
         let report = characterize_pairs_report(&pairs, &quick(), None, |_| {});
         assert_eq!(report.failures.len(), 1, "exactly the broken pair fails");
         assert_eq!(report.failures[0].index, 1);
-        assert_eq!(report.failures[0].label, "999.broken_r");
+        assert_eq!(report.failures[0].label, "999.broken_r/ref");
         assert!(report.results[1].is_none());
         let survivors: Vec<&CharRecord> = report.results.iter().flatten().collect();
         assert_eq!(survivors.len(), 2, "healthy pairs still produce records");
@@ -506,7 +514,7 @@ mod tests {
             Error::Characterization { failures, total } => {
                 assert_eq!(*total, 3);
                 assert_eq!(failures.len(), 1);
-                assert_eq!(failures[0].label, "999.broken_r");
+                assert_eq!(failures[0].label, "999.broken_r/ref");
             }
             other => panic!("expected Characterization, got {other:?}"),
         }
@@ -598,16 +606,25 @@ mod tests {
     fn csv_export_is_rectangular() {
         let app = cpu2017::app("541.leela_r").unwrap();
         let r = characterize_pair(&app.pairs(InputSize::Ref)[0], &quick()).unwrap();
-        assert_eq!(r.csv_row().len(), CharRecord::CSV_HEADER.len());
-        let csv = records_csv(&[r]);
+        let quoted = CharRecord {
+            id: "odd,\"id\"".into(),
+            ..r.clone()
+        };
+        let csv = records_csv(&[r, quoted]);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert_eq!(
             lines[0].split(',').count(),
             lines[1].split(',').count(),
             "header and row must have the same arity"
         );
+        assert_eq!(lines[0].split(',').count(), CharRecord::CSV_HEADER.len());
         assert!(lines[0].starts_with("id,app,input,suite,size"));
+        // The quoted id holds one comma; the rest of the row is unchanged.
+        assert_eq!(
+            lines[2],
+            format!("\"odd,\"\"id\"\"\"{}", &lines[1]["541.leela_r".len()..])
+        );
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!   `--lint`, `--deny-warnings`, `--timeline`, `--simpoint`, `--trace`,
 //!   `--profile`, `--profile-interval`), parsed by a single `accept` call
 //!   so the binaries cannot drift apart flag by flag.
+//! - [`Stdout`]: the campaign binaries' printed output, which stops quietly
+//!   when the reader leaves.
 
+use std::fmt;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -183,6 +187,36 @@ impl PipelineFlags {
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",
             "  --profile-interval N  ops per profile sample (default 10000; implies --profile)\n",
         )
+    }
+}
+
+/// The campaign binaries' stdout. Printing is a view of the run, not its
+/// product: when the reader leaves early (`reproduce | head -1` closes the
+/// pipe), the first failed write stops printing, and the run still writes
+/// its files and exits normally.
+#[derive(Debug, Default)]
+pub struct Stdout {
+    closed: bool,
+}
+
+impl Stdout {
+    /// An open stdout.
+    pub fn new() -> Self {
+        Stdout::default()
+    }
+
+    /// Prints `args`; does nothing once a write has failed. A closed pipe
+    /// stops printing silently, any other write error with a warning.
+    pub fn print(&mut self, args: fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = io::stdout().lock().write_fmt(args) {
+            self.closed = true;
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                eprintln!("warning: cannot print to stdout: {e}; printing stops");
+            }
+        }
     }
 }
 

@@ -4,7 +4,9 @@
 //! collected [`Dataset`]; the `reproduce` binary drives all twenty and
 //! writes the renderings under `results/`.
 
-use std::fmt;
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
+use std::rc::Rc;
 
 use simreport::figure::{Figure, Kind, Series};
 use simreport::table::{num, Table};
@@ -167,19 +169,26 @@ impl Artifact {
 
     /// Renders everything as terminal-ready text.
     pub fn render(&self) -> String {
-        let mut out = format!("==== {} ====\n", self.id);
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_text(&mut out);
+        out
+    }
+
+    /// Writes [`Artifact::render`]'s text; tables and figures (at width
+    /// 100) render straight into `out` through their `Display`.
+    fn write_text(&self, out: &mut String) -> fmt::Result {
+        writeln!(out, "==== {} ====", self.id)?;
         for t in &self.tables {
-            out.push_str(&t.render_ascii());
-            out.push('\n');
+            writeln!(out, "{t}")?;
         }
         for f in &self.figures {
-            out.push_str(&f.render_ascii(100));
-            out.push('\n');
+            writeln!(out, "{f}")?;
         }
         for (title, body) in &self.texts {
-            out.push_str(&format!("-- {title} --\n{body}\n"));
+            writeln!(out, "-- {title} --\n{body}")?;
         }
-        out
+        Ok(())
     }
 
     /// Renders the CSV payload (tables then figures).
@@ -428,6 +437,106 @@ fn table9(data: &Dataset) -> Artifact {
     a
 }
 
+/// One shared fit and the experiments that have read it since it was
+/// made (bit `id as u32` of `readers`).
+struct Entry<T> {
+    fit: Rc<T>,
+    readers: u32,
+}
+
+/// The fits Figs. 7–10 and Table X share, one set per run on this thread.
+///
+/// - The key is the CPU2017 ref records every slot is fitted from,
+///   compared with `==`: a changed dataset clears every slot, so no
+///   experiment ever reads a fit of other data.
+/// - An experiment reads a slot once per run. When the same experiment
+///   asks again, a new run has begun: the slot is dropped and refitted.
+///   So each slot is fitted once per run and N runs fit N times, exactly
+///   what N separate processes pay, and no run inherits another's work.
+/// - Slots fill on first read, so an experiment alone pays only for the
+///   fits it reads.
+#[derive(Default)]
+struct FitMemo {
+    key: Vec<CharRecord>,
+    redundancy: Option<Entry<Option<RedundancyAnalysis>>>,
+    rate: Option<Entry<Option<SubsetAnalysis>>>,
+    speed: Option<Entry<Option<SubsetAnalysis>>>,
+}
+
+thread_local! {
+    static FITS: RefCell<FitMemo> = RefCell::default();
+}
+
+/// `slot`'s fit for experiment `id`, running `fit` under a `report/fit`
+/// span when the slot is empty or `id` has read it already.
+fn read_slot<T>(
+    entry: &mut Option<Entry<T>>,
+    id: ExperimentId,
+    slot: &str,
+    fit: impl FnOnce() -> T,
+) -> Rc<T> {
+    let bit = 1u32 << id as u32;
+    if let Some(e) = entry.as_mut().filter(|e| e.readers & bit == 0) {
+        e.readers |= bit;
+        return Rc::clone(&e.fit);
+    }
+    let mut span = simtrace::span("report/fit");
+    span.arg("slot", slot);
+    let fit = Rc::new(fit());
+    *entry = Some(Entry {
+        fit: Rc::clone(&fit),
+        readers: bit,
+    });
+    fit
+}
+
+/// Runs `f` on this thread's memo after checking its key against `data`.
+fn with_fits<R>(data: &Dataset, f: impl FnOnce(&mut FitMemo) -> R) -> R {
+    FITS.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        let refs = data.cpu17.iter().filter(|r| r.size == InputSize::Ref);
+        if !memo.key.iter().eq(refs.clone()) {
+            *memo = FitMemo {
+                key: refs.cloned().collect(),
+                ..FitMemo::default()
+            };
+        }
+        f(&mut memo)
+    })
+}
+
+/// The PCA of every CPU2017 ref pair (Figs. 7 and 8); `None` when there
+/// are too few records.
+fn redundancy(data: &Dataset, id: ExperimentId) -> Rc<Option<RedundancyAnalysis>> {
+    with_fits(data, |memo| {
+        let FitMemo {
+            key, redundancy, ..
+        } = memo;
+        read_slot(redundancy, id, "redundancy", || {
+            RedundancyAnalysis::fit_paper(key).ok()
+        })
+    })
+}
+
+/// The rate and speed subset analyses (Table X, Figs. 9 and 10), labelled;
+/// `None` for a group with too few pairs.
+fn subsets(data: &Dataset, id: ExperimentId) -> [(&'static str, Rc<Option<SubsetAnalysis>>); 2] {
+    with_fits(data, |memo| {
+        [
+            (
+                "rate",
+                read_slot(&mut memo.rate, id, "rate", || subset_for(&data.rate_ref())),
+            ),
+            (
+                "speed",
+                read_slot(&mut memo.speed, id, "speed", || {
+                    subset_for(&data.speed_ref())
+                }),
+            ),
+        ]
+    })
+}
+
 fn subset_for(records: &[&CharRecord]) -> Option<SubsetAnalysis> {
     if records.len() < 3 {
         return None;
@@ -452,11 +561,11 @@ fn table10(data: &Dataset) -> Artifact {
     );
     // Alongside our Pareto-knee choice, also report the subset at the
     // paper's own cluster counts (rate 12, speed 10) for direct comparison.
-    for ((label, records), paper_k) in [("rate", data.rate_ref()), ("speed", data.speed_ref())]
+    for ((label, subset), paper_k) in subsets(data, ExperimentId::Table10)
         .into_iter()
         .zip([12, 10])
     {
-        match subset_for(&records) {
+        match subset.as_ref() {
             Some(s) => {
                 t.row(vec![
                     format!("{label} (knee)"),
@@ -466,7 +575,7 @@ fn table10(data: &Dataset) -> Artifact {
                     num(s.full_seconds, 3),
                     num(s.saving_pct(), 3),
                 ]);
-                if paper_k <= records.len() {
+                if paper_k <= s.ids.len() {
                     if let Some(p) = s.curve.iter().find(|p| p.k == paper_k) {
                         t.row(vec![
                             format!("{label} (paper k)"),
@@ -638,9 +747,8 @@ fn fig5(data: &Dataset) -> Artifact {
 
 fn fig7(data: &Dataset) -> Artifact {
     let mut a = Artifact::new(ExperimentId::Fig7);
-    let refs = data.cpu17_at(InputSize::Ref);
-    let owned: Vec<CharRecord> = refs.iter().map(|&r| r.clone()).collect();
-    let Ok(analysis) = RedundancyAnalysis::fit_paper(&owned) else {
+    let fit = redundancy(data, ExperimentId::Fig7);
+    let Some(analysis) = fit.as_ref() else {
         a.texts
             .push(("note".into(), "too few records for PCA".into()));
         return a;
@@ -677,9 +785,8 @@ fn fig7(data: &Dataset) -> Artifact {
 
 fn fig8(data: &Dataset) -> Artifact {
     let mut a = Artifact::new(ExperimentId::Fig8);
-    let refs = data.cpu17_at(InputSize::Ref);
-    let owned: Vec<CharRecord> = refs.iter().map(|&r| r.clone()).collect();
-    let Ok(analysis) = RedundancyAnalysis::fit_paper(&owned) else {
+    let fit = redundancy(data, ExperimentId::Fig8);
+    let Some(analysis) = fit.as_ref() else {
         a.texts
             .push(("note".into(), "too few records for PCA".into()));
         return a;
@@ -713,8 +820,8 @@ fn fig8(data: &Dataset) -> Artifact {
 
 fn fig9(data: &Dataset) -> Artifact {
     let mut a = Artifact::new(ExperimentId::Fig9);
-    for (label, records) in [("rate", data.rate_ref()), ("speed", data.speed_ref())] {
-        let Some(s) = subset_for(&records) else {
+    for (label, subset) in subsets(data, ExperimentId::Fig9) {
+        let Some(s) = subset.as_ref() else {
             a.texts.push((label.into(), "(too few pairs)".into()));
             continue;
         };
@@ -729,8 +836,8 @@ fn fig9(data: &Dataset) -> Artifact {
 
 fn fig10(data: &Dataset) -> Artifact {
     let mut a = Artifact::new(ExperimentId::Fig10);
-    for (label, records) in [("rate", data.rate_ref()), ("speed", data.speed_ref())] {
-        let Some(s) = subset_for(&records) else {
+    for (label, subset) in subsets(data, ExperimentId::Fig10) {
+        let Some(s) = subset.as_ref() else {
             a.texts.push((label.into(), "(too few pairs)".into()));
             continue;
         };
@@ -869,6 +976,68 @@ mod tests {
             let a = run(id, data).unwrap();
             assert!(!a.render_csv().trim().is_empty(), "{id}");
         }
+    }
+
+    /// `report/fit` spans recorded while `f` runs on a fresh thread, which
+    /// starts with an empty memo.
+    fn fits_during(f: impl FnOnce() + Send) -> usize {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let root = simtrace::root("run/test");
+                f();
+                let spans = root.drain();
+                spans.iter().filter(|s| s.name == "report/fit").count()
+            })
+            .join()
+            .expect("experiment thread")
+        })
+    }
+
+    #[test]
+    fn each_run_fits_each_shared_slot_once() {
+        let data = demo();
+        let all = || {
+            run_all(data).unwrap();
+        };
+        assert_eq!(fits_during(all), 3, "one PCA, one rate and one speed fit");
+        assert_eq!(fits_during(|| (all(), all()).1), 6, "a second run refits");
+        let fig7 = || {
+            run(ExperimentId::Fig7, data).unwrap();
+        };
+        assert_eq!(fits_during(fig7), 1, "Fig. 7 alone fits only its PCA");
+    }
+
+    #[test]
+    fn changed_records_never_read_a_stale_fit() {
+        let text = |a: Artifact| (a.render(), a.render_csv());
+        let mut changed = demo().clone();
+        let record = changed
+            .cpu17
+            .iter_mut()
+            .find(|r| r.size == InputSize::Ref)
+            .unwrap();
+        record.projected_seconds *= 3.0;
+        let on_fresh_thread = |data: &Dataset| {
+            std::thread::scope(|s| {
+                s.spawn(|| text(run(ExperimentId::Fig10, data).unwrap()))
+                    .join()
+                    .expect("experiment thread")
+            })
+        };
+        let served = std::thread::scope(|s| {
+            s.spawn(|| {
+                run(ExperimentId::Table10, demo()).unwrap();
+                text(run(ExperimentId::Fig10, &changed).unwrap())
+            })
+            .join()
+            .expect("experiment thread")
+        });
+        assert_eq!(served, on_fresh_thread(&changed));
+        assert_ne!(
+            served,
+            on_fresh_thread(demo()),
+            "the change shows in Fig. 10"
+        );
     }
 
     #[test]

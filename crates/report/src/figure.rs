@@ -5,7 +5,9 @@
 //! (Fig. 10). [`Figure`] keeps the raw series — the renderings are for the
 //! terminal; the CSV is the archival artifact recorded under `results/`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+use crate::csv::Field;
 
 /// The plot style a figure corresponds to in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,15 +118,11 @@ impl Figure {
 
     /// Renders the figure as CSV: `series,label,x,y` records.
     pub fn render_csv(&self) -> String {
-        let mut out = crate::csv::line(&["series", "label", "x", "y"]);
+        let mut out = String::from("series,label,x,y\n");
         for s in &self.series {
-            for i in 0..s.len() {
-                out.push_str(&crate::csv::line(&[
-                    s.name.clone(),
-                    s.labels[i].clone(),
-                    format!("{}", s.x[i]),
-                    format!("{}", s.y[i]),
-                ]));
+            for ((label, x), y) in s.labels.iter().zip(&s.x).zip(&s.y) {
+                // Writing into a `String` cannot fail.
+                let _ = writeln!(out, "{},{},{x},{y}", Field(&s.name), Field(label));
             }
         }
         out
@@ -133,14 +131,21 @@ impl Figure {
     /// Renders an ASCII view: horizontal bars for bar charts, a character
     /// grid for scatter/line plots.
     pub fn render_ascii(&self, width: usize) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_ascii(&mut out, width);
+        out
+    }
+
+    fn write_ascii(&self, out: &mut impl fmt::Write, width: usize) -> fmt::Result {
         match self.kind {
-            Kind::Bar => self.render_bars(width),
-            Kind::Scatter | Kind::Line => self.render_grid(width),
+            Kind::Bar => self.render_bars(out, width),
+            Kind::Scatter | Kind::Line => self.render_grid(out, width),
         }
     }
 
-    fn render_bars(&self, width: usize) -> String {
-        let mut out = format!("{}\n", self.title);
+    fn render_bars(&self, out: &mut impl fmt::Write, width: usize) -> fmt::Result {
+        writeln!(out, "{}", self.title)?;
         let max = self
             .series
             .iter()
@@ -158,31 +163,31 @@ impl Figure {
         let chart_w = width.saturating_sub(label_w + 14).max(10);
         for s in &self.series {
             if self.series.len() > 1 {
-                out.push_str(&format!("-- {} --\n", s.name));
+                writeln!(out, "-- {} --", s.name)?;
             }
-            for i in 0..s.len() {
-                let v = s.y[i];
-                let bar = ((v / max) * chart_w as f64).round().max(0.0) as usize;
-                out.push_str(&format!(
-                    "{:label_w$} |{:<chart_w$}| {v:.3}\n",
-                    s.labels[i],
-                    "#".repeat(bar.min(chart_w)),
-                ));
+            for (label, &v) in s.labels.iter().zip(&s.y) {
+                let bar = (((v / max) * chart_w as f64).round().max(0.0) as usize).min(chart_w);
+                writeln!(
+                    out,
+                    "{label:label_w$} |{:#<bar$}{:gap$}| {v:.3}",
+                    "",
+                    "",
+                    gap = chart_w - bar,
+                )?;
             }
         }
-        out
+        Ok(())
     }
 
-    fn render_grid(&self, width: usize) -> String {
-        let mut out = format!("{}\n", self.title);
+    fn render_grid(&self, out: &mut impl fmt::Write, width: usize) -> fmt::Result {
+        writeln!(out, "{}", self.title)?;
         let pts: Vec<(f64, f64)> = self
             .series
             .iter()
             .flat_map(|s| s.x.iter().cloned().zip(s.y.iter().cloned()))
             .collect();
         if pts.is_empty() {
-            out.push_str("(no data)\n");
-            return out;
+            return out.write_str("(no data)\n");
         }
         let (mut x0, mut x1, mut y0, mut y1) = (
             f64::INFINITY,
@@ -210,22 +215,24 @@ impl Figure {
                 grid[h - 1 - cy][cx] = mark;
             }
         }
-        out.push_str(&format!("y: [{y0:.3}, {y1:.3}]  x: [{x0:.3}, {x1:.3}]\n"));
+        writeln!(out, "y: [{y0:.3}, {y1:.3}]  x: [{x0:.3}, {x1:.3}]")?;
         for row in grid {
-            out.push('|');
-            out.extend(row);
-            out.push_str("|\n");
+            out.write_char('|')?;
+            for c in row {
+                out.write_char(c)?;
+            }
+            out.write_str("|\n")?;
         }
         for (si, s) in self.series.iter().enumerate() {
-            out.push_str(&format!("  {} = {}\n", marks[si % marks.len()], s.name));
+            writeln!(out, "  {} = {}", marks[si % marks.len()], s.name)?;
         }
-        out
+        Ok(())
     }
 }
 
 impl fmt::Display for Figure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_ascii(100))
+        self.write_ascii(f, 100)
     }
 }
 
@@ -258,6 +265,12 @@ mod tests {
         assert!(csv.starts_with("series,label,x,y\n"));
         assert!(csv.contains("rate int,mcf,0,0.886\n"));
         assert!(csv.contains("rate int,x264,1,3.024\n"));
+        let mut quoted = Figure::new("q", Kind::Scatter);
+        quoted.push(Series::points("a,b", &["say \"hi\""], &[0.5], &[-2.0]));
+        assert_eq!(
+            quoted.render_csv(),
+            "series,label,x,y\n\"a,b\",\"say \"\"hi\"\"\",0.5,-2\n"
+        );
     }
 
     #[test]

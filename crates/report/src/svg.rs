@@ -6,15 +6,35 @@
 //! by hand and kept simple: one plot area, axes with min/max labels, a
 //! legend, and per-series colors.
 
+use std::fmt::{self, Write as _};
+
 use crate::figure::{Figure, Kind};
 
 /// Escapes text for SVG/XML content.
 pub fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-        .replace('\'', "&#39;")
+    Escaped(s).to_string()
+}
+
+/// Text escaped for SVG/XML content as it is formatted, with no
+/// intermediate `String`.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
+            f.write_str(&rest[..i])?;
+            f.write_str(match rest.as_bytes()[i] {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                _ => "&#39;",
+            })?;
+            rest = &rest[i + 1..];
+        }
+        f.write_str(rest)
+    }
 }
 
 pub(crate) const COLORS: [&str; 6] = [
@@ -28,18 +48,26 @@ impl Figure {
     /// Bar figures render grouped vertical bars; scatter figures render
     /// circles; line figures render polylines with point markers.
     pub fn render_svg(&self, width: u32, height: u32) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_svg(&mut out, width, height);
+        out
+    }
+
+    fn write_svg(&self, out: &mut String, width: u32, height: u32) -> fmt::Result {
         let w = width.max(160) as f64;
         let h = height.max(120) as f64;
-        let mut out = String::new();
-        out.push_str(&format!(
+        writeln!(
+            out,
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
-             viewBox=\"0 0 {w} {h}\" font-family=\"sans-serif\" font-size=\"10\">\n"
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"14\" text-anchor=\"middle\" font-size=\"12\">{}</text>\n",
+             viewBox=\"0 0 {w} {h}\" font-family=\"sans-serif\" font-size=\"10\">"
+        )?;
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"14\" text-anchor=\"middle\" font-size=\"12\">{}</text>",
             w / 2.0,
-            escape(self.title())
-        ));
+            Escaped(self.title())
+        )?;
 
         let plot = PlotArea {
             x0: MARGIN,
@@ -47,17 +75,18 @@ impl Figure {
             x1: w - 12.0,
             y1: h - MARGIN,
         };
-        out.push_str(&format!(
-            "  <rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"none\" stroke=\"#999\"/>\n",
+        writeln!(
+            out,
+            "  <rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"none\" stroke=\"#999\"/>",
             plot.x0,
             plot.y0,
             plot.x1 - plot.x0,
             plot.y1 - plot.y0
-        ));
+        )?;
 
         match self.kind() {
-            Kind::Bar => self.svg_bars(&plot, &mut out),
-            Kind::Scatter | Kind::Line => self.svg_points(&plot, &mut out),
+            Kind::Bar => self.svg_bars(&plot, out)?,
+            Kind::Scatter | Kind::Line => self.svg_points(&plot, out)?,
         }
 
         // Legend under the plot.
@@ -65,22 +94,23 @@ impl Figure {
         let ly = h - 10.0;
         for (si, series) in self.series().iter().enumerate() {
             let color = COLORS[si % COLORS.len()];
-            out.push_str(&format!(
-                "  <rect x=\"{lx}\" y=\"{}\" width=\"8\" height=\"8\" fill=\"{color}\"/>\n",
+            writeln!(
+                out,
+                "  <rect x=\"{lx}\" y=\"{}\" width=\"8\" height=\"8\" fill=\"{color}\"/>",
                 ly - 8.0
-            ));
-            out.push_str(&format!(
-                "  <text x=\"{}\" y=\"{ly}\">{}</text>\n",
+            )?;
+            writeln!(
+                out,
+                "  <text x=\"{}\" y=\"{ly}\">{}</text>",
                 lx + 11.0,
-                escape(&series.name)
-            ));
+                Escaped(&series.name)
+            )?;
             lx += 14.0 + 6.0 * series.name.len() as f64;
         }
-        out.push_str("</svg>\n");
-        out
+        out.write_str("</svg>\n")
     }
 
-    fn svg_bars(&self, plot: &PlotArea, out: &mut String) {
+    fn svg_bars(&self, plot: &PlotArea, out: &mut String) -> fmt::Result {
         let max = self
             .series()
             .iter()
@@ -89,45 +119,48 @@ impl Figure {
             .fold(f64::MIN_POSITIVE, f64::max);
         let n_items = self.series().iter().map(|s| s.len()).max().unwrap_or(0);
         if n_items == 0 {
-            return;
+            return Ok(());
         }
         let n_series = self.series().len();
         let group_w = (plot.x1 - plot.x0) / n_items as f64;
         let bar_w = (group_w * 0.8) / n_series as f64;
         for (si, series) in self.series().iter().enumerate() {
             let color = COLORS[si % COLORS.len()];
-            for (i, &v) in series.y.iter().enumerate() {
+            for (i, (label, &v)) in series.labels.iter().zip(&series.y).enumerate() {
                 let frac = (v / max).clamp(0.0, 1.0);
                 let bh = frac * (plot.y1 - plot.y0);
                 let x = plot.x0 + i as f64 * group_w + group_w * 0.1 + si as f64 * bar_w;
                 let y = plot.y1 - bh;
-                out.push_str(&format!(
+                writeln!(
+                    out,
                     "  <rect x=\"{x:.1}\" y=\"{y:.1}\" width=\"{bar_w:.1}\" \
-                     height=\"{bh:.1}\" fill=\"{color}\"><title>{}: {v}</title></rect>\n",
-                    escape(&series.labels[i])
-                ));
+                     height=\"{bh:.1}\" fill=\"{color}\"><title>{}: {v}</title></rect>",
+                    Escaped(label)
+                )?;
             }
         }
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{max:.2}</text>\n",
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{max:.2}</text>",
             plot.x0 - 4.0,
             plot.y0 + 8.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">0</text>\n",
+        )?;
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">0</text>",
             plot.x0 - 4.0,
             plot.y1
-        ));
+        )
     }
 
-    fn svg_points(&self, plot: &PlotArea, out: &mut String) {
+    fn svg_points(&self, plot: &PlotArea, out: &mut String) -> fmt::Result {
         let pts: Vec<(f64, f64)> = self
             .series()
             .iter()
             .flat_map(|s| s.x.iter().cloned().zip(s.y.iter().cloned()))
             .collect();
         if pts.is_empty() {
-            return;
+            return Ok(());
         }
         let (mut x0, mut x1, mut y0, mut y1) = (
             f64::INFINITY,
@@ -149,50 +182,53 @@ impl Figure {
         for (si, series) in self.series().iter().enumerate() {
             let color = COLORS[si % COLORS.len()];
             if self.kind() == Kind::Line && series.len() > 1 {
-                let path: Vec<String> = series
-                    .x
-                    .iter()
-                    .zip(&series.y)
-                    .map(|(&x, &y)| format!("{:.1},{:.1}", px(x), py(y)))
-                    .collect();
-                out.push_str(&format!(
-                    "  <polyline points=\"{}\" fill=\"none\" stroke=\"{color}\" \
-                     stroke-width=\"1.5\"/>\n",
-                    path.join(" ")
-                ));
+                out.write_str("  <polyline points=\"")?;
+                for (i, (&x, &y)) in series.x.iter().zip(&series.y).enumerate() {
+                    if i > 0 {
+                        out.write_char(' ')?;
+                    }
+                    write!(out, "{:.1},{:.1}", px(x), py(y))?;
+                }
+                writeln!(
+                    out,
+                    "\" fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\"/>"
+                )?;
             }
-            for i in 0..series.len() {
-                out.push_str(&format!(
+            for ((label, &x), &y) in series.labels.iter().zip(&series.x).zip(&series.y) {
+                writeln!(
+                    out,
                     "  <circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.5\" fill=\"{color}\">\
-                     <title>{}: ({}, {})</title></circle>\n",
-                    px(series.x[i]),
-                    py(series.y[i]),
-                    escape(&series.labels[i]),
-                    series.x[i],
-                    series.y[i]
-                ));
+                     <title>{}: ({x}, {y})</title></circle>",
+                    px(x),
+                    py(y),
+                    Escaped(label),
+                )?;
             }
         }
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y1:.2}</text>\n",
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y1:.2}</text>",
             plot.x0 - 4.0,
             plot.y0 + 8.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y0:.2}</text>\n",
+        )?;
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y0:.2}</text>",
             plot.x0 - 4.0,
             plot.y1
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\">{x0:.2}</text>\n",
+        )?;
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\">{x0:.2}</text>",
             plot.x0,
             plot.y1 + 12.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{x1:.2}</text>\n",
+        )?;
+        writeln!(
+            out,
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{x1:.2}</text>",
             plot.x1,
             plot.y1 + 12.0
-        ));
+        )
     }
 }
 

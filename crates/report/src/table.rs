@@ -98,39 +98,43 @@ impl Table {
 
     /// Renders an aligned ASCII table with a title and separator rules.
     pub fn render_ascii(&self) -> String {
-        let w = self.widths();
-        let mut out = String::new();
-        out.push_str(&self.title);
-        out.push('\n');
-        let rule: String = w
-            .iter()
-            .map(|wi| "-".repeat(wi + 2))
-            .collect::<Vec<_>>()
-            .join("+");
-        out.push_str(&rule);
-        out.push('\n');
-        out.push_str(&self.format_row(&self.headers, &w));
-        out.push_str(&rule);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&self.format_row(row, &w));
-        }
-        out
+        self.to_string()
     }
 
-    fn format_row(&self, cells: &[String], w: &[usize]) -> String {
-        let mut line = String::new();
-        for ((cell, wi), align) in cells.iter().zip(w).zip(&self.aligns) {
-            let formatted = match align {
-                Align::Left => format!(" {cell:<wi$} "),
-                Align::Right => format!(" {cell:>wi$} "),
-            };
-            line.push_str(&formatted);
-            line.push('|');
+    /// Writes the ASCII rendering, padding every cell straight into `out`.
+    fn write_ascii(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let w = self.widths();
+        out.write_str(&self.title)?;
+        out.write_char('\n')?;
+        let rule = |out: &mut dyn fmt::Write| -> fmt::Result {
+            for (i, &wi) in w.iter().enumerate() {
+                if i > 0 {
+                    out.write_char('+')?;
+                }
+                write!(out, "{:-<1$}", "", wi + 2)?;
+            }
+            out.write_char('\n')
+        };
+        rule(out)?;
+        self.write_row(out, &self.headers, &w)?;
+        rule(out)?;
+        for row in &self.rows {
+            self.write_row(out, row, &w)?;
         }
-        line.pop();
-        line.push('\n');
-        line
+        Ok(())
+    }
+
+    fn write_row(&self, out: &mut impl fmt::Write, cells: &[String], w: &[usize]) -> fmt::Result {
+        for (i, ((cell, &wi), align)) in cells.iter().zip(w).zip(&self.aligns).enumerate() {
+            if i > 0 {
+                out.write_char('|')?;
+            }
+            match align {
+                Align::Left => write!(out, " {cell:<wi$} ")?,
+                Align::Right => write!(out, " {cell:>wi$} ")?,
+            }
+        }
+        out.write_char('\n')
     }
 
     /// Renders GitHub-flavoured Markdown.
@@ -154,9 +158,10 @@ impl Table {
 
     /// Renders CSV (headers first), escaping via [`crate::csv`] rules.
     pub fn render_csv(&self) -> String {
-        let mut out = crate::csv::line(&self.headers);
+        let mut out = String::new();
+        crate::csv::line(&mut out, &self.headers);
         for row in &self.rows {
-            out.push_str(&crate::csv::line(row));
+            crate::csv::line(&mut out, row);
         }
         out
     }
@@ -164,7 +169,7 @@ impl Table {
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_ascii())
+        self.write_ascii(f)
     }
 }
 

@@ -97,6 +97,15 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
         .expect("per-pair latency section present");
     let rows: Vec<&str> = section.split("<tr><td").skip(1).collect();
     assert_eq!(rows.len(), 223, "one row per simulated pair:\n{section}");
+    // Job labels carry the input size, so a pair's test, train and ref
+    // runs are three rows with three labels.
+    let labels: std::collections::HashSet<&str> = rows
+        .iter()
+        .filter_map(|r| r.split_once('>')?.1.split_once("</td>"))
+        .map(|(label, _)| label)
+        .collect();
+    assert_eq!(labels.len(), 223, "one label per pair:\n{section}");
+    assert!(labels.contains("505.mcf_r/ref"), "{labels:?}");
     assert!(
         rows.iter().all(|r| !r.contains("—")),
         "a row lacks its ops, ns/op or top frame:\n{section}"

@@ -24,7 +24,7 @@ fn injected_panic_dumps_flight_recorder_with_failing_pair_id() {
     let pairs: Vec<AppInputPair<'_>> = apps.iter().flat_map(|a| a.pairs(InputSize::Ref)).collect();
     let report = characterize_pairs_report(&pairs, &RunConfig::quick(), None, |_| {});
     assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].label, "999.broken_r");
+    assert_eq!(report.failures[0].label, "999.broken_r/ref");
 
     let text = std::fs::read_to_string(&dump).expect("panic hook wrote the dump");
     assert!(
