@@ -36,10 +36,10 @@
 //! recorder to `<results>/flight-recorder.json`. Errors render on stderr
 //! and exit nonzero.
 
-use std::io::Write;
 use std::process::ExitCode;
 
 use simdash::manifest::kind as artifact_kind;
+use simreport::fixed::Fixed;
 use uarch_sim::engine::WorkloadHints;
 use uarch_sim::timeline::SamplerConfig;
 use workchar::ablation;
@@ -47,7 +47,7 @@ use workchar::cache::CacheContext;
 use workchar::characterize::{characterize_suite_with, RunConfig};
 use workchar::cli::{ArgStream, PipelineFlags, Stdout};
 use workchar::error::{Error, Result};
-use workchar::observe::{rel_artifact, write_timeline_artifacts, Run, Stage};
+use workchar::observe::{rel_artifact, write_artifact, write_timeline_artifacts, Run, Stage};
 use workchar::phase::analyze_phases;
 use workload_synth::cpu2017;
 use workload_synth::phases::demo_three_phase;
@@ -152,7 +152,7 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         }
     };
     for r in &records {
-        run.manifest.pair_ok(&r.id);
+        run.manifest.pair_ok(&r.label());
     }
     stage.arg("records", records.len());
     if let Some(ctx) = &cache {
@@ -232,20 +232,24 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
             stage.arg("phases", analysis.n_phases);
             let mut text = format!(
                 "Phase analysis of '{}': {} phases (silhouette {:.3})\n",
-                workload.name, analysis.n_phases, analysis.silhouette
+                workload.name,
+                analysis.n_phases,
+                Fixed(analysis.silhouette)
             );
             for p in &analysis.points {
                 text.push_str(&format!(
                     "  simulation point: window {} (phase {}, weight {:.2})\n",
-                    p.window, p.phase, p.weight
+                    p.window,
+                    p.phase,
+                    Fixed(p.weight)
                 ));
             }
             text.push_str(&format!(
                 "  full-run IPC {:.3} vs simulation-point estimate {:.3} \
                  using {:.0}% of the windows\n",
-                analysis.full_ipc(),
-                analysis.estimated_ipc(),
-                analysis.simulation_fraction() * 100.0
+                Fixed(analysis.full_ipc()),
+                Fixed(analysis.estimated_ipc()),
+                Fixed(analysis.simulation_fraction() * 100.0)
             ));
             stdout.print(format_args!("{text}\n"));
             all.push_str(&text);
@@ -284,8 +288,9 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
     }
 
     let path = opts.results_dir.join("extensions.txt");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(all.as_bytes())) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
+    match write_artifact(&opts.results_dir, "extensions.txt", all.as_bytes()) {
+        Ok(true) => eprintln!("wrote {}", path.display()),
+        Ok(false) => eprintln!("{} unchanged", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
     run.manifest

@@ -40,7 +40,6 @@
 //! flight recorder's last events to `<results>/flight-recorder.json`. Any
 //! pipeline error renders on stderr and exits nonzero.
 
-use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -52,7 +51,7 @@ use workchar::cli::{ArgStream, PipelineFlags, Stdout};
 use workchar::dataset::Dataset;
 use workchar::error::{Error, Result};
 use workchar::experiments::{self, correlation_notes, ExperimentId};
-use workchar::observe::{rel_artifact, write_timeline_artifacts, Run, Stage};
+use workchar::observe::{rel_artifact, write_artifact, write_timeline_artifacts, Run, Stage};
 
 struct Options {
     quick: bool,
@@ -200,7 +199,7 @@ fn real_main(opts: Options) -> Result<()> {
         }
     };
     for r in data.cpu17.iter().chain(&data.cpu06) {
-        run.manifest.pair_ok(&r.id);
+        run.manifest.pair_ok(&r.label());
     }
     let wall = t0.elapsed().as_secs_f64();
     let sim_ops: u64 = data
@@ -234,9 +233,12 @@ fn real_main(opts: Options) -> Result<()> {
     }
 
     std::fs::create_dir_all(&opts.shared.results_dir)?;
-    let mut report = String::from(
-        "# SPEC CPU2017 characterization — regenerated artifacts\n\n         Produced by the `reproduce` binary; see EXPERIMENTS.md for the\n         paper-vs-measured discussion.\n\n",
-    );
+    // `REPORT.md` is assembled only when it is asked for.
+    let mut report = opts.markdown.then(|| {
+        String::from(
+            "# SPEC CPU2017 characterization — regenerated artifacts\n\n         Produced by the `reproduce` binary; see EXPERIMENTS.md for the\n         paper-vs-measured discussion.\n\n",
+        )
+    });
     for id in &opts.selected {
         let id = *id;
         let mut stage = Stage::open("experiment");
@@ -256,11 +258,7 @@ fn real_main(opts: Options) -> Result<()> {
             &format!("{}.csv", id.slug()),
             &artifact.render_csv(),
         );
-        report.push_str(&format!("## {id}\n\n"));
-        for table in &artifact.tables {
-            report.push_str(&table.render_markdown());
-            report.push('\n');
-        }
+        let mut svg_names = Vec::with_capacity(artifact.figures.len());
         for (i, figure) in artifact.figures.iter().enumerate() {
             let name = if artifact.figures.len() == 1 {
                 format!("{}.svg", id.slug())
@@ -272,15 +270,25 @@ fn real_main(opts: Options) -> Result<()> {
                 &name,
                 &figure.render_svg(900, 420),
             );
-            report.push_str(&format!("![{}]({name})\n\n", figure.title()));
+            svg_names.push(name);
         }
-        for (title, body) in &artifact.texts {
-            report.push_str(&format!("**{title}**\n\n```text\n{body}```\n\n"));
+        if let Some(report) = &mut report {
+            report.push_str(&format!("## {id}\n\n"));
+            for table in &artifact.tables {
+                report.push_str(&table.render_markdown());
+                report.push('\n');
+            }
+            for (figure, name) in artifact.figures.iter().zip(&svg_names) {
+                report.push_str(&format!("![{}]({name})\n\n", figure.title()));
+            }
+            for (title, body) in &artifact.texts {
+                report.push_str(&format!("**{title}**\n\n```text\n{body}```\n\n"));
+            }
         }
         stage.finish();
     }
-    if opts.markdown {
-        write_file(&opts.shared.results_dir, "REPORT.md", &report);
+    if let Some(report) = &report {
+        write_file(&opts.shared.results_dir, "REPORT.md", report);
         run.manifest.artifact(artifact_kind::REPORT, "REPORT.md");
     }
 
@@ -370,11 +378,11 @@ fn experiment_summary(selected: &[ExperimentId]) -> String {
     }
 }
 
+/// Writes one artifact unless it already holds `contents`; a failed
+/// write only warns.
 fn write_file(dir: &std::path::Path, name: &str, contents: &str) {
-    let path = dir.join(name);
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(contents.as_bytes())) {
-        Ok(()) => {}
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    if let Err(e) = write_artifact(dir, name, contents.as_bytes()) {
+        eprintln!("warning: cannot write {}: {e}", dir.join(name).display());
     }
 }
 

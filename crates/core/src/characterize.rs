@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use simreport::csv::Field;
+use simreport::fixed::Fixed;
 use simstore::{Progress, RunReport, Scheduler};
 use uarch_sim::config::SystemConfig;
 use uarch_sim::counters::{Event, PerfSession};
@@ -143,6 +144,13 @@ impl CharRecord {
 }
 
 impl CharRecord {
+    /// The pair's id with its input size (`505.mcf_r/ref`), the label its
+    /// scheduler job ran under: unique across a campaign's three sizes,
+    /// where [`CharRecord::id`] is not.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.id, self.size.label())
+    }
+
     /// Column names of [`records_csv`].
     pub const CSV_HEADER: [&'static str; 18] = [
         "id",
@@ -183,18 +191,18 @@ pub fn records_csv(records: &[CharRecord]) -> String {
             Field(r.suite.label()),
             Field(r.size.label()),
             r.sim_ops,
-            r.instructions_billions,
-            r.ipc,
-            r.load_pct,
-            r.store_pct,
-            r.branch_pct,
-            r.l1_miss_pct,
-            r.l2_miss_pct,
-            r.l3_miss_pct,
-            r.mispredict_pct,
-            r.rss_gib,
-            r.vsz_gib,
-            r.projected_seconds,
+            Fixed(r.instructions_billions),
+            Fixed(r.ipc),
+            Fixed(r.load_pct),
+            Fixed(r.store_pct),
+            Fixed(r.branch_pct),
+            Fixed(r.l1_miss_pct),
+            Fixed(r.l2_miss_pct),
+            Fixed(r.l3_miss_pct),
+            Fixed(r.mispredict_pct),
+            Fixed(r.rss_gib),
+            Fixed(r.vsz_gib),
+            Fixed(r.projected_seconds),
         );
     }
     out
@@ -329,6 +337,16 @@ pub fn characterize_suite_with(
 ) -> Result<Vec<CharRecord>> {
     let pairs: Vec<AppInputPair<'_>> = apps.iter().flat_map(|app| app.pairs(size)).collect();
     characterize_pairs_with(&pairs, config, cache)
+}
+
+/// Every pair of `apps` at every input size, sizes outermost (all test
+/// pairs, then train, then ref): the one-batch form of calling
+/// [`characterize_suite`] once per size.
+pub fn pairs_at_every_size(apps: &[AppProfile]) -> Vec<AppInputPair<'_>> {
+    InputSize::ALL
+        .into_iter()
+        .flat_map(|size| apps.iter().flat_map(move |app| app.pairs(size)))
+        .collect()
 }
 
 /// Characterizes an explicit pair list in parallel, preserving order.
@@ -521,6 +539,30 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("1 of 3 pair(s)"), "{text}");
         assert!(text.contains("999.broken_r"), "{text}");
+    }
+
+    #[test]
+    fn failing_dataset_reports_every_failed_pair_at_once() {
+        let apps = poisoned_apps();
+        let err = crate::dataset::Dataset::collect_apps(quick(), &apps, &[]).unwrap_err();
+        match &err {
+            Error::Characterization { failures, total } => {
+                // One batch for the whole dataset: the broken app fails at
+                // every size, against all nine pairs.
+                assert_eq!(*total, 9);
+                let mut labels: Vec<&str> = failures.iter().map(|f| f.label.as_str()).collect();
+                labels.sort_unstable();
+                assert_eq!(
+                    labels,
+                    [
+                        "999.broken_r/ref",
+                        "999.broken_r/test",
+                        "999.broken_r/train"
+                    ]
+                );
+            }
+            other => panic!("expected Characterization, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use workload_synth::profile::{AppProfile, InputSize, Suite};
 use workload_synth::{cpu2006, cpu2017};
 
 use crate::cache::CacheContext;
-use crate::characterize::{characterize_suite_with, CharRecord, RunConfig};
+use crate::characterize::{characterize_pairs_with, pairs_at_every_size, CharRecord, RunConfig};
 use crate::error::Result;
 
 /// All records of one characterization campaign.
@@ -58,20 +58,26 @@ impl Dataset {
 
     /// [`Dataset::collect_apps`] with an optional result cache.
     ///
+    /// Every pair of the campaign (CPU2017 test, train and ref, then
+    /// CPU2006 ref) runs as one scheduler batch, so the workers join once
+    /// per dataset rather than once per input size; the records come back
+    /// in that order and split by position.
+    ///
     /// # Errors
     ///
-    /// [`crate::error::Error::Characterization`] when any pair fails.
+    /// [`crate::error::Error::Characterization`] listing every failed pair
+    /// of the campaign when any pair fails.
     pub fn collect_apps_with(
         config: RunConfig,
         cpu17_apps: &[AppProfile],
         cpu06_apps: &[AppProfile],
         cache: Option<&CacheContext>,
     ) -> Result<Self> {
-        let mut cpu17 = Vec::new();
-        for size in InputSize::ALL {
-            cpu17.extend(characterize_suite_with(cpu17_apps, size, &config, cache)?);
-        }
-        let cpu06 = characterize_suite_with(cpu06_apps, InputSize::Ref, &config, cache)?;
+        let mut pairs = pairs_at_every_size(cpu17_apps);
+        let n17 = pairs.len();
+        pairs.extend(cpu06_apps.iter().flat_map(|app| app.pairs(InputSize::Ref)));
+        let mut cpu17 = characterize_pairs_with(&pairs, &config, cache)?;
+        let cpu06 = cpu17.split_off(n17);
         Ok(Dataset {
             config,
             cpu17,
@@ -152,6 +158,35 @@ mod tests {
         assert!(ref_records.len() >= 8);
         // Accessors partition ref records.
         assert_eq!(d.rate_ref().len() + d.speed_ref().len(), ref_records.len());
+    }
+
+    #[test]
+    fn one_batch_matches_per_size_batches() {
+        let cpu17: Vec<AppProfile> = ["505.mcf_r", "525.x264_r"]
+            .iter()
+            .map(|n| cpu2017::app(n).unwrap())
+            .collect();
+        let cpu06: Vec<AppProfile> = cpu2006::suite()
+            .into_iter()
+            .filter(|a| a.name == "429.mcf")
+            .collect();
+        let config = RunConfig::quick();
+        let root = simtrace::root("run/test");
+        let data = Dataset::collect_apps(config.clone(), &cpu17, &cpu06).unwrap();
+        let spans = root.drain();
+        let batches = spans.iter().filter(|s| s.name == "sched/batch").count();
+        assert_eq!(batches, 1, "the whole dataset is one scheduler batch");
+
+        let mut per_size = Vec::new();
+        for size in InputSize::ALL {
+            per_size
+                .extend(crate::characterize::characterize_suite(&cpu17, size, &config).unwrap());
+        }
+        assert_eq!(data.cpu17, per_size, "same records, same order");
+        assert_eq!(
+            data.cpu06,
+            crate::characterize::characterize_suite(&cpu06, InputSize::Ref, &config).unwrap()
+        );
     }
 
     #[test]

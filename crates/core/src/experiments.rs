@@ -9,6 +9,7 @@ use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use simreport::figure::{Figure, Kind, Series};
+use simreport::fixed::Fixed;
 use simreport::table::{num, Table};
 use stat_analysis::cluster::Linkage;
 use stat_analysis::summary;
@@ -296,7 +297,7 @@ fn table1(data: &Dataset) -> Artifact {
     t.row(vec!["Processor model".into(), c.name.clone()])
         .row(vec![
             "Clock".into(),
-            format!("{:.1} GHz (Turbo disabled)", c.timing.clock_ghz),
+            format!("{:.1} GHz (Turbo disabled)", Fixed(c.timing.clock_ghz)),
         ])
         .row(vec![
             "L1 I-cache".into(),
@@ -777,7 +778,7 @@ fn fig7(data: &Dataset) -> Artifact {
         format!(
             "{} components retained, {:.3}% of total variance (paper: 4 components, 76.321%)",
             analysis.n_components,
-            analysis.explained * 100.0
+            Fixed(analysis.explained * 100.0)
         ),
     ));
     a
@@ -874,7 +875,7 @@ fn fig10(data: &Dataset) -> Artifact {
             format!(
                 "k = {} (paper: rate 12, speed 10); saving {:.3}% (paper: rate 57.116%, speed 62.052%)",
                 s.chosen_k,
-                s.saving_pct()
+                Fixed(s.saving_pct())
             ),
         ));
     }

@@ -41,6 +41,27 @@ pub fn rel_artifact(results_dir: &Path, path: &Path) -> String {
         .to_string()
 }
 
+/// Writes `bytes` to `dir/name` unless the file already holds exactly
+/// those bytes, and returns whether it wrote. A warm rerun into the same
+/// results directory then leaves every unchanged artifact alone, bytes and
+/// mtime both: rewriting a file in place costs far more than comparing it
+/// on a file system that flushes truncated-and-rewritten files on close.
+///
+/// # Errors
+///
+/// Any I/O error of the write. A file that cannot be read only means it
+/// is written.
+pub fn write_artifact(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<bool> {
+    let path = dir.join(name);
+    let unchanged = std::fs::metadata(&path).is_ok_and(|m| m.len() == bytes.len() as u64)
+        && std::fs::read(&path).is_ok_and(|old| old == bytes);
+    if unchanged {
+        return Ok(false);
+    }
+    std::fs::write(&path, bytes)?;
+    Ok(true)
+}
+
 /// The arg a top-level stage records the process peak RSS under. The
 /// stage table lifts it into its `peak_rss_mb` column.
 const MEM_HWM_ARG: &str = "mem_hwm_bytes";
@@ -189,13 +210,16 @@ impl<'a> Run<'a> {
         let spans = self.close();
         // The registry's one sink, read once as the run ends; a lost
         // snapshot only warns.
-        let metrics = results.join("metrics.json");
         let snapshot = crate::telemetry::run_snapshot(&spans);
-        match std::fs::write(&metrics, simmetrics::json::render(&snapshot)) {
-            Ok(()) => self
+        let json = simmetrics::json::render(&snapshot);
+        match write_artifact(results, "metrics.json", json.as_bytes()) {
+            Ok(_) => self
                 .manifest
                 .artifact(artifact_kind::METRICS, "metrics.json"),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", metrics.display()),
+            Err(e) => eprintln!(
+                "warning: cannot write {}: {e}",
+                results.join("metrics.json").display()
+            ),
         }
         if self.flags.trace {
             let dir = results.join("traces");
@@ -330,7 +354,7 @@ pub fn write_timeline_artifacts(records: &[CharRecord], dir: &Path) -> Result<us
     for record in &with_timelines {
         let timeline = record.session.timeline().expect("filtered above");
         let stem = artifact_stem(&record.id);
-        std::fs::write(dir.join(format!("{stem}.csv")), timeline.csv())?;
+        write_artifact(dir, &format!("{stem}.csv"), timeline.csv().as_bytes())?;
         let series: Vec<(&str, Vec<f64>)> = vec![
             ("ipc", timeline.series(IntervalSample::ipc)),
             ("l1 mpki", timeline.series(IntervalSample::l1_mpki)),
@@ -342,7 +366,7 @@ pub fn write_timeline_artifacts(records: &[CharRecord], dir: &Path) -> Result<us
             ),
         ];
         let svg = sparkline_svg(&record.id, &series, 460, 96);
-        std::fs::write(dir.join(format!("{stem}.svg")), svg)?;
+        write_artifact(dir, &format!("{stem}.svg"), svg.as_bytes())?;
     }
     Ok(with_timelines.len())
 }

@@ -12,6 +12,7 @@
 //! `--simpoint`; `simgate simpoint` renders and gates the stored records.
 
 use simpoint::{analyze, GapMode, SimpointConfig, SimpointRecord, SIMPOINT_SCHEMA_VERSION};
+use simreport::fixed::Fixed;
 use simreport::table::{num, Table};
 use simstore::{Key, Scheduler, StableHash, StableHasher, Store};
 use uarch_sim::counters::Event;
@@ -169,7 +170,7 @@ pub fn summary_table(records: &[SimpointRecord]) -> Table {
             r.n_intervals().to_string(),
             r.k().to_string(),
             num(r.silhouette, 3),
-            format!("{:.1}x", r.speedup()),
+            format!("{:.1}x", Fixed(r.speedup())),
             num(r.ipc_error() * 100.0, 2),
             num(r.mpki_error(Event::MemLoadUopsRetiredL1Miss) * 100.0, 2),
             num(r.mpki_error(Event::MemLoadUopsRetiredL2Miss) * 100.0, 2),

@@ -4,7 +4,7 @@ use stat_analysis::summary;
 use workload_synth::profile::{AppProfile, InputSize, Suite};
 
 use crate::cache::CacheContext;
-use crate::characterize::{characterize_suite_with, CharRecord, RunConfig};
+use crate::characterize::{characterize_pairs_with, pairs_at_every_size, CharRecord, RunConfig};
 use crate::error::Result;
 
 /// Average execution characteristics of one mini-suite at one input size
@@ -74,10 +74,7 @@ pub fn table_two_rows_cached(
     config: &RunConfig,
     cache: Option<&CacheContext>,
 ) -> Result<Vec<SuiteRow>> {
-    let mut records = Vec::new();
-    for size in InputSize::ALL {
-        records.extend(characterize_suite_with(apps, size, config, cache)?);
-    }
+    let records = characterize_pairs_with(&pairs_at_every_size(apps), config, cache)?;
     Ok(table_two_rows(&records))
 }
 

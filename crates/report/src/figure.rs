@@ -8,6 +8,7 @@
 use std::fmt::{self, Write as _};
 
 use crate::csv::Field;
+use crate::fixed::Fixed;
 
 /// The plot style a figure corresponds to in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,9 +170,10 @@ impl Figure {
                 let bar = (((v / max) * chart_w as f64).round().max(0.0) as usize).min(chart_w);
                 writeln!(
                     out,
-                    "{label:label_w$} |{:#<bar$}{:gap$}| {v:.3}",
+                    "{label:label_w$} |{:#<bar$}{:gap$}| {:.3}",
                     "",
                     "",
+                    Fixed(v),
                     gap = chart_w - bar,
                 )?;
             }
@@ -215,7 +217,14 @@ impl Figure {
                 grid[h - 1 - cy][cx] = mark;
             }
         }
-        writeln!(out, "y: [{y0:.3}, {y1:.3}]  x: [{x0:.3}, {x1:.3}]")?;
+        writeln!(
+            out,
+            "y: [{:.3}, {:.3}]  x: [{:.3}, {:.3}]",
+            Fixed(y0),
+            Fixed(y1),
+            Fixed(x0),
+            Fixed(x1)
+        )?;
         for row in grid {
             out.write_char('|')?;
             for c in row {

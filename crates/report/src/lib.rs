@@ -19,6 +19,7 @@
 
 pub mod csv;
 pub mod figure;
+pub mod fixed;
 pub mod sparkline;
 pub mod svg;
 pub mod table;

@@ -6,6 +6,7 @@
 //! the series live on wildly different scales (IPC vs MPKI). The `reproduce`
 //! binary writes one per characterized pair when interval sampling is on.
 
+use crate::fixed::Fixed;
 use crate::svg::{escape, COLORS};
 
 /// Renders named series as a standalone sparkline SVG document.
@@ -36,8 +37,9 @@ pub fn sparkline_svg(title: &str, series: &[(&str, Vec<f64>)], width: u32, heigh
         let ly = y0 + 10.0 + si as f64 * 11.0;
         let last = values.last().copied().unwrap_or(f64::NAN);
         out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{ly:.1}\" fill=\"{color}\">{} {}</text>\n",
+            "  <text x=\"{}\" y=\"{:.1}\" fill=\"{color}\">{} {}</text>\n",
             x1 + 8.0,
+            Fixed(ly),
             escape(name),
             format_value(last),
         ));
@@ -65,7 +67,11 @@ pub fn sparkline_svg(title: &str, series: &[(&str, Vec<f64>)], width: u32, heigh
                 } else {
                     0.5
                 };
-                format!("{:.1},{:.1}", x0 + i as f64 * step, y1 - frac * (y1 - y0))
+                format!(
+                    "{:.1},{:.1}",
+                    Fixed(x0 + i as f64 * step),
+                    Fixed(y1 - frac * (y1 - y0))
+                )
             })
             .collect();
         if values.len() == 1 {
@@ -91,7 +97,7 @@ fn format_value(v: f64) -> String {
     if !v.is_finite() {
         "-".to_string()
     } else if v == 0.0 || v.abs() >= 0.01 {
-        format!("{v:.2}")
+        format!("{:.2}", Fixed(v))
     } else {
         format!("{v:.2e}")
     }

@@ -9,6 +9,7 @@
 use std::fmt::{self, Write as _};
 
 use crate::figure::{Figure, Kind};
+use crate::fixed::Fixed;
 
 /// Escapes text for SVG/XML content.
 pub fn escape(s: &str) -> String {
@@ -133,17 +134,22 @@ impl Figure {
                 let y = plot.y1 - bh;
                 writeln!(
                     out,
-                    "  <rect x=\"{x:.1}\" y=\"{y:.1}\" width=\"{bar_w:.1}\" \
-                     height=\"{bh:.1}\" fill=\"{color}\"><title>{}: {v}</title></rect>",
+                    "  <rect x=\"{:.1}\" y=\"{:.1}\" width=\"{:.1}\" \
+                     height=\"{:.1}\" fill=\"{color}\"><title>{}: {v}</title></rect>",
+                    Fixed(x),
+                    Fixed(y),
+                    Fixed(bar_w),
+                    Fixed(bh),
                     Escaped(label)
                 )?;
             }
         }
         writeln!(
             out,
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{max:.2}</text>",
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.2}</text>",
             plot.x0 - 4.0,
-            plot.y0 + 8.0
+            plot.y0 + 8.0,
+            Fixed(max)
         )?;
         writeln!(
             out,
@@ -187,7 +193,7 @@ impl Figure {
                     if i > 0 {
                         out.write_char(' ')?;
                     }
-                    write!(out, "{:.1},{:.1}", px(x), py(y))?;
+                    write!(out, "{:.1},{:.1}", Fixed(px(x)), Fixed(py(y)))?;
                 }
                 writeln!(
                     out,
@@ -199,35 +205,39 @@ impl Figure {
                     out,
                     "  <circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.5\" fill=\"{color}\">\
                      <title>{}: ({x}, {y})</title></circle>",
-                    px(x),
-                    py(y),
+                    Fixed(px(x)),
+                    Fixed(py(y)),
                     Escaped(label),
                 )?;
             }
         }
         writeln!(
             out,
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y1:.2}</text>",
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.2}</text>",
             plot.x0 - 4.0,
-            plot.y0 + 8.0
+            plot.y0 + 8.0,
+            Fixed(y1)
         )?;
         writeln!(
             out,
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y0:.2}</text>",
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.2}</text>",
             plot.x0 - 4.0,
-            plot.y1
+            plot.y1,
+            Fixed(y0)
         )?;
         writeln!(
             out,
-            "  <text x=\"{}\" y=\"{}\">{x0:.2}</text>",
+            "  <text x=\"{}\" y=\"{}\">{:.2}</text>",
             plot.x0,
-            plot.y1 + 12.0
+            plot.y1 + 12.0,
+            Fixed(x0)
         )?;
         writeln!(
             out,
-            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{x1:.2}</text>",
+            "  <text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.2}</text>",
             plot.x1,
-            plot.y1 + 12.0
+            plot.y1 + 12.0,
+            Fixed(x1)
         )
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::fixed::Fixed;
+
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Align {
@@ -173,9 +175,11 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats an `f64` with `prec` decimals (helper used by all experiments).
+/// Formats an `f64` with `prec` decimals (helper used by all experiments),
+/// byte for byte as `format!("{v:.prec$}")` would, on the exact integer
+/// path of [`Fixed`].
 pub fn num(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
+    format!("{:.prec$}", Fixed(v))
 }
 
 #[cfg(test)]

@@ -74,12 +74,23 @@ pub fn encode(spans: &[SpanRecord]) -> Vec<u8> {
     out
 }
 
+/// The smallest encoded span: three ids, the tid, two timestamps, an empty
+/// name, no error and no args.
+const MIN_RECORD: usize = 3 * 8 + 4 + 2 * 8 + 4 + 1 + 4;
+
+/// The smallest encoded arg: an empty key and a bool.
+const MIN_ARG: usize = 4 + 1 + 1;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -129,7 +140,9 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SpanRecord>, String> {
         ));
     }
     let count = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(count.min(1 << 20));
+    // A count is only a claim: reserve no more records than the bytes
+    // left could hold, so a corrupt header cannot reserve gigabytes.
+    let mut spans = Vec::with_capacity(count.min(r.remaining() / MIN_RECORD));
     for _ in 0..count {
         let trace_id = r.u64()?;
         let span_id = r.u64()?;
@@ -144,7 +157,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SpanRecord>, String> {
             t => return Err(format!("invalid error flag {t}")),
         };
         let nargs = r.u32()? as usize;
-        let mut args = Vec::with_capacity(nargs.min(1 << 16));
+        let mut args = Vec::with_capacity(nargs.min(r.remaining() / MIN_ARG));
         for _ in 0..nargs {
             let key = r.string()?;
             let value = match r.u8()? {
@@ -180,6 +193,48 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<SpanRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// splitmix64: a seeded bit-position source for the corruption sweeps.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A multi-span trace carrying every arg kind and an error string.
+    fn multi_span() -> Vec<SpanRecord> {
+        let mut spans = sample();
+        spans.push(SpanRecord {
+            trace_id: 3,
+            span_id: 12,
+            parent_id: 11,
+            name: "engine/run".to_string(),
+            tid: 5,
+            start_ns: 200,
+            end_ns: 9_000,
+            error: None,
+            args: vec![
+                ("ops".to_string(), ArgValue::U64(u64::MAX)),
+                ("ns_per_op".to_string(), ArgValue::F64(-0.5)),
+                ("label".to_string(), ArgValue::Str(String::new())),
+                ("hit".to_string(), ArgValue::Bool(false)),
+            ],
+        });
+        spans.push(SpanRecord {
+            trace_id: 3,
+            span_id: 13,
+            parent_id: 0,
+            name: String::new(),
+            tid: 0,
+            start_ns: 0,
+            end_ns: 0,
+            error: None,
+            args: Vec::new(),
+        });
+        spans
+    }
 
     fn sample() -> Vec<SpanRecord> {
         vec![SpanRecord {
@@ -222,5 +277,50 @@ mod tests {
         let mut padded = encode(&sample());
         padded.push(0);
         assert!(decode(&padded).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let good = encode(&multi_span());
+        assert_eq!(decode(&good).expect("intact"), multi_span());
+        for cut in 0..good.len() {
+            assert!(
+                decode(&good[..cut]).is_err(),
+                "truncated at byte {cut} of {} decoded",
+                good.len()
+            );
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_never_panic() {
+        let good = encode(&multi_span());
+        let mut state = 0x5eed;
+        for _ in 0..1_000 {
+            let mut bytes = good.clone();
+            let bit = splitmix(&mut state) % (bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            // Ok (a flipped id, timestamp or payload bit) or Err; a
+            // panic fails the test.
+            let _ = decode(&bytes);
+        }
+    }
+
+    #[test]
+    fn oversized_counts_are_errors() {
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&header).unwrap_err().contains("truncated"));
+        // The same claim in front of one real record.
+        let mut one = encode(&sample());
+        one[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&one).is_err());
+        // And an args count of u32::MAX inside a record: the count sits
+        // after the fixed fields, the name and the error string.
+        let mut args = encode(&sample());
+        let at = 12 + 44 + 4 + "stage/simulate".len() + 1 + 4 + "worker panic".len();
+        assert_eq!(&args[at..at + 4], &4u32.to_le_bytes());
+        args[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&args).is_err());
     }
 }

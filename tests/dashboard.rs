@@ -10,9 +10,12 @@
 //! `cargo run --release`, which reuses the release artifacts the tier-1
 //! build leaves; `simgate` is this package's own binary.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
+
+use spec2017_workchar::simdash::manifest::load_dir;
 
 fn scratch() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("workchar-dash-accept-{}", std::process::id()));
@@ -99,7 +102,7 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
     assert_eq!(rows.len(), 223, "one row per simulated pair:\n{section}");
     // Job labels carry the input size, so a pair's test, train and ref
     // runs are three rows with three labels.
-    let labels: std::collections::HashSet<&str> = rows
+    let labels: HashSet<&str> = rows
         .iter()
         .filter_map(|r| r.split_once('>')?.1.split_once("</td>"))
         .map(|(label, _)| label)
@@ -127,6 +130,21 @@ fn quick_run_plus_one_dash_report_joins_exemplar_to_span_to_frame() {
 
     // The per-pair counter table rendered from the same file.
     assert!(html.contains("223 pairs."), "pair table missing");
+
+    // The manifest records each ok pair under its job label, so the
+    // three sizes of one pair are three distinct ids.
+    let manifests = load_dir(&runs).expect("runs dir");
+    assert_eq!(manifests.len(), 1);
+    let manifest = manifests[0].1.as_ref().expect("manifest parses");
+    let ok_ids: HashSet<&str> = manifest
+        .pairs
+        .iter()
+        .filter(|p| p.status == "ok")
+        .map(|p| p.id.as_str())
+        .collect();
+    assert_eq!(manifest.ok_count(), 223);
+    assert_eq!(ok_ids.len(), 223, "one distinct id per ok pair");
+    assert!(ok_ids.contains("505.mcf_r/test"), "{ok_ids:?}");
 
     // metrics.json summarizes the same stage spans: one per simulated pair.
     let metrics = fs::read_to_string(results.join("metrics.json")).expect("read metrics.json");
