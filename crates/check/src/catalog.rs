@@ -345,8 +345,8 @@ pub mod codes {
          twin of P004.");
     rule!(pub R020, "R020", "store-envelope", Error, Result,
         "cached entry has a corrupt storage envelope",
-        "The simstore envelope (magic, version, key echo, length) failed \
-         verification; the entry is unreadable and has been evicted. \
+        "The simstore envelope (magic, version, key echo, length, digest) \
+         failed verification; the entry is unreadable and reads as a miss. \
          Usually torn writes or bit rot in results/cache.");
     rule!(pub R021, "R021", "store-payload", Error, Result,
         "cached entry payload does not decode as a record",

@@ -135,18 +135,7 @@ fn real_main(opts: Options) -> Result<()> {
         None
     } else {
         match CacheContext::open(&opts.shared.cache_dir) {
-            Ok(ctx) => {
-                if let Some(store) = ctx.store() {
-                    if !store.is_empty() {
-                        eprintln!(
-                            "result cache at {}: {} records on hand",
-                            opts.shared.cache_dir.display(),
-                            store.len()
-                        );
-                    }
-                }
-                Some(ctx)
-            }
+            Ok(ctx) => Some(ctx),
             Err(e) => {
                 eprintln!(
                     "warning: cannot open cache at {}: {e}; running uncached",

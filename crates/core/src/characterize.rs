@@ -416,7 +416,7 @@ pub fn characterize_pairs_report<P: Fn(Progress) + Sync>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use workload_synth::cpu2017;
 
@@ -480,7 +480,7 @@ mod tests {
 
     /// A roster with one deliberately broken profile: the micro-op mix sums
     /// past 100%, which `TraceGenerator::new` rejects.
-    fn poisoned_apps() -> Vec<workload_synth::profile::AppProfile> {
+    pub(crate) fn poisoned_apps() -> Vec<workload_synth::profile::AppProfile> {
         use workload_synth::profile::{AppProfile, Behavior, InputProfile};
         let bad_behavior = Behavior {
             load_pct: 90.0,

@@ -85,17 +85,37 @@ impl CompareRow {
 /// A metric extractor with its display name.
 pub type Metric<'a> = (&'static str, &'a dyn Fn(&CharRecord) -> f64);
 
+/// The per-application averages every comparison row reads: one set per
+/// (generation, class), in the paper's row order. Tables III–VII differ
+/// only in the metrics they take from these, so a run builds them once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SuiteAverages {
+    sets: Vec<(Generation, Class, Vec<CharRecord>)>,
+}
+
+impl SuiteAverages {
+    /// Averages `cpu06` and `cpu17` per application, for each class.
+    pub fn new(cpu06: &[CharRecord], cpu17: &[CharRecord]) -> SuiteAverages {
+        let mut sets = Vec::with_capacity(6);
+        for class in Class::ALL {
+            for (generation, records) in
+                [(Generation::Cpu2006, cpu06), (Generation::Cpu2017, cpu17)]
+            {
+                sets.push((generation, class, app_averages(records, class)));
+            }
+        }
+        SuiteAverages { sets }
+    }
+}
+
 /// Builds the six comparison rows (`CPU06/CPU17 × int/fp/all`) for a metric
-/// list, applying per-application averaging for multi-input applications.
-pub fn compare_rows(
-    cpu06: &[CharRecord],
-    cpu17: &[CharRecord],
-    metrics: &[Metric<'_>],
-) -> Vec<CompareRow> {
-    let mut rows = Vec::new();
-    for class in Class::ALL {
-        for (generation, records) in [(Generation::Cpu2006, cpu06), (Generation::Cpu2017, cpu17)] {
-            let per_app = app_averages(records, class);
+/// list from the per-application averages, so multi-input applications
+/// weigh as one.
+pub fn compare_rows(averages: &SuiteAverages, metrics: &[Metric<'_>]) -> Vec<CompareRow> {
+    averages
+        .sets
+        .iter()
+        .map(|(generation, class, per_app)| {
             let refs: Vec<&CharRecord> = per_app.iter().collect();
             let cells = metrics
                 .iter()
@@ -104,14 +124,13 @@ pub fn compare_rows(
                     Cell { mean, std }
                 })
                 .collect();
-            rows.push(CompareRow {
-                generation,
-                class,
+            CompareRow {
+                generation: *generation,
+                class: *class,
                 cells,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Collapses multi-input applications to one averaged record per app, so an
@@ -178,7 +197,7 @@ mod tests {
     fn six_rows_in_paper_order() {
         let (c06, c17) = records();
         let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
-        let rows = compare_rows(&c06, &c17, &[ipc]);
+        let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[ipc]);
         let labels: Vec<String> = rows.iter().map(|r| r.label()).collect();
         assert_eq!(
             labels,
@@ -197,7 +216,7 @@ mod tests {
     fn all_class_combines_int_and_fp() {
         let (c06, c17) = records();
         let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
-        let rows = compare_rows(&c06, &c17, &[ipc]);
+        let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[ipc]);
         let get = |label: &str| rows.iter().find(|r| r.label() == label).unwrap().cells[0].mean;
         let int17 = get("CPU17 int");
         let fp17 = get("CPU17 fp");
@@ -210,7 +229,7 @@ mod tests {
         let (c06, c17) = records();
         let m1: Metric<'_> = ("loads", &|r: &CharRecord| r.load_pct);
         let m2: Metric<'_> = ("stores", &|r: &CharRecord| r.store_pct);
-        let rows = compare_rows(&c06, &c17, &[m1, m2]);
+        let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[m1, m2]);
         assert!(rows.iter().all(|r| r.cells.len() == 2));
     }
 
@@ -223,7 +242,7 @@ mod tests {
         ];
         let records = characterize_suite(&apps, InputSize::Ref, &config).unwrap();
         let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
-        let rows = compare_rows(&[], &records, &[ipc]);
+        let rows = compare_rows(&SuiteAverages::new(&[], &records), &[ipc]);
         let int_row = rows.iter().find(|r| r.label() == "CPU17 int").unwrap();
         // Mean of two app-level IPCs, not six pair-level ones.
         let gcc_mean = records

@@ -17,7 +17,7 @@ use uarch_sim::counters::Event;
 use workload_synth::profile::{InputSize, Suite};
 
 use crate::characterize::CharRecord;
-use crate::compare::{compare_rows, Metric};
+use crate::compare::{compare_rows, Metric, SuiteAverages};
 use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::CHARACTERISTICS;
@@ -371,7 +371,6 @@ fn comparison_table(
     metrics: &[Metric<'_>],
 ) -> Artifact {
     let mut a = Artifact::new(id);
-    let cpu17_ref: Vec<CharRecord> = data.cpu17_at(InputSize::Ref).into_iter().cloned().collect();
     let mut headers: Vec<String> = vec!["Suite".into()];
     for (name, _) in metrics {
         headers.push(format!("{name} Avg"));
@@ -380,7 +379,7 @@ fn comparison_table(
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut t = Table::new(title, &header_refs);
     t.numeric();
-    for row in compare_rows(&data.cpu06, &cpu17_ref, metrics) {
+    for row in compare_rows(&averages(data, id), metrics) {
         let mut cells = vec![row.label()];
         for cell in &row.cells {
             cells.push(num(cell.mean, 3));
@@ -445,10 +444,11 @@ struct Entry<T> {
     readers: u32,
 }
 
-/// The fits Figs. 7–10 and Table X share, one set per run on this thread.
+/// The fits Tables III–VII and X and Figs. 7–10 share, one set per run on
+/// this thread.
 ///
-/// - The key is the CPU2017 ref records every slot is fitted from,
-///   compared with `==`: a changed dataset clears every slot, so no
+/// - The key is the CPU2017 ref and CPU2006 records every slot is fitted
+///   from, compared with `==`: a changed dataset clears every slot, so no
 ///   experiment ever reads a fit of other data.
 /// - An experiment reads a slot once per run. When the same experiment
 ///   asks again, a new run has begun: the slot is dropped and refitted.
@@ -458,7 +458,9 @@ struct Entry<T> {
 ///   fits it reads.
 #[derive(Default)]
 struct FitMemo {
-    key: Vec<CharRecord>,
+    cpu17_ref: Vec<CharRecord>,
+    cpu06: Vec<CharRecord>,
+    averages: Option<Entry<SuiteAverages>>,
     redundancy: Option<Entry<Option<RedundancyAnalysis>>>,
     rate: Option<Entry<Option<SubsetAnalysis>>>,
     speed: Option<Entry<Option<SubsetAnalysis>>>,
@@ -496,13 +498,29 @@ fn with_fits<R>(data: &Dataset, f: impl FnOnce(&mut FitMemo) -> R) -> R {
     FITS.with(|memo| {
         let mut memo = memo.borrow_mut();
         let refs = data.cpu17.iter().filter(|r| r.size == InputSize::Ref);
-        if !memo.key.iter().eq(refs.clone()) {
+        if !memo.cpu17_ref.iter().eq(refs.clone()) || memo.cpu06 != data.cpu06 {
             *memo = FitMemo {
-                key: refs.cloned().collect(),
+                cpu17_ref: refs.cloned().collect(),
+                cpu06: data.cpu06.clone(),
                 ..FitMemo::default()
             };
         }
         f(&mut memo)
+    })
+}
+
+/// The per-application averages of Tables III–VII.
+fn averages(data: &Dataset, id: ExperimentId) -> Rc<SuiteAverages> {
+    with_fits(data, |memo| {
+        let FitMemo {
+            cpu17_ref,
+            cpu06,
+            averages,
+            ..
+        } = memo;
+        read_slot(averages, id, "averages", || {
+            SuiteAverages::new(cpu06, cpu17_ref)
+        })
     })
 }
 
@@ -511,10 +529,12 @@ fn with_fits<R>(data: &Dataset, f: impl FnOnce(&mut FitMemo) -> R) -> R {
 fn redundancy(data: &Dataset, id: ExperimentId) -> Rc<Option<RedundancyAnalysis>> {
     with_fits(data, |memo| {
         let FitMemo {
-            key, redundancy, ..
+            cpu17_ref,
+            redundancy,
+            ..
         } = memo;
         read_slot(redundancy, id, "redundancy", || {
-            RedundancyAnalysis::fit_paper(key).ok()
+            RedundancyAnalysis::fit_paper(cpu17_ref).ok()
         })
     })
 }
@@ -1000,8 +1020,12 @@ mod tests {
         let all = || {
             run_all(data).unwrap();
         };
-        assert_eq!(fits_during(all), 3, "one PCA, one rate and one speed fit");
-        assert_eq!(fits_during(|| (all(), all()).1), 6, "a second run refits");
+        assert_eq!(
+            fits_during(all),
+            4,
+            "one averaging, one PCA, one rate and one speed fit"
+        );
+        assert_eq!(fits_during(|| (all(), all()).1), 8, "a second run refits");
         let fig7 = || {
             run(ExperimentId::Fig7, data).unwrap();
         };
@@ -1009,35 +1033,71 @@ mod tests {
     }
 
     #[test]
-    fn changed_records_never_read_a_stale_fit() {
+    fn tables_three_to_seven_average_the_suites_once() {
+        let comparisons = [
+            ExperimentId::Table3,
+            ExperimentId::Table4,
+            ExperimentId::Table5,
+            ExperimentId::Table6,
+            ExperimentId::Table7,
+        ];
+        let tables = || {
+            for id in comparisons {
+                run(id, demo()).unwrap();
+            }
+        };
+        assert_eq!(fits_during(tables), 1, "one set of per-app averages");
+    }
+
+    /// Runs `first` on `before`, then `then` on `after`, on one thread, and
+    /// checks `then` reads exactly what a fresh thread computes from
+    /// `after`, and that the change shows in it.
+    fn assert_no_stale_fit(
+        (first, before): (ExperimentId, &Dataset),
+        (then, after): (ExperimentId, &Dataset),
+    ) {
         let text = |a: Artifact| (a.render(), a.render_csv());
-        let mut changed = demo().clone();
-        let record = changed
-            .cpu17
-            .iter_mut()
-            .find(|r| r.size == InputSize::Ref)
-            .unwrap();
-        record.projected_seconds *= 3.0;
         let on_fresh_thread = |data: &Dataset| {
             std::thread::scope(|s| {
-                s.spawn(|| text(run(ExperimentId::Fig10, data).unwrap()))
+                s.spawn(|| text(run(then, data).unwrap()))
                     .join()
                     .expect("experiment thread")
             })
         };
         let served = std::thread::scope(|s| {
             s.spawn(|| {
-                run(ExperimentId::Table10, demo()).unwrap();
-                text(run(ExperimentId::Fig10, &changed).unwrap())
+                run(first, before).unwrap();
+                text(run(then, after).unwrap())
             })
             .join()
             .expect("experiment thread")
         });
-        assert_eq!(served, on_fresh_thread(&changed));
+        assert_eq!(served, on_fresh_thread(after));
         assert_ne!(
             served,
-            on_fresh_thread(demo()),
-            "the change shows in Fig. 10"
+            on_fresh_thread(before),
+            "the change shows in {then}"
+        );
+    }
+
+    #[test]
+    fn changed_records_never_read_a_stale_fit() {
+        let mut changed17 = demo().clone();
+        let record = changed17
+            .cpu17
+            .iter_mut()
+            .find(|r| r.size == InputSize::Ref)
+            .unwrap();
+        record.projected_seconds *= 3.0;
+        assert_no_stale_fit(
+            (ExperimentId::Table10, demo()),
+            (ExperimentId::Fig10, &changed17),
+        );
+        let mut changed06 = demo().clone();
+        changed06.cpu06[0].load_pct *= 3.0;
+        assert_no_stale_fit(
+            (ExperimentId::Table3, demo()),
+            (ExperimentId::Table4, &changed06),
         );
     }
 

@@ -304,7 +304,7 @@ pub fn audit_cache(store: &Store, config: Option<&SystemConfig>) -> (usize, Repo
             None => report.push(Diagnostic::new(
                 &codes::R020,
                 Span::object(&object),
-                "envelope failed verification; entry evicted".to_string(),
+                "envelope failed verification; entry reads as a miss".to_string(),
             )),
             Some(payload) => match decode_record(&payload) {
                 Err(e) => report.push(Diagnostic::new(

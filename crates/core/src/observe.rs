@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use simdash::manifest::kind as artifact_kind;
-use simdash::{artifact_stem, ManifestBuilder};
+use simdash::{timeline_stem, ManifestBuilder};
 use simreport::sparkline::sparkline_svg;
 use simtrace::{ArgValue, SpanGuard, SpanRecord};
 use uarch_sim::timeline::IntervalSample;
@@ -334,9 +334,10 @@ pub fn stage_table(stages: &[&SpanRecord]) -> String {
     out
 }
 
-/// Writes `<stem>.csv` and `<stem>.svg` under `dir` for every record whose
-/// session carries a timeline; records without one are skipped. Returns the
-/// number of pairs written.
+/// Writes `<stem>-<size>.csv` and `<stem>-<size>.svg` under `dir` for every
+/// record whose session carries a timeline, titling the sparkline with the
+/// same label; records without one are skipped. Returns the number of pairs
+/// written.
 ///
 /// # Errors
 ///
@@ -353,7 +354,7 @@ pub fn write_timeline_artifacts(records: &[CharRecord], dir: &Path) -> Result<us
     std::fs::create_dir_all(dir)?;
     for record in &with_timelines {
         let timeline = record.session.timeline().expect("filtered above");
-        let stem = artifact_stem(&record.id);
+        let stem = timeline_stem(&record.id, record.size.label());
         write_artifact(dir, &format!("{stem}.csv"), timeline.csv().as_bytes())?;
         let series: Vec<(&str, Vec<f64>)> = vec![
             ("ipc", timeline.series(IntervalSample::ipc)),
@@ -365,7 +366,7 @@ pub fn write_timeline_artifacts(records: &[CharRecord], dir: &Path) -> Result<us
                 timeline.series(IntervalSample::mispredict_rate),
             ),
         ];
-        let svg = sparkline_svg(&record.id, &series, 460, 96);
+        let svg = sparkline_svg(&stem, &series, 460, 96);
         write_artifact(dir, &format!("{stem}.svg"), svg.as_bytes())?;
     }
     Ok(with_timelines.len())
@@ -493,11 +494,45 @@ mod tests {
 
         let n = write_timeline_artifacts(&[sampled, plain], &dir).unwrap();
         assert_eq!(n, 1, "only the sampled record has a timeline");
-        let csv = std::fs::read_to_string(dir.join("505.mcf_r.csv")).unwrap();
+        let csv = std::fs::read_to_string(dir.join("505.mcf_r-ref.csv")).unwrap();
         assert!(csv.starts_with("interval,start_op,end_op"));
         assert!(csv.lines().count() > 2);
-        let svg = std::fs::read_to_string(dir.join("505.mcf_r.svg")).unwrap();
+        let svg = std::fs::read_to_string(dir.join("505.mcf_r-ref.svg")).unwrap();
         assert!(svg.contains("<polyline"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_id_at_three_sizes_writes_six_files() {
+        let dir =
+            std::env::temp_dir().join(format!("workchar-timelines-sizes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = cpu2017::app("505.mcf_r").unwrap();
+        let config = RunConfig::quick().with_sampler(SamplerConfig::every(10_000));
+        let records: Vec<CharRecord> = [InputSize::Test, InputSize::Train, InputSize::Ref]
+            .into_iter()
+            .map(|size| characterize_pair(&app.pairs(size)[0], &config).unwrap())
+            .collect();
+        assert!(records.iter().all(|r| r.id == "505.mcf_r"));
+        assert_eq!(write_timeline_artifacts(&records, &dir).unwrap(), 3);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "505.mcf_r-ref.csv",
+                "505.mcf_r-ref.svg",
+                "505.mcf_r-test.csv",
+                "505.mcf_r-test.svg",
+                "505.mcf_r-train.csv",
+                "505.mcf_r-train.svg",
+            ]
+        );
+        let svg = std::fs::read_to_string(dir.join("505.mcf_r-train.svg")).unwrap();
+        assert!(svg.contains("505.mcf_r-train"), "titled with its label");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

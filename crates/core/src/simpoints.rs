@@ -102,7 +102,8 @@ pub fn analyze_pair_cached(
 }
 
 /// Analyzes an explicit pair list in parallel on the [`Scheduler`],
-/// preserving order, cache-first when a store is given.
+/// preserving order, cache-first when a store is given. Each job is
+/// labelled with the pair id and input size (`505.mcf_r/ref`).
 ///
 /// # Errors
 ///
@@ -117,7 +118,7 @@ pub fn analyze_pairs(
     Scheduler::available()
         .run(
             pairs.len(),
-            |i| pairs[i].id(),
+            |i| format!("{}/{}", pairs[i].id(), pairs[i].size.label()),
             |i| analyze_pair_cached(&pairs[i], run, sp, store).unwrap_or_else(|e| panic!("{e}")),
             |_| {},
         )
@@ -246,6 +247,22 @@ mod tests {
         let uncached = analyze_pairs(&pairs, &run, &sp, None).unwrap();
         assert_eq!(cold, uncached, "caching must not change results");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_jobs_are_labelled_with_the_input_size() {
+        let apps = crate::characterize::tests::poisoned_apps();
+        let pairs: Vec<AppInputPair<'_>> =
+            apps.iter().flat_map(|a| a.pairs(InputSize::Ref)).collect();
+        let err = analyze_pairs(&pairs, &quick(), &SimpointConfig::default(), None).unwrap_err();
+        match err {
+            Error::Characterization { failures, total } => {
+                assert_eq!(total, 3);
+                assert_eq!(failures.len(), 1, "exactly the broken pair fails");
+                assert_eq!(failures[0].label, "999.broken_r/ref");
+            }
+            other => panic!("expected Characterization, got {other:?}"),
+        }
     }
 
     #[test]

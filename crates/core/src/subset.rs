@@ -10,7 +10,7 @@
 use stat_analysis::cluster::{agglomerative, Dendrogram, Linkage};
 use stat_analysis::distance::Metric;
 use stat_analysis::pareto::{knee_point, Candidate};
-use stat_analysis::sse::total_sse;
+use stat_analysis::sse::sse_curve;
 use stat_analysis::StatsError;
 
 use crate::characterize::CharRecord;
@@ -70,21 +70,21 @@ impl SubsetAnalysis {
             });
         }
         let dendrogram = agglomerative(score_rows, linkage, Metric::Euclidean)?;
-        let n = records.len();
         let full_seconds: f64 = records.iter().map(|r| r.projected_seconds).sum();
 
-        let mut curve = Vec::with_capacity(n);
-        for k in 1..=n {
-            let labels = dendrogram.cut(k)?;
-            let sse = total_sse(score_rows, &labels)?;
-            let reps = representatives_for(records, &labels, k);
-            let subset_seconds: f64 = reps.iter().map(|&i| records[i].projected_seconds).sum();
-            curve.push(TradeoffPoint {
-                k,
-                sse,
-                subset_seconds,
-            });
-        }
+        let cuts = sse_curve(score_rows, &dendrogram)?;
+        let curve: Vec<TradeoffPoint> = cuts
+            .iter()
+            .zip(1..)
+            .map(|(cut, k)| {
+                let reps = representatives_for(records, &cut.labels, k);
+                TradeoffPoint {
+                    k,
+                    sse: cut.sse,
+                    subset_seconds: reps.iter().map(|&i| records[i].projected_seconds).sum(),
+                }
+            })
+            .collect();
 
         // The degenerate endpoints (k = 1: useless subset; k = n: no saving)
         // stay in the candidate set — dominance removes them naturally.
@@ -97,8 +97,7 @@ impl SubsetAnalysis {
             })
             .collect();
         let chosen_k = knee_point(&candidates)?.id;
-        let labels = dendrogram.cut(chosen_k)?;
-        let representatives = representatives_for(records, &labels, chosen_k);
+        let representatives = representatives_for(records, &cuts[chosen_k - 1].labels, chosen_k);
         let subset_seconds: f64 = representatives
             .iter()
             .map(|&i| records[i].projected_seconds)

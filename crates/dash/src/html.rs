@@ -161,9 +161,7 @@ fn correlation_section(out: &mut String, c: &CorrelatedRun) {
 }
 
 /// A pair id as a file stem: every character outside `[A-Za-z0-9._-]`
-/// maps to `_`, so ids like `505.mcf_r/ref` stay filesystem-safe. The
-/// binaries name per-pair timeline files with it, and the dashboard finds
-/// them by it.
+/// maps to `_`, so ids like `505.mcf_r/ref` stay filesystem-safe.
 pub fn artifact_stem(id: &str) -> String {
     id.chars()
         .map(|c| {
@@ -174,6 +172,13 @@ pub fn artifact_stem(id: &str) -> String {
             }
         })
         .collect()
+}
+
+/// The file stem of one pair's timeline files: the pair id and its input
+/// size, `<id>-<size>` through [`artifact_stem`] (`505.mcf_r-ref`), so a
+/// pair's three sizes write three sets of files.
+pub fn timeline_stem(id: &str, size: &str) -> String {
+    artifact_stem(&format!("{id}-{size}"))
 }
 
 fn pairs_section(out: &mut String, m: &RunManifest, results_dir: &Path) {
@@ -201,7 +206,7 @@ fn pairs_section(out: &mut String, m: &RunManifest, results_dir: &Path) {
             }
             let spark = timelines
                 .as_ref()
-                .map(|dir| dir.join(format!("{}.svg", artifact_stem(cols[0]))))
+                .map(|dir| dir.join(format!("{}.svg", timeline_stem(cols[0], cols[4]))))
                 .filter(|p| p.exists())
                 .and_then(|p| std::fs::read_to_string(p).ok())
                 .unwrap_or_else(|| "<span class=\"muted\">—</span>".to_string());
@@ -392,6 +397,7 @@ mod tests {
     fn stems_are_filesystem_safe() {
         assert_eq!(artifact_stem("505.mcf_r"), "505.mcf_r");
         assert_eq!(artifact_stem("a/b c:d"), "a_b_c_d");
+        assert_eq!(timeline_stem("505.mcf_r", "ref"), "505.mcf_r-ref");
     }
 
     #[test]

@@ -18,5 +18,5 @@ pub mod lint;
 pub mod manifest;
 
 pub use correlate::{correlate, CorrelatedRow, CorrelatedRun};
-pub use html::artifact_stem;
+pub use html::{artifact_stem, timeline_stem};
 pub use manifest::{latest, load_manifest, ManifestBuilder, ManifestError, RunManifest, SCHEMA};

@@ -168,14 +168,10 @@ impl Figure {
             }
             for (label, &v) in s.labels.iter().zip(&s.y) {
                 let bar = (((v / max) * chart_w as f64).round().max(0.0) as usize).min(chart_w);
-                writeln!(
-                    out,
-                    "{label:label_w$} |{:#<bar$}{:gap$}| {:.3}",
-                    "",
-                    "",
-                    Fixed(v),
-                    gap = chart_w - bar,
-                )?;
+                write!(out, "{label:label_w$} |")?;
+                write_run(out, BAR, bar)?;
+                write_run(out, GAP, chart_w - bar)?;
+                writeln!(out, "| {:.3}", Fixed(v))?;
             }
         }
         Ok(())
@@ -239,6 +235,21 @@ impl Figure {
     }
 }
 
+/// A bar's `#` cells and the blank cells after it, written as slices of
+/// these (in pieces when a chart is wider).
+const BAR: &str = "################################################################################################################################";
+const GAP: &str = "                                                                                                                                ";
+
+/// Writes `n` characters of the one-character run `run`.
+fn write_run(out: &mut impl fmt::Write, run: &str, mut n: usize) -> fmt::Result {
+    while n > 0 {
+        let piece = n.min(run.len());
+        out.write_str(&run[..piece])?;
+        n -= piece;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Figure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write_ascii(f, 100)
@@ -253,6 +264,23 @@ mod tests {
         let mut f = Figure::new("IPC", Kind::Bar);
         f.push(Series::bars("rate int", &["mcf", "x264"], &[0.886, 3.024]));
         f
+    }
+
+    #[test]
+    fn bar_runs_span_any_width() {
+        for n in [
+            0,
+            1,
+            BAR.len() - 1,
+            BAR.len(),
+            BAR.len() + 1,
+            3 * BAR.len() + 7,
+        ] {
+            let mut out = String::new();
+            write_run(&mut out, BAR, n).unwrap();
+            write_run(&mut out, GAP, n).unwrap();
+            assert_eq!(out, format!("{:#<n$}{:n$}", "", ""), "n={n}");
+        }
     }
 
     #[test]

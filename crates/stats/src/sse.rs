@@ -82,23 +82,90 @@ pub fn total_sse(observations: &[Vec<f64>], labels: &[usize]) -> Result<f64, Sta
     Ok(sse)
 }
 
-/// SSE for every cut `k = 1..=n` of a dendrogram over `observations`,
-/// returned as `sse[k - 1]`.
+/// One cut of a dendrogram: the labels [`Dendrogram::cut`] gives it and
+/// its [`total_sse`].
+///
+/// [`Dendrogram::cut`]: crate::cluster::Dendrogram::cut
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cut {
+    /// A label in `0..k` per leaf, numbered by each cluster's smallest leaf.
+    pub labels: Vec<usize>,
+    /// Total SSE of the clustering.
+    pub sse: f64,
+}
+
+/// Every cut `k = 1..=n` of a dendrogram over `observations`, returned as
+/// `cuts[k - 1]`, from one walk over the merges.
+///
+/// Each cluster's [`cluster_sse`] is computed once, when it forms, over its
+/// members in ascending order; a cut's SSE sums its clusters' values in
+/// label order from `0.0`. Those are the additions
+/// `total_sse(observations, &dendrogram.cut(k)?)` makes, so every cut
+/// matches it and [`Dendrogram::cut`] bit for bit.
+///
+/// [`Dendrogram::cut`]: crate::cluster::Dendrogram::cut
 ///
 /// # Errors
 ///
-/// Propagates errors from cutting and SSE computation.
+/// [`StatsError::DimensionMismatch`] when `observations` does not hold one
+/// row per leaf, and the errors of [`cluster_sse`] for ragged rows.
 pub fn sse_curve(
     observations: &[Vec<f64>],
     dendrogram: &crate::cluster::Dendrogram,
-) -> Result<Vec<f64>, StatsError> {
+) -> Result<Vec<Cut>, StatsError> {
     let n = dendrogram.n_leaves();
-    let mut curve = Vec::with_capacity(n);
-    for k in 1..=n {
-        let labels = dendrogram.cut(k)?;
-        curve.push(total_sse(observations, &labels)?);
+    if observations.len() != n {
+        return Err(StatsError::DimensionMismatch {
+            op: "sse_curve",
+            left: (observations.len(), 1),
+            right: (n, 1),
+        });
     }
-    Ok(curve)
+    // Cluster id -> (ascending members, SSE); leaves are clusters 0..n.
+    let mut clusters: Vec<(Vec<usize>, f64)> = Vec::with_capacity(2 * n);
+    for (leaf, row) in observations.iter().enumerate() {
+        clusters.push((vec![leaf], cluster_sse(&[row.as_slice()])?));
+    }
+    // Live cluster ids, ordered by smallest member: position = label.
+    let mut live: Vec<usize> = (0..n).collect();
+    let mut cuts = vec![cut_of(&live, &clusters, n)];
+    for m in dendrogram.merges() {
+        let (a, b) = (&clusters[m.a].0, &clusters[m.b].0);
+        // The new cluster's smallest member is the smaller of the two
+        // merged clusters' smallest, so it takes that one's place in `live`.
+        let (keep, gone) = if a[0] < b[0] { (m.a, m.b) } else { (m.b, m.a) };
+        let mut members = [a.as_slice(), b.as_slice()].concat();
+        members.sort_unstable();
+        let rows: Vec<&[f64]> = members
+            .iter()
+            .map(|&i| observations[i].as_slice())
+            .collect();
+        let sse = cluster_sse(&rows)?;
+        live.retain(|&c| c != gone);
+        let slot = live
+            .iter()
+            .position(|&c| c == keep)
+            .expect("merged cluster is live");
+        live[slot] = m.id;
+        debug_assert_eq!(clusters.len(), m.id, "merge ids follow the leaves");
+        clusters.push((members, sse));
+        cuts.push(cut_of(&live, &clusters, n));
+    }
+    cuts.reverse();
+    Ok(cuts)
+}
+
+/// The cut whose clusters are `live`, in label order.
+fn cut_of(live: &[usize], clusters: &[(Vec<usize>, f64)], n: usize) -> Cut {
+    let mut labels = vec![0; n];
+    let mut sse = 0.0;
+    for (label, &c) in live.iter().enumerate() {
+        for &leaf in &clusters[c].0 {
+            labels[leaf] = label;
+        }
+        sse += clusters[c].1;
+    }
+    Cut { labels, sse }
 }
 
 #[cfg(test)]
@@ -157,7 +224,11 @@ mod tests {
             vec![10.0, 0.0],
         ];
         let tree = agglomerative(&obs, Linkage::Ward, Metric::Euclidean).unwrap();
-        let curve = sse_curve(&obs, &tree).unwrap();
+        let curve: Vec<f64> = sse_curve(&obs, &tree)
+            .unwrap()
+            .into_iter()
+            .map(|c| c.sse)
+            .collect();
         assert_eq!(curve.len(), 5);
         // More clusters cannot increase SSE for Ward-style hierarchies.
         assert!(curve.windows(2).all(|w| w[1] <= w[0] + 1e-9), "{curve:?}");

@@ -15,7 +15,8 @@
 //! - [`codec`] — compact little-endian binary encoding for persisted
 //!   records ([`Encoder`] / [`Decoder`]).
 //! - [`store`] — the sharded, concurrently readable persistent [`Store`]
-//!   (atomic writes, versioned envelopes, corruption-as-miss).
+//!   (no in-memory index, atomic writes, versioned envelopes,
+//!   corruption-as-miss).
 //! - [`scheduler`] — the panic-isolating bounded-worker [`Scheduler`]
 //!   (retry once, record per-job [`JobFailure`]s, partial results survive).
 //! - [`stats`] — shared atomic [`CacheStats`] and the end-of-run summary.

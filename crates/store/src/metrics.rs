@@ -30,6 +30,8 @@ handle!(pub(crate) cache_read_bytes, counter, Counter,
 handle!(pub(crate) cache_written_bytes, counter, Counter,
     "simstore_cache_written_bytes_total",
     "Payload bytes written to the store.");
+// Nothing increments this since the store lost its in-memory index: it
+// stays registered, reading 0, so the metric series keep their names.
 handle!(pub(crate) index_contention, counter, Counter,
     "simstore_index_contention_total",
     "Index shard lock acquisitions that found the lock held.");

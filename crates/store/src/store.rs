@@ -4,9 +4,10 @@
 //! persisted one file per record under a root directory. The layout is
 //! `root/<shard>/<32-hex-key>.rec` with 16 single-hex-digit shard
 //! directories (keyed by the top nibble of `key.hi`), keeping any one
-//! directory small even with hundreds of thousands of records. An in-memory
-//! index — itself sharded behind [`RwLock`]s so concurrent readers never
-//! contend — mirrors the directory and is rebuilt by scanning it on open.
+//! directory small even with hundreds of thousands of records. The
+//! directories are the only index: opening a store reads nothing, a lookup
+//! reads its record file directly, and a shard directory appears with the
+//! first record written into it.
 //!
 //! Records are wrapped in a versioned envelope (magic, format version, key
 //! echo, payload length, and the payload's 128-bit [`StableHasher`]
@@ -14,19 +15,19 @@
 //! different record. Writes go to a temporary file in the same
 //! directory and are `rename`d into place, so a crash mid-write leaves
 //! either the old record or none — never a torn one. A record that fails
-//! envelope validation on read is treated as absent and evicted from the
-//! index; a damaged cache degrades to recomputation, not failure.
+//! envelope validation on read is treated as absent for the rest of the
+//! process (until this handle rewrites it); a damaged cache degrades to
+//! recomputation, not failure.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::Mutex;
 
 use crate::codec::{CodecError, Decoder, Encoder};
 use crate::hash::{Key, StableHasher};
-use crate::metrics;
 
 /// Envelope format version; bump when the envelope layout itself changes.
 /// (Payload schema changes are the *key's* concern — schema versions are
@@ -38,34 +39,6 @@ const SHARDS: usize = 16;
 
 fn shard_of(key: Key) -> usize {
     (key.hi >> 60) as usize
-}
-
-type Index = HashMap<Key, ()>;
-
-/// Read-locks one index shard, counting a contention event when the lock
-/// was already held (the `simstore_index_contention_total` metric). `None`
-/// only on poisoning, which callers treat as an empty index.
-fn read_shard(shard: &RwLock<Index>) -> Option<RwLockReadGuard<'_, Index>> {
-    match shard.try_read() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::WouldBlock) => {
-            metrics::index_contention().inc();
-            shard.read().ok()
-        }
-        Err(TryLockError::Poisoned(_)) => None,
-    }
-}
-
-/// Write-locks one index shard, counting contention like [`read_shard`].
-fn write_shard(shard: &RwLock<Index>) -> Option<RwLockWriteGuard<'_, Index>> {
-    match shard.try_write() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::WouldBlock) => {
-            metrics::index_contention().inc();
-            shard.write().ok()
-        }
-        Err(TryLockError::Poisoned(_)) => None,
-    }
 }
 
 /// A persistent, concurrently readable content-addressed record store.
@@ -85,64 +58,41 @@ fn write_shard(shard: &RwLock<Index>) -> Option<RwLockWriteGuard<'_, Index>> {
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    shards: Vec<RwLock<HashMap<Key, ()>>>,
+    /// Keys whose record failed validation through this handle: they read
+    /// as absent until this handle writes them again.
+    damaged: Mutex<HashSet<Key>>,
     tmp_counter: AtomicU64,
 }
 
 impl Store {
-    /// Opens (creating if needed) the store rooted at `root` and rebuilds
-    /// the index from the files already present.
+    /// Opens the store rooted at `root`, creating the root if needed. No
+    /// record is read and no shard directory is created.
     ///
     /// # Errors
     ///
-    /// Any filesystem error creating or scanning the root.
+    /// Any filesystem error creating the root.
     pub fn open<P: AsRef<Path>>(root: P) -> io::Result<Store> {
-        Store::load(root.as_ref(), true)
+        fs::create_dir_all(root.as_ref())?;
+        Ok(Store::at(root.as_ref()))
     }
 
     /// Opens the store already rooted at `root` for reading, creating
-    /// nothing: a shard directory that is missing indexes as empty.
+    /// nothing: a shard directory that is missing holds no records.
     ///
     /// # Errors
     ///
-    /// `root` is missing or not a directory, or any other filesystem error
-    /// scanning it.
+    /// `root` is missing or not a directory.
     pub fn open_existing<P: AsRef<Path>>(root: P) -> io::Result<Store> {
-        Store::load(root.as_ref(), false)
+        fs::read_dir(root.as_ref())?;
+        Ok(Store::at(root.as_ref()))
     }
 
-    fn load(root: &Path, create: bool) -> io::Result<Store> {
-        if !create {
-            fs::read_dir(root)?;
-        }
-        let mut shards: Vec<RwLock<HashMap<Key, ()>>> = Vec::with_capacity(SHARDS);
-        for nibble in 0..SHARDS {
-            let dir = root.join(format!("{nibble:x}"));
-            if create {
-                fs::create_dir_all(&dir)?;
-            }
-            let mut index = HashMap::new();
-            if create || dir.is_dir() {
-                for entry in fs::read_dir(&dir)? {
-                    let entry = entry?;
-                    let name = entry.file_name();
-                    let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".rec")) else {
-                        continue; // tmp files and strays are not records
-                    };
-                    if let Some(key) = Key::from_hex(stem) {
-                        if shard_of(key) == nibble {
-                            index.insert(key, ());
-                        }
-                    }
-                }
-            }
-            shards.push(RwLock::new(index));
-        }
-        Ok(Store {
+    fn at(root: &Path) -> Store {
+        Store {
             root: root.to_path_buf(),
-            shards,
+            damaged: Mutex::new(HashSet::new()),
             tmp_counter: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The store's root directory.
@@ -150,37 +100,46 @@ impl Store {
         &self.root
     }
 
-    /// Number of indexed records.
+    /// Number of records on disk (a directory scan).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| read_shard(s).map(|m| m.len()).unwrap_or(0))
-            .sum()
+        self.keys().len()
     }
 
-    /// True when no records are indexed.
+    /// True when the store holds no records (a directory scan).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Every indexed key, in unspecified order (cheap: no file I/O). The
-    /// static cached-result audit walks this to verify each entry without
-    /// knowing which pairs produced them.
+    /// Every record's key, in unspecified order, read from the shard
+    /// directories (no record file is opened). The static cached-result
+    /// audit walks this to verify each entry without knowing which pairs
+    /// produced them.
     pub fn keys(&self) -> Vec<Key> {
-        let mut keys = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            if let Some(index) = read_shard(shard) {
-                keys.extend(index.keys().copied());
+        let damaged = self.damaged.lock().unwrap_or_else(|e| e.into_inner());
+        let mut keys = Vec::new();
+        for nibble in 0..SHARDS {
+            let Ok(entries) = fs::read_dir(self.root.join(format!("{nibble:x}"))) else {
+                continue; // a shard nothing was written into yet
+            };
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".rec")) else {
+                    continue; // tmp files and strays are not records
+                };
+                if let Some(key) = Key::from_hex(stem) {
+                    if shard_of(key) == nibble && !damaged.contains(&key) {
+                        keys.push(key);
+                    }
+                }
             }
         }
         keys
     }
 
-    /// True when `key` is indexed (cheap: no file I/O).
+    /// True when a record file for `key` exists and has not read as
+    /// damaged (no record bytes are read).
     pub fn contains(&self, key: Key) -> bool {
-        read_shard(&self.shards[shard_of(key)])
-            .map(|m| m.contains_key(&key))
-            .unwrap_or(false)
+        !self.is_damaged(key) && self.record_path(key).is_file()
     }
 
     fn record_path(&self, key: Key) -> PathBuf {
@@ -189,33 +148,50 @@ impl Store {
             .join(format!("{key}.rec"))
     }
 
+    fn is_damaged(&self, key: Key) -> bool {
+        self.damaged
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains(&key)
+    }
+
+    fn set_damaged(&self, key: Key, damaged: bool) {
+        let mut set = self.damaged.lock().unwrap_or_else(|e| e.into_inner());
+        if damaged {
+            set.insert(key);
+        } else {
+            set.remove(&key);
+        }
+    }
+
     /// Fetches the payload stored under `key`, or `None` if absent.
     ///
-    /// A record whose envelope fails validation (torn write, wrong magic,
-    /// key mismatch, payload digest mismatch) is evicted from the index
-    /// and reported absent.
+    /// A record that cannot be read or whose envelope fails validation
+    /// (torn write, wrong magic, key mismatch, payload digest mismatch) is
+    /// reported absent, now and on every later lookup through this handle.
     pub fn get(&self, key: Key) -> Option<Vec<u8>> {
-        if !self.contains(key) {
+        if self.is_damaged(key) {
             return None;
         }
         let bytes = match fs::read(self.record_path(key)) {
             Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             Err(_) => {
-                self.evict(key);
+                self.set_damaged(key, true);
                 return None;
             }
         };
         match unwrap_envelope(&bytes, key) {
             Ok(payload) => Some(payload.to_vec()),
             Err(_) => {
-                self.evict(key);
+                self.set_damaged(key, true);
                 None
             }
         }
     }
 
-    /// Persists `payload` under `key` (atomically replacing any previous
-    /// record) and indexes it.
+    /// Persists `payload` under `key`, atomically replacing any previous
+    /// record and creating the key's shard directory on its first write.
     ///
     /// # Errors
     ///
@@ -230,18 +206,17 @@ impl Store {
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed),
         ));
-        fs::write(&tmp, wrap_envelope(key, payload))?;
+        let envelope = wrap_envelope(key, payload);
+        if let Err(e) = fs::write(&tmp, &envelope) {
+            if e.kind() != io::ErrorKind::NotFound {
+                return Err(e);
+            }
+            fs::create_dir_all(dir)?;
+            fs::write(&tmp, &envelope)?;
+        }
         fs::rename(&tmp, &final_path)?;
-        if let Some(mut index) = write_shard(&self.shards[shard_of(key)]) {
-            index.insert(key, ());
-        }
+        self.set_damaged(key, false);
         Ok(())
-    }
-
-    fn evict(&self, key: Key) {
-        if let Some(mut index) = write_shard(&self.shards[shard_of(key)]) {
-            index.remove(&key);
-        }
     }
 }
 
@@ -333,6 +308,37 @@ mod tests {
     }
 
     #[test]
+    fn open_creates_no_shard_directory() {
+        let root = tmp_root("lazy-shards");
+        let store = Store::open(&root).unwrap();
+        assert!(root.is_dir(), "open creates the root");
+        assert_eq!(fs::read_dir(&root).unwrap().count(), 0, "and nothing in it");
+        assert!(store.is_empty());
+        let key = key_of("record-a");
+        assert_eq!(store.get(key), None);
+        store.put(key, b"payload").unwrap();
+        let shards: Vec<_> = fs::read_dir(&root).unwrap().flatten().collect();
+        assert_eq!(shards.len(), 1, "the first write creates its shard only");
+        assert_eq!(store.get(key), Some(b"payload".to_vec()));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn records_written_through_another_handle_are_visible() {
+        let root = tmp_root("two-handles");
+        let reader = Store::open(&root).unwrap();
+        let writer = Store::open(&root).unwrap();
+        let key = key_of("record-late");
+        assert!(!reader.contains(key));
+        writer.put(key, b"late").unwrap();
+        assert_eq!(reader.get(key), Some(b"late".to_vec()));
+        assert!(reader.contains(key));
+        assert_eq!(reader.len(), 1);
+        assert_eq!(reader.keys(), vec![key]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn put_get_and_reopen() {
         let root = tmp_root("roundtrip");
         let store = Store::open(&root).unwrap();
@@ -368,7 +374,10 @@ mod tests {
         store.put(key, b"payload").unwrap();
         fs::write(store.record_path(key), b"garbage").unwrap();
         assert_eq!(store.get(key), None, "corrupt envelope is a miss");
-        assert!(!store.contains(key), "and is evicted from the index");
+        assert!(!store.contains(key), "and stays absent for this handle");
+        assert_eq!(store.len(), 0);
+        store.put(key, b"payload").unwrap();
+        assert_eq!(store.get(key), Some(b"payload".to_vec()), "until rewritten");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -388,7 +397,7 @@ mod tests {
         assert_eq!(unwrap_envelope(&bytes, key), Err(CodecError::BadDigest));
         fs::write(&path, &bytes).unwrap();
         assert_eq!(store.get(key), None, "a damaged payload is a miss");
-        assert!(!store.contains(key), "and is evicted from the index");
+        assert!(!store.contains(key), "and stays absent for this handle");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -436,7 +445,9 @@ mod tests {
         let (ka, kb) = (key_of("a"), key_of("b"));
         store.put(ka, b"for-a").unwrap();
         // Copy a's record into b's slot: envelope echo catches the lie.
-        fs::copy(store.record_path(ka), store.record_path(kb)).unwrap();
+        let slot = store.record_path(kb);
+        fs::create_dir_all(slot.parent().unwrap()).unwrap();
+        fs::copy(store.record_path(ka), slot).unwrap();
         let fresh = Store::open(&root).unwrap();
         assert_eq!(fresh.get(kb), None);
         assert_eq!(fresh.get(ka), Some(b"for-a".to_vec()));

@@ -12,7 +12,7 @@ fn tmp_root(tag: &str) -> PathBuf {
 }
 
 /// Write → drop → reopen → read: the payload must come back byte-identical
-/// through a fresh index rebuilt from the directory scan.
+/// through a fresh handle that reads the record files directly.
 #[test]
 fn round_trip_survives_reopen() {
     let root = tmp_root("roundtrip");
