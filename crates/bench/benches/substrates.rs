@@ -102,21 +102,9 @@ fn bench_engine(r: &mut Runner) {
         let mut engine = Engine::new(&config);
         black_box(engine.execute(gen, &sampled))
     });
-    // Paired with engine_run_100k above: with metrics enabled, the engine
-    // pays two counter adds per *run* (never per op), and the generator one
-    // counter add per drop, so the ratio of the two medians is the
-    // simmetrics overhead the design budgets at <5%.
-    simmetrics::enable();
-    bench_paired(r, anchor, "engine_run_100k_metrics_enabled", || {
-        let gen =
-            TraceGenerator::new(&Behavior::default(), &config, 7, 100_000).expect("valid behavior");
-        let mut engine = Engine::new(&config);
-        black_box(engine.execute(gen, &ExecPlan::new()))
-    });
-    simmetrics::disable();
     // Paired with engine_run_100k above: under a trace root, the engine
     // pays one span open/close per *run* (never per op) and the generator
-    // one per expansion, so the ratio of the two medians is the simtrace
+    // one when it is dropped, so the ratio of the two medians is the simtrace
     // overhead the design budgets at <5%. Each iteration drains its own
     // root, so the collector never grows past one iteration's worth.
     bench_paired(r, anchor, "engine_run_100k_traced", || {

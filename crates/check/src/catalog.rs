@@ -15,8 +15,6 @@ pub enum Family {
     Config,
     /// `R…` — cached-result and timeline counter identities (workchar).
     Result,
-    /// `M…` — metric registry hygiene (simmetrics).
-    Metrics,
     /// `T…` — collected causal-trace integrity (simtrace).
     Trace,
     /// `S…` — simpoint artifact consistency (simpoint).
@@ -34,7 +32,6 @@ impl Family {
             Family::Profile => "profile",
             Family::Config => "config",
             Family::Result => "result",
-            Family::Metrics => "metrics",
             Family::Trace => "trace",
             Family::Simpoint => "simpoint",
             Family::Profiler => "profiler",
@@ -354,47 +351,6 @@ pub mod codes {
          CharRecord encoding — typically a schema-version mismatch from \
          an older binary. Re-run to repopulate.");
 
-    // ---------------------------------------------------------------- M: metrics
-
-    rule!(pub M001, "M001", "metric-name-charset", Error, Metrics,
-        "metric name is not Prometheus-legal",
-        "Metric names must be non-empty and match [a-zA-Z_:][a-zA-Z0-9_:]* \
-         (the Prometheus charset). Readers of results/metrics.json look \
-         series up by name, in scripts or after loading the snapshot into \
-         a Prometheus-style store, where a name outside this charset is \
-         not a legal identifier and must be renamed or dropped. The rule \
-         catches the typo at lint time instead of in every reader.");
-    rule!(pub M002, "M002", "metric-duplicate", Error, Metrics,
-        "metric name registered more than once",
-        "Two registrations under one name (different kinds, or the same \
-         label set twice) write two entries with that name into \
-         results/metrics.json. A reader that looks series up by name \
-         takes whichever comes first and silently ignores the other. \
-         Every metric name must be registered exactly once per process.");
-    rule!(pub M003, "M003", "label-name-charset", Error, Metrics,
-        "label name is not Prometheus-legal",
-        "Label names must match [a-zA-Z_][a-zA-Z0-9_]* and must not start \
-         with '__', which Prometheus reserves for internally generated \
-         labels (__name__, __address__). Label names are the keys of a \
-         series' \"labels\" object in results/metrics.json, so an illegal \
-         one misleads its readers exactly like an illegal metric name.");
-    rule!(pub M004, "M004", "label-duplicate", Error, Metrics,
-        "duplicate label name on one metric",
-        "A series key is the sorted set of its label pairs; repeating a \
-         label name within one metric makes the key ambiguous. In \
-         results/metrics.json the series' \"labels\" object then holds one \
-         key twice, and a reader keeps one of the two values and drops \
-         the other. Each label name may appear at most once per metric.");
-    rule!(pub M005, "M005", "metric-suffix-convention", Warning, Metrics,
-        "metric name violates the suffix conventions for its kind",
-        "Convention carries meaning for downstream tooling: counters end \
-         in '_total' (rate() targets), while no metric may end in the \
-         reserved suffixes '_bucket', '_sum', or '_count' — \
-         Prometheus-style tools derive those series from a summary or \
-         histogram, so a base name carrying one reads as a fragment of \
-         another metric. Gauges and summaries ending in '_total' read as \
-         counters and get mis-aggregated.");
-
     // ------------------------------------------------------------------ T: trace
 
     rule!(pub T001, "T001", "span-name-legality", Error, Trace,
@@ -614,11 +570,6 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::R015,
     &codes::R020,
     &codes::R021,
-    &codes::M001,
-    &codes::M002,
-    &codes::M003,
-    &codes::M004,
-    &codes::M005,
     &codes::T001,
     &codes::T002,
     &codes::T003,
@@ -707,7 +658,6 @@ mod tests {
                 Family::Profile => 'P',
                 Family::Config => 'C',
                 Family::Result => 'R',
-                Family::Metrics => 'M',
                 Family::Trace => 'T',
                 Family::Simpoint => 'S',
                 Family::Profiler => 'F',
@@ -736,7 +686,7 @@ mod tests {
 
     #[test]
     fn suggest_finds_near_misses_only() {
-        assert_eq!(suggest("m01"), Some("M001"));
+        assert_eq!(suggest("t01"), Some("T001"));
         assert_eq!(suggest("D0002"), Some("D002"));
         assert_eq!(suggest("P04"), Some("P004"));
         assert_eq!(suggest("R0200"), Some("R020"));

@@ -11,7 +11,7 @@
 //!   escalation at the call site.
 //! - [`RuleCode`] — stable, documented rule identities (`P004`, `C005`,
 //!   `R010`, …) grouped into [`Family`]s: profile well-formedness, config
-//!   legality, result/counter auditing, metric registry hygiene, trace
+//!   legality, result/counter auditing, trace
 //!   integrity, simpoint artifacts, statistical-profiler artifacts, and
 //!   run manifests.
 //! - [`Span`] — a field-level location (`"505.mcf_r/ref/in1.load_pct"`)

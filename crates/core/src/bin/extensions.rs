@@ -31,9 +31,9 @@
 //! format `simgate trace` reads),
 //! `--profile` records an op-clocked statistical profile (artifacts under
 //! `<results>/profiles/`, cache bypassed so engine work exists to sample).
-//! Process metrics are always on — a snapshot lands in
-//! `<results>/metrics.json` when the run ends, and a panic dumps the flight
-//! recorder to `<results>/flight-recorder.json`. Errors render on stderr
+//! `<results>/metrics.json` is computed from the run's spans when it ends,
+//! and a panic dumps the flight recorder to
+//! `<results>/flight-recorder.json`. Errors render on stderr
 //! and exit nonzero.
 
 use std::process::ExitCode;
@@ -155,11 +155,6 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
         run.manifest.pair_ok(&r.label());
     }
     stage.arg("records", records.len());
-    if let Some(ctx) = &cache {
-        let snap = ctx.stats.snapshot();
-        stage.arg("cache_hits", snap.hits);
-        stage.arg("cache_misses", snap.misses);
-    }
     stage.finish();
     let refs: Vec<&workchar::characterize::CharRecord> = records.iter().collect();
 
@@ -179,7 +174,8 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
     }
     stage.arg("tables", 6u64);
     // The replacement ablation is the last cache user: the run's cache
-    // statistics close with it.
+    // statistics close with it, and this stage is the one that reports
+    // them (`metrics.json` sums the cache args of every span).
     if let Some(ctx) = &cache {
         let snap = ctx.stats.snapshot();
         eprintln!("cache: {snap}");

@@ -2,34 +2,35 @@
 //! run artifacts without running any simulation.
 //!
 //! ```text
-//! lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR]
+//! lint [--all] [--profiles] [--config] [--cache-dir DIR]
 //!      [--simpoint] [--simpoint-dir DIR] [--dash] [--runs-dir DIR]
 //!      [--trace FILE]... [--prof FILE]... [--quick]
 //!      [--json] [--deny-warnings] [--explain CODE]
 //! ```
 //!
-//! `--all` lints the shipped CPU2017 + CPU2006 rosters, the Haswell
-//! system configuration, and the pipeline's metric registry, and — when
-//! the default cache directory (`results/cache`) exists — audits every
+//! `--all` lints the shipped CPU2017 + CPU2006 rosters and the Haswell
+//! system configuration, and — when the default cache directory
+//! (`results/cache`) exists — audits every
 //! cached record's counter identities, plus any simpoint records under
 //! `results/simpoints/`, trace artifacts under `results/traces/`,
 //! profile artifacts under `results/profiles/`, and run manifests under
 //! `results/runs/`.
 //! Individual passes can be selected with `--profiles`, `--config`,
-//! `--metrics`, `--cache-dir DIR`, `--simpoint` (default store location) /
+//! `--cache-dir DIR`, `--simpoint` (default store location) /
 //! `--simpoint-dir DIR`, `--dash` (default manifest location) /
 //! `--runs-dir DIR`, `--trace FILE`
 //! (repeatable; either simtrace export format), and `--prof FILE`
 //! (repeatable; simprof `.prof` artifacts).
 //!
 //! Every violation carries a stable rule code (`P...` profile, `C...`
-//! config, `R...` result, `M...` metrics, `T...` trace,
+//! config, `R...` result, `T...` trace,
 //! `S...` simpoint, `F...` profiler, `D...` run manifest); `--explain CODE`
 //! prints the catalog entry for one rule.
 //! Exits 0 when clean, 1 when any error (or, under `--deny-warnings`,
-//! any warning) was found, 2 on usage or I/O errors. The store audits
-//! only read: a `--cache-dir` or `--simpoint-dir` that does not exist is
-//! an I/O error, and no directory is created.
+//! any warning) was found, 2 on usage or I/O errors. The directory audits
+//! only read: a `--cache-dir`, `--simpoint-dir` or `--runs-dir` that does
+//! not exist or is not a directory is an I/O error, and no directory is
+//! created.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,7 +45,6 @@ use workload_synth::{cpu2006, cpu2017};
 struct Options {
     profiles: bool,
     config: bool,
-    metrics: bool,
     cache_dir: Option<PathBuf>,
     simpoint_dir: Option<PathBuf>,
     runs_dir: Option<PathBuf>,
@@ -59,7 +59,6 @@ fn parse_args() -> Result<Option<Options>> {
     let mut opts = Options {
         profiles: false,
         config: false,
-        metrics: false,
         cache_dir: None,
         simpoint_dir: None,
         runs_dir: None,
@@ -75,7 +74,6 @@ fn parse_args() -> Result<Option<Options>> {
             "--all" => {
                 opts.profiles = true;
                 opts.config = true;
-                opts.metrics = true;
                 // Audit the default cache location only if a cache exists
                 // there; a fresh checkout must still lint clean.
                 let default_cache = PathBuf::from("results/cache");
@@ -127,7 +125,6 @@ fn parse_args() -> Result<Option<Options>> {
             }
             "--profiles" => opts.profiles = true,
             "--config" => opts.config = true,
-            "--metrics" => opts.metrics = true,
             "--quick" => opts.quick = true,
             "--json" => opts.json = true,
             "--deny-warnings" => opts.deny_warnings = true,
@@ -185,7 +182,7 @@ fn parse_args() -> Result<Option<Options>> {
                             None => String::new(),
                         };
                         return Err(Error::Usage(format!(
-                            "unknown rule code '{code}' (codes are P/C/R/E/M/T/S/F/Dxxx; \
+                            "unknown rule code '{code}' (codes are P/C/R/T/S/F/Dxxx; \
                              see DESIGN.md){hint}"
                         )));
                     }
@@ -202,7 +199,6 @@ fn parse_args() -> Result<Option<Options>> {
     }
     let selected_any = opts.profiles
         || opts.config
-        || opts.metrics
         || opts.cache_dir.is_some()
         || opts.simpoint_dir.is_some()
         || opts.runs_dir.is_some()
@@ -253,15 +249,6 @@ fn run(opts: &Options) -> Result<Report> {
         }
     }
 
-    if opts.metrics {
-        // Register every metric the pipeline can emit, then lint the
-        // registry itself — names, labels, and suffix conventions.
-        workchar::telemetry::register_pipeline_metrics();
-        let snapshot = simmetrics::snapshot();
-        eprintln!("linted {} registered metric series", snapshot.series.len());
-        report.merge(simmetrics::lint::check_snapshot(&snapshot));
-    }
-
     if let Some(dir) = &opts.cache_dir {
         let store = open_store(dir)?;
         let (visited, audit) = lint::audit_cache(&store, Some(&config.system));
@@ -277,15 +264,8 @@ fn run(opts: &Options) -> Result<Report> {
     }
 
     if let Some(dir) = &opts.runs_dir {
-        let audit = simdash::lint::check_runs_dir(dir);
-        let manifests = std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-                    .count()
-            })
-            .unwrap_or(0);
+        existing_dir(dir)?;
+        let (manifests, audit) = simdash::lint::check_runs_dir(dir);
         eprintln!("audited {manifests} run manifests under {}", dir.display());
         report.merge(audit);
     }
@@ -318,7 +298,15 @@ fn run(opts: &Options) -> Result<Report> {
 /// Opens the store at `dir` for an audit, creating nothing; the error
 /// names the path.
 fn open_store(dir: &Path) -> io::Result<simstore::Store> {
+    existing_dir(dir)?;
     simstore::Store::open_existing(dir)
+}
+
+/// Checks that `dir` exists and is a directory, creating nothing; the
+/// error names the path.
+fn existing_dir(dir: &Path) -> io::Result<()> {
+    std::fs::read_dir(dir)
+        .map(drop)
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", dir.display())))
 }
 
@@ -353,20 +341,19 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "usage: lint [--all] [--profiles] [--config] [--metrics] [--cache-dir DIR] \
+        "usage: lint [--all] [--profiles] [--config] [--cache-dir DIR] \
          [--simpoint] [--simpoint-dir DIR] \
          [--dash] [--runs-dir DIR] \
          [--trace FILE]... [--prof FILE]... [--quick] [--json] \
          [--deny-warnings] [--explain CODE]"
     );
     println!(
-        "  --all            lint shipped rosters + config + metric registry \
+        "  --all            lint shipped rosters + config \
          (+ results/cache, results/simpoints, results/traces, \
          results/profiles, and results/runs if present)"
     );
     println!("  --profiles       lint the CPU2017 and CPU2006 behavior profiles (P-rules)");
     println!("  --config         lint the system configuration (C-rules)");
-    println!("  --metrics        lint the pipeline's metric registry (M-rules)");
     println!("  --cache-dir DIR  audit every cached record in DIR (R-rules)");
     println!("  --simpoint       audit simpoint records under results/simpoints (S-rules)");
     println!("  --simpoint-dir DIR  audit simpoint records in DIR (S-rules)");

@@ -35,9 +35,9 @@
 //! scheduler job frames — and writes the `.prof` artifact, folded stacks,
 //! and a flamegraph SVG under `<results>/profiles/` (feed the `.prof` to
 //! `simgate prof`; profiled runs bypass the result cache so there is always
-//! engine work to sample). Process metrics are always on: a snapshot lands
-//! in `<results>/metrics.json` when the run ends, and a panic dumps the
-//! flight recorder's last events to `<results>/flight-recorder.json`. Any
+//! engine work to sample). `<results>/metrics.json` is computed from the
+//! run's spans when it ends, and a panic dumps the flight recorder's last
+//! events to `<results>/flight-recorder.json`. Any
 //! pipeline error renders on stderr and exits nonzero.
 
 use std::process::ExitCode;

@@ -30,6 +30,14 @@ use crate::characterize::{characterize_pair, CharRecord, RunConfig};
 /// addressed again — no migration, no misdecoding.
 pub const SCHEMA_VERSION: u32 = 1;
 
+/// Version of what the simulator computes: the generator's streams, the
+/// engine's counters and pricing, and the footprint model. Hashed into
+/// every [`pair_key`] and every simpoint key, so a model change that keeps
+/// the record layout never replays results the old model computed. Bump it
+/// whenever a change moves any counter; the golden test in
+/// `tests/model_fingerprint.rs` fails until it is bumped.
+pub const MODEL_FINGERPRINT: u32 = 1;
+
 fn policy_code(policy: Policy) -> u8 {
     match policy {
         Policy::Lru => 0,
@@ -73,6 +81,7 @@ pub fn hash_system(h: &mut StableHasher, system: &SystemConfig) {
 fn pair_key_versioned(pair: &AppInputPair<'_>, config: &RunConfig, schema: u32) -> Key {
     let mut h = StableHasher::new();
     h.write_u32(schema);
+    h.write_u32(MODEL_FINGERPRINT);
     pair.stable_hash(&mut h);
     hash_system(&mut h, &config.system);
     config.scale.stable_hash(&mut h);
@@ -364,16 +373,17 @@ mod tests {
     fn pair_keys_are_pinned_on_the_haswell_config() {
         // Regrouping config fields (such as the nested
         // `SystemConfig::timing`) must not turn every existing store
-        // record into a miss: `hash_system` keeps its field order.
+        // record into a miss: `hash_system` keeps its field order. Only a
+        // bump of SCHEMA_VERSION or MODEL_FINGERPRINT moves these.
         let app = cpu2017::app("505.mcf_r").unwrap();
         let pair = &app.pairs(InputSize::Ref)[0];
         assert_eq!(
             pair_key(pair, &RunConfig::quick()).to_string(),
-            "2093f29477e3196936e2fef47342e824"
+            "7291bc68ed5a0e7802d1213ea5261132"
         );
         assert_eq!(
             pair_key(pair, &RunConfig::default()).to_string(),
-            "f25bd8e7b9eda493370cadb60abb207d"
+            "b57a9e8a65cb06556c6269640197eede"
         );
     }
 

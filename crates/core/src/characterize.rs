@@ -17,7 +17,6 @@ use workload_synth::profile::{AppInputPair, AppProfile, InputSize, Suite};
 
 use crate::cache::{characterize_pair_cached, CacheContext};
 use crate::error::{Error, Result};
-use crate::telemetry;
 
 /// Configuration of a characterization campaign: which system to simulate
 /// and how aggressively to scale traces down.
@@ -280,7 +279,6 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
         0.0
     };
 
-    telemetry::pairs_characterized().inc();
     Ok(CharRecord {
         id: pair.id(),
         app: pair.app.name.clone(),

@@ -8,7 +8,7 @@
 //! a sampled root under `--profile`. When the run ends, whether it
 //! succeeded or failed, each direct child of the root becomes one row of
 //! the stderr stage table ([`stages`], [`stage_table`]), and a successful
-//! run's `metrics.json` summarizes the per-pair span latencies
+//! run's `metrics.json` is computed from its spans
 //! ([`crate::telemetry::run_snapshot`]); `--trace` only decides whether
 //! the trace files are exported as well.
 //!
@@ -122,7 +122,7 @@ impl Drop for Stage {
     }
 }
 
-/// One run of a pipeline binary: process metrics (always on), its
+/// One run of a pipeline binary: the flight recorder (always on), its
 /// manifest, and its run-root span, open for the whole run and sampled
 /// for the profiler when the flags ask for one.
 pub struct Run<'a> {
@@ -143,12 +143,9 @@ impl<'a> Run<'a> {
     /// scheduler worker threads, nests under it, and under `--profile`
     /// its sample interval reaches every engine run.
     pub fn start(name: &'static str, scale: &str, config: &str, flags: &'a PipelineFlags) -> Self {
-        // Metrics are on for the whole run: the substrate crates' counters
-        // are sentinel-gated and cost one atomic add per hit, and the
-        // flight recorder dumps its last events to the results directory
-        // on panic.
+        // The flight recorder is on for the whole run and dumps its last
+        // events to the results directory on panic.
         simmetrics::enable();
-        crate::telemetry::register_pipeline_metrics();
         simmetrics::flight::install_dump(&flags.results_dir.join("flight-recorder.json"));
         let manifest = ManifestBuilder::start(name, scale, config);
         let interval = if flags.profile {
@@ -197,21 +194,19 @@ impl<'a> Run<'a> {
         error
     }
 
-    /// Ends a successful run: closes the run root, writes the final metric
-    /// snapshot with the latency summaries of its spans, exports the trace
+    /// Ends a successful run: closes the run root, writes `metrics.json`
+    /// computed from its spans, exports the trace
     /// (`--trace`) and profile (`--profile`) artifacts, writes the
     /// manifest, and prints the stage table to stderr.
     ///
     /// # Errors
     ///
-    /// Any error writing an artifact other than the metric snapshot.
+    /// Any error writing an artifact other than `metrics.json`.
     pub fn finish(mut self) -> Result<()> {
         let results = &self.flags.results_dir;
         let spans = self.close();
-        // The registry's one sink, read once as the run ends; a lost
-        // snapshot only warns.
-        let snapshot = crate::telemetry::run_snapshot(&spans);
-        let json = simmetrics::json::render(&snapshot);
+        // A lost `metrics.json` only warns.
+        let json = crate::telemetry::render(&crate::telemetry::run_snapshot(&spans));
         match write_artifact(results, "metrics.json", json.as_bytes()) {
             Ok(_) => self
                 .manifest

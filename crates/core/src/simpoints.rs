@@ -3,8 +3,8 @@
 //! schema-versioned [`SimpointRecord`]s in a content-addressed store.
 //!
 //! The store layout mirrors [`crate::cache`]: each record's key is derived
-//! from the pair identity, the simulated system, the trace scale, and every
-//! simpoint tuning knob, so re-running a campaign with any ingredient
+//! from the model fingerprint, the pair identity, the simulated system, the
+//! trace scale, and every simpoint tuning knob, so re-running a campaign with any ingredient
 //! changed transparently re-analyzes only the affected pairs. Campaigns are
 //! cache-first — a decodable stored record short-circuits the
 //! analysis — and run pairs in parallel on the panic-isolated
@@ -18,7 +18,7 @@ use simstore::{Key, Scheduler, StableHash, StableHasher, Store};
 use uarch_sim::counters::Event;
 use workload_synth::profile::{AppInputPair, AppProfile, InputSize};
 
-use crate::cache::hash_system;
+use crate::cache::{hash_system, MODEL_FINGERPRINT};
 use crate::characterize::{prepared_run, RunConfig};
 use crate::error::{Error, Result};
 
@@ -47,6 +47,7 @@ fn hash_simpoint_config(h: &mut StableHasher, sp: &SimpointConfig) {
 /// and simpoint configurations.
 pub fn simpoint_key(pair: &AppInputPair<'_>, run: &RunConfig, sp: &SimpointConfig) -> Key {
     let mut h = StableHasher::new();
+    h.write_u32(MODEL_FINGERPRINT);
     pair.stable_hash(&mut h);
     hash_system(&mut h, &run.system);
     run.scale.stable_hash(&mut h);

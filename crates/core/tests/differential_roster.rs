@@ -5,8 +5,8 @@
 //! scalar reference loop `Engine::run_reference` across **all 64 CPU2017
 //! ref application–input pairs** — the acceptance gate of the hot loop.
 //! Sessions must be bit-identical, including sampled timelines, and the
-//! comparison runs with the sampler, process metrics, and causal tracing
-//! all enabled, because those paths share the drive loop's edge capping
+//! comparison runs with the sampler and causal tracing (a sampled root)
+//! both enabled, because those paths share the drive loop's edge capping
 //! with the plain run.
 
 use uarch_sim::config::SystemConfig;
@@ -48,10 +48,9 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
         .collect();
     assert_eq!(pairs.len(), 64, "the paper's ref roster is 64 pairs");
 
-    // Metrics stay on for the whole sweep and every pair runs under a
-    // sampled trace root, so the fused run takes its profiled path: no hook
-    // may perturb a single counter on either path.
-    simmetrics::enable();
+    // Every pair runs under a sampled trace root, so the fused run takes
+    // its profiled path: no hook may perturb a single counter on either
+    // path.
     let base = ExecPlan::new()
         .warmup(WARMUP)
         .sampler(SamplerConfig::every(INTERVAL));
@@ -88,7 +87,6 @@ fn batched_engine_matches_scalar_reference_on_every_ref_pair() {
             pair.id()
         );
     }
-    simmetrics::disable();
 }
 
 #[test]

@@ -13,10 +13,11 @@ use simcheck::{codes, Diagnostic, Report, Span};
 
 use crate::manifest::{self, ManifestError, RunManifest};
 
-/// Audits every manifest under `runs_dir` against the D-rule family.
-/// Artifact pointers (D003) resolve against `runs_dir`'s parent — the
-/// results directory the paths are relative to.
-pub fn check_runs_dir(runs_dir: &Path) -> Report {
+/// Audits every manifest under `runs_dir` against the D-rule family and
+/// returns how many `*.json` files it read, with the report. Artifact
+/// pointers (D003) resolve against `runs_dir`'s parent — the results
+/// directory the paths are relative to.
+pub fn check_runs_dir(runs_dir: &Path) -> (usize, Report) {
     let mut report = Report::new();
     let results_dir = runs_dir.parent().unwrap_or(Path::new(".")).to_path_buf();
     let listing = match manifest::load_dir(runs_dir) {
@@ -27,9 +28,10 @@ pub fn check_runs_dir(runs_dir: &Path) -> Report {
                 Span::object(runs_dir.display().to_string()),
                 format!("cannot list runs directory: {e}"),
             ));
-            return report;
+            return (0, report);
         }
     };
+    let listed = listing.len();
     let mut seen_ids: HashMap<String, String> = HashMap::new();
     for (path, loaded) in listing {
         let object = path.display().to_string();
@@ -63,7 +65,7 @@ pub fn check_runs_dir(runs_dir: &Path) -> Report {
             ));
         }
     }
-    report
+    (listed, report)
 }
 
 /// The post-parse structural rules for one manifest, shared with
@@ -121,7 +123,8 @@ mod tests {
         let mut m = b.manifest().clone();
         m.end_unix_ms = m.start_unix_ms + 1;
         write_manifest(&dir, &m).unwrap();
-        let report = check_runs_dir(&dir.join("runs"));
+        let (listed, report) = check_runs_dir(&dir.join("runs"));
+        assert_eq!(listed, 1);
         assert!(report.diagnostics().is_empty(), "{report:?}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -148,7 +151,8 @@ mod tests {
         write_manifest(&dir, &bad).unwrap();
         // D004: same run id under a second filename.
         fs::write(runs.join("zz-copy.json"), bad.to_json()).unwrap();
-        let report = check_runs_dir(&runs);
+        let (listed, report) = check_runs_dir(&runs);
+        assert_eq!(listed, 4);
         let codes = codes_of(&report);
         assert_eq!(
             codes,

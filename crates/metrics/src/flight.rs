@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
-use crate::json::escape;
+use perfmon::json::escape;
 
 /// Ring capacity: the dump holds at most this many most-recent events.
 pub const CAPACITY: usize = 256;
@@ -53,7 +53,7 @@ fn ring() -> &'static Ring {
     })
 }
 
-/// Records an event (no-op while metrics are disabled). Never blocks: a
+/// Records an event (no-op while the recorder is off). Never blocks: a
 /// slot contended by another writer drops the event instead.
 pub fn note(kind: &'static str, detail: impl Into<String>) {
     if crate::is_enabled() {

@@ -20,17 +20,14 @@
 //! - [`scheduler`] — the panic-isolating bounded-worker [`Scheduler`]
 //!   (retry once, record per-job [`JobFailure`]s, partial results survive).
 //! - [`stats`] — shared atomic [`CacheStats`] and the end-of-run summary.
-//! - [`metrics`] — the crate's `simstore_*` process-metric handles
-//!   (hits/misses/bytes, shard contention, scheduler jobs/retries/panics).
 //!
 //! The crate knows nothing about the pipeline's record types: callers
 //! define what is hashed (via [`StableHash`]) and what is stored (via
-//! [`codec`]-encoded payloads). Its only dependency is the workspace's
-//! own dependency-free `simmetrics` instrumentation core.
+//! [`codec`]-encoded payloads). Its dependencies are the workspace's own
+//! dependency-free `simtrace` span tree and `simmetrics` flight recorder.
 
 pub mod codec;
 pub mod hash;
-pub mod metrics;
 pub mod scheduler;
 pub mod stats;
 pub mod store;

@@ -16,8 +16,6 @@ use std::thread;
 
 use simmetrics::flight;
 
-use crate::metrics;
-
 /// One job that panicked on both attempts.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
@@ -139,7 +137,6 @@ impl Scheduler {
         let failed = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
         let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-        metrics::queue_depth().add(total as i64);
         // The batch span nests under whatever the submitting thread has
         // open (the suite-run root); its context is copied to every worker
         // so per-job spans join the same trace across thread boundaries.
@@ -162,7 +159,7 @@ impl Scheduler {
                         // Flight breadcrumbs carry the job label (the pair id
                         // in the pipeline), so a panic dump names what was in
                         // flight. Label formatting is skipped entirely while
-                        // metrics are disabled.
+                        // the recorder is off.
                         if simmetrics::is_enabled() {
                             flight::note("job-start", label(i));
                         }
@@ -189,9 +186,7 @@ impl Scheduler {
                                 Err(payload) => {
                                     message = panic_message(payload.as_ref());
                                     attempt_span.set_error(&message);
-                                    metrics::job_panics().inc();
                                     if attempt == 0 {
-                                        metrics::job_retries().inc();
                                         if job_span.is_recording() {
                                             job_span.arg("retried", true);
                                         }
@@ -202,8 +197,6 @@ impl Scheduler {
                                 }
                             }
                         }
-                        metrics::jobs().inc();
-                        metrics::queue_depth().sub(1);
                         if outcome.is_none() {
                             job_span.set_error(&message);
                         }

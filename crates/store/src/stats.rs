@@ -12,8 +12,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::metrics;
-
 /// Thread-safe cache hit/miss/byte accounting.
 #[derive(Debug, Default)]
 pub struct CacheStats {
@@ -35,8 +33,6 @@ impl CacheStats {
     pub fn record_hit(&self, bytes: usize) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-        metrics::cache_hits().inc();
-        metrics::cache_read_bytes().add(bytes as u64);
     }
 
     /// Records a miss whose recomputation took `computed_in`.
@@ -44,7 +40,6 @@ impl CacheStats {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.miss_nanos
             .fetch_add(computed_in.as_nanos() as u64, Ordering::Relaxed);
-        metrics::cache_misses().inc();
     }
 
     /// Records a store write of `bytes`.
@@ -52,7 +47,6 @@ impl CacheStats {
         self.stores.fetch_add(1, Ordering::Relaxed);
         self.bytes_written
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        metrics::cache_written_bytes().add(bytes as u64);
     }
 
     /// A consistent-enough copy of the counters for reporting.

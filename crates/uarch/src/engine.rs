@@ -570,7 +570,8 @@ impl Engine {
     }
 
     /// The tail every counted run shares: prices the counted portion with
-    /// [`price`], closes the timeline, and records the run's metrics.
+    /// [`price`], closes the timeline, and records the run's `engine/run`
+    /// span args.
     fn finish(
         &mut self,
         drive: Drive,
@@ -608,10 +609,6 @@ impl Engine {
             s.set_timeline(self.build_timeline(interval_ops, &marks, &s, hints, l1i_counted));
         }
 
-        // Process metrics: constant cost per run (never per op), so the
-        // enabled-vs-disabled overhead of the hot loop stays flat.
-        crate::metrics::engine_runs().inc();
-        crate::metrics::ops_retired().add(executed);
         if trace_span.is_recording() {
             trace_span.arg("ops", executed);
             trace_span.arg("warmup_ops", plan.warmup_ops);
@@ -635,7 +632,11 @@ impl Engine {
     /// on both) is pinned by this crate's tests, and lets a warm-gap
     /// simpoint analysis take its medoid counters from the profiling pass
     /// instead of replaying.
+    ///
+    /// Under an open trace root, the pass is an `engine/warm` span whose
+    /// `ops` arg is the count returned.
     pub fn warm<S: UopSource>(&mut self, mut source: S, hints: &WorkloadHints) -> u64 {
+        let mut trace_span = simtrace::span("engine/warm");
         let h = &mut self.hierarchy;
         // Warming has no edges, so the source drives the sink to the end.
         // Rate 0.0 keeps the indirect model inert, matching the scalar warm
@@ -651,7 +652,7 @@ impl Engine {
                 }
             }
         });
-        crate::metrics::ops_warmed().add(executed);
+        trace_span.arg("ops", executed);
         executed
     }
 

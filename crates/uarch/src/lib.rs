@@ -66,7 +66,6 @@ pub mod engine;
 pub mod exec;
 pub mod hierarchy;
 pub mod lint;
-pub mod metrics;
 pub mod microop;
 pub mod pipeline;
 pub mod prefetch;

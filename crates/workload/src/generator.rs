@@ -117,9 +117,10 @@ pub struct TraceGenerator {
     locality: LocalityModel,
     branches: BranchModel,
     remaining: u64,
-    /// Ops produced by *this instance*, flushed to the
-    /// `workload_uops_generated_total` process metric on drop.
+    /// Ops produced by *this instance*, reported on drop.
     produced: u64,
+    /// Ops fast-forwarded by *this instance*, reported on drop.
+    skipped: u64,
     /// Cumulative class thresholds on a [`Rng64::gen_u53`] draw:
     /// load | store | branch (remainder: ALU).
     cum: [u64; 3],
@@ -132,18 +133,25 @@ impl Clone for TraceGenerator {
             locality: self.locality.clone(),
             branches: self.branches.clone(),
             remaining: self.remaining,
-            // The clone flushes only what it produces itself; the ops the
+            // The clone reports only what it produces itself; the ops the
             // original already produced stay on the original's tally.
             produced: 0,
+            skipped: 0,
             cum: self.cum,
         }
     }
 }
 
+/// A generator that produced or fast-forwarded any op closes a `gen/done`
+/// span with its `ops` and `skipped` tallies when it is dropped, so the
+/// run's span tree counts every op generated, clones included. The span
+/// records only under an open trace root, like any other.
 impl Drop for TraceGenerator {
     fn drop(&mut self) {
-        if self.produced > 0 {
-            crate::metrics::uops_generated().add(self.produced);
+        if self.produced > 0 || self.skipped > 0 {
+            let mut span = simtrace::span("gen/done");
+            span.arg("ops", self.produced);
+            span.arg("skipped", self.skipped);
         }
     }
 }
@@ -175,6 +183,7 @@ impl TraceGenerator {
             branches: BranchModel::new(behavior),
             remaining: ops,
             produced: 0,
+            skipped: 0,
             cum: [
                 threshold(load),
                 threshold(load + store),
@@ -228,8 +237,7 @@ impl TraceGenerator {
     /// yields bit-identical ops to iterating the whole stream and discarding
     /// the first `n`. This is the primitive a SimPoint-style sparse replay
     /// uses to jump between medoid intervals. Skipped ops do not count as
-    /// produced for the `workload_uops_generated_total` metric; they are
-    /// tallied under `workload_uops_fastforwarded_total` instead.
+    /// produced: the `gen/done` span reports them under `skipped`.
     pub fn fast_forward(&mut self, n: u64) -> u64 {
         let take = n.min(self.remaining);
         for _ in 0..take {
@@ -243,9 +251,7 @@ impl TraceGenerator {
             }
             // ALU ops draw nothing beyond the class selector.
         }
-        if take > 0 {
-            crate::metrics::uops_fastforwarded().add(take);
-        }
+        self.skipped += take;
         take
     }
 

@@ -48,7 +48,6 @@ pub mod cpu2017;
 pub mod footprint;
 pub mod generator;
 pub mod lint;
-pub mod metrics;
 pub mod phases;
 pub mod profile;
 pub mod reuse;

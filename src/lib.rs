@@ -9,7 +9,7 @@
 //! - [`simstore`] — content-addressed result store + fault-tolerant scheduler.
 //! - [`simcheck`] — static model-analysis diagnostics (rule codes, spans, renderers).
 //! - [`perfmon`] — the workspace's JSON codec.
-//! - [`simmetrics`] — process-wide metrics registry, its `metrics.json` snapshot, and flight recorder.
+//! - [`simmetrics`] — the panic flight recorder (`metrics.json` is computed from the span tree by `workchar::telemetry`).
 //! - [`simpoint`] — phase detection and representative-interval simulation.
 //! - [`simdash`] — run manifests, cross-layer correlation, HTML dashboard.
 //! - [`workchar`] — the paper's characterization + subsetting pipeline.

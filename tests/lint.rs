@@ -183,75 +183,11 @@ fn simpoint_store_audit_catches_corruption() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-// ------------------------------------------------------------- M: metrics
-
-/// The pipeline's full metric registry — every series the substrate crates
-/// and the characterization core can emit — must satisfy the M-rules:
-/// Prometheus-legal names, no duplicates, sane labels, and the counter
-/// `_total` suffix convention.
-#[test]
-fn pipeline_metric_registry_lints_clean() {
-    spec2017_workchar::workchar::telemetry::register_pipeline_metrics();
-    let snapshot = spec2017_workchar::simmetrics::snapshot();
-    assert!(
-        snapshot.series.len() >= 14,
-        "expected the full pipeline registry, got {} series",
-        snapshot.series.len()
-    );
-    let report = spec2017_workchar::simmetrics::lint::check_snapshot(&snapshot);
-    assert!(report.is_empty(), "{}", report.to_table());
-
-    // Registration alone puts every family in the `metrics.json` snapshot,
-    // even before the first pair finishes.
-    let json = spec2017_workchar::simmetrics::json::render(&snapshot);
-    assert!(json.starts_with("{\"schema\":2,"), "{json}");
-    for name in [
-        "simstore_cache_hits_total",
-        "simstore_jobs_total",
-        "uarch_ops_retired_total",
-        "workload_uops_generated_total",
-        "workchar_pairs_characterized_total",
-    ] {
-        assert!(
-            json.contains(&format!("\"name\":\"{name}\"")),
-            "missing {name} in:\n{json}"
-        );
-    }
-}
-
-#[test]
-fn metric_rules_fire_on_a_hostile_registry() {
-    use spec2017_workchar::simmetrics::Registry;
-    let r = Registry::new();
-    r.counter("bad name", "space is not Prometheus-legal"); // M001 + M005
-    r.counter_with(
-        "demo_total",
-        "counter",
-        &[("le", "0.5"), ("le", "0.9")], // M004 twice
-    );
-    r.gauge("demo_total", "same name, different kind"); // M002
-    let report = spec2017_workchar::simmetrics::lint::check_snapshot(&r.snapshot());
-    let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code.code).collect();
-    for code in ["M001", "M002", "M004", "M005"] {
-        assert!(codes.contains(&code), "missing {code} in {codes:?}");
-    }
-    // M001–M004 are errors; the M005 suffix conventions only warn.
-    assert!(report.has_errors(), "{}", report.to_table());
-    assert_eq!(
-        report.count(Severity::Warning),
-        2,
-        "exactly the two suffix-convention hits warn: {}",
-        report.to_table()
-    );
-}
-
 // --------------------------------------------------------- catalog surface
 
 #[test]
 fn every_rule_family_is_explainable() {
-    for code in [
-        "P004", "C010", "R020", "M002", "T001", "S003", "F004", "D003",
-    ] {
+    for code in ["P004", "C010", "R020", "T001", "S003", "F004", "D003"] {
         let text = simcheck::explain(code).unwrap();
         assert!(text.contains(code), "{text}");
         assert!(text.len() > 80, "explanation too thin for {code}");
@@ -268,19 +204,30 @@ fn store_audits_of_a_missing_dir_exit_2_and_create_nothing() {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).unwrap();
     let missing = scratch.join("no-such-store");
+    let file = scratch.join("plain-file-store");
+    std::fs::write(&file, "not a directory").unwrap();
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
-    for flag in ["--simpoint-dir", "--cache-dir"] {
-        let output = std::process::Command::new(env!("CARGO"))
+    let lint = |flag: &str, dir: &std::path::Path| {
+        std::process::Command::new(env!("CARGO"))
             .args(["run", "--release", "-q", "--manifest-path"])
             .arg(&manifest)
             .args(["-p", "workchar", "--bin", "lint", "--", flag])
-            .arg(&missing)
+            .arg(dir)
             .output()
-            .expect("spawn lint");
+            .expect("spawn lint")
+    };
+    for flag in ["--simpoint-dir", "--cache-dir", "--runs-dir"] {
+        let output = lint(flag, &missing);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
         assert!(stderr.contains("no-such-store"), "{flag}: {stderr}");
         assert!(!missing.exists(), "{flag} created {}", missing.display());
     }
+    // A regular file is no directory either: exit 2, the file untouched.
+    let output = lint("--runs-dir", &file);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("plain-file-store"), "{stderr}");
+    assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -1,6 +1,6 @@
 //! A warm rerun into the same results directory rewrites nothing that did
 //! not change: every table, figure and record file keeps its bytes and its
-//! mtime.
+//! mtime, and its `metrics.json` counts the all-hit replay.
 //!
 //! `reproduce` belongs to another package, so it runs through
 //! `cargo run --release`, which reuses the release artifacts the tier-1
@@ -78,6 +78,20 @@ fn warm_rerun_leaves_unchanged_artifacts_untouched() {
         let (bytes2, mtime2) = &second[path];
         assert!(bytes == bytes2, "{} changed bytes", path.display());
         assert_eq!(mtime, mtime2, "{} was rewritten", path.display());
+    }
+    // The warm run's `metrics.json` is computed from its spans: every
+    // pair is a cache hit and a scheduler job, and none reaches the
+    // engine.
+    let metrics = fs::read_to_string(results.join("metrics.json")).expect("metrics.json");
+    for (name, value) in [
+        ("simstore_cache_hits_total", 223),
+        ("simstore_cache_misses_total", 0),
+        ("simstore_jobs_total", 223),
+        ("uarch_engine_runs_total", 0),
+        ("workchar_pairs_characterized_total", 0),
+    ] {
+        let series = format!("{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{value}}}");
+        assert!(metrics.contains(&series), "{series} not in {metrics}");
     }
 
     _ = fs::remove_dir_all(&scratch);
