@@ -256,6 +256,7 @@ fn bench_phase_detection(r: &mut Runner) {
         black_box(
             analyze_phases(
                 trace.iter().copied(),
+                trace.len() as u64,
                 &config,
                 &WorkloadHints::default(),
                 20,

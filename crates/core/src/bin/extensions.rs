@@ -221,9 +221,17 @@ fn real_main(opts: PipelineFlags) -> Result<()> {
 
     eprintln!("running phase analysis on the three-phase demo workload...");
     let workload = demo_three_phase();
-    let trace: Vec<_> = workload.trace(&config.system, 42, 600_000).collect();
+    const PHASE_OPS: u64 = 600_000;
     let mut stage = Stage::open("phase-analysis");
-    match analyze_phases(trace, &config.system, &WorkloadHints::default(), 40, 6) {
+    let trace = workload.trace(&config.system, 42, PHASE_OPS);
+    match analyze_phases(
+        trace,
+        PHASE_OPS,
+        &config.system,
+        &WorkloadHints::default(),
+        40,
+        6,
+    ) {
         Ok(analysis) => {
             stage.arg("phases", analysis.n_phases);
             let mut text = format!(

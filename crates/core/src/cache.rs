@@ -344,6 +344,48 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_is_an_error() {
+        let bytes = encode_record(&sample_record());
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_record(&bytes[..cut]).is_err(),
+                "truncated at byte {cut} of {} decoded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_decode_exactly_or_fail() {
+        // A flipped counter or f64 bit is a different valid record (the
+        // store's digest, not this codec, catches those); anything else is
+        // a typed error. Strings reserve only the bytes they hold.
+        let good = encode_record(&sample_record());
+        let mut rng = workload_synth::rng::Rng64::seed_from(0x5eed);
+        for _ in 0..1_000 {
+            let mut bytes = good.clone();
+            let bit = rng.gen_below(bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            if let Ok(record) = decode_record(&bytes) {
+                assert_eq!(encode_record(&record), bytes);
+                let reserved =
+                    record.id.capacity() + record.app.capacity() + record.input.capacity();
+                assert!(reserved <= bytes.len(), "{reserved} B reserved");
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_string_length_is_an_error() {
+        let mut bytes = encode_record(&sample_record());
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_record(&bytes),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+    }
+
+    #[test]
     fn truncated_payload_is_an_error() {
         let bytes = encode_record(&sample_record());
         assert!(decode_record(&bytes[..bytes.len() - 1]).is_err());

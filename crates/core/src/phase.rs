@@ -112,16 +112,24 @@ fn window_vector(w: &PerfSession) -> Vec<f64> {
     ]
 }
 
-/// Runs `ops` through a fresh engine in `n_windows` equal windows and
-/// detects phases, trying every phase count in `2..=max_phases` and keeping
-/// the best silhouette (falling back to one phase when nothing separates).
+/// Runs the `total_ops` µops of `ops` through a fresh engine in
+/// `n_windows` equal windows and detects phases, trying every phase count
+/// in `2..=max_phases` and keeping the best silhouette (falling back to one
+/// phase when nothing separates).
+///
+/// The trace is windowed as it is generated, never collected: one window
+/// of silent warmup, then `n_windows` measured ones, each
+/// `total_ops / (n_windows + 1)` µops long. The remainder of that division
+/// is never pulled from `ops`, so it is neither generated nor executed.
 ///
 /// # Errors
 ///
-/// Returns a [`StatsError`] when there are fewer than two windows or the
-/// clustering kernels fail.
+/// Returns a [`StatsError`] when there are fewer than two windows, when
+/// `total_ops` cannot fill a µop per window, when `ops` ends before the
+/// last window does, or when the clustering kernels fail.
 pub fn analyze_phases<I>(
     ops: I,
+    total_ops: u64,
     config: &SystemConfig,
     hints: &WorkloadHints,
     n_windows: usize,
@@ -135,25 +143,29 @@ where
             what: "need at least two windows",
         });
     }
-    let all: Vec<MicroOp> = ops.into_iter().collect();
-    if all.len() < n_windows {
+    // One window of silent warmup removes the cold-start transient, which
+    // would otherwise register as a spurious "initialization phase" even in
+    // stationary workloads.
+    let window_len = (total_ops / (n_windows as u64 + 1)) as usize;
+    if window_len == 0 {
         return Err(StatsError::InvalidArgument {
             what: "trace shorter than window count",
         });
     }
-    // One window of silent warmup removes the cold-start transient, which
-    // would otherwise register as a spurious "initialization phase" even in
-    // stationary workloads.
-    let window_len = all.len() / (n_windows + 1);
     let plan = ExecPlan::new().hints(*hints);
     let mut engine = Engine::new(config);
-    let mut chunks = all.chunks(window_len);
-    if let Some(warm) = chunks.next() {
-        let _ = engine.execute(from_iter(warm.iter().copied()), &plan);
-    }
-    let mut windows = Vec::with_capacity(n_windows);
-    for chunk in chunks.take(n_windows) {
-        windows.push(engine.execute(from_iter(chunk.iter().copied()), &plan));
+    let mut ops = ops.into_iter();
+    let mut executed = 0;
+    let mut run_window = |engine: &mut Engine| {
+        let window = ops.by_ref().take(window_len).inspect(|_| executed += 1);
+        engine.execute(from_iter(window), &plan)
+    };
+    let _ = run_window(&mut engine);
+    let windows: Vec<PerfSession> = (0..n_windows).map(|_| run_window(&mut engine)).collect();
+    if executed < window_len * (n_windows + 1) {
+        return Err(StatsError::InvalidArgument {
+            what: "trace ended before its last window",
+        });
     }
 
     let vectors: Vec<Vec<f64>> = windows.iter().map(window_vector).collect();
@@ -225,8 +237,9 @@ mod tests {
     fn detects_three_phases_in_demo_workload() {
         let w = demo_three_phase();
         let config = config();
-        let trace: Vec<_> = w.trace(&config, 3, 150_000).collect();
-        let analysis = analyze_phases(trace, &config, &WorkloadHints::default(), 30, 5).unwrap();
+        let trace = w.trace(&config, 3, 150_000);
+        let analysis =
+            analyze_phases(trace, 150_000, &config, &WorkloadHints::default(), 30, 5).unwrap();
         // Three true phases plus up to two transition-window clusters.
         assert!(
             (2..=5).contains(&analysis.n_phases),
@@ -245,7 +258,8 @@ mod tests {
         let config = config();
         let trace =
             TraceGenerator::new(&Behavior::default(), &config, 5, 100_000).expect("valid behavior");
-        let analysis = analyze_phases(trace, &config, &WorkloadHints::default(), 20, 5).unwrap();
+        let analysis =
+            analyze_phases(trace, 100_000, &config, &WorkloadHints::default(), 20, 5).unwrap();
         assert_eq!(analysis.n_phases, 1, "silhouette {}", analysis.silhouette);
         assert_eq!(analysis.points.len(), 1);
         assert!((analysis.points[0].weight - 1.0).abs() < 1e-9);
@@ -255,8 +269,9 @@ mod tests {
     fn estimated_ipc_tracks_full_ipc() {
         let w = demo_three_phase();
         let config = config();
-        let trace: Vec<_> = w.trace(&config, 7, 150_000).collect();
-        let analysis = analyze_phases(trace, &config, &WorkloadHints::default(), 30, 5).unwrap();
+        let trace = w.trace(&config, 7, 150_000);
+        let analysis =
+            analyze_phases(trace, 150_000, &config, &WorkloadHints::default(), 30, 5).unwrap();
         let full = analysis.full_ipc();
         let est = analysis.estimated_ipc();
         let rel = (est - full).abs() / full;
@@ -270,7 +285,10 @@ mod tests {
         let trace: Vec<_> = TraceGenerator::new(&Behavior::default(), &config, 1, 10)
             .expect("valid behavior")
             .collect();
-        assert!(analyze_phases(trace.clone(), &config, &WorkloadHints::default(), 1, 3).is_err());
-        assert!(analyze_phases(trace, &config, &WorkloadHints::default(), 50, 3).is_err());
+        let hints = WorkloadHints::default();
+        assert!(analyze_phases(trace.clone(), 10, &config, &hints, 1, 3).is_err());
+        assert!(analyze_phases(trace.clone(), 10, &config, &hints, 50, 3).is_err());
+        // A trace shorter than the count it claims.
+        assert!(analyze_phases(trace, 100, &config, &hints, 4, 3).is_err());
     }
 }

@@ -178,18 +178,20 @@ impl SimpointRecord {
         let simulated_ops = d.take_u64()?;
         let warmed_ops = d.take_u64()?;
         let silhouette = d.take_f64()?;
+        // Each count reserves at most what the bytes left can hold, so a
+        // damaged count fails at the end of input, not in the allocator.
         let k = d.take_u32()? as usize;
-        let mut medoids = Vec::new();
+        let mut medoids = Vec::with_capacity(k.min(d.remaining() / 4));
         for _ in 0..k {
             medoids.push(d.take_u32()?);
         }
         let n = d.take_u32()? as usize;
-        let mut labels = Vec::new();
+        let mut labels = Vec::with_capacity(n.min(d.remaining() / 4));
         for _ in 0..n {
             labels.push(d.take_u32()?);
         }
         let w = d.take_u32()? as usize;
-        let mut weights = Vec::new();
+        let mut weights = Vec::with_capacity(w.min(d.remaining() / 8));
         for _ in 0..w {
             weights.push(d.take_f64()?);
         }
@@ -299,5 +301,56 @@ mod tests {
         assert!((record.ipc_error() - expected).abs() < 1e-12);
         assert_eq!(record.k(), 2);
         assert_eq!(record.n_intervals(), 4);
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let bytes = sample_record().encode();
+        for cut in 0..bytes.len() {
+            assert!(
+                SimpointRecord::decode(&bytes[..cut]).is_err(),
+                "truncated at byte {cut} of {} decoded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_decode_exactly_or_fail() {
+        let good = sample_record().encode();
+        let mut rng = workload_synth::rng::Rng64::seed_from(0x5eed);
+        for _ in 0..1_000 {
+            let mut bytes = good.clone();
+            let bit = rng.gen_below(bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            // A typed error, or a record that re-encodes to exactly the
+            // damaged bytes and reserved no more than their size.
+            if let Ok(record) = SimpointRecord::decode(&bytes) {
+                assert_eq!(record.encode(), bytes, "a damaged record re-encodes");
+                let reserved = 4 * (record.medoids.capacity() + record.labels.capacity())
+                    + 8 * record.weights.capacity()
+                    + record.id.capacity();
+                assert!(reserved <= bytes.len(), "{reserved} B reserved");
+            }
+        }
+    }
+
+    #[test]
+    fn u32_max_counts_are_errors() {
+        let good = sample_record().encode();
+        // k sits after the magic, the version, the id and five 8-byte
+        // fields; n after k's two medoids, w after n's four labels.
+        let k_at = 4 + 4 + 8 + "505.mcf_r/ref/in1".len() + 5 * 8;
+        let n_at = k_at + 4 + 2 * 4;
+        let w_at = n_at + 4 + 4 * 4;
+        for (at, count) in [(k_at, 2u32), (n_at, 4), (w_at, 2)] {
+            assert_eq!(good[at..at + 4], count.to_le_bytes(), "count at {at}");
+            let mut bytes = good.clone();
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                SimpointRecord::decode(&bytes),
+                Err(CodecError::UnexpectedEof { .. })
+            ));
+        }
     }
 }

@@ -14,14 +14,27 @@
 //! access materializes every set in set order, so a set's row is its index
 //! and the hot path needs no slot lookup. A materialized set starts in
 //! exactly the state a fresh dense cache gives it (`ReplState::init_row`),
-//! so behaviour never depends on where a set lives. Within a row the hit
-//! scan still walks `ways` adjacent u64s.
+//! so behaviour never depends on where a set lives.
 //!
-//! The paper's 30 MiB L3 has 24,576 sets, and a characterization trace
-//! touches a few thousand of them: dense lanes cost every engine ~4.7 MiB
-//! of clearing and resident memory, lazy sets the 96 KiB slot table plus
-//! the chunks a trace reaches. Chunks are never reallocated: growing one
-//! lane by doubling would copy and briefly double the storage.
+//! Tags are half-width. A way stores `line >> tz` in a `u32`, where `tz`
+//! is the number of trailing zero bits of the set count, with the valid
+//! marker in bit 31. That loses nothing: `set ≡ line (mod sets)` and
+//! `2^tz` divides `sets`, so the set already fixes the line's low `tz`
+//! bits, and a dirty victim's line is rebuilt as
+//! `(tag << tz) | (set & (2^tz − 1))`. This holds for odd set counts too
+//! (`tz = 0`: the whole line is the tag). The price is a bound: a cache
+//! models lines below `2^(31 + tz)`, so with 64-byte lines byte addresses
+//! below `2^(37 + tz)`: at least 128 GiB for any geometry, 8 TiB for the
+//! paper's 64-set L1D ([`CacheConfig::addr_bound`]). An access at or above
+//! the bound panics.
+//!
+//! A 20-way LRU set holds 120 B (20 × 4 B tag, 20 × 1 B meta, 20 × 1 B
+//! LRU rank), so the paper's 30 MiB L3, 24,576 sets, is ~2.8 MiB when a
+//! trace reaches every set. Most characterization traces touch a few
+//! thousand L3 sets, and lazy sets cost them the 96 KiB slot table plus
+//! the chunks they reach. The hit scan of an 8-way L1 or L2 set reads
+//! 32 B of tags. Chunks are never reallocated: growing one lane by
+//! doubling would copy and briefly double the storage.
 
 use crate::config::CacheConfig;
 use crate::replacement::{Policy, ReplState};
@@ -49,10 +62,10 @@ impl AccessResult {
 const META_VALID: u8 = 1;
 const META_DIRTY: u8 = 2;
 
-/// Valid marker embedded in the tag lane (bit 63 is unreachable for real
-/// line numbers: `line = addr >> 6` keeps the top 6 bits clear). Embedding
-/// it makes the hit scan a single-lane compare — no metadata load.
-const TAG_VALID: u64 = 1 << 63;
+/// Valid marker embedded in the tag lane. A stored tag is `line >> tz`,
+/// which the address bound keeps below bit 31. Embedding the marker makes
+/// the hit scan a single-lane compare — no metadata load.
+const TAG_VALID: u32 = 1 << 31;
 
 /// Hit/miss statistics of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,8 +105,9 @@ const CHUNK_SETS: usize = 512;
 /// `state`.
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// Tags with `TAG_VALID` embedded; meaningful only where valid.
-    tags: Vec<u64>,
+    /// Tags (`line >> tz`) with `TAG_VALID` embedded; meaningful only
+    /// where valid.
+    tags: Vec<u32>,
     /// Valid/dirty bits per way, parallel to `tags`.
     meta: Vec<u8>,
     state: ReplState,
@@ -192,7 +206,7 @@ impl SetStore {
     }
 
     /// The tags of `set`, or `None` if it holds no storage.
-    fn tags(&self, set: usize) -> Option<&[u64]> {
+    fn tags(&self, set: usize) -> Option<&[u32]> {
         let ordinal = (self.slots[set] as usize).checked_sub(1)?;
         let row = ordinal & self.row_mask;
         let tags = &self.chunk(ordinal >> self.chunk_shift).tags;
@@ -236,6 +250,12 @@ impl SetStore {
 
 /// One set-associative, write-back, write-allocate cache.
 ///
+/// A cache models byte addresses below [`CacheConfig::addr_bound`]
+/// (`2^(31 + tz)` lines, `tz` the trailing zero bits of the set count; at
+/// least 128 GiB with 64-byte lines). [`Cache::access`] panics on an
+/// address at or above it, naming the cache's geometry and the bound;
+/// [`Cache::contains`] answers false.
+///
 /// # Example
 ///
 /// ```
@@ -255,6 +275,11 @@ pub struct Cache {
     stats: CacheStats,
     line_shift: u32,
     sets: usize,
+    /// `tz`, the trailing zero bits of `sets`: a stored tag is
+    /// `line >> tz`.
+    tag_shift: u32,
+    /// `2^tz - 1`: the line bits the set fixes. For a power-of-two set
+    /// count it is also the set-index mask.
     set_mask: u64,
     pow2_sets: bool,
     /// Lemire reciprocal for non-power-of-two set counts:
@@ -274,12 +299,14 @@ impl Cache {
     /// comes on first touch.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let tag_shift = sets.trailing_zeros();
         Cache {
             store: SetStore::new(&config),
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             sets,
-            set_mask: (sets as u64) - 1,
+            tag_shift,
+            set_mask: (1u64 << tag_shift) - 1,
             pow2_sets: sets.is_power_of_two(),
             // Wrapping add handles sets == 1 (magic 0 -> remainder 0).
             set_magic: (u128::MAX / sets as u128).wrapping_add(1),
@@ -328,6 +355,49 @@ impl Cache {
         (set, line)
     }
 
+    /// The stored form of `line`: `line >> tz` with `TAG_VALID` set.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `line` lies at or above the cache's address bound.
+    #[inline]
+    fn tag_of(&self, line: u64) -> u32 {
+        let tag = line >> self.tag_shift;
+        if tag >= u64::from(TAG_VALID) {
+            self.out_of_range(line);
+        }
+        tag as u32 | TAG_VALID
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, line: u64) -> ! {
+        let c = &self.config;
+        panic!(
+            "address {:#x} is out of range for the {} B {}-way cache with {} sets: \
+             it models addresses below {:#x}",
+            line << self.line_shift,
+            c.size_bytes,
+            c.ways,
+            self.sets,
+            c.addr_bound()
+        )
+    }
+
+    /// Finishes a miss in `set` that evicted the stored tag `dirty_victim`,
+    /// if any: counts the writeback and rebuilds the victim's address as
+    /// `(tag << tz) | (set & (2^tz - 1))`.
+    #[inline]
+    fn miss(&mut self, dirty_victim: Option<u32>, set: usize) -> AccessResult {
+        let writeback = dirty_victim.map(|tag| {
+            self.stats.writebacks += 1;
+            let line =
+                (u64::from(tag & !TAG_VALID) << self.tag_shift) | (set as u64 & self.set_mask);
+            line << self.line_shift
+        });
+        AccessResult::Miss { writeback }
+    }
+
     /// Accesses `addr`; `write` marks the line dirty. Fills on miss.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> AccessResult {
@@ -348,10 +418,10 @@ impl Cache {
     fn access_lru8(&mut self, addr: u64, write: bool) -> AccessResult {
         let line = addr >> self.line_shift;
         let set_idx = (line & self.set_mask) as usize;
-        let tagv = line | TAG_VALID;
+        let tagv = self.tag_of(line);
         let (chunk, row) = self.store.row_mut(set_idx);
         let base = row * 8;
-        let tags: &mut [u64; 8] = (&mut chunk.tags[base..base + 8])
+        let tags: &mut [u32; 8] = (&mut chunk.tags[base..base + 8])
             .try_into()
             .expect("8 ways");
         let meta: &mut [u8; 8] = (&mut chunk.meta[base..base + 8])
@@ -396,12 +466,8 @@ impl Cache {
             }
             victim
         };
-        let writeback = if meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY {
-            self.stats.writebacks += 1;
-            Some((tags[way] & !TAG_VALID) << self.line_shift)
-        } else {
-            None
-        };
+        let dirty_victim =
+            (meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY).then_some(tags[way]);
         tags[way] = tagv;
         meta[way] = if write {
             META_VALID | META_DIRTY
@@ -413,12 +479,12 @@ impl Cache {
             *r += u8::from(*r < old);
         }
         ranks[way] = 0;
-        AccessResult::Miss { writeback }
+        self.miss(dirty_victim, set_idx)
     }
 
     fn access_generic(&mut self, addr: u64, write: bool) -> AccessResult {
-        let (set_idx, tag) = self.index(addr);
-        let tagv = tag | TAG_VALID;
+        let (set_idx, line) = self.index(addr);
+        let tagv = self.tag_of(line);
         let ways = self.config.ways;
         let (chunk, row) = self.store.row_mut(set_idx);
         let base = row * ways;
@@ -448,12 +514,8 @@ impl Cache {
             Some(w) => w,
             None => chunk.state.victim(row, ways),
         };
-        let writeback = if meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY {
-            self.stats.writebacks += 1;
-            Some((tags[way] & !TAG_VALID) << self.line_shift)
-        } else {
-            None
-        };
+        let dirty_victim =
+            (meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY).then_some(tags[way]);
         tags[way] = tagv;
         meta[way] = if write {
             META_VALID | META_DIRTY
@@ -461,16 +523,20 @@ impl Cache {
             META_VALID
         };
         chunk.state.touch(row, way, ways);
-        AccessResult::Miss { writeback }
+        self.miss(dirty_victim, set_idx)
     }
 
     /// True if the line containing `addr` is currently resident. Never
-    /// materializes a set.
+    /// materializes a set. An address at or above the bound is never
+    /// resident.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.store
-            .tags(set_idx)
-            .is_some_and(|tags| tags.contains(&(tag | TAG_VALID)))
+        let (set_idx, line) = self.index(addr);
+        let tag = line >> self.tag_shift;
+        tag < u64::from(TAG_VALID)
+            && self
+                .store
+                .tags(set_idx)
+                .is_some_and(|tags| tags.contains(&(tag as u32 | TAG_VALID)))
     }
 
     /// Invalidates every line and clears statistics. Replacement state and
@@ -730,5 +796,42 @@ mod tests {
         assert!(c.store.more.is_empty());
         assert!(c.contains(3 * 64));
         assert_eq!(c.resident_lines(), 1);
+    }
+
+    #[test]
+    fn a_materialized_20_way_lru_set_holds_120_bytes() {
+        // 20 × 4 B tag + 20 × 1 B meta + 20 × 1 B LRU rank. A wider lane
+        // here grows every L3 the engine builds.
+        let mut c = Cache::new(CacheConfig::new(30 << 20, 20, 64, Policy::Lru));
+        c.access(0x40, false);
+        let chunk = &c.store.first;
+        let ReplState::Lru { ranks } = &chunk.state else {
+            unreachable!("an LRU cache holds LRU state")
+        };
+        let bytes = size_of_val(chunk.tags.as_slice())
+            + size_of_val(chunk.meta.as_slice())
+            + size_of_val(ranks.as_slice());
+        assert_eq!(bytes, CHUNK_SETS * 120);
+    }
+
+    #[test]
+    fn the_bound_follows_the_set_counts_trailing_zeros() {
+        // 2^(37 + tz) bytes with 64-byte lines: the 64-set L1D (tz = 6),
+        // the 819-set 1 MiB L3 (tz = 0), the 3 × 2^13-set Table I L3.
+        for (size, ways, bound) in [
+            (32 << 10, 8, 8u64 << 40),
+            (819 * 20 * 64, 20, 128 << 30),
+            (30 << 20, 20, 1 << 50),
+        ] {
+            let config = CacheConfig::new(size, ways, 64, Policy::Lru);
+            assert_eq!(config.addr_bound(), bound, "{size} B");
+            let mut c = Cache::new(config);
+            c.access(bound - 64, true);
+            assert!(c.contains(bound - 1));
+            assert!(
+                !c.contains(bound),
+                "an address at the bound is never resident"
+            );
+        }
     }
 }

@@ -113,7 +113,10 @@ impl LocalityModel {
         let w3_lines = if f3 > 1e-9 && f3 * acc >= 3.0 * w3_min {
             let pollution3 = f4 / f3.max(1e-9);
             let raw = (0.5 * l3_lines / (1.0 + pollution3)).min(f3 * acc / 3.0);
-            raw.clamp(w3_min, 0.6 * l3_lines) as u64
+            // max-then-min, not `clamp`: on a cache too small for the
+            // minimum (`tiny_test`'s 256-line L3) the residency cap wins
+            // instead of a panic.
+            raw.max(w3_min).min(0.6 * l3_lines) as u64
         } else {
             f4 += f3;
             f3 = 0.0;
@@ -122,7 +125,7 @@ impl LocalityModel {
         let w2_lines = if f2 > 1e-9 && f2 * acc >= 3.0 * w2_min {
             let pollution2 = (f3 + f4) / f2;
             let raw = (0.6 * l2_lines / (1.0 + pollution2)).min(f2 * acc / 3.0);
-            raw.clamp(w2_min, 0.7 * l2_lines) as u64
+            raw.max(w2_min).min(0.7 * l2_lines) as u64
         } else {
             f1 += f2;
             f2 = 0.0;
@@ -192,6 +195,18 @@ impl LocalityModel {
             self.w3_lines * LINE,
             self.stream_lines * LINE,
         )
+    }
+
+    /// One past the highest address [`LocalityModel::next_addr`] can
+    /// return: the end of the highest region (the stream, at 64 GiB plus
+    /// 64 × the L3 size). Every cache level must model it (see
+    /// [`uarch_sim::config::CacheConfig::addr_bound`]).
+    pub fn addr_end(&self) -> u64 {
+        let (hot, w2, w3, stream) = self.region_bytes();
+        (HOT_BASE + hot)
+            .max(W2_BASE + w2)
+            .max(W3_BASE + w3)
+            .max(STREAM_BASE + stream)
     }
 }
 
@@ -341,6 +356,7 @@ mod tests {
                 || (W3_BASE..W3_BASE + w3).contains(&a)
                 || (STREAM_BASE..STREAM_BASE + stream).contains(&a);
             assert!(ok, "address {a:#x} outside every region");
+            assert!(a < m.addr_end(), "address {a:#x} past addr_end");
         }
     }
 }

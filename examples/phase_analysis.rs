@@ -18,8 +18,9 @@ fn main() {
         workload.name,
         workload.phases().len()
     );
-    let trace: Vec<_> = workload.trace(&config, 42, 600_000).collect();
-    let analysis = analyze_phases(trace, &config, &WorkloadHints::default(), 40, 6)
+    let ops = 600_000;
+    let trace = workload.trace(&config, 42, ops);
+    let analysis = analyze_phases(trace, ops, &config, &WorkloadHints::default(), 40, 6)
         .expect("phase analysis succeeds");
 
     println!(
