@@ -15,13 +15,9 @@ pub enum Family {
     Config,
     /// `R…` — cached-result and timeline counter identities (workchar).
     Result,
-    /// `T…` — collected causal-trace integrity (simtrace).
-    Trace,
     /// `S…` — simpoint artifact consistency (simpoint).
     Simpoint,
-    /// `F…` — statistical-profile artifact integrity (simprof).
-    Profiler,
-    /// `D…` — run-manifest integrity under `results/runs/` (simdash).
+    /// `D…` — cross-manifest integrity under `results/runs/` (simdash).
     Dash,
 }
 
@@ -32,9 +28,7 @@ impl Family {
             Family::Profile => "profile",
             Family::Config => "config",
             Family::Result => "result",
-            Family::Trace => "trace",
             Family::Simpoint => "simpoint",
-            Family::Profiler => "profiler",
             Family::Dash => "dash",
         }
     }
@@ -351,35 +345,6 @@ pub mod codes {
          CharRecord encoding — typically a schema-version mismatch from \
          an older binary. Re-run to repopulate.");
 
-    // ------------------------------------------------------------------ T: trace
-
-    rule!(pub T001, "T001", "span-name-legality", Error, Trace,
-        "span name is empty or uses characters outside the trace charset",
-        "Span names are `/`-separated lowercase segments \
-         ([a-z0-9_.-]+, e.g. stage/simulate): the differential report \
-         aligns runs by name, and Perfetto groups slices by it, so an \
-         empty name or stray whitespace/uppercase silently forks a \
-         series and breaks PR-to-PR regression alignment.");
-    rule!(pub T002, "T002", "orphan-span", Error, Trace,
-        "span references a parent id absent from the trace",
-        "Every non-root span must nest under a parent present in the \
-         same file; a dangling parent_id means a guard was dropped \
-         without export, a file was truncated, or two runs were \
-         concatenated. Critical-path extraction would silently treat \
-         the orphan as a root and walk the wrong tree.");
-    rule!(pub T003, "T003", "non-monotonic-span", Error, Trace,
-        "span ends before it starts",
-        "start_ns/end_ns come from one monotonic clock, so end >= start \
-         holds for every recorded span; a reversed window means corrupt \
-         encoding or hand-edited timestamps, and every wall/self-time \
-         aggregate built from it would be wrong.");
-    rule!(pub T004, "T004", "duplicate-span-id", Error, Trace,
-        "span id appears more than once in the trace",
-        "Span ids are unique per process run; a duplicate means two \
-         traces were merged without renumbering. Parent references \
-         become ambiguous, and both the critical path and the diff \
-         aligner double-count the colliding spans.");
-
     // --------------------------------------------------------------- S: simpoint
 
     rule!(pub S001, "S001", "weights-sum", Error, Simpoint,
@@ -424,77 +389,8 @@ pub mod codes {
          under the simpoint prefix; the reporter would otherwise skip it \
          silently and under-report the roster.");
 
-    // --------------------------------------------------------------- F: profiler
-
-    rule!(pub F001, "F001", "orphan-frame", Error, Profiler,
-        "every stack must reference only declared frame ids",
-        "A profile artifact declares its frame table up front and each \
-         stack line is a list of frame ids, root first. A stack that \
-         references an undeclared frame id cannot be named in any report: \
-         the flamegraph exporter and the attribution tables would either \
-         skip the sample (silently shrinking the profile) or invent a \
-         placeholder name that folds unrelated samples together, so the \
-         differential gate compares phantom frames.");
-    rule!(pub F002, "F002", "non-monotonic-sample-clock", Error, Profiler,
-        "sample clocks must strictly increase within a thread",
-        "Samples are taken on a deterministic op-count clock, so within \
-         one thread the clock strictly increases by the sampling weight. \
-         A repeated or decreasing clock means two profiles were \
-         concatenated, a writer double-flushed a ring buffer, or the \
-         artifact was edited by hand — in every case the sample weights \
-         double-count ops and the attribution shares no longer sum to \
-         the run's op total.");
-    rule!(pub F003, "F003", "profile-schema-too-new", Error, Profiler,
-        "profile schema version must not exceed what this build supports",
-        "The `simprof N` header names the artifact schema. A version \
-         newer than this build understands may carry fields or semantics \
-         the parser would silently drop, so the linter refuses to vouch \
-         for the artifact rather than validating the subset it happens \
-         to recognize. Regenerate the profile with the matching \
-         toolchain, or upgrade the linter.");
-    rule!(pub F004, "F004", "malformed-profile-line", Error, Profiler,
-        "every artifact line must parse as a known record",
-        "The profile format is line-based: a header, then `interval`, \
-         `wall_ns`, `frame`, `stack`, and `sample` records. A line that \
-         parses as none of these is corruption or a foreign file under \
-         results/profiles/; consumers that skipped it would report a \
-         profile that disagrees with what a re-run produces, which \
-         poisons the committed diff baseline.");
-    rule!(pub F005, "F005", "frame-name-charset", Warning, Profiler,
-        "frame names must follow the span-naming scheme",
-        "Frames reuse simtrace's span names — /-separated lowercase \
-         [a-z0-9_.-]+ segments, optionally suffixed with a bracketed \
-         pair label like ` [505.mcf_r/refrate-1]` — so profile frames, \
-         trace spans, and the diff gates all align on one vocabulary. \
-         An off-scheme name cannot be matched against its span twin and \
-         shows up as an add/remove pair in every differential report.");
-    rule!(pub F006, "F006", "dangling-stack-reference", Error, Profiler,
-        "every sample must reference a declared stack id",
-        "Each sample line carries the id of a declared stack. A dangling \
-         id means the sample's weight cannot be attributed to any frame \
-         path: folding drops it, so the flamegraph's total no longer \
-         matches the sample sum and the attribution shares are computed \
-         over a silently smaller denominator.");
-
     // ------------------------------------------------------------------- D: dash
 
-    rule!(pub D001, "D001", "malformed-manifest", Error, Dash,
-        "every manifest under results/runs/ must parse as a run manifest",
-        "A run manifest is the canonical record of one reproduce/\
-         extensions run: the dashboard, the diff gate, and the \
-         cross-layer correlation join all start from it. A file under \
-         results/runs/ that is not valid manifest JSON (or lacks the \
-         required fields) is corruption, a partial write that escaped \
-         the atomic tmp+rename path, or a foreign file — every consumer \
-         would either skip the run silently or crash mid-join.");
-    rule!(pub D002, "D002", "manifest-schema-too-new", Error, Dash,
-        "manifest schema version must not exceed what this build supports",
-        "The `schema` field versions the manifest format. A version newer \
-         than this build understands may carry artifact kinds or status \
-         semantics the parser would silently drop, so the linter refuses \
-         to vouch for the run record rather than validating the subset \
-         it happens to recognize. Regenerate with the matching \
-         toolchain, or upgrade the linter.");
     rule!(pub D003, "D003", "dangling-artifact-pointer", Error, Dash,
         "every artifact a manifest points at must exist on disk",
         "Manifests carry typed pointers (traces, profiles, \
@@ -511,13 +407,6 @@ pub mod codes {
          Two manifests sharing an id means a manifest was copied by hand \
          or the id inputs lost their entropy — `simgate dash --run ID` and \
          the baseline gate would pick one of the two arbitrarily.");
-    rule!(pub D005, "D005", "non-monotonic-run-time", Error, Dash,
-        "a manifest's end time must not precede its start time",
-        "Start/end wall-clock stamps order runs in the dashboard's \
-         history view and feed the wall-time regression gate. An end \
-         before the start means the clock stepped backwards mid-run or \
-         the fields were hand-edited; the computed wall time would be \
-         nonsense and the bench-trend ordering unstable.");
 }
 
 /// Every registered rule, in catalog order.
@@ -570,26 +459,13 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::R015,
     &codes::R020,
     &codes::R021,
-    &codes::T001,
-    &codes::T002,
-    &codes::T003,
-    &codes::T004,
     &codes::S001,
     &codes::S002,
     &codes::S003,
     &codes::S004,
     &codes::S005,
-    &codes::F001,
-    &codes::F002,
-    &codes::F003,
-    &codes::F004,
-    &codes::F005,
-    &codes::F006,
-    &codes::D001,
-    &codes::D002,
     &codes::D003,
     &codes::D004,
-    &codes::D005,
 ];
 
 /// Looks up a rule by its code, case-insensitively (`"p004"` finds `P004`).
@@ -658,9 +534,7 @@ mod tests {
                 Family::Profile => 'P',
                 Family::Config => 'C',
                 Family::Result => 'R',
-                Family::Trace => 'T',
                 Family::Simpoint => 'S',
-                Family::Profiler => 'F',
                 Family::Dash => 'D',
             };
             assert!(
@@ -671,10 +545,7 @@ mod tests {
             assert_eq!(rule.code.len(), 4, "{} not letter+3 digits", rule.code);
             assert!(!rule.summary.is_empty() && !rule.explanation.is_empty());
         }
-        assert!(
-            CATALOG.len() >= 25,
-            "catalog smaller than the issue's floor"
-        );
+        assert_eq!(CATALOG.len(), 55, "five families, 55 rules");
     }
 
     #[test]
@@ -686,8 +557,8 @@ mod tests {
 
     #[test]
     fn suggest_finds_near_misses_only() {
-        assert_eq!(suggest("t01"), Some("T001"));
-        assert_eq!(suggest("D0002"), Some("D002"));
+        assert_eq!(suggest("d03"), Some("D003"));
+        assert_eq!(suggest("D0004"), Some("D004"));
         assert_eq!(suggest("P04"), Some("P004"));
         assert_eq!(suggest("R0200"), Some("R020"));
         assert_eq!(suggest("qqqqqq"), None, "far-off strings get no hint");

@@ -11,9 +11,9 @@
 //!   escalation at the call site.
 //! - [`RuleCode`] — stable, documented rule identities (`P004`, `C005`,
 //!   `R010`, …) grouped into [`Family`]s: profile well-formedness, config
-//!   legality, result/counter auditing, trace
-//!   integrity, simpoint artifacts, statistical-profiler artifacts, and
-//!   run manifests.
+//!   legality, result/counter auditing, simpoint artifacts, and run
+//!   manifests. A file format's own invariants are not rules here: its
+//!   decoder rejects what the format forbids with a typed error.
 //! - [`Span`] — a field-level location (`"505.mcf_r/ref/in1.load_pct"`)
 //!   naming exactly which object and field violated the rule.
 //! - [`Report`] — an ordered collection of [`Diagnostic`]s with a
@@ -24,8 +24,8 @@
 //!
 //! The crate is deliberately dependency-free and domain-agnostic: rule
 //! *logic* lives next to the types it checks (`workload-synth` for P-rules,
-//! `uarch-sim` for C-rules, `workchar` for R-rules, `simprof` for
-//! F-rules);
+//! `uarch-sim` for C-rules, `workchar` for R-rules, `simdash` for
+//! D-rules);
 //! this crate owns the codes, severities, and renderers so every layer
 //! reports violations the same way.
 //!

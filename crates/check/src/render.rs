@@ -148,8 +148,8 @@ mod tests {
     fn json_escapes_and_counts() {
         let mut r = Report::new();
         r.push(Diagnostic::new(
-            &codes::F001,
-            Span::object("reproduce.prof:3"),
+            &codes::D003,
+            Span::object("runs/run.json:3"),
             "unexpected byte '\"' in \\path\n",
         ));
         let j = json(&r);

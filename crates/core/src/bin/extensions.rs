@@ -27,8 +27,8 @@
 //! `<results>/timelines/`). Every run records its stages as spans under one
 //! run root; at the end of the run the root's children become the
 //! per-stage summary table on stderr. `--trace` also exports the span tree
-//! under `<results>/traces/` (Perfetto-loadable JSON plus the binary
-//! format `simgate trace` reads),
+//! under `<results>/traces/` as Perfetto-loadable JSON, the format
+//! `simgate trace` reads,
 //! `--profile` records an op-clocked statistical profile (artifacts under
 //! `<results>/profiles/`, cache bypassed so engine work exists to sample).
 //! `<results>/metrics.json` is computed from the run's spans when it ends,

@@ -4,33 +4,31 @@
 //! ```text
 //! lint [--all] [--profiles] [--config] [--cache-dir DIR]
 //!      [--simpoint] [--simpoint-dir DIR] [--dash] [--runs-dir DIR]
-//!      [--trace FILE]... [--prof FILE]... [--quick]
-//!      [--json] [--deny-warnings] [--explain CODE]
+//!      [--quick] [--json] [--deny-warnings] [--explain CODE]
 //! ```
 //!
 //! `--all` lints the shipped CPU2017 + CPU2006 rosters and the Haswell
 //! system configuration, and — when the default cache directory
 //! (`results/cache`) exists — audits every
 //! cached record's counter identities, plus any simpoint records under
-//! `results/simpoints/`, trace artifacts under `results/traces/`,
-//! profile artifacts under `results/profiles/`, and run manifests under
-//! `results/runs/`.
+//! `results/simpoints/` and run manifests under `results/runs/`.
 //! Individual passes can be selected with `--profiles`, `--config`,
 //! `--cache-dir DIR`, `--simpoint` (default store location) /
-//! `--simpoint-dir DIR`, `--dash` (default manifest location) /
-//! `--runs-dir DIR`, `--trace FILE`
-//! (repeatable; either simtrace export format), and `--prof FILE`
-//! (repeatable; simprof `.prof` artifacts).
+//! `--simpoint-dir DIR`, and `--dash` (default manifest location) /
+//! `--runs-dir DIR`.
 //!
 //! Every violation carries a stable rule code (`P...` profile, `C...`
-//! config, `R...` result, `T...` trace,
-//! `S...` simpoint, `F...` profiler, `D...` run manifest); `--explain CODE`
-//! prints the catalog entry for one rule.
+//! config, `R...` result, `S...` simpoint, `D...` run manifests);
+//! `--explain CODE` prints the catalog entry for one rule. A trace or
+//! profile file has no rules of its own: its decoder (`simgate trace`,
+//! `simgate prof`) rejects whatever its format forbids.
 //! Exits 0 when clean, 1 when any error (or, under `--deny-warnings`,
-//! any warning) was found, 2 on usage or I/O errors. The directory audits
-//! only read: a `--cache-dir`, `--simpoint-dir` or `--runs-dir` that does
-//! not exist or is not a directory is an I/O error, and no directory is
-//! created.
+//! any warning) was found, 2 on usage or I/O errors and on a run
+//! manifest that does not decode (the message names the file). A bad
+//! cache or simpoint record stays a finding (R020/R021, S005), since the
+//! store reads it as a miss. The directory audits only read: a
+//! `--cache-dir`, `--simpoint-dir` or `--runs-dir` that does not exist or
+//! is not a directory is an I/O error, and no directory is created.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,8 +46,6 @@ struct Options {
     cache_dir: Option<PathBuf>,
     simpoint_dir: Option<PathBuf>,
     runs_dir: Option<PathBuf>,
-    traces: Vec<PathBuf>,
-    profs: Vec<PathBuf>,
     quick: bool,
     json: bool,
     deny_warnings: bool,
@@ -62,8 +58,6 @@ fn parse_args() -> Result<Option<Options>> {
         cache_dir: None,
         simpoint_dir: None,
         runs_dir: None,
-        traces: Vec::new(),
-        profs: Vec::new(),
         quick: false,
         json: false,
         deny_warnings: false,
@@ -90,37 +84,6 @@ fn parse_args() -> Result<Option<Options>> {
                 let default_runs = PathBuf::from("results/runs");
                 if opts.runs_dir.is_none() && default_runs.is_dir() {
                     opts.runs_dir = Some(default_runs);
-                }
-                // Same opportunistic pick-up for trace artifacts: audit
-                // whatever `reproduce --trace` has left behind, if anything.
-                let default_traces = PathBuf::from("results/traces");
-                if let Ok(entries) = std::fs::read_dir(&default_traces) {
-                    let mut found: Vec<PathBuf> = entries
-                        .flatten()
-                        .map(|e| e.path())
-                        .filter(|p| {
-                            p.file_name()
-                                .and_then(|n| n.to_str())
-                                .is_some_and(|n| n.ends_with(".trace.json"))
-                        })
-                        .collect();
-                    found.sort();
-                    opts.traces.extend(found);
-                }
-                // And for profiler artifacts from `reproduce --profile`.
-                let default_profiles = PathBuf::from("results/profiles");
-                if let Ok(entries) = std::fs::read_dir(&default_profiles) {
-                    let mut found: Vec<PathBuf> = entries
-                        .flatten()
-                        .map(|e| e.path())
-                        .filter(|p| {
-                            p.extension()
-                                .and_then(|e| e.to_str())
-                                .is_some_and(|e| e == "prof")
-                        })
-                        .collect();
-                    found.sort();
-                    opts.profs.extend(found);
                 }
             }
             "--profiles" => opts.profiles = true,
@@ -155,18 +118,6 @@ fn parse_args() -> Result<Option<Options>> {
                         Error::Usage("--runs-dir needs a directory".to_string())
                     })?));
             }
-            "--trace" => {
-                opts.traces
-                    .push(PathBuf::from(args.next().ok_or_else(|| {
-                        Error::Usage("--trace needs a file path".to_string())
-                    })?));
-            }
-            "--prof" => {
-                opts.profs
-                    .push(PathBuf::from(args.next().ok_or_else(|| {
-                        Error::Usage("--prof needs a file path".to_string())
-                    })?));
-            }
             "--explain" => {
                 let code = args
                     .next()
@@ -182,7 +133,7 @@ fn parse_args() -> Result<Option<Options>> {
                             None => String::new(),
                         };
                         return Err(Error::Usage(format!(
-                            "unknown rule code '{code}' (codes are P/C/R/T/S/F/Dxxx; \
+                            "unknown rule code '{code}' (codes are P/C/R/S/Dxxx; \
                              see DESIGN.md){hint}"
                         )));
                     }
@@ -201,9 +152,7 @@ fn parse_args() -> Result<Option<Options>> {
         || opts.config
         || opts.cache_dir.is_some()
         || opts.simpoint_dir.is_some()
-        || opts.runs_dir.is_some()
-        || !opts.traces.is_empty()
-        || !opts.profs.is_empty();
+        || opts.runs_dir.is_some();
     if !selected_any {
         return Err(Error::Usage(
             "nothing to lint; pass --all or select passes (see --help)".to_string(),
@@ -265,31 +214,9 @@ fn run(opts: &Options) -> Result<Report> {
 
     if let Some(dir) = &opts.runs_dir {
         existing_dir(dir)?;
-        let (manifests, audit) = simdash::lint::check_runs_dir(dir);
+        let (manifests, audit) = simdash::lint::check_runs_dir(dir)?;
         eprintln!("audited {manifests} run manifests under {}", dir.display());
         report.merge(audit);
-    }
-
-    for path in &opts.traces {
-        let spans = simtrace::load(path)?;
-        eprintln!("audited {}: {} trace spans", path.display(), spans.len());
-        report.merge(simtrace::lint::check_trace(
-            &path.display().to_string(),
-            &spans,
-        ));
-    }
-
-    for path in &opts.profs {
-        let text = std::fs::read_to_string(path)?;
-        eprintln!(
-            "audited {}: {} profile lines",
-            path.display(),
-            text.lines().count()
-        );
-        report.merge(simprof::lint::check_profile_text(
-            &path.display().to_string(),
-            &text,
-        ));
     }
 
     Ok(report)
@@ -343,14 +270,12 @@ fn print_usage() {
     println!(
         "usage: lint [--all] [--profiles] [--config] [--cache-dir DIR] \
          [--simpoint] [--simpoint-dir DIR] \
-         [--dash] [--runs-dir DIR] \
-         [--trace FILE]... [--prof FILE]... [--quick] [--json] \
+         [--dash] [--runs-dir DIR] [--quick] [--json] \
          [--deny-warnings] [--explain CODE]"
     );
     println!(
         "  --all            lint shipped rosters + config \
-         (+ results/cache, results/simpoints, results/traces, \
-         results/profiles, and results/runs if present)"
+         (+ results/cache, results/simpoints and results/runs if present)"
     );
     println!("  --profiles       lint the CPU2017 and CPU2006 behavior profiles (P-rules)");
     println!("  --config         lint the system configuration (C-rules)");
@@ -359,11 +284,6 @@ fn print_usage() {
     println!("  --simpoint-dir DIR  audit simpoint records in DIR (S-rules)");
     println!("  --dash           audit run manifests under results/runs (D-rules)");
     println!("  --runs-dir DIR   audit run manifests in DIR (D-rules)");
-    println!(
-        "  --trace FILE     audit a simtrace artifact, .trace.json or .trace.bin \
-         (T-rules; repeatable)"
-    );
-    println!("  --prof FILE      audit a simprof .prof artifact (F-rules; repeatable)");
     println!("  --quick          use the reduced-fidelity run configuration");
     println!("  --json           machine-readable diagnostics document on stdout");
     println!("  --deny-warnings  exit nonzero on warnings, not just errors");

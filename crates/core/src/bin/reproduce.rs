@@ -29,8 +29,8 @@
 //! run, failed or not, the root's direct children become a per-stage
 //! summary table on stderr (wall time, peak RSS, throughput, cache
 //! statistics). `--trace` also exports the tree as Perfetto-loadable
-//! Chrome Trace Event JSON plus the compact binary format under
-//! `<results>/traces/` (feed either to `simgate trace`). `--profile` records an op-clocked statistical profile
+//! Chrome Trace Event JSON under `<results>/traces/` (feed it to
+//! `simgate trace`). `--profile` records an op-clocked statistical profile
 //! of the whole run — engine samples fold under the pipeline stage and
 //! scheduler job frames — and writes the `.prof` artifact, folded stacks,
 //! and a flamegraph SVG under `<results>/profiles/` (feed the `.prof` to

@@ -182,7 +182,7 @@ impl PipelineFlags {
             "  --deny-warnings  with --lint, refuse to run on warnings too\n",
             "  --timeline       sample a per-pair counter timeline (CSV + SVG under results/timelines)\n",
             "  --simpoint       run the representative-interval campaign (records under results/simpoints)\n",
-            "  --trace          export the run's span trace under results/traces/ (Perfetto JSON + binary)\n",
+            "  --trace          export the run's span trace under results/traces/ (Perfetto JSON)\n",
             "  --profile        record an op-clocked statistical profile under results/profiles/\n",
             "                   (.prof artifact + folded stacks + flamegraph SVG; implies --no-cache)\n",
             "  --profile-interval N  ops per profile sample (default 10000; implies --profile)\n",

@@ -9,7 +9,8 @@
 //! alone; and [`html::render`] folds the whole run into one self-contained
 //! HTML dashboard. `simgate dash --diff` gates manifest-level regressions with
 //! the workspace-wide exit-code contract, and [`lint::check_runs_dir`]
-//! audits `results/runs/` with the D-rule family.
+//! audits `results/runs/` for what no single manifest can vouch for
+//! (D003 dangling pointers, D004 duplicate run ids).
 
 pub mod correlate;
 pub mod history;

@@ -1,62 +1,57 @@
-//! D-rule checks over `results/runs/` manifests: the integrity the
-//! dashboard, the correlation join, and the diff gate silently assume.
+//! D-rule checks over `results/runs/` manifests: the cross-file integrity
+//! the dashboard, the correlation join, and the diff gate assume and no
+//! single manifest can vouch for.
 //!
-//! Rule logic lives here, next to the artifact it audits; the stable
-//! codes, severities, and explanations live in simcheck's catalog like
-//! every other family. `lint --dash` (and `--all` over `results/runs/`)
-//! drives [`check_runs_dir`].
+//! What one manifest can get wrong on its own (bad JSON, a missing field,
+//! a newer schema, an end before the start) is for
+//! [`RunManifest::from_json`](crate::RunManifest::from_json) to reject;
+//! this module checks what needs the filesystem or several files: D003
+//! dangling artifact pointers and D004 duplicate run ids. The
+//! stable codes, severities, and explanations live in simcheck's catalog
+//! like every other family. `lint --dash` (and `--all` over
+//! `results/runs/`) drives [`check_runs_dir`].
 
 use std::collections::HashMap;
+use std::io;
 use std::path::Path;
 
 use simcheck::{codes, Diagnostic, Report, Span};
 
-use crate::manifest::{self, ManifestError, RunManifest};
+use crate::manifest;
 
 /// Audits every manifest under `runs_dir` against the D-rule family and
 /// returns how many `*.json` files it read, with the report. Artifact
 /// pointers (D003) resolve against `runs_dir`'s parent — the results
 /// directory the paths are relative to.
-pub fn check_runs_dir(runs_dir: &Path) -> (usize, Report) {
+///
+/// # Errors
+///
+/// The directory cannot be listed, or a manifest does not decode; the
+/// error names the file and carries the decoder's message.
+pub fn check_runs_dir(runs_dir: &Path) -> io::Result<(usize, Report)> {
     let mut report = Report::new();
-    let results_dir = runs_dir.parent().unwrap_or(Path::new(".")).to_path_buf();
-    let listing = match manifest::load_dir(runs_dir) {
-        Ok(listing) => listing,
-        Err(e) => {
-            report.push(Diagnostic::new(
-                &codes::D001,
-                Span::object(runs_dir.display().to_string()),
-                format!("cannot list runs directory: {e}"),
-            ));
-            return (0, report);
-        }
-    };
+    let results_dir = runs_dir.parent().unwrap_or(Path::new("."));
+    let listing = manifest::load_dir(runs_dir)?;
     let listed = listing.len();
     let mut seen_ids: HashMap<String, String> = HashMap::new();
     for (path, loaded) in listing {
         let object = path.display().to_string();
-        let m = match loaded {
-            Ok(m) => m,
-            Err(ManifestError::SchemaTooNew { found, supported }) => {
+        let m = loaded
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{object}: {e}")))?;
+        for (i, a) in m.artifacts.iter().enumerate() {
+            if !results_dir.join(&a.path).exists() {
                 report.push(Diagnostic::new(
-                    &codes::D002,
-                    Span::field(&object, "schema"),
+                    &codes::D003,
+                    Span::field(format!("{object}#artifact{i}"), "path"),
                     format!(
-                        "manifest declares schema {found}; this build supports up to {supported}"
+                        "{} artifact {} does not exist under {}",
+                        a.kind,
+                        a.path,
+                        results_dir.display()
                     ),
                 ));
-                continue;
             }
-            Err(e) => {
-                report.push(Diagnostic::new(
-                    &codes::D001,
-                    Span::object(&object),
-                    e.to_string(),
-                ));
-                continue;
-            }
-        };
-        check_manifest(&object, &m, &results_dir, &mut report);
+        }
         if let Some(previous) = seen_ids.insert(m.run_id.clone(), object.clone()) {
             report.push(Diagnostic::new(
                 &codes::D004,
@@ -65,33 +60,7 @@ pub fn check_runs_dir(runs_dir: &Path) -> (usize, Report) {
             ));
         }
     }
-    (listed, report)
-}
-
-/// The post-parse structural rules for one manifest, shared with
-/// in-process checking. `results_dir` anchors relative artifact paths.
-pub fn check_manifest(object: &str, m: &RunManifest, results_dir: &Path, report: &mut Report) {
-    for (i, a) in m.artifacts.iter().enumerate() {
-        if !results_dir.join(&a.path).exists() {
-            report.push(Diagnostic::new(
-                &codes::D003,
-                Span::field(format!("{object}#artifact{i}"), "path"),
-                format!(
-                    "{} artifact {} does not exist under {}",
-                    a.kind,
-                    a.path,
-                    results_dir.display()
-                ),
-            ));
-        }
-    }
-    if m.end_unix_ms < m.start_unix_ms {
-        report.push(Diagnostic::new(
-            &codes::D005,
-            Span::field(object, "end_unix_ms"),
-            format!("end {} precedes start {}", m.end_unix_ms, m.start_unix_ms),
-        ));
-    }
+    Ok((listed, report))
 }
 
 #[cfg(test)]
@@ -123,7 +92,7 @@ mod tests {
         let mut m = b.manifest().clone();
         m.end_unix_ms = m.start_unix_ms + 1;
         write_manifest(&dir, &m).unwrap();
-        let (listed, report) = check_runs_dir(&dir.join("runs"));
+        let (listed, report) = check_runs_dir(&dir.join("runs")).unwrap();
         assert_eq!(listed, 1);
         assert!(report.diagnostics().is_empty(), "{report:?}");
         let _ = fs::remove_dir_all(&dir);
@@ -133,32 +102,54 @@ mod tests {
     fn each_d_rule_fires_on_its_violation() {
         let dir = scratch("dirty");
         let runs = dir.join("runs");
-        // D001: not a manifest at all.
-        fs::write(runs.join("broken.json"), "{\"schema\": 1}").unwrap();
-        // D002: newer schema than this build.
+        // D003: a dangling pointer.
         let mut b = ManifestBuilder::start("reproduce", "quick", "");
-        let newer = b
-            .manifest()
-            .clone()
-            .to_json()
-            .replace("\"schema\": 1", "\"schema\": 9");
-        fs::write(runs.join("newer.json"), newer).unwrap();
-        // D003 + D005: dangling pointer and end before start.
         b.artifact(kind::METRICS, "missing/metrics.json");
         let mut bad = b.manifest().clone();
-        bad.start_unix_ms = 100;
-        bad.end_unix_ms = 50;
+        bad.end_unix_ms = bad.start_unix_ms;
         write_manifest(&dir, &bad).unwrap();
         // D004: same run id under a second filename.
         fs::write(runs.join("zz-copy.json"), bad.to_json()).unwrap();
-        let (listed, report) = check_runs_dir(&runs);
-        assert_eq!(listed, 4);
-        let codes = codes_of(&report);
+        let (listed, report) = check_runs_dir(&runs).unwrap();
+        assert_eq!(listed, 2);
         assert_eq!(
-            codes,
-            vec!["D001", "D002", "D003", "D003", "D004", "D005", "D005"],
+            codes_of(&report),
+            vec!["D003", "D003", "D004"],
             "{report:?}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_that_does_not_decode_stops_the_audit_and_names_the_file() {
+        let dir = scratch("undecodable");
+        let runs = dir.join("runs");
+        let mut m = ManifestBuilder::start("reproduce", "quick", "")
+            .manifest()
+            .clone();
+        m.end_unix_ms = m.start_unix_ms;
+        write_manifest(&dir, &m).unwrap();
+        let newer = m.to_json().replace("\"schema\": 1", "\"schema\": 9");
+        let mut backwards = m.clone();
+        (backwards.start_unix_ms, backwards.end_unix_ms) = (100, 50);
+        for (name, text, what) in [
+            (
+                "broken.json",
+                "{\"schema\": 1}".to_string(),
+                "malformed manifest",
+            ),
+            ("newer.json", newer, "schema 9"),
+            ("backwards.json", backwards.to_json(), "precedes"),
+        ] {
+            let path = runs.join(name);
+            fs::write(&path, text).unwrap();
+            let err = check_runs_dir(&runs).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(message.contains(&*path.display().to_string()), "{message}");
+            assert!(message.contains(what), "{message}");
+            fs::remove_file(&path).unwrap();
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! names the run — a stable 128-bit id minted from simstore's content-hash
 //! machinery — and carries typed pointers to every artifact the run
 //! produced, plus per-pair status. Everything downstream (the correlation
-//! join, the HTML dashboard, the `--diff` gate, the D-rule lints) starts
+//! join, the HTML dashboard, the `--diff` gate, the D-rule audits) starts
 //! from this file instead of guessing filenames.
 //!
 //! Artifact paths are stored **relative to the results directory** (the
@@ -32,8 +32,6 @@ pub const RUNS_DIR: &str = "runs";
 pub mod kind {
     /// Chrome Trace Event JSON export.
     pub const TRACE_JSON: &str = "trace-json";
-    /// Compact SIMTRC01 binary trace.
-    pub const TRACE_BIN: &str = "trace-bin";
     /// Versioned `.prof` profile artifact.
     pub const PROFILE: &str = "profile";
     /// Collapsed `path weight` folded stacks.
@@ -180,6 +178,12 @@ impl RunManifest {
     }
 
     /// Parses a manifest document.
+    ///
+    /// # Errors
+    ///
+    /// [`ManifestError::SchemaTooNew`] for a schema above [`SCHEMA`];
+    /// [`ManifestError::Malformed`] for anything that is not a manifest,
+    /// lacks a required field, or ends before it starts.
     pub fn from_json(text: &str) -> Result<RunManifest, ManifestError> {
         let malformed = |what: &str| ManifestError::Malformed(what.to_string());
         let value = json::parse(text)
@@ -248,6 +252,12 @@ impl RunManifest {
                 path: path.to_string(),
             });
         }
+        let (start_unix_ms, end_unix_ms) = (number("start_unix_ms")?, number("end_unix_ms")?);
+        if end_unix_ms < start_unix_ms {
+            return Err(ManifestError::Malformed(format!(
+                "end_unix_ms {end_unix_ms} precedes start_unix_ms {start_unix_ms}"
+            )));
+        }
         Ok(RunManifest {
             schema,
             run_id: field("run_id")?,
@@ -255,8 +265,8 @@ impl RunManifest {
             scale: field("scale")?,
             config: field("config")?,
             git: field("git")?,
-            start_unix_ms: number("start_unix_ms")?,
-            end_unix_ms: number("end_unix_ms")?,
+            start_unix_ms,
+            end_unix_ms,
             pairs,
             artifacts,
         })
@@ -414,7 +424,7 @@ pub fn load_manifest(path: &Path) -> Result<RunManifest, ManifestError> {
 }
 
 /// Loads every `*.json` under `runs_dir` in sorted filename order, keeping
-/// per-file failures so callers (the linter) can report them individually.
+/// per-file failures so each caller decides what one costs.
 /// A missing directory is an empty listing, not an error.
 #[allow(clippy::type_complexity)]
 pub fn load_dir(runs_dir: &Path) -> io::Result<Vec<(PathBuf, Result<RunManifest, ManifestError>)>> {
@@ -532,15 +542,42 @@ mod tests {
     }
 
     #[test]
+    fn non_manifests_are_malformed() {
+        for text in ["", "{\"schema\": 1}", "[1, 2]", "{\"schema\": \"1\"}"] {
+            assert!(
+                matches!(
+                    RunManifest::from_json(text),
+                    Err(ManifestError::Malformed(_))
+                ),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_that_ends_before_it_starts_is_malformed() {
+        let mut m = sample();
+        (m.start_unix_ms, m.end_unix_ms) = (100, 50);
+        match RunManifest::from_json(&m.to_json()) {
+            Err(ManifestError::Malformed(what)) => {
+                assert!(what.contains("end_unix_ms 50 precedes"), "{what}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        m.end_unix_ms = 100;
+        assert_eq!(RunManifest::from_json(&m.to_json()).unwrap(), m);
+    }
+
+    #[test]
     fn write_is_atomic_and_latest_picks_newest() {
         let dir = std::env::temp_dir().join(format!("simdash-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut old = sample();
         old.run_id = "a".repeat(32);
-        old.end_unix_ms = 10;
+        (old.start_unix_ms, old.end_unix_ms) = (5, 10);
         let mut new = sample();
         new.run_id = "b".repeat(32);
-        new.end_unix_ms = 20;
+        (new.start_unix_ms, new.end_unix_ms) = (5, 20);
         write_manifest(&dir, &old).unwrap();
         let path = write_manifest(&dir, &new).unwrap();
         assert!(path.ends_with(format!("runs/{}.json", new.run_id)));

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use spec2017_workchar::simdash::ManifestBuilder;
+use spec2017_workchar::simdash::{load_manifest, ManifestBuilder};
 use spec2017_workchar::simstore::{key_of, Store};
 
 const SUBCOMMANDS: [&str; 5] = ["trace", "prof", "simpoint", "bench", "dash"];
@@ -326,6 +326,46 @@ fn malformed_artifact_exits_2() {
         .expect("write record");
     let (_, stderr) = assert_code(&["simpoint", "--dir", &store_dir], 2);
     assert!(stderr.contains("does not decode"), "{stderr}");
+
+    // A trace whose span names a parent absent from the file.
+    let orphan = dir.path("orphan.trace.json");
+    fs::write(
+        &orphan,
+        r#"[{"ph":"X","pid":1,"tid":1,"name":"sched/job","ts":0,"dur":1,
+            "trace_id":1,"span_id":2,"parent_id":99,"args":{}}]"#,
+    )
+    .expect("write trace");
+    let (_, stderr) = assert_code(&["trace", &orphan], 2);
+    assert!(stderr.contains("parent id 99"), "{stderr}");
+
+    // A profile whose sample names a stack that was never declared.
+    let dangling = dir.path("dangling.prof");
+    fs::write(
+        &dangling,
+        "simprof 2\nframe 0 run/x\nstack 0 0\nsample 0 5 9 1\nend 1\n",
+    )
+    .expect("write profile");
+    let (_, stderr) = assert_code(&["prof", &dangling], 2);
+    assert!(stderr.contains("undeclared stack 9"), "{stderr}");
+
+    // A baseline manifest that ends before it starts.
+    let results = dir.0.join("backwards-results");
+    let base = write_manifest(&results, "gate-backwards", 1);
+    let mut manifest = load_manifest(&base).expect("reload manifest");
+    manifest.end_unix_ms = manifest.start_unix_ms.saturating_sub(10);
+    fs::write(&base, manifest.to_json()).expect("rewrite manifest");
+    write_manifest(&dir.0.join("current-results"), "gate-current", 1);
+    let (_, stderr) = assert_code(
+        &[
+            "dash",
+            "--results",
+            &dir.path("current-results"),
+            "--diff",
+            base.to_str().expect("utf-8 temp path"),
+        ],
+        2,
+    );
+    assert!(stderr.contains("precedes start_unix_ms"), "{stderr}");
 }
 
 #[test]

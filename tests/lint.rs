@@ -187,15 +187,45 @@ fn simpoint_store_audit_catches_corruption() {
 
 #[test]
 fn every_rule_family_is_explainable() {
-    for code in ["P004", "C010", "R020", "T001", "S003", "F004", "D003"] {
+    for code in ["P004", "C010", "R020", "S003", "D003"] {
         let text = simcheck::explain(code).unwrap();
         assert!(text.contains(code), "{text}");
         assert!(text.len() > 80, "explanation too thin for {code}");
     }
     assert!(simcheck::explain("Z999").is_none());
+    // Format invariants are decoder errors now, not rules.
+    for retired in ["T001", "F004", "D001", "D002", "D005"] {
+        assert!(simcheck::explain(retired).is_none(), "{retired}");
+    }
+    assert_eq!(simcheck::CATALOG.len(), 55);
 }
 
 // ------------------------------------------------------ read-only audits
+
+/// Runs the `lint` binary with `args` from the workspace root.
+fn lint_bin(args: &[&std::ffi::OsStr]) -> std::process::Output {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+    std::process::Command::new(env!("CARGO"))
+        .args(["run", "--release", "-q", "--manifest-path"])
+        .arg(&manifest)
+        .args(["-p", "workchar", "--bin", "lint", "--"])
+        .args(args)
+        .output()
+        .expect("spawn lint")
+}
+
+#[test]
+fn trace_and_prof_flags_are_unknown_arguments() {
+    for flag in ["--trace", "--prof"] {
+        let output = lint_bin(&[flag.as_ref(), "x".as_ref()]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument '{flag}'")),
+            "{flag}: {stderr}"
+        );
+    }
+}
 
 #[test]
 fn store_audits_of_a_missing_dir_exit_2_and_create_nothing() {
@@ -206,16 +236,7 @@ fn store_audits_of_a_missing_dir_exit_2_and_create_nothing() {
     let missing = scratch.join("no-such-store");
     let file = scratch.join("plain-file-store");
     std::fs::write(&file, "not a directory").unwrap();
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
-    let lint = |flag: &str, dir: &std::path::Path| {
-        std::process::Command::new(env!("CARGO"))
-            .args(["run", "--release", "-q", "--manifest-path"])
-            .arg(&manifest)
-            .args(["-p", "workchar", "--bin", "lint", "--", flag])
-            .arg(dir)
-            .output()
-            .expect("spawn lint")
-    };
+    let lint = |flag: &str, dir: &std::path::Path| lint_bin(&[flag.as_ref(), dir.as_os_str()]);
     for flag in ["--simpoint-dir", "--cache-dir", "--runs-dir"] {
         let output = lint(flag, &missing);
         let stderr = String::from_utf8_lossy(&output.stderr);

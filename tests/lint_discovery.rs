@@ -1,9 +1,12 @@
 //! Golden-directory coverage for `lint --all` artifact discovery: from a
 //! results tree holding traces, profiles, simpoint records, and run
-//! manifests, the binary must pick up all four artifact classes without
-//! any being named on the command line, and the D-family manifest rules
-//! must fire on the seeded violations (dangling artifact pointer,
-//! duplicate run id, non-monotonic timestamps).
+//! manifests, the binary must pick up the simpoint records and the run
+//! manifests without either being named on the command line, and the
+//! cross-manifest D-rules must fire on the seeded violations (dangling
+//! artifact pointer, duplicate run id). Traces and profiles carry no
+//! rules: their decoders reject what their formats forbid, so `--all`
+//! leaves them to `simgate`. A manifest that does not decode, such as
+//! one that ends before it starts, stops the audit with exit 2.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,14 +20,14 @@ use spec2017_workchar::simstore::{StableHasher, Store};
 use spec2017_workchar::simtrace::SpanRecord;
 use spec2017_workchar::uarch_sim::counters::Event;
 
-fn golden_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("workchar-lint-golden-{}", std::process::id()));
+fn golden_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("workchar-lint-{tag}-{}", std::process::id()));
     _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(dir.join("results")).expect("create golden results dir");
     dir
 }
 
-/// One well-formed root span, exported in both trace formats.
+/// One well-formed root span, exported as Chrome trace JSON.
 fn seed_trace(results: &Path) {
     let span = SpanRecord {
         trace_id: 0x5150,
@@ -87,9 +90,9 @@ fn seed_simpoints(results: &Path) {
         .expect("persist record");
 }
 
-/// Four manifests: one clean, one with a dangling artifact pointer
-/// (D003), a byte-for-byte copy of it under another file name (D004,
-/// plus the copied D003), and one whose end precedes its start (D005).
+/// Three manifests: one clean, one with a dangling artifact pointer
+/// (D003), and a byte-for-byte copy of it under another file name (D004,
+/// plus the copied D003).
 fn seed_manifests(results: &Path) {
     let mut clean = ManifestBuilder::start("reproduce", "quick", "golden-clean");
     clean.pair_ok("505.mcf_r/ref/in1");
@@ -101,64 +104,78 @@ fn seed_manifests(results: &Path) {
     let dangling_path = dangling.write(results).expect("write dangling manifest");
     let copy = dangling_path.with_file_name("copied-by-hand.json");
     fs::copy(&dangling_path, copy).expect("duplicate the manifest");
+}
 
-    let backwards = ManifestBuilder::start("reproduce", "quick", "golden-backwards");
-    let backwards_path = backwards.write(results).expect("write manifest");
-    let mut manifest = load_manifest(&backwards_path).expect("reload manifest");
-    manifest.end_unix_ms = manifest.start_unix_ms.saturating_sub(10);
-    fs::write(&backwards_path, manifest.to_json()).expect("rewrite manifest");
+/// `lint --all --json` run from `dir`: exit code, stdout, stderr.
+fn lint_all(dir: &Path) -> (Option<i32>, String, String) {
+    let manifest_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+    let output = Command::new(env!("CARGO"))
+        .current_dir(dir)
+        .args(["run", "--release", "-q", "--manifest-path"])
+        .arg(&manifest_path)
+        .args(["-p", "workchar", "--bin", "lint", "--", "--all", "--json"])
+        .output()
+        .expect("spawn lint");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
 }
 
 #[test]
 fn lint_all_discovers_every_artifact_class_in_a_golden_results_tree() {
-    let dir = golden_dir();
+    let dir = golden_dir("golden");
     let results = dir.join("results");
     seed_trace(&results);
     seed_profile(&results);
     seed_simpoints(&results);
     seed_manifests(&results);
 
-    let manifest_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
-    let output = Command::new(env!("CARGO"))
-        .current_dir(&dir)
-        .args(["run", "--release", "-q", "--manifest-path"])
-        .arg(&manifest_path)
-        .args(["-p", "workchar", "--bin", "lint", "--", "--all", "--json"])
-        .output()
-        .expect("spawn lint");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let (code, stdout, stderr) = lint_all(&dir);
     let context = format!("stdout:\n{stdout}\nstderr:\n{stderr}");
 
     // The seeded D violations are errors, so the run must gate.
-    assert_eq!(output.status.code(), Some(1), "{context}");
+    assert_eq!(code, Some(1), "{context}");
 
-    // Every artifact class was discovered from the default locations.
-    assert!(
-        stderr.contains("audited results/traces/golden.trace.json: 1 trace spans"),
-        "{context}"
-    );
-    assert!(
-        stderr.contains("audited results/profiles/golden.prof:"),
-        "{context}"
-    );
+    // Both audited classes were discovered from the default locations.
     assert!(
         stderr.contains("audited 1 simpoint records under results/simpoints"),
         "{context}"
     );
     assert!(
-        stderr.contains("audited 4 run manifests under results/runs"),
+        stderr.contains("audited 3 run manifests under results/runs"),
         "{context}"
     );
+    // Traces and profiles are their decoders' business, not lint's.
+    assert!(!stderr.contains("results/traces"), "{context}");
+    assert!(!stderr.contains("results/profiles"), "{context}");
 
     // And the manifest rules fired on the seeded violations.
-    for code in ["D003", "D004", "D005"] {
+    for code in ["D003", "D004"] {
         assert!(stdout.contains(code), "missing {code} in {context}");
     }
-    // The clean trace and profile stayed clean: no T/F diagnostics.
-    for code in ["\"T0", "\"F0", "\"S0"] {
-        assert!(!stdout.contains(code), "unexpected {code} in {context}");
-    }
+    assert!(!stdout.contains("\"S0"), "unexpected S rule in {context}");
+
+    _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lint_all_exits_2_naming_a_manifest_that_ends_before_it_starts() {
+    let dir = golden_dir("backwards");
+    let results = dir.join("results");
+    let backwards = ManifestBuilder::start("reproduce", "quick", "golden-backwards");
+    let backwards_path = backwards.write(&results).expect("write manifest");
+    let mut manifest = load_manifest(&backwards_path).expect("reload manifest");
+    manifest.end_unix_ms = manifest.start_unix_ms.saturating_sub(10);
+    fs::write(&backwards_path, manifest.to_json()).expect("rewrite manifest");
+
+    let (code, stdout, stderr) = lint_all(&dir);
+    let context = format!("stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert_eq!(code, Some(2), "{context}");
+    let name = backwards_path.file_name().unwrap().to_str().unwrap();
+    assert!(stderr.contains(name), "{context}");
+    assert!(stderr.contains("precedes start_unix_ms"), "{context}");
 
     _ = fs::remove_dir_all(&dir);
 }
