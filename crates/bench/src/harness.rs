@@ -181,18 +181,32 @@ impl Runner {
     /// Prints the closing summary line and merges this suite's medians into
     /// `BENCH_results.json` at the workspace root, so successive
     /// `cargo bench` runs accumulate one machine-readable record
-    /// (`{"schema":1,"benchmarks":{name:{"median_ns":..,"iters_per_batch":..}}}`).
+    /// (`{"schema":1,"benchmarks":{name:{"median_ns":..,"iters_per_batch":..}}}`),
+    /// and appends them to `results/bench_history.jsonl`, the trend record
+    /// the dashboard's bench section reads.
+    ///
+    /// The workspace root is read at run time from `CARGO_MANIFEST_DIR`,
+    /// which `cargo bench` sets, so a bench binary writes into the checkout
+    /// it runs in, not the one it was built in. Run without it, the binary
+    /// warns and writes nothing.
     pub fn finish(self) {
         println!("{}: {} benchmarks", self.suite, self.results.len());
         if self.results.is_empty() {
             return;
         }
-        let path = results_path();
+        let Some(root) = workspace_root(std::env::var_os("CARGO_MANIFEST_DIR")) else {
+            eprintln!(
+                "warning: CARGO_MANIFEST_DIR is unset (run through `cargo bench`); \
+                 not writing BENCH_results.json or results/bench_history.jsonl"
+            );
+            return;
+        };
+        let path = root.join("BENCH_results.json");
         match merge_results(&path, &self.results) {
             Ok(()) => println!("updated {}", path.display()),
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
-        let history = history_path();
+        let history = root.join("results").join("bench_history.jsonl");
         match append_history(&history, &self.suite, &self.results) {
             Ok(()) => println!("appended {}", history.display()),
             Err(e) => eprintln!("warning: cannot append {}: {e}", history.display()),
@@ -200,21 +214,13 @@ impl Runner {
     }
 }
 
-/// `BENCH_results.json` at the workspace root (two levels above this crate).
-fn results_path() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+/// The workspace root, two levels above this crate's manifest directory
+/// `manifest_dir` (the run-time `CARGO_MANIFEST_DIR`); `None` without one.
+fn workspace_root(manifest_dir: Option<std::ffi::OsString>) -> Option<PathBuf> {
+    let mut p = PathBuf::from(manifest_dir?);
     p.pop();
     p.pop();
-    p.join("BENCH_results.json")
-}
-
-/// `results/bench_history.jsonl` at the workspace root: the append-only
-/// trend record the dashboard's bench section reads.
-fn history_path() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.join("results").join("bench_history.jsonl")
+    Some(p)
 }
 
 /// Appends one history line for this suite run:
@@ -474,6 +480,13 @@ fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_workspace_root_comes_from_the_run_time_manifest_dir() {
+        let root = workspace_root(Some("/checkout/crates/bench".into()));
+        assert_eq!(root, Some(PathBuf::from("/checkout")));
+        assert_eq!(workspace_root(None), None, "unset: write nothing");
+    }
 
     fn entries(list: &[(&str, u64)]) -> Vec<ResultEntry> {
         list.iter()

@@ -447,18 +447,28 @@ pub fn load_dir(runs_dir: &Path) -> io::Result<Vec<(PathBuf, Result<RunManifest,
 }
 
 /// The most recent manifest under `results_dir/runs/` (latest end time,
-/// run id as the tiebreak), or `None` when there are no valid manifests.
+/// run id as the tiebreak), or `None` when there are no manifests.
+///
+/// # Errors
+///
+/// The directory cannot be listed, or a manifest in it does not decode;
+/// the error names the file and carries the decoder's message, as
+/// `lint --runs-dir` reports it. A broken run record is never skipped.
 pub fn latest(results_dir: &Path) -> io::Result<Option<(PathBuf, RunManifest)>> {
     let mut best: Option<(PathBuf, RunManifest)> = None;
     for (path, loaded) in load_dir(&results_dir.join(RUNS_DIR))? {
-        if let Ok(m) = loaded {
-            let newer = match &best {
-                Some((_, b)) => (m.end_unix_ms, &m.run_id) > (b.end_unix_ms, &b.run_id),
-                None => true,
-            };
-            if newer {
-                best = Some((path, m));
-            }
+        let m = loaded.map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })?;
+        let newer = match &best {
+            Some((_, b)) => (m.end_unix_ms, &m.run_id) > (b.end_unix_ms, &b.run_id),
+            None => true,
+        };
+        if newer {
+            best = Some((path, m));
         }
     }
     Ok(best)
@@ -590,6 +600,19 @@ mod tests {
         assert!(litter.is_empty(), "{litter:?}");
         let (_, m) = latest(&dir).unwrap().unwrap();
         assert_eq!(m.run_id, new.run_id);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn latest_names_a_manifest_that_does_not_decode() {
+        let dir = std::env::temp_dir().join(format!("simdash-bad-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        write_manifest(&dir, &sample()).unwrap();
+        let bad = dir.join(RUNS_DIR).join("zzzz.json");
+        fs::write(&bad, r#"{"schema": 1}"#).unwrap();
+        let err = latest(&dir).expect_err("a broken manifest is an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("zzzz.json"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

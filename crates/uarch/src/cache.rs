@@ -6,35 +6,43 @@
 //!
 //! Storage is lazy. A per-set slot table (`u32`, 0 = never touched) maps
 //! each set to a row of a fixed-size, set-major chunk. A chunk holds the
-//! tag lane, the valid/dirty metadata lane and the replacement state of up
-//! to `CHUNK_SETS` sets and is allocated zeroed when a set first needs it.
-//! In a cache of more than `CHUNK_SETS` sets (the paper's L3), the first
-//! access to a set gives it the next row, so memory follows the sets a
-//! trace reaches. A smaller cache (every L1 and L2) is one chunk: its first
-//! access materializes every set in set order, so a set's row is its index
-//! and the hot path needs no slot lookup. A materialized set starts in
-//! exactly the state a fresh dense cache gives it (`ReplState::init_row`),
-//! so behaviour never depends on where a set lives.
+//! way words and the replacement state of up to `CHUNK_SETS` sets and is
+//! allocated zeroed when a set first needs it. In a cache of more than
+//! `CHUNK_SETS` sets (the paper's L3), the first access to a set gives it
+//! the next row, so memory follows the sets a trace reaches. A smaller
+//! cache (every L1 and L2) is one chunk: its first access materializes
+//! every set in set order, so a set's row is its index and the hot path
+//! needs no slot lookup. A materialized set starts in exactly the state a
+//! fresh dense cache gives it (`ReplState::init_row`), so behaviour never
+//! depends on where a set lives.
 //!
-//! Tags are half-width. A way stores `line >> tz` in a `u32`, where `tz`
-//! is the number of trailing zero bits of the set count, with the valid
-//! marker in bit 31. That loses nothing: `set ≡ line (mod sets)` and
-//! `2^tz` divides `sets`, so the set already fixes the line's low `tz`
-//! bits, and a dirty victim's line is rebuilt as
-//! `(tag << tz) | (set & (2^tz − 1))`. This holds for odd set counts too
-//! (`tz = 0`: the whole line is the tag). The price is a bound: a cache
-//! models lines below `2^(31 + tz)`, so with 64-byte lines byte addresses
-//! below `2^(37 + tz)`: at least 128 GiB for any geometry, 8 TiB for the
-//! paper's 64-set L1D ([`CacheConfig::addr_bound`]). An access at or above
+//! A way is one `u32` word: bit 31 is the valid bit, bit 30 the dirty bit,
+//! and bits 0–29 hold the quotient `q = line / sets`. The set fixes
+//! `line mod sets`, so `q` loses nothing, and a dirty victim's line is
+//! rebuilt as `q · sets + set`. With `sets = odd · 2^tz`, `q` is
+//! `((line − set) >> tz) · odd⁻¹ mod 2^64`: `line − set` is a multiple of
+//! `sets`, so the product by the modular inverse of `odd` is the exact
+//! quotient, one multiply and no divide (for a power-of-two set count
+//! `odd⁻¹ = 1` and `q = line >> tz`). The price is a bound: a cache models
+//! lines below `2^30 · sets`, with 64-byte lines byte addresses below
+//! `2^36 · sets`: 4 TiB for the paper's 64-set L1D and more for every
+//! larger set count ([`CacheConfig::addr_bound`]). An access at or above
 //! the bound panics.
 //!
-//! A 20-way LRU set holds 120 B (20 × 4 B tag, 20 × 1 B meta, 20 × 1 B
-//! LRU rank), so the paper's 30 MiB L3, 24,576 sets, is ~2.8 MiB when a
-//! trace reaches every set. Most characterization traces touch a few
-//! thousand L3 sets, and lazy sets cost them the 96 KiB slot table plus
-//! the chunks they reach. The hit scan of an 8-way L1 or L2 set reads
-//! 32 B of tags. Chunks are never reallocated: growing one lane by
-//! doubling would copy and briefly double the storage.
+//! An LRU set is just its words, kept in recency order: way 0 is the most
+//! recent line. A hit at way `w` rotates ways `0..=w` right by one; a miss
+//! shifts the whole row right by one and drops the last word, which is the
+//! victim (an invalid way, bit 31 clear, while the set is not full: invalid
+//! words always form the row's tail). FIFO, Random, tree-PLRU and SRRIP
+//! keep their ways where they were filled, fill the first invalid way, and
+//! keep their own state lanes in `ReplState`.
+//!
+//! A 20-way LRU set holds 80 B (20 × 4 B words), so the paper's 30 MiB L3,
+//! 24,576 sets, is ~1.9 MiB when a trace reaches every set. Most
+//! characterization traces touch a few thousand L3 sets, and lazy sets
+//! cost them the 96 KiB slot table plus the chunks they reach. The hit scan
+//! of an 8-way L1 or L2 set reads 32 B. Chunks are never reallocated:
+//! growing one lane by doubling would copy and briefly double the storage.
 
 use crate::config::CacheConfig;
 use crate::replacement::{Policy, ReplState};
@@ -59,13 +67,13 @@ impl AccessResult {
     }
 }
 
-const META_VALID: u8 = 1;
-const META_DIRTY: u8 = 2;
-
-/// Valid marker embedded in the tag lane. A stored tag is `line >> tz`,
-/// which the address bound keeps below bit 31. Embedding the marker makes
-/// the hit scan a single-lane compare — no metadata load.
-const TAG_VALID: u32 = 1 << 31;
+/// Bit 31 of a way's word: the way holds a line. The hit scan compares
+/// whole words, so an invalid way never matches.
+const VALID: u32 = 1 << 31;
+/// Bit 30 of a way's word: the line is dirty.
+const DIRTY: u32 = 1 << 30;
+/// Bits 0–29 of a way's word: the quotient `line / sets`.
+const QUOTIENT: u32 = DIRTY - 1;
 
 /// Hit/miss statistics of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,23 +109,18 @@ impl CacheStats {
 const CHUNK_SETS: usize = 512;
 
 /// Storage for one chunk's worth of materialized sets, set-major: row `r`
-/// owns `tags[r * ways..][..ways]`, the same `meta` range and row `r` of
-/// `state`.
+/// owns `words[r * ways..][..ways]` and row `r` of `state`.
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// Tags (`line >> tz`) with `TAG_VALID` embedded; meaningful only
-    /// where valid.
-    tags: Vec<u32>,
-    /// Valid/dirty bits per way, parallel to `tags`.
-    meta: Vec<u8>,
+    /// One word per way: valid, dirty and the line's quotient.
+    words: Vec<u32>,
     state: ReplState,
 }
 
 impl Chunk {
     fn new(rows: usize, ways: usize, policy: Policy) -> Self {
         Chunk {
-            tags: vec![0; rows * ways],
-            meta: vec![0; rows * ways],
+            words: vec![0; rows * ways],
             state: ReplState::new(policy, rows, ways),
         }
     }
@@ -191,7 +194,7 @@ impl SetStore {
     #[inline]
     fn row_mut(&mut self, set: usize) -> (&mut Chunk, usize) {
         if self.one_chunk {
-            if self.first.tags.is_empty() {
+            if self.first.words.is_empty() {
                 self.materialize_all();
             }
             return (&mut self.first, set);
@@ -205,12 +208,12 @@ impl SetStore {
         (self.chunk_mut(ordinal >> self.chunk_shift), row)
     }
 
-    /// The tags of `set`, or `None` if it holds no storage.
-    fn tags(&self, set: usize) -> Option<&[u32]> {
+    /// The words of `set`, or `None` if it holds no storage.
+    fn words(&self, set: usize) -> Option<&[u32]> {
         let ordinal = (self.slots[set] as usize).checked_sub(1)?;
         let row = ordinal & self.row_mask;
-        let tags = &self.chunk(ordinal >> self.chunk_shift).tags;
-        Some(&tags[row * self.ways..(row + 1) * self.ways])
+        let words = &self.chunk(ordinal >> self.chunk_shift).words;
+        Some(&words[row * self.ways..(row + 1) * self.ways])
     }
 
     /// Gives `set` the next storage row, allocating a zeroed chunk when
@@ -251,10 +254,9 @@ impl SetStore {
 /// One set-associative, write-back, write-allocate cache.
 ///
 /// A cache models byte addresses below [`CacheConfig::addr_bound`]
-/// (`2^(31 + tz)` lines, `tz` the trailing zero bits of the set count; at
-/// least 128 GiB with 64-byte lines). [`Cache::access`] panics on an
-/// address at or above it, naming the cache's geometry and the bound;
-/// [`Cache::contains`] answers false.
+/// (`2^30 · sets` lines; 4 TiB for a 64-set cache of 64-byte lines).
+/// [`Cache::access`] panics on an address at or above it, naming the
+/// cache's geometry and the bound; [`Cache::contains`] answers false.
 ///
 /// # Example
 ///
@@ -275,11 +277,13 @@ pub struct Cache {
     stats: CacheStats,
     line_shift: u32,
     sets: usize,
-    /// `tz`, the trailing zero bits of `sets`: a stored tag is
-    /// `line >> tz`.
+    /// `tz`, the trailing zero bits of `sets = odd · 2^tz`.
     tag_shift: u32,
-    /// `2^tz - 1`: the line bits the set fixes. For a power-of-two set
-    /// count it is also the set-index mask.
+    /// `odd⁻¹ mod 2^64`: a line's quotient is
+    /// `((line − set) >> tz) · odd_inverse`. 1 for a power-of-two set
+    /// count.
+    odd_inverse: u64,
+    /// `2^tz - 1`: the set-index mask of a power-of-two set count.
     set_mask: u64,
     pow2_sets: bool,
     /// Lemire reciprocal for non-power-of-two set counts:
@@ -289,8 +293,19 @@ pub struct Cache {
     /// L3 (24576 sets), where every L1I and L2 miss lands.
     set_magic: u128,
     /// True for the dominant geometry (8-way LRU, power-of-two sets):
-    /// accesses take a monomorphized branch-free path over `[_; 8]` lanes.
+    /// accesses take the monomorphized path over a `[u32; 8]` row.
     fast_lru8: bool,
+}
+
+/// The inverse of the odd number `odd` modulo `2^64`, by Newton's
+/// iteration: `x = odd` is right in the low 3 bits (`odd² ≡ 1 mod 8`) and
+/// each step doubles that, so five steps reach 96.
+fn odd_inverse(odd: u64) -> u64 {
+    let mut x = odd;
+    for _ in 0..5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(x)));
+    }
+    x
 }
 
 impl Cache {
@@ -306,6 +321,7 @@ impl Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             sets,
             tag_shift,
+            odd_inverse: odd_inverse((sets >> tag_shift) as u64),
             set_mask: (1u64 << tag_shift) - 1,
             pow2_sets: sets.is_power_of_two(),
             // Wrapping add handles sets == 1 (magic 0 -> remainder 0).
@@ -355,18 +371,25 @@ impl Cache {
         (set, line)
     }
 
-    /// The stored form of `line`: `line >> tz` with `TAG_VALID` set.
+    /// `line / sets` for a `line` in `set`: exact, since `line − set` is a
+    /// multiple of `sets` (see the module doc).
+    #[inline]
+    fn quotient(&self, line: u64, set: usize) -> u64 {
+        ((line - set as u64) >> self.tag_shift).wrapping_mul(self.odd_inverse)
+    }
+
+    /// The valid word of quotient `q`.
     ///
     /// # Panics
     ///
-    /// Panics when `line` lies at or above the cache's address bound.
+    /// Panics when `line` lies at or above the cache's address bound
+    /// (`q ≥ 2^30`).
     #[inline]
-    fn tag_of(&self, line: u64) -> u32 {
-        let tag = line >> self.tag_shift;
-        if tag >= u64::from(TAG_VALID) {
+    fn word_of(&self, q: u64, line: u64) -> u32 {
+        if q > u64::from(QUOTIENT) {
             self.out_of_range(line);
         }
-        tag as u32 | TAG_VALID
+        q as u32 | VALID
     }
 
     #[cold]
@@ -384,15 +407,14 @@ impl Cache {
         )
     }
 
-    /// Finishes a miss in `set` that evicted the stored tag `dirty_victim`,
-    /// if any: counts the writeback and rebuilds the victim's address as
-    /// `(tag << tz) | (set & (2^tz - 1))`.
+    /// Finishes a miss in `set` that evicted the word `victim`: a valid,
+    /// dirty victim counts a writeback of the line `q · sets + set`.
     #[inline]
-    fn miss(&mut self, dirty_victim: Option<u32>, set: usize) -> AccessResult {
-        let writeback = dirty_victim.map(|tag| {
+    fn miss(&mut self, victim: u32, set: usize) -> AccessResult {
+        self.stats.misses += 1;
+        let writeback = (victim & (VALID | DIRTY) == VALID | DIRTY).then(|| {
             self.stats.writebacks += 1;
-            let line =
-                (u64::from(tag & !TAG_VALID) << self.tag_shift) | (set as u64 & self.set_mask);
+            let line = u64::from(victim & QUOTIENT) * self.sets as u64 + set as u64;
             line << self.line_shift
         });
         AccessResult::Miss { writeback }
@@ -408,135 +430,125 @@ impl Cache {
         }
     }
 
-    /// The monomorphized hot path: 8 ways, LRU, power-of-two sets. All
-    /// lane slices are `[_; 8]`, so every scan is a fixed-trip branch-free
-    /// loop the compiler unrolls and vectorizes; counters and replacement
-    /// state evolve bit-identically to [`Cache::access_generic`] (LRU ranks
-    /// of a set are always a permutation, so "last maximum rank" and
-    /// "the unique rank 7" name the same victim).
+    /// The monomorphized hot path: 8 ways, LRU, power-of-two sets, the row
+    /// a `[u32; 8]` in recency order. A hit in one of the two most recent
+    /// ways (about nine in ten accesses of a characterization trace) takes
+    /// one well-predicted branch and writes two words; the rest scan all
+    /// eight ways and rotate them with one branch-free select. Counters
+    /// evolve bit-identically to [`Cache::access_generic`].
     #[inline]
     fn access_lru8(&mut self, addr: u64, write: bool) -> AccessResult {
         let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tagv = self.tag_of(line);
-        let (chunk, row) = self.store.row_mut(set_idx);
-        let base = row * 8;
-        let tags: &mut [u32; 8] = (&mut chunk.tags[base..base + 8])
+        let set = (line & self.set_mask) as usize;
+        // A power-of-two set count has `odd⁻¹ = 1` and `line − set` only
+        // clears the bits the shift drops.
+        let word = self.word_of(line >> self.tag_shift, line);
+        let dirty = if write { DIRTY } else { 0 };
+        let (chunk, row) = self.store.row_mut(set);
+        let row: &mut [u32; 8] = (&mut chunk.words[row * 8..row * 8 + 8])
             .try_into()
             .expect("8 ways");
-        let meta: &mut [u8; 8] = (&mut chunk.meta[base..base + 8])
-            .try_into()
-            .expect("8 ways");
-        let ReplState::Lru { ranks } = &mut chunk.state else {
-            unreachable!("fast path is only taken for LRU caches")
-        };
-        let ranks: &mut [u8; 8] = (&mut ranks[base..base + 8]).try_into().expect("8 ways");
 
-        let mut hit_mask = 0u32;
-        for (w, &t) in tags.iter().enumerate() {
-            hit_mask |= u32::from(t == tagv) << w;
-        }
-        if hit_mask != 0 {
-            let way = hit_mask.trailing_zeros() as usize;
-            if write {
-                meta[way] |= META_DIRTY;
-            }
-            let old = ranks[way];
-            for r in ranks.iter_mut() {
-                *r += u8::from(*r < old);
-            }
-            ranks[way] = 0;
+        // Ways 0 and 1 match where these are 0. Testing both halves of one
+        // u64 for a zero lane keeps it one branch: `a || b` compiles to two,
+        // and which of the two ways hits is a coin flip.
+        let (d0, d1) = ((row[0] ^ word) & !DIRTY, (row[1] ^ word) & !DIRTY);
+        let pair = u64::from(d0) << 32 | u64::from(d1);
+        if pair.wrapping_sub(0x1_0000_0001) & !pair & 0x8000_0000_8000_0000 != 0 {
+            let near = usize::from(d1 == 0);
+            let front = row[near] | dirty;
+            row[1] = row[1 - near];
+            row[0] = front;
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
-
-        self.stats.misses += 1;
-        let mut invalid_mask = 0u32;
-        for (w, &m) in meta.iter().enumerate() {
-            invalid_mask |= u32::from(m & META_VALID == 0) << w;
+        // Otherwise a hit at `w` moves ways `0..w` down one; a miss moves
+        // all eight and the last word falls out as the victim.
+        let mut hit_mask = 0u32;
+        for (w, &t) in row.iter().enumerate() {
+            hit_mask |= u32::from(t & !DIRTY == word) << w;
         }
-        let way = if invalid_mask != 0 {
-            invalid_mask.trailing_zeros() as usize
-        } else {
-            let mut victim = 0usize;
-            for (w, &r) in ranks.iter().enumerate() {
-                if r == 7 {
-                    victim = w;
-                }
+        let (last, front) = match hit_mask {
+            0 => (7, word | dirty),
+            mask => {
+                let w = mask.trailing_zeros() as usize;
+                (w, row[w] | dirty)
             }
-            victim
         };
-        let dirty_victim =
-            (meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY).then_some(tags[way]);
-        tags[way] = tagv;
-        meta[way] = if write {
-            META_VALID | META_DIRTY
-        } else {
-            META_VALID
-        };
-        let old = ranks[way];
-        for r in ranks.iter_mut() {
-            *r += u8::from(*r < old);
+        let victim = row[7];
+        let shifted = [
+            front, row[0], row[1], row[2], row[3], row[4], row[5], row[6],
+        ];
+        for (i, (slot, new)) in row.iter_mut().zip(shifted).enumerate() {
+            // All ones where `i <= last`: a branch-free select.
+            let take = 0u32.wrapping_sub((i as u32).wrapping_sub(last as u32 + 1) >> 31);
+            *slot = (new & take) | (*slot & !take);
         }
-        ranks[way] = 0;
-        self.miss(dirty_victim, set_idx)
+        if hit_mask != 0 {
+            self.stats.hits += 1;
+            AccessResult::Hit
+        } else {
+            self.miss(victim, set)
+        }
     }
 
     fn access_generic(&mut self, addr: u64, write: bool) -> AccessResult {
-        let (set_idx, line) = self.index(addr);
-        let tagv = self.tag_of(line);
+        let (set, line) = self.index(addr);
+        let word = self.word_of(self.quotient(line, set), line);
+        let dirty = if write { DIRTY } else { 0 };
         let ways = self.config.ways;
-        let (chunk, row) = self.store.row_mut(set_idx);
-        let base = row * ways;
-        let tags = &mut chunk.tags[base..base + ways];
-        let meta = &mut chunk.meta[base..base + ways];
-
-        // Hit path: scan ways in order (valid is embedded in the tag word).
-        let mut hit_way = usize::MAX;
-        for (w, &t) in tags.iter().enumerate() {
-            if t == tagv {
-                hit_way = w;
-                break;
+        let (chunk, row) = self.store.row_mut(set);
+        let words = &mut chunk.words[row * ways..(row + 1) * ways];
+        let hit = words.iter().position(|&t| t & !DIRTY == word);
+        let victim = match (hit, &mut chunk.state) {
+            (Some(w), ReplState::Lru) => {
+                let front = words[w] | dirty;
+                words.copy_within(..w, 1);
+                words[0] = front;
+                None
             }
-        }
-        if hit_way != usize::MAX {
-            if write {
-                meta[hit_way] |= META_DIRTY;
+            (Some(w), state) => {
+                words[w] |= dirty;
+                state.touch(row, w, ways);
+                None
             }
-            chunk.state.touch(row, hit_way, ways);
-            self.stats.hits += 1;
-            return AccessResult::Hit;
+            (None, ReplState::Lru) => {
+                let victim = words[ways - 1];
+                words.copy_within(..ways - 1, 1);
+                words[0] = word | dirty;
+                Some(victim)
+            }
+            (None, state) => {
+                let way = words
+                    .iter()
+                    .position(|&t| t & VALID == 0)
+                    .unwrap_or_else(|| state.victim(row, ways));
+                let victim = words[way];
+                words[way] = word | dirty;
+                state.touch(row, way, ways);
+                Some(victim)
+            }
+        };
+        match victim {
+            None => {
+                self.stats.hits += 1;
+                AccessResult::Hit
+            }
+            Some(victim) => self.miss(victim, set),
         }
-
-        // Miss path: fill into an invalid way or evict a victim.
-        self.stats.misses += 1;
-        let way = match meta.iter().position(|&m| m & META_VALID == 0) {
-            Some(w) => w,
-            None => chunk.state.victim(row, ways),
-        };
-        let dirty_victim =
-            (meta[way] & (META_VALID | META_DIRTY) == META_VALID | META_DIRTY).then_some(tags[way]);
-        tags[way] = tagv;
-        meta[way] = if write {
-            META_VALID | META_DIRTY
-        } else {
-            META_VALID
-        };
-        chunk.state.touch(row, way, ways);
-        self.miss(dirty_victim, set_idx)
     }
 
     /// True if the line containing `addr` is currently resident. Never
     /// materializes a set. An address at or above the bound is never
     /// resident.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, line) = self.index(addr);
-        let tag = line >> self.tag_shift;
-        tag < u64::from(TAG_VALID)
+        let (set, line) = self.index(addr);
+        let q = self.quotient(line, set);
+        q <= u64::from(QUOTIENT)
             && self
                 .store
-                .tags(set_idx)
-                .is_some_and(|tags| tags.contains(&(tag as u32 | TAG_VALID)))
+                .words(set)
+                .is_some_and(|words| words.iter().any(|&t| t & !DIRTY == q as u32 | VALID))
     }
 
     /// Invalidates every line and clears statistics. Replacement state and
@@ -544,8 +556,7 @@ impl Cache {
     pub fn flush(&mut self) {
         let store = &mut self.store;
         for chunk in std::iter::once(&mut store.first).chain(&mut store.more) {
-            chunk.meta.fill(0);
-            chunk.tags.fill(0);
+            chunk.words.fill(0);
         }
         self.stats = CacheStats::default();
     }
@@ -554,8 +565,8 @@ impl Cache {
     pub fn resident_lines(&self) -> usize {
         self.store
             .chunks()
-            .flat_map(|chunk| &chunk.meta)
-            .filter(|&&m| m & META_VALID != 0)
+            .flat_map(|chunk| &chunk.words)
+            .filter(|&&t| t & VALID != 0)
             .count()
     }
 }
@@ -787,41 +798,39 @@ mod tests {
         let mut c = Cache::new(CacheConfig::new(5 * 3 * 64, 3, 64, Policy::Srrip));
         assert!(c.store.one_chunk);
         assert!(!c.contains(3 * 64));
-        assert!(c.store.first.tags.is_empty(), "no storage before an access");
+        assert!(
+            c.store.first.words.is_empty(),
+            "no storage before an access"
+        );
         c.access(3 * 64, false);
         // Every set, in set order: row r holds set r.
         assert_eq!(c.materialized_sets(), 5);
         assert_eq!(c.store.slots, [1, 2, 3, 4, 5]);
-        assert_eq!(c.store.first.tags.len(), 8 * 3);
+        assert_eq!(c.store.first.words.len(), 8 * 3);
         assert!(c.store.more.is_empty());
         assert!(c.contains(3 * 64));
         assert_eq!(c.resident_lines(), 1);
     }
 
     #[test]
-    fn a_materialized_20_way_lru_set_holds_120_bytes() {
-        // 20 × 4 B tag + 20 × 1 B meta + 20 × 1 B LRU rank. A wider lane
-        // here grows every L3 the engine builds.
+    fn a_materialized_20_way_lru_set_holds_80_bytes() {
+        // 20 × 4 B words and no other lane. A wider lane here grows every
+        // L3 the engine builds.
         let mut c = Cache::new(CacheConfig::new(30 << 20, 20, 64, Policy::Lru));
         c.access(0x40, false);
         let chunk = &c.store.first;
-        let ReplState::Lru { ranks } = &chunk.state else {
-            unreachable!("an LRU cache holds LRU state")
-        };
-        let bytes = size_of_val(chunk.tags.as_slice())
-            + size_of_val(chunk.meta.as_slice())
-            + size_of_val(ranks.as_slice());
-        assert_eq!(bytes, CHUNK_SETS * 120);
+        assert!(matches!(chunk.state, ReplState::Lru));
+        assert_eq!(size_of_val(chunk.words.as_slice()), CHUNK_SETS * 80);
     }
 
     #[test]
-    fn the_bound_follows_the_set_counts_trailing_zeros() {
-        // 2^(37 + tz) bytes with 64-byte lines: the 64-set L1D (tz = 6),
-        // the 819-set 1 MiB L3 (tz = 0), the 3 × 2^13-set Table I L3.
+    fn the_bound_is_2_pow_30_lines_per_set() {
+        // 2^36 · sets bytes with 64-byte lines: the 64-set L1D, the
+        // 819-set 1 MiB L3, the 3 × 2^13-set Table I L3.
         for (size, ways, bound) in [
-            (32 << 10, 8, 8u64 << 40),
-            (819 * 20 * 64, 20, 128 << 30),
-            (30 << 20, 20, 1 << 50),
+            (32 << 10, 8, 4u64 << 40),
+            (819 * 20 * 64, 20, 819 << 36),
+            (30 << 20, 20, 3 << 49),
         ] {
             let config = CacheConfig::new(size, ways, 64, Policy::Lru);
             assert_eq!(config.addr_bound(), bound, "{size} B");
@@ -833,5 +842,41 @@ mod tests {
                 "an address at the bound is never resident"
             );
         }
+    }
+
+    #[test]
+    fn quotients_are_exact_for_any_set_count() {
+        for sets in [1usize, 3, 5, 64, 819, 24_576, 98_304, (1 << 20) - 1] {
+            let c = Cache::new(CacheConfig::new(sets * 64, 1, 64, Policy::Lru));
+            let mut line = 7u64;
+            for _ in 0..1000 {
+                line = line.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1) >> 6;
+                let (set, l) = c.index(line << 6);
+                assert_eq!(c.quotient(l, set), line / sets as u64, "sets={sets}");
+            }
+        }
+    }
+
+    /// The words of `set`, most recent first for an LRU cache, with the
+    /// valid bit stripped.
+    fn order(c: &Cache, set: usize) -> Vec<u32> {
+        let words = c.store.words(set).expect("materialized");
+        words.iter().map(|&t| t & !VALID).collect()
+    }
+
+    #[test]
+    fn a_hit_rotates_the_ways_above_it() {
+        // One set of 4 ways: each line's quotient is its line number.
+        let mut c = Cache::new(CacheConfig::new(4 * 64, 4, 64, Policy::Lru));
+        for line in [1u64, 2, 3, 4] {
+            c.access(line * 64, false);
+        }
+        assert_eq!(order(&c, 0), [4, 3, 2, 1]);
+        c.access(2 * 64, true); // way 2: ways 0..=2 rotate, way 3 stays
+        assert_eq!(order(&c, 0), [2 | DIRTY, 4, 3, 1]);
+        c.access(2 * 64, false); // already way 0: nothing moves
+        assert_eq!(order(&c, 0), [2 | DIRTY, 4, 3, 1]);
+        c.access(5 * 64, false); // a miss shifts the row; line 1 falls out
+        assert_eq!(order(&c, 0), [5, 2 | DIRTY, 4, 3]);
     }
 }

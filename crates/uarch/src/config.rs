@@ -71,15 +71,16 @@ impl CacheConfig {
     }
 
     /// The first byte address a [`crate::cache::Cache`] of this geometry
-    /// cannot model: `2^(31 + tz)` lines, where `tz` is the number of
-    /// trailing zero bits of the set count (the cache stores `line >> tz`
-    /// in a 31-bit tag). With 64-byte lines that is `2^(37 + tz)` bytes:
-    /// 128 GiB for an odd set count, 8 TiB for the paper's 64-set L1D.
-    /// Saturates at `u64::MAX` for geometries whose bound lies beyond the
-    /// address space.
+    /// cannot model: line `2^30 · sets` (a way holds the quotient
+    /// `line / sets` in 30 bits). With 64-byte lines that is `2^36 · sets`
+    /// bytes: 4 TiB for the paper's 64-set L1D, 1.5 PiB for its
+    /// 24,576-set L3. Saturates at `u64::MAX` for geometries whose bound
+    /// lies beyond the address space.
     pub fn addr_bound(&self) -> u64 {
-        let shift = 31 + self.sets().trailing_zeros() + self.line_bytes.trailing_zeros();
-        1u64.checked_shl(shift).unwrap_or(u64::MAX)
+        (self.line_bytes as u64)
+            .checked_mul(1 << 30)
+            .and_then(|bytes| bytes.checked_mul(self.sets() as u64))
+            .unwrap_or(u64::MAX)
     }
 }
 

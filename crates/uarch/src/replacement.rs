@@ -5,10 +5,12 @@
 //! paper-machine default; FIFO, random, tree-PLRU, and SRRIP exist for the
 //! replacement-policy ablation bench.
 //!
-//! State lives in flat lanes per storage chunk of a cache (see
-//! [`crate::cache`]), indexed by the set's row in that chunk, not one enum
-//! per set: the per-set-enum layout cost the engine's hot loop a
-//! discriminant match and a potential heap indirection on every probe.
+//! An LRU set needs no state here: it keeps its ways in recency order in
+//! the cache's own words (see [`crate::cache`]). The other policies keep
+//! their ways where they were filled, and their state lives in flat lanes
+//! per storage chunk of a cache, indexed by the set's row in that chunk,
+//! not one enum per set: the per-set-enum layout cost the engine's hot loop
+//! a discriminant match and a potential heap indirection on every probe.
 
 /// Replacement policy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,9 +34,9 @@ pub enum Policy {
 /// per-row (or per-way) lanes inside. A row holds one materialized set.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplState {
-    /// `ranks[row * ways + way]` is the recency rank of the way
-    /// (0 = most recent).
-    Lru { ranks: Vec<u8> },
+    /// No lanes: the set's ways are its recency order, most recent first,
+    /// and the cache rotates them itself.
+    Lru,
     /// `next[row]` is the next way to evict, advancing round-robin on
     /// fills.
     Fifo { next: Vec<u8> },
@@ -55,9 +57,7 @@ impl ReplState {
     /// for rows a trace never reaches.
     pub(crate) fn new(policy: Policy, rows: usize, ways: usize) -> Self {
         match policy {
-            Policy::Lru => ReplState::Lru {
-                ranks: vec![0; rows * ways],
-            },
+            Policy::Lru => ReplState::Lru,
             Policy::Fifo => ReplState::Fifo {
                 next: vec![0; rows],
             },
@@ -73,18 +73,14 @@ impl ReplState {
         }
     }
 
-    /// Puts `row` in the fresh state of cache set `set`: LRU ranks
-    /// `0..ways`, every SRRIP way "distant" (3), FIFO and PLRU 0, and the
+    /// Puts `row` in the fresh state of cache set `set`: every SRRIP way
+    /// "distant" (3), FIFO and PLRU 0, and the
     /// Random seed `(set ^ 0x9e37_79b9) | 1` of the historical per-set
     /// construction. The seed depends on the real set index, never on the
     /// row, so a set behaves the same wherever its storage lives.
     pub(crate) fn init_row(&mut self, row: usize, set: usize, ways: usize) {
         match self {
-            ReplState::Lru { ranks } => {
-                for (i, r) in ranks[row * ways..(row + 1) * ways].iter_mut().enumerate() {
-                    *r = i as u8;
-                }
-            }
+            ReplState::Lru => {}
             ReplState::Fifo { next } => next[row] = 0,
             ReplState::Random { state } => state[row] = (set as u32 ^ 0x9e37_79b9) | 1,
             ReplState::TreePlru { bits } => bits[row] = 0,
@@ -95,16 +91,7 @@ impl ReplState {
     /// Chooses the victim way among the `ways` of `row` (all valid/full).
     pub(crate) fn victim(&mut self, row: usize, ways: usize) -> usize {
         match self {
-            ReplState::Lru { ranks } => {
-                // Least recent = maximum rank.
-                let order = &ranks[row * ways..row * ways + ways];
-                let (way, _) = order
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, r)| *r)
-                    .expect("nonempty set");
-                way
-            }
+            ReplState::Lru => unreachable!("an LRU set's victim is its last way"),
             ReplState::Fifo { next } => {
                 let way = next[row] as usize % ways;
                 next[row] = ((way + 1) % ways) as u8;
@@ -151,16 +138,7 @@ impl ReplState {
     #[inline]
     pub(crate) fn touch(&mut self, row: usize, way: usize, ways: usize) {
         match self {
-            ReplState::Lru { ranks } => {
-                let order = &mut ranks[row * ways..row * ways + ways];
-                let old = order[way];
-                for r in order.iter_mut() {
-                    if *r < old {
-                        *r += 1;
-                    }
-                }
-                order[way] = 0;
-            }
+            ReplState::Lru => unreachable!("an LRU set rotates its own ways"),
             ReplState::Fifo { .. } | ReplState::Random { .. } => {}
             ReplState::Srrip { rrpv } => {
                 // SRRIP inserts at "long" (2) and promotes to "near" (0) on
@@ -194,6 +172,8 @@ impl ReplState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
+    use crate::config::CacheConfig;
 
     /// A fresh state with row `i` holding set `i`, as a dense cache would.
     fn fresh(policy: Policy, sets: usize, ways: usize) -> ReplState {
@@ -204,16 +184,26 @@ mod tests {
         s
     }
 
+    /// An LRU cache of 64-byte lines. LRU keeps no state here (a set's
+    /// ways are its recency order), so its tests drive a `Cache`.
+    fn lru(sets: usize, ways: usize) -> Cache {
+        Cache::new(CacheConfig::new(sets * ways * 64, ways, 64, Policy::Lru))
+    }
+
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = fresh(Policy::Lru, 1, 4);
-        // Touch ways 0..3 in order: way 0 is now least recent.
-        for w in 0..4 {
-            s.touch(0, w, 4);
+        let mut c = lru(1, 4);
+        for line in 0..4u64 {
+            c.access(line * 64, false);
         }
-        assert_eq!(s.victim(0, 4), 0);
-        s.touch(0, 0, 4); // refresh 0; next victim is 1
-        assert_eq!(s.victim(0, 4), 1);
+        // Line 0 is least recent; refreshing it makes line 1 the victim.
+        c.access(0, false);
+        c.access(4 * 64, false);
+        assert!(c.contains(0));
+        assert!(!c.contains(64));
+        c.access(5 * 64, false);
+        assert!(!c.contains(2 * 64));
+        assert!(c.contains(3 * 64));
     }
 
     #[test]
@@ -292,25 +282,31 @@ mod tests {
 
     #[test]
     fn lru_full_rotation() {
-        let mut s = fresh(Policy::Lru, 1, 2);
-        s.touch(0, 0, 2);
-        s.touch(0, 1, 2);
-        assert_eq!(s.victim(0, 2), 0);
-        s.touch(0, 0, 2);
-        assert_eq!(s.victim(0, 2), 1);
-        s.touch(0, 1, 2);
-        assert_eq!(s.victim(0, 2), 0);
+        // One set of 2 ways holding lines A and B; the one touched last
+        // survives the fill of a third line C.
+        let (a, b, c_line) = (0u64, 64, 128);
+        for (touch, victim) in [(a, b), (b, a)] {
+            let mut c = lru(1, 2);
+            c.access(a, false);
+            c.access(b, false);
+            c.access(touch, false);
+            c.access(c_line, false);
+            assert!(!c.contains(victim), "touching {touch:#x} last");
+            assert!(c.contains(touch) && c.contains(c_line));
+        }
     }
 
     #[test]
     fn sets_are_independent() {
-        // Touching set 1 must not disturb set 0's LRU order.
-        let mut s = fresh(Policy::Lru, 2, 2);
-        s.touch(0, 0, 2);
-        s.touch(0, 1, 2);
-        s.touch(1, 1, 2);
-        s.touch(1, 0, 2);
-        assert_eq!(s.victim(0, 2), 0);
-        assert_eq!(s.victim(1, 2), 1);
+        // Two sets of 2 ways: even lines in set 0, odd lines in set 1.
+        // Touching set 1 must not disturb set 0's order.
+        let mut c = lru(2, 2);
+        for line in [0u64, 2, 3, 1] {
+            c.access(line * 64, false);
+        }
+        c.access(4 * 64, false); // evicts line 0, set 0's least recent
+        c.access(5 * 64, false); // evicts line 3, set 1's least recent
+        assert!(!c.contains(0) && c.contains(2 * 64));
+        assert!(!c.contains(3 * 64) && c.contains(64));
     }
 }

@@ -23,6 +23,11 @@
 //!   the current artifact lacks, or an empty simpoint store.
 //!   `--allow-missing` turns 3 into 0 and notes it on stderr.
 //!
+//! Everything a subcommand prints goes through one
+//! [`workchar::cli::Stdout`], so a reader that leaves early
+//! (`simgate trace … | head -1`) ends the printing, not the gate: its exit
+//! code stays the verdict's.
+//!
 //! The analyses live in their libraries: `simtrace::analyze`,
 //! `simprof::analyze`, `simdash`, `bench_suite::harness` and
 //! `workchar::simpoints`.
@@ -34,7 +39,7 @@ use bench_suite::harness::{compare, merge_entries, read_results, write_results};
 use simdash::html::{render, ReportOptions};
 use simdash::manifest::{latest, load_manifest, RUNS_DIR};
 use simpoint::SimpointRecord;
-use workchar::cli::ArgStream;
+use workchar::cli::{ArgStream, Stdout};
 use workchar::error::Error;
 use workchar::simpoints::summary_table;
 
@@ -69,10 +74,12 @@ impl From<Error> for Stop {
     }
 }
 
-/// One subcommand's arguments and the flag every subcommand shares.
+/// One subcommand's arguments, the flag every subcommand shares, and the
+/// stdout it prints to.
 struct Invocation {
     args: ArgStream,
     allow_missing: bool,
+    out: Stdout,
 }
 
 impl Invocation {
@@ -151,7 +158,7 @@ fn main() -> ExitCode {
         let all: Vec<&str> = SUBCOMMANDS.iter().map(|(_, usage, _)| *usage).collect();
         let all = all.join("\n");
         if matches!(name.as_str(), "--help" | "-h") {
-            println!("{all}");
+            Stdout::new().print(format_args!("{all}\n"));
             return ExitCode::SUCCESS;
         }
         eprintln!("simgate: unknown subcommand '{name}'\n{all}");
@@ -160,12 +167,13 @@ fn main() -> ExitCode {
     let mut invocation = Invocation {
         args,
         allow_missing: false,
+        out: Stdout::new(),
     };
     match gate(&mut invocation) {
         Ok(Verdict::Clean) => ExitCode::SUCCESS,
         Ok(Verdict::Regressed) => ExitCode::FAILURE,
         Err(Stop::Help) => {
-            println!("{usage}");
+            invocation.out.print(format_args!("{usage}\n"));
             ExitCode::SUCCESS
         }
         Err(Stop::Usage(message)) => {
@@ -238,28 +246,24 @@ fn trace(invocation: &mut Invocation) -> Result<Verdict, Stop> {
     let load = |i: usize| {
         simtrace::load(&paths[i]).map_err(|e| Stop::Broken(format!("{}: {e}", paths[i].display())))
     };
+    let out = &mut invocation.out;
     if !diff {
         let spans = load(0)?;
-        println!(
-            "trace {} — {} spans\n\nself time (top {top}):",
+        out.print(format_args!(
+            "trace {} — {} spans\n\nself time (top {top}):\n{}\ncritical path:\n{}",
             paths[0].display(),
             spans.len(),
-        );
-        print!(
-            "{}",
-            analyze::render_self_time(&analyze::self_time(&spans), top)
-        );
-        println!("\ncritical path:");
-        print!(
-            "{}",
-            analyze::render_critical_path(&analyze::critical_path(&spans))
-        );
+            analyze::render_self_time(&analyze::self_time(&spans), top),
+            analyze::render_critical_path(&analyze::critical_path(&spans)),
+        ));
         match analyze::utilization(&spans) {
-            Some(u) => {
-                println!("\nscheduler utilization:");
-                print!("{}", analyze::render_utilization(&u));
-            }
-            None => println!("\nscheduler utilization: no sched/batch spans in this trace"),
+            Some(u) => out.print(format_args!(
+                "\nscheduler utilization:\n{}",
+                analyze::render_utilization(&u)
+            )),
+            None => out.print(format_args!(
+                "\nscheduler utilization: no sched/batch spans in this trace\n"
+            )),
         }
         return Ok(Verdict::Clean);
     }
@@ -272,18 +276,18 @@ fn trace(invocation: &mut Invocation) -> Result<Verdict, Stop> {
             min_delta_ns: (abs_ms * 1e6) as u64,
         },
     );
-    println!(
-        "diff {} -> {} (gate: +{threshold_pct}% and +{abs_ms} ms)\n",
+    out.print(format_args!(
+        "diff {} -> {} (gate: +{threshold_pct}% and +{abs_ms} ms)\n\n{}",
         paths[0].display(),
         paths[1].display(),
-    );
-    print!("{}", analyze::render_diff(&report, top));
+        analyze::render_diff(&report, top),
+    ));
     let regressions = report.regressions().count();
     if regressions > 0 {
         eprintln!("\n{regressions} span key(s) regressed past the gate");
         return Ok(Verdict::Regressed);
     }
-    println!("\nno regressions past the gate");
+    out.print(format_args!("\nno regressions past the gate\n"));
     Ok(Verdict::Clean)
 }
 
@@ -306,9 +310,13 @@ fn prof(invocation: &mut Invocation) -> Result<Verdict, Stop> {
         )));
     }
     let load = |i: usize| simprof::load(&paths[i]).map_err(|e| Stop::Broken(e.to_string()));
+    let out = &mut invocation.out;
     if !diff {
         let title = paths[0].display().to_string();
-        print!("{}", analyze::render_report(&title, &load(0)?));
+        out.print(format_args!(
+            "{}",
+            analyze::render_report(&title, &load(0)?)
+        ));
         return Ok(Verdict::Clean);
     }
     let (old, new) = (load(0)?, load(1)?);
@@ -320,12 +328,12 @@ fn prof(invocation: &mut Invocation) -> Result<Verdict, Stop> {
             min_weight,
         },
     );
-    println!(
-        "diff {} -> {} (gate: +{threshold_pct}% and +{min_weight} ops of self weight)\n",
+    out.print(format_args!(
+        "diff {} -> {} (gate: +{threshold_pct}% and +{min_weight} ops of self weight)\n\n{}",
         paths[0].display(),
         paths[1].display(),
-    );
-    print!("{}", analyze::render_diff(&old, &new, &report));
+        analyze::render_diff(&old, &new, &report),
+    ));
     let regressions = report.regressions().len();
     if regressions > 0 {
         eprintln!("\n{regressions} frame(s) regressed past the gate");
@@ -337,7 +345,7 @@ fn prof(invocation: &mut Invocation) -> Result<Verdict, Stop> {
             report.missing.len()
         )));
     }
-    println!("\nno regressions past the gate");
+    out.print(format_args!("\nno regressions past the gate\n"));
     Ok(Verdict::Clean)
 }
 
@@ -398,24 +406,25 @@ fn dash(invocation: &mut Invocation) -> Result<Verdict, Stop> {
             std::fs::create_dir_all(parent).map_err(|e| Stop::Broken(e.to_string()))?;
         }
         std::fs::write(&out, html).map_err(|e| Stop::Broken(e.to_string()))?;
-        println!(
-            "dashboard for run {} ({} pairs, {} artifacts) -> {}",
+        invocation.out.print(format_args!(
+            "dashboard for run {} ({} pairs, {} artifacts) -> {}\n",
             manifest.run_id,
             manifest.pairs.len(),
             manifest.artifacts.len(),
             out.display()
-        );
+        ));
         return Ok(Verdict::Clean);
     };
     let base = load_manifest(baseline).map_err(|e| cannot_load(baseline, &e))?;
     let current = manifest;
-    println!(
-        "diff {} ({} pairs) -> {} ({} pairs)",
+    let out = &mut invocation.out;
+    out.print(format_args!(
+        "diff {} ({} pairs) -> {} ({} pairs)\n",
         base.run_id,
         base.pairs.len(),
         current.run_id,
         current.pairs.len()
-    );
+    ));
     let mut regressions = Vec::new();
     if current.ok_count() < base.ok_count() {
         regressions.push(format!(
@@ -439,11 +448,13 @@ fn dash(invocation: &mut Invocation) -> Result<Verdict, Stop> {
                     "wall time grew past +{pct}%: {base_ms} ms -> {cur_ms} ms"
                 ));
             }
-            println!("wall: {base_ms} ms -> {cur_ms} ms (gate +{pct}%)");
+            out.print(format_args!(
+                "wall: {base_ms} ms -> {cur_ms} ms (gate +{pct}%)\n"
+            ));
         }
-        None => {
-            println!("wall: {base_ms} ms -> {cur_ms} ms (not gated; pass --max-wall-pct to gate)")
-        }
+        None => out.print(format_args!(
+            "wall: {base_ms} ms -> {cur_ms} ms (not gated; pass --max-wall-pct to gate)\n"
+        )),
     }
     if !regressions.is_empty() {
         for r in &regressions {
@@ -451,7 +462,7 @@ fn dash(invocation: &mut Invocation) -> Result<Verdict, Stop> {
         }
         return Ok(Verdict::Regressed);
     }
-    println!("no manifest-level regressions");
+    out.print(format_args!("no manifest-level regressions\n"));
     Ok(Verdict::Clean)
 }
 
@@ -515,12 +526,15 @@ fn bench(invocation: &mut Invocation) -> Result<Verdict, Stop> {
     let baseline = read(&opts.baseline)?;
     let current = read(&opts.current)?;
     let outcome = compare(&baseline, &current, opts.max_regression);
-    print!("{}", outcome.report);
+    invocation.out.print(format_args!("{}", outcome.report));
     if opts.write {
         let mut merged = baseline;
         merge_entries(&mut merged, &current);
         write(&opts.baseline, &merged)?;
-        println!("merged current medians into {}", opts.baseline.display());
+        invocation.out.print(format_args!(
+            "merged current medians into {}\n",
+            opts.baseline.display()
+        ));
     }
     if !outcome.regressed.is_empty() {
         eprintln!("{} benchmark(s) regressed:", outcome.regressed.len());
@@ -587,13 +601,14 @@ fn simpoint(invocation: &mut Invocation) -> Result<Verdict, Stop> {
     }
     records.sort_by(|a, b| a.id.cmp(&b.id));
     let table = summary_table(&records);
-    if json {
-        println!("{}", table.render_csv());
+    let rendered = if json {
+        table.render_csv()
     } else if markdown {
-        println!("{}", table.render_markdown());
+        table.render_markdown()
     } else {
-        println!("{}", table.render_ascii());
-    }
+        table.render_ascii()
+    };
+    invocation.out.print(format_args!("{rendered}\n"));
 
     let mut clean = true;
     if let Some(max_pct) = max_error_pct {
@@ -648,6 +663,7 @@ mod tests {
         Invocation {
             args: ArgStream::from_args(args.iter().copied()),
             allow_missing: false,
+            out: Stdout::new(),
         }
     }
 

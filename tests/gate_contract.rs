@@ -369,6 +369,23 @@ fn malformed_artifact_exits_2() {
 }
 
 #[test]
+fn dash_names_a_manifest_that_does_not_decode() {
+    // One valid run and one file that is not a manifest: `dash` without
+    // `--run` must not render the valid run and pass over the broken one.
+    let dir = Scratch::new("dash-bad");
+    let results = dir.0.join("results");
+    let valid = write_manifest(&results, "gate-valid", 1);
+    let bad = valid.with_file_name("zzzz.json");
+    fs::write(&bad, r#"{"schema": 1}"#).expect("write manifest");
+    let (_, stderr) = assert_code(&["dash", "--results", &dir.path("results")], 2);
+    assert!(stderr.contains("zzzz.json"), "{stderr}");
+    assert!(
+        !valid.with_extension("html").exists(),
+        "no dashboard is rendered"
+    );
+}
+
+#[test]
 fn simpoint_io_error_exits_2() {
     let dir = Scratch::new("simpoint-io");
     let file = dir.path("not-a-directory");
