@@ -13,7 +13,8 @@ pub enum Family {
     Profile,
     /// `C…` — system/cache/predictor/TLB config legality (uarch-sim).
     Config,
-    /// `R…` — cached-result and timeline counter identities (workchar).
+    /// `R…` — result-store entries that do not read back as records
+    /// (workchar).
     Result,
     /// `S…` — simpoint artifact consistency (simpoint).
     Simpoint,
@@ -176,6 +177,12 @@ pub mod codes {
          instructions (paper Table 2). Volumes outside [0.001, 100000] \
          billions are almost certainly unit mistakes (count given in \
          millions or raw instructions).");
+    rule!(pub P017, "P017", "app-naming", Warning, Profile,
+        "app name does not follow the NNN.name convention",
+        "Pair ids are the app name, or `app-input` for multi-input \
+         applications, with app names shaped `NNN.name` (suite-suffixed \
+         for CPU2017, e.g. 505.mcf_r). Other shapes will not join against \
+         the roster tables, the records CSV and the figures keyed by id.");
 
     // ----------------------------------------------------------------- C: config
 
@@ -257,83 +264,6 @@ pub mod codes {
 
     // ----------------------------------------------------------------- R: result
 
-    rule!(pub R001, "R001", "l1-partition", Error, Result,
-        "L1 hits + misses must equal retired loads",
-        "Every retired load is serviced somewhere: MemLoadRetiredL1Hit + \
-         MemLoadRetiredL1Miss == MemUopsRetiredAllLoads is exact by \
-         construction in the engine. A cached record violating it is \
-         corrupt or from a different engine version. Protects Fig. 4.");
-    rule!(pub R002, "R002", "l2-partition", Error, Result,
-        "L2 hits + misses must equal L1 misses",
-        "L1 misses partition into L2 hits and L2 misses (bypassed loads \
-         still count as L2 misses). Exact identity; protects Fig. 5.");
-    rule!(pub R003, "R003", "l3-partition", Error, Result,
-        "L3 hits + misses must equal L2 misses",
-        "L2 misses partition into L3 hits and DRAM-bound L3 misses. \
-         Exact identity; protects Fig. 6 and the DRAM traffic estimate.");
-    rule!(pub R004, "R004", "branch-kind-partition", Error, Result,
-        "branch kind counters must sum to all executed branches",
-        "Conditional + unconditional + indirect + call/return counters \
-         partition BrInstExecAllBranches exactly. Protects the Fig. 7 \
-         branch-mix breakdown.");
-    rule!(pub R005, "R005", "mispredict-bound", Error, Result,
-        "mispredicts cannot exceed executed branches",
-        "BrMispRetiredAllBranches > BrInstExecAllBranches would mean \
-         more than one mispredict per branch — impossible for a \
-         direction predictor.");
-    rule!(pub R006, "R006", "ipc-bound", Error, Result,
-        "IPC cannot exceed the machine's issue width",
-        "The engine retires at most issue-width instructions per cycle, \
-         so instructions/cycles must stay at or below it. A record above \
-         the bound was not produced by this machine model. Protects \
-         Fig. 9.");
-    rule!(pub R007, "R007", "cycles-positive", Error, Result,
-        "a record with instructions must have positive cycles",
-        "Zero or negative cycles with retired instructions implies \
-         infinite IPC; all rate and runtime projections divide by \
-         cycles.");
-    rule!(pub R008, "R008", "ipc-consistency", Error, Result,
-        "stored IPC field must match instructions / cycles",
-        "CharRecord.ipc is derived from the instruction and cycle \
-         counters; disagreement beyond rounding means the summary fields \
-         and raw counters came from different runs.");
-    rule!(pub R009, "R009", "rate-consistency", Error, Result,
-        "stored miss/mix percentages must match their counters",
-        "load/store/branch mix and per-level miss percentages are \
-         recomputable from the raw counters; a mismatch means the record \
-         was edited or truncated. Protects Figs. 2 and 4-6 as rendered \
-         from cached results.");
-    rule!(pub R010, "R010", "timeline-sum", Error, Result,
-        "timeline interval deltas must sum to final counters",
-        "Interval samples telescope: the sum of per-interval deltas for \
-         every counter must exactly reproduce the run's final counter \
-         values. Protects the Fig. 10-style phase plots.");
-    rule!(pub R011, "R011", "timeline-monotone", Error, Result,
-        "timeline intervals must be contiguous and monotone",
-        "Each interval must start where the previous ended, with \
-         non-negative deltas and strictly increasing operation counts — \
-         cycle counts never run backwards.");
-    rule!(pub R012, "R012", "id-naming", Warning, Result,
-        "record id does not follow app/size/input naming",
-        "Pair ids are `app/size/input` (e.g. 505.mcf_r/ref/in1); other \
-         shapes usually indicate hand-built records that will not join \
-         against the roster tables.");
-    rule!(pub R013, "R013", "projection-consistency", Warning, Result,
-        "projected seconds disagree with cycles and clock",
-        "Projected runtime should equal projected cycles / clock for the \
-         record's instruction volume; large disagreement means the \
-         projection and the counters drifted apart. Protects Table 2 \
-         runtime estimates.");
-    rule!(pub R014, "R014", "uops-vs-inst", Error, Result,
-        "retired load uops cannot exceed retired instructions",
-        "Each load uop belongs to a retired instruction in this model, \
-         so MemUopsRetiredAllLoads <= InstRetiredAny must hold.");
-    rule!(pub R015, "R015", "class-partition", Error, Result,
-        "loads + stores + branches cannot exceed retired instructions",
-        "The three counted instruction classes are disjoint subsets of \
-         the retired stream; their counter sum above InstRetiredAny \
-         leaves a negative share for compute ops — the counter-level \
-         twin of P004.");
     rule!(pub R020, "R020", "store-envelope", Error, Result,
         "cached entry has a corrupt storage envelope",
         "The simstore envelope (magic, version, key echo, length, digest) \
@@ -342,8 +272,13 @@ pub mod codes {
     rule!(pub R021, "R021", "store-payload", Error, Result,
         "cached entry payload does not decode as a record",
         "The envelope verified but the payload is not a valid versioned \
-         CharRecord encoding — typically a schema-version mismatch from \
-         an older binary. Re-run to repopulate.");
+         CharRecord encoding (typically a schema-version mismatch from \
+         an older binary), or its counters break an identity the engine \
+         guarantees: the L1/L2/L3 load partitions, the branch-kind \
+         partition, mispredicts within branches, cycles behind retired \
+         instructions, loads and the counted classes within retired \
+         instructions. The message names the identity and both sides. \
+         Such an entry reads as a miss; re-run to repopulate.");
 
     // --------------------------------------------------------------- S: simpoint
 
@@ -427,6 +362,7 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::P014,
     &codes::P015,
     &codes::P016,
+    &codes::P017,
     &codes::C001,
     &codes::C002,
     &codes::C003,
@@ -442,21 +378,6 @@ pub static CATALOG: &[&RuleCode] = &[
     &codes::C013,
     &codes::C014,
     &codes::C015,
-    &codes::R001,
-    &codes::R002,
-    &codes::R003,
-    &codes::R004,
-    &codes::R005,
-    &codes::R006,
-    &codes::R007,
-    &codes::R008,
-    &codes::R009,
-    &codes::R010,
-    &codes::R011,
-    &codes::R012,
-    &codes::R013,
-    &codes::R014,
-    &codes::R015,
     &codes::R020,
     &codes::R021,
     &codes::S001,
@@ -545,7 +466,7 @@ mod tests {
             assert_eq!(rule.code.len(), 4, "{} not letter+3 digits", rule.code);
             assert!(!rule.summary.is_empty() && !rule.explanation.is_empty());
         }
-        assert_eq!(CATALOG.len(), 55, "five families, 55 rules");
+        assert_eq!(CATALOG.len(), 41, "five families, 41 rules");
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! Every layer of the reproduction trusts invariants that used to be
 //! enforced by scattered `assert!`s and first-failure validators: behaviour
 //! profiles must describe a physically possible workload, cache geometries
-//! must be legal, and counter files must obey the partition identities the
-//! hierarchy guarantees by construction. This crate centralizes that trust
-//! into a *diagnostics engine*:
+//! must be legal, and stored results must read back. This crate
+//! centralizes that trust into a *diagnostics engine*:
 //!
 //! - [`Severity`] — `error` / `warning` / `info` levels with deny-warnings
 //!   escalation at the call site.
 //! - [`RuleCode`] — stable, documented rule identities (`P004`, `C005`,
-//!   `R010`, …) grouped into [`Family`]s: profile well-formedness, config
-//!   legality, result/counter auditing, simpoint artifacts, and run
+//!   `R020`, …) grouped into [`Family`]s: profile well-formedness, config
+//!   legality, result-store auditing, simpoint artifacts, and run
 //!   manifests. A file format's own invariants are not rules here: its
 //!   decoder rejects what the format forbids with a typed error.
 //! - [`Span`] — a field-level location (`"505.mcf_r/ref/in1.load_pct"`)

@@ -197,9 +197,9 @@ pub fn replacement_ablation_with(scale: &TraceScale, cache: Option<&CacheContext
         .expect("curated mcf profile characterizes cleanly");
         table.row(vec![
             format!("{policy:?}"),
-            num(record.l1_miss_pct, 3),
-            num(record.l2_miss_pct, 3),
-            num(record.l3_miss_pct, 3),
+            num(record.l1_miss_pct(), 3),
+            num(record.l2_miss_pct(), 3),
+            num(record.l3_miss_pct(), 3),
         ]);
     }
     table
@@ -247,7 +247,7 @@ pub fn cpi_stack_table(records: &[&CharRecord]) -> Table {
             num(r.cpi_memory, 3),
             num(r.cpi_frontend, 3),
             num(total, 3),
-            num(r.ipc, 3),
+            num(r.ipc(), 3),
         ]);
     }
     table
@@ -352,10 +352,10 @@ mod tests {
             let total = r.cpi_base + r.cpi_branch + r.cpi_memory + r.cpi_frontend;
             let ipc_from_stack = 1.0 / total;
             assert!(
-                (ipc_from_stack - r.ipc).abs() / r.ipc < 0.02,
+                (ipc_from_stack - r.ipc()).abs() / r.ipc() < 0.02,
                 "{}: stack 1/{total} vs ipc {}",
                 r.id,
-                r.ipc
+                r.ipc()
             );
         }
     }

@@ -9,8 +9,8 @@
 //!
 //! `--all` lints the shipped CPU2017 + CPU2006 rosters and the Haswell
 //! system configuration, and — when the default cache directory
-//! (`results/cache`) exists — audits every
-//! cached record's counter identities, plus any simpoint records under
+//! (`results/cache`) exists — decodes every cached record, counter
+//! identities included, plus any simpoint records under
 //! `results/simpoints/` and run manifests under `results/runs/`.
 //! Individual passes can be selected with `--profiles`, `--config`,
 //! `--cache-dir DIR`, `--simpoint` (default store location) /
@@ -200,7 +200,7 @@ fn run(opts: &Options) -> Result<Report> {
 
     if let Some(dir) = &opts.cache_dir {
         let store = open_store(dir)?;
-        let (visited, audit) = lint::audit_cache(&store, Some(&config.system));
+        let (visited, audit) = lint::audit_cache(&store);
         eprintln!("audited {visited} cached records under {}", dir.display());
         report.merge(audit);
     }

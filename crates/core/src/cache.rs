@@ -11,14 +11,21 @@
 //! ingredient (a profile field, a cache size, the trace budget, the record
 //! layout) changes the key and transparently invalidates only the affected
 //! records; nothing is ever served stale.
+//!
+//! A record holds its counter file, and every rate it reports is derived
+//! from it. [`decode_record`] holds the decoded counters to the identities
+//! of [`PerfSession::check`], so a record whose digest verifies but whose
+//! counters break an identity (hand-edited, or written by a buggy engine)
+//! reads as a miss and is re-simulated, never fed to a table.
 
+use std::fmt;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
 
 use simstore::{CacheStats, CodecError, Decoder, Encoder, Key, StableHash, StableHasher, Store};
 use uarch_sim::config::{CacheConfig, SystemConfig};
-use uarch_sim::counters::{Event, PerfSession};
+use uarch_sim::counters::{Event, IdentityError, PerfSession};
 use uarch_sim::replacement::Policy;
 use workload_synth::profile::{AppInputPair, InputSize, Suite};
 
@@ -28,7 +35,7 @@ use crate::characterize::{characterize_pair, CharRecord, RunConfig};
 /// [`encode_record`] changes (or any encoded field changes meaning): the
 /// version is hashed into every key, so old-layout records are simply never
 /// addressed again — no migration, no misdecoding.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Version of what the simulator computes: the generator's streams, the
 /// engine's counters and pricing, and the footprint model. Hashed into
@@ -142,14 +149,6 @@ pub fn encode_record(r: &CharRecord) -> Vec<u8> {
     }
     e.put_u64(r.sim_ops);
     e.put_f64(r.instructions_billions);
-    e.put_f64(r.ipc);
-    e.put_f64(r.load_pct);
-    e.put_f64(r.store_pct);
-    e.put_f64(r.branch_pct);
-    e.put_f64(r.l1_miss_pct);
-    e.put_f64(r.l2_miss_pct);
-    e.put_f64(r.l3_miss_pct);
-    e.put_f64(r.mispredict_pct);
     e.put_f64(r.rss_gib);
     e.put_f64(r.vsz_gib);
     e.put_f64(r.cpi_base);
@@ -161,14 +160,42 @@ pub fn encode_record(r: &CharRecord) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Why a payload is not a record: its bytes do not decode, or its
+/// counters break an identity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordError {
+    /// Truncated, trailing or invalid-discriminant bytes.
+    Codec(CodecError),
+    /// The decoded counters break an identity of [`PerfSession::check`].
+    Identity(IdentityError),
+}
+
+impl fmt::Display for RecordError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecordError::Codec(e) => write!(f, "{e}"),
+            RecordError::Identity(e) => write!(f, "counter identity broken: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RecordError {}
+
+impl From<CodecError> for RecordError {
+    fn from(e: CodecError) -> Self {
+        RecordError::Codec(e)
+    }
+}
+
 /// Deserializes a `SCHEMA_VERSION` payload produced by [`encode_record`].
 ///
 /// # Errors
 ///
-/// Any [`CodecError`] on truncated, trailing, or invalid-discriminant bytes.
-/// `f64` fields round-trip bit-exactly (the codec moves raw bits), so a
-/// decoded record compares equal to the encoded one.
-pub fn decode_record(bytes: &[u8]) -> Result<CharRecord, CodecError> {
+/// [`RecordError::Codec`] on truncated, trailing, or invalid-discriminant
+/// bytes, and [`RecordError::Identity`] when the counters break an
+/// identity. `f64` fields round-trip bit-exactly (the codec moves raw
+/// bits), so a decoded record compares equal to the encoded one.
+pub fn decode_record(bytes: &[u8]) -> Result<CharRecord, RecordError> {
     let mut d = Decoder::new(bytes);
     let id = d.take_str()?;
     let app = d.take_str()?;
@@ -188,14 +215,6 @@ pub fn decode_record(bytes: &[u8]) -> Result<CharRecord, CodecError> {
         session,
         sim_ops: d.take_u64()?,
         instructions_billions: d.take_f64()?,
-        ipc: d.take_f64()?,
-        load_pct: d.take_f64()?,
-        store_pct: d.take_f64()?,
-        branch_pct: d.take_f64()?,
-        l1_miss_pct: d.take_f64()?,
-        l2_miss_pct: d.take_f64()?,
-        l3_miss_pct: d.take_f64()?,
-        mispredict_pct: d.take_f64()?,
         rss_gib: d.take_f64()?,
         vsz_gib: d.take_f64()?,
         cpi_base: d.take_f64()?,
@@ -206,6 +225,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<CharRecord, CodecError> {
         projected_seconds: d.take_f64()?,
     };
     d.finish()?;
+    record.session.check().map_err(RecordError::Identity)?;
     Ok(record)
 }
 
@@ -252,8 +272,9 @@ impl CacheContext {
     }
 
     /// Fetches and decodes the record under `key`, counting a hit.
-    /// Undecodable payloads read as a miss (the envelope layer already
-    /// treats corruption the same way).
+    /// A payload that does not decode, or whose counters break an
+    /// identity, reads as a miss (the envelope layer already treats
+    /// corruption the same way).
     pub fn lookup(&self, key: Key) -> Option<CharRecord> {
         let bytes = self.store.as_ref()?.get(key)?;
         match decode_record(&bytes) {
@@ -357,9 +378,10 @@ mod tests {
 
     #[test]
     fn single_bit_flips_decode_exactly_or_fail() {
-        // A flipped counter or f64 bit is a different valid record (the
-        // store's digest, not this codec, catches those); anything else is
-        // a typed error. Strings reserve only the bytes they hold.
+        // A flipped f64 bit, or a counter bit that keeps every identity, is
+        // a different valid record (the store's digest, not this codec,
+        // catches those); anything else is a typed error. Strings reserve
+        // only the bytes they hold.
         let good = encode_record(&sample_record());
         let mut rng = workload_synth::rng::Rng64::seed_from(0x5eed);
         for _ in 0..1_000 {
@@ -381,7 +403,7 @@ mod tests {
         bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             decode_record(&bytes),
-            Err(CodecError::UnexpectedEof { .. })
+            Err(RecordError::Codec(CodecError::UnexpectedEof { .. }))
         ));
     }
 
@@ -421,11 +443,11 @@ mod tests {
         let pair = &app.pairs(InputSize::Ref)[0];
         assert_eq!(
             pair_key(pair, &RunConfig::quick()).to_string(),
-            "7291bc68ed5a0e7802d1213ea5261132"
+            "c3bfd681d0a2d30b084db53e599bd4c8"
         );
         assert_eq!(
             pair_key(pair, &RunConfig::default()).to_string(),
-            "b57a9e8a65cb06556c6269640197eede"
+            "90bf9fa64bd8ef4ac1cb32a0a9839ec1"
         );
     }
 
@@ -466,6 +488,37 @@ mod tests {
         );
         let warm = characterize_pair_cached(pair, &config, &cache).unwrap();
         assert_eq!(cold, warm);
+        let snap = cache.stats.snapshot();
+        assert_eq!((snap.misses, snap.hits, snap.stores), (1, 1, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_record_that_breaks_an_identity_is_a_miss_and_is_rewritten() {
+        let root = tmp_root("identity");
+        let cache = CacheContext::open(&root).unwrap();
+        let app = cpu2017::app("505.mcf_r").unwrap();
+        let pair = &app.pairs(InputSize::Ref)[0];
+        let config = RunConfig::quick();
+        let fresh = characterize_pair(pair, &config).unwrap();
+        let mut bad = fresh.clone();
+        let hits = bad.session.count(Event::MemLoadUopsRetiredL1Hit);
+        bad.session.set(Event::MemLoadUopsRetiredL1Hit, hits / 2);
+        let key = pair_key(pair, &config);
+        cache
+            .store()
+            .unwrap()
+            .put(key, &encode_record(&bad))
+            .unwrap();
+        assert!(matches!(
+            decode_record(&encode_record(&bad)),
+            Err(RecordError::Identity(IdentityError::L1Partition { .. }))
+        ));
+
+        assert!(cache.lookup(key).is_none(), "a broken record is a miss");
+        let served = characterize_pair_cached(pair, &config, &cache).unwrap();
+        assert_eq!(served, fresh, "the pair is re-simulated");
+        assert_eq!(cache.lookup(key), Some(fresh), "and its record rewritten");
         let snap = cache.stats.snapshot();
         assert_eq!((snap.misses, snap.hits, snap.stores), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&root);

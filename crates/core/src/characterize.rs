@@ -62,8 +62,9 @@ impl RunConfig {
 
 /// Everything the paper measures for one application–input pair.
 ///
-/// Microarchitecture-dependent values (IPC, miss rates, mispredict rate)
-/// are *measured* from simulation; footprints come from the `ps`-style
+/// Microarchitecture-dependent values (IPC, mix, miss and mispredict
+/// rates) are methods over the measured [`CharRecord::session`], so they
+/// cannot disagree with its counters; footprints come from the `ps`-style
 /// sampler; the paper-scale projections convert simulated quantities back
 /// to the paper's units for side-by-side comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,22 +85,6 @@ pub struct CharRecord {
     pub sim_ops: u64,
     /// Paper-scale dynamic instructions, billions (profile-declared volume).
     pub instructions_billions: f64,
-    /// Measured instructions per cycle.
-    pub ipc: f64,
-    /// Measured load micro-op percentage.
-    pub load_pct: f64,
-    /// Measured store micro-op percentage.
-    pub store_pct: f64,
-    /// Measured branch instruction percentage.
-    pub branch_pct: f64,
-    /// Measured L1D load miss rate (percent).
-    pub l1_miss_pct: f64,
-    /// Measured local L2 load miss rate (percent).
-    pub l2_miss_pct: f64,
-    /// Measured local L3 load miss rate (percent).
-    pub l3_miss_pct: f64,
-    /// Measured branch mispredict rate (percent).
-    pub mispredict_pct: f64,
     /// Maximum RSS observed by the sampler, GiB.
     pub rss_gib: f64,
     /// Maximum VSZ observed by the sampler, GiB.
@@ -121,6 +106,46 @@ pub struct CharRecord {
 }
 
 impl CharRecord {
+    /// Measured instructions per cycle.
+    pub fn ipc(&self) -> f64 {
+        self.session.ipc()
+    }
+
+    /// Measured load micro-op percentage.
+    pub fn load_pct(&self) -> f64 {
+        self.session.load_fraction() * 100.0
+    }
+
+    /// Measured store micro-op percentage.
+    pub fn store_pct(&self) -> f64 {
+        self.session.store_fraction() * 100.0
+    }
+
+    /// Measured branch instruction percentage.
+    pub fn branch_pct(&self) -> f64 {
+        self.session.branch_fraction() * 100.0
+    }
+
+    /// Measured L1D load miss rate (percent).
+    pub fn l1_miss_pct(&self) -> f64 {
+        self.session.l1_miss_rate() * 100.0
+    }
+
+    /// Measured local L2 load miss rate (percent).
+    pub fn l2_miss_pct(&self) -> f64 {
+        self.session.l2_miss_rate() * 100.0
+    }
+
+    /// Measured local L3 load miss rate (percent).
+    pub fn l3_miss_pct(&self) -> f64 {
+        self.session.l3_miss_rate() * 100.0
+    }
+
+    /// Measured branch mispredict rate (percent).
+    pub fn mispredict_pct(&self) -> f64 {
+        self.session.mispredict_rate() * 100.0
+    }
+
     /// Fraction of branches of one kind (measured), in `[0, 1]`.
     pub fn branch_kind_frac(&self, event: Event) -> f64 {
         let total = self.session.count(Event::BrInstExecAllBranches);
@@ -191,20 +216,26 @@ pub fn records_csv(records: &[CharRecord]) -> String {
             Field(r.size.label()),
             r.sim_ops,
             Fixed(r.instructions_billions),
-            Fixed(r.ipc),
-            Fixed(r.load_pct),
-            Fixed(r.store_pct),
-            Fixed(r.branch_pct),
-            Fixed(r.l1_miss_pct),
-            Fixed(r.l2_miss_pct),
-            Fixed(r.l3_miss_pct),
-            Fixed(r.mispredict_pct),
+            Fixed(r.ipc()),
+            Fixed(r.load_pct()),
+            Fixed(r.store_pct()),
+            Fixed(r.branch_pct()),
+            Fixed(r.l1_miss_pct()),
+            Fixed(r.l2_miss_pct()),
+            Fixed(r.l3_miss_pct()),
+            Fixed(r.mispredict_pct()),
             Fixed(r.rss_gib),
             Fixed(r.vsz_gib),
             Fixed(r.projected_seconds),
         );
     }
     out
+}
+
+/// The pair's id with its input size (`505.mcf_r/ref`): the label its
+/// scheduler job runs under, unique across a campaign's three sizes.
+pub fn pair_label(pair: &AppInputPair<'_>) -> String {
+    format!("{}/{}", pair.id(), pair.size.label())
 }
 
 /// Builds the canonical (trace, hints) pair for one application–input pair:
@@ -230,7 +261,9 @@ pub fn prepared_run(
 ///
 /// # Errors
 ///
-/// [`Error::Behavior`] when the pair's profile fails validation.
+/// [`Error::Behavior`] when the pair's profile fails validation, and
+/// [`Error::Identity`] when the engine's counters break an identity
+/// [`PerfSession::check`] holds them to.
 pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<CharRecord> {
     let behavior = &pair.input.behavior;
     let prepare = simtrace::span("stage/prepare");
@@ -249,6 +282,10 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
     // executed as it is drawn, with no buffer or iterator hand-off.
     let session = engine.execute(trace, &plan);
     drop(simulate);
+    session.check().map_err(|error| Error::Identity {
+        pair: pair_label(pair),
+        error,
+    })?;
     let sim_seconds = engine.seconds(&session);
     let counted = session.count(Event::InstRetiredAny).max(1) as f64;
     let breakdown = engine.last_breakdown().expect("run just completed");
@@ -287,14 +324,6 @@ pub fn characterize_pair(pair: &AppInputPair<'_>, config: &RunConfig) -> Result<
         size: pair.size,
         sim_ops,
         instructions_billions: behavior.instructions_billions,
-        ipc,
-        load_pct: session.load_fraction() * 100.0,
-        store_pct: session.store_fraction() * 100.0,
-        branch_pct: session.branch_fraction() * 100.0,
-        l1_miss_pct: session.l1_miss_rate() * 100.0,
-        l2_miss_pct: session.l2_miss_rate() * 100.0,
-        l3_miss_pct: session.l3_miss_rate() * 100.0,
-        mispredict_pct: session.mispredict_rate() * 100.0,
         rss_gib: gib(sampler.max_rss_bytes()),
         vsz_gib: gib(sampler.max_vsz_bytes()),
         cpi_base: per_inst(breakdown.base),
@@ -401,7 +430,7 @@ pub fn characterize_pairs_report<P: Fn(Progress) + Sync>(
 ) -> RunReport<CharRecord> {
     Scheduler::available().run(
         pairs.len(),
-        |i| format!("{}/{}", pairs[i].id(), pairs[i].size.label()),
+        |i| pair_label(&pairs[i]),
         |i| {
             let run = match cache {
                 Some(ctx) => characterize_pair_cached(&pairs[i], config, ctx),
@@ -428,20 +457,41 @@ pub(crate) mod tests {
         let pair = &app.pairs(InputSize::Ref)[0];
         let r = characterize_pair(pair, &quick()).unwrap();
         assert_eq!(r.id, "505.mcf_r");
+        assert_eq!(r.session.check(), Ok(()));
         assert_eq!(r.suite, Suite::RateInt);
-        assert!(r.ipc > 0.0);
+        assert!(r.ipc() > 0.0);
         assert!(r.sim_ops > 0);
         assert!(r.sim_seconds > 0.0);
         assert!(r.projected_seconds > 0.0);
         // Mix percentages should be near the profile.
         let b = &pair.input.behavior;
         assert!(
-            (r.load_pct - b.load_pct).abs() < 2.0,
+            (r.load_pct() - b.load_pct).abs() < 2.0,
             "loads {} vs {}",
-            r.load_pct,
+            r.load_pct(),
             b.load_pct
         );
-        assert!((r.branch_pct - b.branch_pct).abs() < 2.0);
+        assert!((r.branch_pct() - b.branch_pct).abs() < 2.0);
+    }
+
+    #[test]
+    fn projected_seconds_are_the_volume_at_the_measured_rate() {
+        // The one writer of `projected_seconds`: instructions retire at
+        // IPC x clock on each of the pair's threads.
+        let config = quick();
+        let clock_hz = config.system.timing.clock_ghz * 1e9;
+        for (name, threads) in [("657.xz_s", 4), ("505.mcf_r", 1)] {
+            let app = cpu2017::app(name).unwrap();
+            let pair = &app.pairs(InputSize::Ref)[0];
+            assert_eq!(pair.input.behavior.threads, threads, "{name}");
+            let r = characterize_pair(pair, &config).unwrap();
+            let volume = r.instructions_billions * 1e9;
+            let executed = r.projected_seconds * r.ipc() * clock_hz * threads as f64;
+            assert!(
+                (executed - volume).abs() <= 1e-9 * volume,
+                "{name}: {executed} vs {volume}"
+            );
+        }
     }
 
     #[test]
@@ -618,10 +668,10 @@ pub(crate) mod tests {
         let r_mcf = characterize_pair(&mcf.pairs(InputSize::Ref)[0], &config).unwrap();
         let r_x264 = characterize_pair(&x264.pairs(InputSize::Ref)[0], &config).unwrap();
         assert!(
-            r_x264.ipc > 2.0 * r_mcf.ipc,
+            r_x264.ipc() > 2.0 * r_mcf.ipc(),
             "x264 {} vs mcf {}",
-            r_x264.ipc,
-            r_mcf.ipc
+            r_x264.ipc(),
+            r_mcf.ipc()
         );
     }
 
@@ -672,7 +722,7 @@ pub(crate) mod tests {
         let app = cpu2017::app("519.lbm_r").unwrap();
         let r = characterize_pair(&app.pairs(InputSize::Ref)[0], &quick()).unwrap();
         let loads_b = r.projected_billions(Event::MemUopsRetiredAllLoads);
-        let expected = r.instructions_billions * r.load_pct / 100.0;
+        let expected = r.instructions_billions * r.load_pct() / 100.0;
         assert!((loads_b - expected).abs() / expected < 0.05);
     }
 }

@@ -85,23 +85,24 @@ impl CompareRow {
 /// A metric extractor with its display name.
 pub type Metric<'a> = (&'static str, &'a dyn Fn(&CharRecord) -> f64);
 
-/// The per-application averages every comparison row reads: one set per
-/// (generation, class), in the paper's row order. Tables III–VII differ
-/// only in the metrics they take from these, so a run builds them once.
+/// The per-application record groups every comparison row reads: one set
+/// per (generation, class), in the paper's row order, each app's records in
+/// input order. Tables III–VII differ only in the metrics they take from
+/// these, so a run builds them once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteAverages {
-    sets: Vec<(Generation, Class, Vec<CharRecord>)>,
+    sets: Vec<(Generation, Class, Vec<Vec<CharRecord>>)>,
 }
 
 impl SuiteAverages {
-    /// Averages `cpu06` and `cpu17` per application, for each class.
+    /// Groups `cpu06` and `cpu17` per application, for each class.
     pub fn new(cpu06: &[CharRecord], cpu17: &[CharRecord]) -> SuiteAverages {
         let mut sets = Vec::with_capacity(6);
         for class in Class::ALL {
             for (generation, records) in
                 [(Generation::Cpu2006, cpu06), (Generation::Cpu2017, cpu17)]
             {
-                sets.push((generation, class, app_averages(records, class)));
+                sets.push((generation, class, app_groups(records, class)));
             }
         }
         SuiteAverages { sets }
@@ -109,18 +110,18 @@ impl SuiteAverages {
 }
 
 /// Builds the six comparison rows (`CPU06/CPU17 × int/fp/all`) for a metric
-/// list from the per-application averages, so multi-input applications
-/// weigh as one.
+/// list: each metric is averaged over every application's inputs first, so
+/// multi-input applications weigh as one, then across applications.
 pub fn compare_rows(averages: &SuiteAverages, metrics: &[Metric<'_>]) -> Vec<CompareRow> {
     averages
         .sets
         .iter()
-        .map(|(generation, class, per_app)| {
-            let refs: Vec<&CharRecord> = per_app.iter().collect();
+        .map(|(generation, class, apps)| {
             let cells = metrics
                 .iter()
                 .map(|(_, f)| {
-                    let (mean, std) = mean_std(&refs, |r| f(r));
+                    let (mean, std) =
+                        mean_std(apps, |rs| rs.iter().map(f).sum::<f64>() / rs.len() as f64);
                     Cell { mean, std }
                 })
                 .collect();
@@ -133,35 +134,14 @@ pub fn compare_rows(averages: &SuiteAverages, metrics: &[Metric<'_>]) -> Vec<Com
         .collect()
 }
 
-/// Collapses multi-input applications to one averaged record per app, so an
-/// application with five inputs is not over-weighted in suite means.
-fn app_averages(records: &[CharRecord], class: Class) -> Vec<CharRecord> {
-    let mut by_app: std::collections::BTreeMap<&str, Vec<&CharRecord>> =
+/// The records of `class`, one group per application in name order.
+fn app_groups(records: &[CharRecord], class: Class) -> Vec<Vec<CharRecord>> {
+    let mut by_app: std::collections::BTreeMap<&str, Vec<CharRecord>> =
         std::collections::BTreeMap::new();
     for r in records.iter().filter(|r| class.matches(r)) {
-        by_app.entry(r.app.as_str()).or_default().push(r);
+        by_app.entry(r.app.as_str()).or_default().push(r.clone());
     }
-    by_app
-        .into_values()
-        .map(|rs| {
-            let n = rs.len() as f64;
-            let mut avg = rs[0].clone();
-            let mean = |f: fn(&CharRecord) -> f64| rs.iter().map(|r| f(r)).sum::<f64>() / n;
-            avg.ipc = mean(|r| r.ipc);
-            avg.load_pct = mean(|r| r.load_pct);
-            avg.store_pct = mean(|r| r.store_pct);
-            avg.branch_pct = mean(|r| r.branch_pct);
-            avg.l1_miss_pct = mean(|r| r.l1_miss_pct);
-            avg.l2_miss_pct = mean(|r| r.l2_miss_pct);
-            avg.l3_miss_pct = mean(|r| r.l3_miss_pct);
-            avg.mispredict_pct = mean(|r| r.mispredict_pct);
-            avg.rss_gib = mean(|r| r.rss_gib);
-            avg.vsz_gib = mean(|r| r.vsz_gib);
-            avg.instructions_billions = mean(|r| r.instructions_billions);
-            avg.projected_seconds = mean(|r| r.projected_seconds);
-            avg
-        })
-        .collect()
+    by_app.into_values().collect()
 }
 
 #[cfg(test)]
@@ -196,7 +176,7 @@ mod tests {
     #[test]
     fn six_rows_in_paper_order() {
         let (c06, c17) = records();
-        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
+        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc());
         let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[ipc]);
         let labels: Vec<String> = rows.iter().map(|r| r.label()).collect();
         assert_eq!(
@@ -215,7 +195,7 @@ mod tests {
     #[test]
     fn all_class_combines_int_and_fp() {
         let (c06, c17) = records();
-        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
+        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc());
         let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[ipc]);
         let get = |label: &str| rows.iter().find(|r| r.label() == label).unwrap().cells[0].mean;
         let int17 = get("CPU17 int");
@@ -227,8 +207,8 @@ mod tests {
     #[test]
     fn multiple_metrics_produce_multiple_cells() {
         let (c06, c17) = records();
-        let m1: Metric<'_> = ("loads", &|r: &CharRecord| r.load_pct);
-        let m2: Metric<'_> = ("stores", &|r: &CharRecord| r.store_pct);
+        let m1: Metric<'_> = ("loads", &|r: &CharRecord| r.load_pct());
+        let m2: Metric<'_> = ("stores", &|r: &CharRecord| r.store_pct());
         let rows = compare_rows(&SuiteAverages::new(&c06, &c17), &[m1, m2]);
         assert!(rows.iter().all(|r| r.cells.len() == 2));
     }
@@ -241,17 +221,21 @@ mod tests {
             cpu2017::app("505.mcf_r").unwrap(), // 1 input
         ];
         let records = characterize_suite(&apps, InputSize::Ref, &config).unwrap();
-        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc);
-        let rows = compare_rows(&SuiteAverages::new(&[], &records), &[ipc]);
+        // Every metric is averaged per app, derived or stored alike.
+        let ipc: Metric<'_> = ("IPC", &|r: &CharRecord| r.ipc());
+        let cpi: Metric<'_> = ("CPI memory", &|r: &CharRecord| r.cpi_memory);
+        let rows = compare_rows(&SuiteAverages::new(&[], &records), &[ipc, cpi]);
         let int_row = rows.iter().find(|r| r.label() == "CPU17 int").unwrap();
-        // Mean of two app-level IPCs, not six pair-level ones.
-        let gcc_mean = records
-            .iter()
-            .filter(|r| r.app == "502.gcc_r")
-            .map(|r| r.ipc)
-            .sum::<f64>()
-            / 5.0;
-        let mcf = records.iter().find(|r| r.app == "505.mcf_r").unwrap().ipc;
-        assert!((int_row.cells[0].mean - (gcc_mean + mcf) / 2.0).abs() < 1e-9);
+        for (cell, (name, f)) in int_row.cells.iter().zip([ipc, cpi]) {
+            // Mean of two app-level values, not six pair-level ones.
+            let gcc_mean = records
+                .iter()
+                .filter(|r| r.app == "502.gcc_r")
+                .map(f)
+                .sum::<f64>()
+                / 5.0;
+            let mcf = f(records.iter().find(|r| r.app == "505.mcf_r").unwrap());
+            assert!((cell.mean - (gcc_mean + mcf) / 2.0).abs() < 1e-9, "{name}");
+        }
     }
 }

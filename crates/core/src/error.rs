@@ -10,8 +10,9 @@
 use std::fmt;
 use std::io;
 
-use simstore::{CodecError, JobFailure};
+use simstore::JobFailure;
 use stat_analysis::StatsError;
+use uarch_sim::counters::IdentityError;
 use workload_synth::profile::InvalidBehavior;
 
 /// Convenience alias used throughout the pipeline.
@@ -26,8 +27,14 @@ pub enum Error {
     /// A statistics routine failed (empty input, dimension mismatch,
     /// non-convergence).
     Stats(StatsError),
-    /// A cached record could not be decoded.
-    Codec(CodecError),
+    /// A pair's simulated counters broke an identity the engine guarantees
+    /// ([`uarch_sim::counters::PerfSession::check`]).
+    Identity {
+        /// The pair's label, `id/size` (`505.mcf_r/ref`).
+        pair: String,
+        /// The broken identity, with both of its sides.
+        error: IdentityError,
+    },
     /// Filesystem trouble while reading or writing artifacts.
     Io(io::Error),
     /// One or more per-pair characterizations failed inside the scheduler.
@@ -51,7 +58,9 @@ impl fmt::Display for Error {
         match self {
             Error::Behavior(e) => write!(f, "{e}"),
             Error::Stats(e) => write!(f, "{e}"),
-            Error::Codec(e) => write!(f, "result cache: {e}"),
+            Error::Identity { pair, error } => {
+                write!(f, "{pair}: counter identity broken: {error}")
+            }
             Error::Io(e) => write!(f, "io: {e}"),
             Error::Characterization { failures, total } => {
                 writeln!(
@@ -84,7 +93,7 @@ impl std::error::Error for Error {
         match self {
             Error::Behavior(e) => Some(e),
             Error::Stats(e) => Some(e),
-            Error::Codec(e) => Some(e),
+            Error::Identity { error, .. } => Some(error),
             Error::Io(e) => Some(e),
             _ => None,
         }
@@ -100,12 +109,6 @@ impl From<InvalidBehavior> for Error {
 impl From<StatsError> for Error {
     fn from(e: StatsError) -> Self {
         Error::Stats(e)
-    }
-}
-
-impl From<CodecError> for Error {
-    fn from(e: CodecError) -> Self {
-        Error::Codec(e)
     }
 }
 
@@ -131,8 +134,14 @@ mod tests {
         assert!(behavior.to_string().contains("bad mix"));
         let stats: Error = StatsError::Empty { what: "records" }.into();
         assert!(stats.to_string().contains("records"));
-        let codec: Error = CodecError::BadMagic.into();
-        assert!(codec.to_string().contains("magic"));
+        let identity = Error::Identity {
+            pair: "505.mcf_r/ref".to_string(),
+            error: IdentityError::NoCycles { instructions: 7 },
+        };
+        assert_eq!(
+            identity.to_string(),
+            "505.mcf_r/ref: counter identity broken: retired instructions 7 but cycles 0"
+        );
         let io: Error = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(io.to_string().contains("gone"));
         let usage = Error::Usage("unknown flag --frob".to_string());

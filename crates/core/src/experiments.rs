@@ -222,16 +222,16 @@ pub fn run(id: ExperimentId, data: &Dataset) -> Result<Artifact> {
             data,
             id,
             "Table III analogue: IPC comparison",
-            &[("IPC", &|r: &CharRecord| r.ipc)],
+            &[("IPC", &|r: &CharRecord| r.ipc())],
         ),
         ExperimentId::Table4 => comparison_table(
             data,
             id,
             "Table IV analogue: instruction-mix comparison",
             &[
-                ("% Loads", &|r: &CharRecord| r.load_pct),
-                ("% Stores", &|r: &CharRecord| r.store_pct),
-                ("% Branches", &|r: &CharRecord| r.branch_pct),
+                ("% Loads", &|r: &CharRecord| r.load_pct()),
+                ("% Stores", &|r: &CharRecord| r.store_pct()),
+                ("% Branches", &|r: &CharRecord| r.branch_pct()),
             ],
         ),
         ExperimentId::Table5 => comparison_table(
@@ -248,27 +248,27 @@ pub fn run(id: ExperimentId, data: &Dataset) -> Result<Artifact> {
             id,
             "Table VI analogue: cache miss-rate comparison (%)",
             &[
-                ("L1 Miss", &|r: &CharRecord| r.l1_miss_pct),
-                ("L2 Miss", &|r: &CharRecord| r.l2_miss_pct),
-                ("L3 Miss", &|r: &CharRecord| r.l3_miss_pct),
+                ("L1 Miss", &|r: &CharRecord| r.l1_miss_pct()),
+                ("L2 Miss", &|r: &CharRecord| r.l2_miss_pct()),
+                ("L3 Miss", &|r: &CharRecord| r.l3_miss_pct()),
             ],
         ),
         ExperimentId::Table7 => comparison_table(
             data,
             id,
             "Table VII analogue: branch mispredict comparison (%)",
-            &[("Mispredict", &|r: &CharRecord| r.mispredict_pct)],
+            &[("Mispredict", &|r: &CharRecord| r.mispredict_pct())],
         ),
         ExperimentId::Table8 => table8(),
         ExperimentId::Table9 => table9(data),
         ExperimentId::Table10 => table10(data),
-        ExperimentId::Fig1 => per_app_figure(data, id, "IPC", &|r| r.ipc),
+        ExperimentId::Fig1 => per_app_figure(data, id, "IPC", &|r| r.ipc()),
         ExperimentId::Fig2 => fig2(data),
         ExperimentId::Fig3 => fig3(data),
         ExperimentId::Fig4 => fig4(data),
         ExperimentId::Fig5 => fig5(data),
         ExperimentId::Fig6 => per_app_figure(data, id, "Branch mispredict rate (%)", &|r| {
-            r.mispredict_pct
+            r.mispredict_pct()
         }),
         ExperimentId::Fig7 => fig7(data),
         ExperimentId::Fig8 => fig8(data),
@@ -428,9 +428,9 @@ fn table9(data: &Dataset) -> Artifact {
         ]);
     };
     push_row("Instruction count (B)", &|r| r.instructions_billions, 3);
-    push_row("% Loads", &|r| r.load_pct, 3);
-    push_row("% Stores", &|r| r.store_pct, 3);
-    push_row("% Branches", &|r| r.branch_pct, 3);
+    push_row("% Loads", &|r| r.load_pct(), 3);
+    push_row("% Stores", &|r| r.store_pct(), 3);
+    push_row("% Branches", &|r| r.branch_pct(), 3);
     push_row("RSS (GiB)", &|r| r.rss_gib, 3);
     push_row("VSZ (GiB)", &|r| r.vsz_gib, 3);
     a.tables.push(t);
@@ -668,8 +668,8 @@ fn fig2(data: &Dataset) -> Artifact {
         for suite in suites {
             for r in data.mini_suite_ref(suite) {
                 labels.push(r.id.clone());
-                loads.push(r.load_pct);
-                stores.push(r.store_pct);
+                loads.push(r.load_pct());
+                stores.push(r.store_pct());
             }
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -696,9 +696,9 @@ fn fig3(data: &Dataset) -> Artifact {
         for suite in suites {
             for r in data.mini_suite_ref(suite) {
                 labels.push(r.id.clone());
-                total.push(r.branch_pct);
+                total.push(r.branch_pct());
                 conditional
-                    .push(r.branch_pct * r.branch_kind_frac(Event::BrInstExecAllConditional));
+                    .push(r.branch_pct() * r.branch_kind_frac(Event::BrInstExecAllConditional));
             }
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -752,9 +752,9 @@ fn fig5(data: &Dataset) -> Artifact {
         for suite in suites {
             for r in data.mini_suite_ref(suite) {
                 labels.push(r.id.clone());
-                m1.push(r.l1_miss_pct);
-                m2.push(r.l2_miss_pct);
-                m3.push(r.l3_miss_pct);
+                m1.push(r.l1_miss_pct());
+                m2.push(r.l2_miss_pct());
+                m3.push(r.l3_miss_pct());
             }
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -906,7 +906,7 @@ fn fig10(data: &Dataset) -> Artifact {
 /// RSS/VSZ and per-level miss rates vs IPC across all applications.
 pub fn correlation_notes(data: &Dataset) -> Vec<(String, f64)> {
     let refs = data.cpu17_at(InputSize::Ref);
-    let ipc: Vec<f64> = refs.iter().map(|r| r.ipc).collect();
+    let ipc: Vec<f64> = refs.iter().map(|r| r.ipc()).collect();
     let corr = |f: &dyn Fn(&CharRecord) -> f64| -> f64 {
         let xs: Vec<f64> = refs.iter().map(|&r| f(r)).collect();
         summary::pearson(&xs, &ipc).unwrap_or(0.0)
@@ -914,9 +914,9 @@ pub fn correlation_notes(data: &Dataset) -> Vec<(String, f64)> {
     vec![
         ("RSS vs IPC".into(), corr(&|r| r.rss_gib)),
         ("VSZ vs IPC".into(), corr(&|r| r.vsz_gib)),
-        ("L1 miss vs IPC".into(), corr(&|r| r.l1_miss_pct)),
-        ("L2 miss vs IPC".into(), corr(&|r| r.l2_miss_pct)),
-        ("L3 miss vs IPC".into(), corr(&|r| r.l3_miss_pct)),
+        ("L1 miss vs IPC".into(), corr(&|r| r.l1_miss_pct())),
+        ("L2 miss vs IPC".into(), corr(&|r| r.l2_miss_pct())),
+        ("L3 miss vs IPC".into(), corr(&|r| r.l3_miss_pct())),
     ]
 }
 
@@ -1094,7 +1094,9 @@ mod tests {
             (ExperimentId::Fig10, &changed17),
         );
         let mut changed06 = demo().clone();
-        changed06.cpu06[0].load_pct *= 3.0;
+        let session = &mut changed06.cpu06[0].session;
+        let stores = session.count(Event::MemUopsRetiredAllStores);
+        session.set(Event::MemUopsRetiredAllStores, stores * 3);
         assert_no_stale_fit(
             (ExperimentId::Table3, demo()),
             (ExperimentId::Table4, &changed06),

@@ -25,10 +25,10 @@
 //!     `simstore` store, so repeated campaigns replay from disk; the
 //!     parallel runners in [`characterize`] are cache-first and
 //!     panic-isolated (one broken profile no longer aborts a campaign).
-//! 11. [`lint`] statically audits produced artifacts without re-running
-//!     anything: counter identities on records and cached entries, timeline
-//!     telescoping, and the campaign pre-flight gate behind the binaries'
-//!     `--lint` flag (`simcheck` rules `R001`–`R021`).
+//! 11. [`lint`] holds the campaign pre-flight gate behind the binaries'
+//!     `--lint` flag and the result-store audit (`simcheck` rules `R020`
+//!     and `R021`: every cached record must decode, counter identities
+//!     included).
 //! 12. [`simpoints`] drives roster-wide `simpoint` campaigns (SimPoint-style
 //!     representative-interval simulation) behind the binaries' `--simpoint`
 //!     flag, persisting speedup-vs-error records under `results/simpoints/`;
@@ -45,7 +45,7 @@
 //! let app = cpu2017::app("505.mcf_r").expect("known app");
 //! let pair = &app.pairs(InputSize::Ref)[0];
 //! let record = characterize_pair(pair, &config)?;
-//! println!("{} IPC = {:.3}", record.id, record.ipc);
+//! println!("{} IPC = {:.3}", record.id, record.ipc());
 //! # Ok::<(), workchar::error::Error>(())
 //! ```
 

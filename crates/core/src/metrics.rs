@@ -49,15 +49,15 @@ pub const CHARACTERISTICS: [Characteristic; 20] = [
     },
     Characteristic {
         name: "load_uops(%)",
-        extract: |r| r.load_pct,
+        extract: |r| r.load_pct(),
     },
     Characteristic {
         name: "store_uops(%)",
-        extract: |r| r.store_pct,
+        extract: |r| r.store_pct(),
     },
     Characteristic {
         name: "total_mem_uops(%)",
-        extract: |r| r.load_pct + r.store_pct,
+        extract: |r| r.load_pct() + r.store_pct(),
     },
     Characteristic {
         name: "br_inst_exec.all_branches",
@@ -65,7 +65,7 @@ pub const CHARACTERISTICS: [Characteristic; 20] = [
     },
     Characteristic {
         name: "branch_inst(%)",
-        extract: |r| r.branch_pct,
+        extract: |r| r.branch_pct(),
     },
     Characteristic {
         name: "br_inst_exec.all_conditional",

@@ -19,7 +19,7 @@ use uarch_sim::counters::Event;
 use workload_synth::profile::{AppInputPair, AppProfile, InputSize};
 
 use crate::cache::{hash_system, MODEL_FINGERPRINT};
-use crate::characterize::{prepared_run, RunConfig};
+use crate::characterize::{pair_label, prepared_run, RunConfig};
 use crate::error::{Error, Result};
 
 /// Feeds every result-affecting simpoint knob into `h`.
@@ -119,7 +119,7 @@ pub fn analyze_pairs(
     Scheduler::available()
         .run(
             pairs.len(),
-            |i| format!("{}/{}", pairs[i].id(), pairs[i].size.label()),
+            |i| pair_label(&pairs[i]),
             |i| analyze_pair_cached(&pairs[i], run, sp, store).unwrap_or_else(|e| panic!("{e}")),
             |_| {},
         )

@@ -58,7 +58,7 @@ pub fn table_two_rows(records: &[CharRecord]) -> Vec<SuiteRow> {
                 size,
                 pairs: subset.len(),
                 instructions_billions: app_means(|r| r.instructions_billions),
-                ipc: app_means(|r| r.ipc),
+                ipc: app_means(|r| r.ipc()),
                 execution_seconds: app_means(|r| r.projected_seconds),
             });
         }
@@ -78,10 +78,11 @@ pub fn table_two_rows_cached(
     Ok(table_two_rows(&records))
 }
 
-/// Mean and standard deviation of a per-record metric over a record subset —
-/// the building block of the Tables III–VII comparison rows.
-pub fn mean_std<F: Fn(&CharRecord) -> f64>(records: &[&CharRecord], f: F) -> (f64, f64) {
-    let values: Vec<f64> = records.iter().map(|r| f(r)).collect();
+/// Mean and sample standard deviation of a metric over `items` (records,
+/// or per-application record groups) — the building block of the
+/// Tables III–VII comparison rows.
+pub fn mean_std<T, F: Fn(&T) -> f64>(items: &[T], f: F) -> (f64, f64) {
+    let values: Vec<f64> = items.iter().map(f).collect();
     let mean = summary::mean(&values).unwrap_or(0.0);
     let std = if values.len() >= 2 {
         summary::std_dev(&values).unwrap_or(0.0)
@@ -185,7 +186,7 @@ mod tests {
         let apps = vec![cpu2017::app("541.leela_r").unwrap()];
         let records = characterize_suite(&apps, InputSize::Ref, &RunConfig::quick()).unwrap();
         let refs: Vec<&CharRecord> = records.iter().collect();
-        let (mean, std) = mean_std(&refs, |r| r.ipc);
+        let (mean, std) = mean_std(&refs, |r| r.ipc());
         assert!(mean > 0.0);
         assert_eq!(std, 0.0, "single record has zero std");
     }

@@ -5,6 +5,10 @@
 //! [`Event`] reproduces those counter names verbatim so the characterization
 //! layer can be read side-by-side with the paper's methodology; a
 //! [`PerfSession`] is the analogue of one `perf stat` output file.
+//!
+//! The events partition: L1 hits and misses split the retired loads, L2
+//! hits and misses split the L1 misses, and so on. [`PerfSession::check`]
+//! holds a session to those identities wherever one is built or decoded.
 
 use std::fmt;
 
@@ -251,6 +255,86 @@ impl PerfSession {
         }
     }
 
+    /// Checks the counter identities every engine run satisfies by
+    /// construction: the L1/L2/L3 load partitions, the branch-kind
+    /// partition, mispredicts within branches, cycles behind retired
+    /// instructions, and loads and the counted classes within retired
+    /// instructions. Sums are taken in `u128`, so a corrupt session with
+    /// saturated counters is an error, never an overflow.
+    ///
+    /// # Errors
+    ///
+    /// The first [`IdentityError`] found, naming both sides of it.
+    pub fn check(&self) -> Result<(), IdentityError> {
+        let n = |e: Event| self.count(e);
+        let sum = |events: &[Event]| events.iter().map(|&e| u128::from(n(e))).sum::<u128>();
+        let loads = n(Event::MemUopsRetiredAllLoads);
+        let l1_misses = n(Event::MemLoadUopsRetiredL1Miss);
+        let l2_misses = n(Event::MemLoadUopsRetiredL2Miss);
+        let branches = n(Event::BrInstExecAllBranches);
+        let mispredicts = n(Event::BrMispExecAllBranches);
+        let instructions = n(Event::InstRetiredAny);
+
+        let parts = sum(&[
+            Event::MemLoadUopsRetiredL1Hit,
+            Event::MemLoadUopsRetiredL1Miss,
+        ]);
+        if parts != u128::from(loads) {
+            return Err(IdentityError::L1Partition { parts, loads });
+        }
+        let parts = sum(&[
+            Event::MemLoadUopsRetiredL2Hit,
+            Event::MemLoadUopsRetiredL2Miss,
+        ]);
+        if parts != u128::from(l1_misses) {
+            return Err(IdentityError::L2Partition { parts, l1_misses });
+        }
+        let parts = sum(&[
+            Event::MemLoadUopsRetiredL3Hit,
+            Event::MemLoadUopsRetiredL3Miss,
+        ]);
+        if parts != u128::from(l2_misses) {
+            return Err(IdentityError::L3Partition { parts, l2_misses });
+        }
+        let kinds = sum(&[
+            Event::BrInstExecAllConditional,
+            Event::BrInstExecAllDirectJmp,
+            Event::BrInstExecAllDirectNearCall,
+            Event::BrInstExecAllIndirectJumpNonCallRet,
+            Event::BrInstExecAllIndirectNearReturn,
+        ]);
+        if kinds != u128::from(branches) {
+            return Err(IdentityError::BranchKinds { kinds, branches });
+        }
+        if mispredicts > branches {
+            return Err(IdentityError::Mispredicts {
+                mispredicts,
+                branches,
+            });
+        }
+        if instructions > 0 && n(Event::CpuClkUnhaltedRefTsc) == 0 {
+            return Err(IdentityError::NoCycles { instructions });
+        }
+        if loads > instructions {
+            return Err(IdentityError::Loads {
+                loads,
+                instructions,
+            });
+        }
+        let classes = sum(&[
+            Event::MemUopsRetiredAllLoads,
+            Event::MemUopsRetiredAllStores,
+            Event::BrInstExecAllBranches,
+        ]);
+        if classes > u128::from(instructions) {
+            return Err(IdentityError::Classes {
+                classes,
+                instructions,
+            });
+        }
+        Ok(())
+    }
+
     /// Renders the session like a `perf stat` report (one event per line).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -260,6 +344,111 @@ impl PerfSession {
         out
     }
 }
+
+/// A counter identity a [`PerfSession`] breaks, with both of its sides
+/// (see [`PerfSession::check`]). Sums of several counters are `u128`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdentityError {
+    /// L1 hits + L1 misses differ from the retired loads.
+    L1Partition {
+        /// `l1_hit + l1_miss`.
+        parts: u128,
+        /// `mem_uops_retired.all_loads`.
+        loads: u64,
+    },
+    /// L2 hits + L2 misses differ from the L1 misses.
+    L2Partition {
+        /// `l2_hit + l2_miss`.
+        parts: u128,
+        /// `mem_load_uops_retired.l1_miss`.
+        l1_misses: u64,
+    },
+    /// L3 hits + L3 misses differ from the L2 misses.
+    L3Partition {
+        /// `l3_hit + l3_miss`.
+        parts: u128,
+        /// `mem_load_uops_retired.l2_miss`.
+        l2_misses: u64,
+    },
+    /// The five branch-kind counters differ from all executed branches.
+    BranchKinds {
+        /// The sum of the kind counters.
+        kinds: u128,
+        /// `br_inst_exec.all_branches`.
+        branches: u64,
+    },
+    /// More mispredicts than executed branches.
+    Mispredicts {
+        /// `br_misp_exec.all_branches`.
+        mispredicts: u64,
+        /// `br_inst_exec.all_branches`.
+        branches: u64,
+    },
+    /// Retired instructions with zero cycles.
+    NoCycles {
+        /// `inst_retired.any`.
+        instructions: u64,
+    },
+    /// More retired loads than retired instructions.
+    Loads {
+        /// `mem_uops_retired.all_loads`.
+        loads: u64,
+        /// `inst_retired.any`.
+        instructions: u64,
+    },
+    /// Loads + stores + branches exceed the retired instructions.
+    Classes {
+        /// `all_loads + all_stores + all_branches`.
+        classes: u128,
+        /// `inst_retired.any`.
+        instructions: u64,
+    },
+}
+
+impl fmt::Display for IdentityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IdentityError::L1Partition { parts, loads } => {
+                write!(f, "L1 hits + misses {parts} != retired loads {loads}")
+            }
+            IdentityError::L2Partition { parts, l1_misses } => {
+                write!(f, "L2 hits + misses {parts} != L1 misses {l1_misses}")
+            }
+            IdentityError::L3Partition { parts, l2_misses } => {
+                write!(f, "L3 hits + misses {parts} != L2 misses {l2_misses}")
+            }
+            IdentityError::BranchKinds { kinds, branches } => {
+                write!(f, "branch kinds {kinds} != executed branches {branches}")
+            }
+            IdentityError::Mispredicts {
+                mispredicts,
+                branches,
+            } => write!(
+                f,
+                "mispredicts {mispredicts} > executed branches {branches}"
+            ),
+            IdentityError::NoCycles { instructions } => {
+                write!(f, "retired instructions {instructions} but cycles 0")
+            }
+            IdentityError::Loads {
+                loads,
+                instructions,
+            } => write!(
+                f,
+                "retired loads {loads} > retired instructions {instructions}"
+            ),
+            IdentityError::Classes {
+                classes,
+                instructions,
+            } => write!(
+                f,
+                "loads + stores + branches {classes} > retired instructions {instructions}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IdentityError {}
 
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -395,6 +584,92 @@ mod tests {
         let taken = s.take_timeline().unwrap();
         assert_eq!(taken.interval_ops, 42);
         assert_eq!(s, plain);
+    }
+
+    #[test]
+    fn each_identity_rejects_its_violation() {
+        use crate::config::SystemConfig;
+        use crate::engine::Engine;
+        use crate::exec::{from_iter, ExecPlan};
+        use crate::microop::{BranchKind, MicroOp};
+
+        // A real engine run over every op kind, its loads reaching DRAM.
+        let ops = (0..4_000u64).map(|i| match i % 5 {
+            0 => MicroOp::Alu,
+            1 => MicroOp::load(i.wrapping_mul(0x9e37_79b9) % (1 << 24)),
+            2 => MicroOp::store(i * 64),
+            3 => MicroOp::conditional_branch(i % 97, i % 3 == 0),
+            _ => MicroOp::Branch {
+                pc: i,
+                kind: BranchKind::IndirectNearReturn,
+                taken: true,
+            },
+        });
+        let good = Engine::new(&SystemConfig::tiny_test())
+            .execute(from_iter(ops), &ExecPlan::new().warmup(1_000));
+        assert_eq!(good.check(), Ok(()));
+        assert!(good.count(Event::MemLoadUopsRetiredL3Miss) > 0);
+
+        // One edit per identity, and the variant that must name the break.
+        let n = |e: Event| good.count(e);
+        let inst = n(Event::InstRetiredAny);
+        let l1_hits = Event::MemLoadUopsRetiredL1Hit;
+        let cases: [(&[(Event, u64)], &str); 8] = [
+            (&[(l1_hits, n(l1_hits) + 1)], "L1Partition"),
+            (
+                &[(
+                    Event::MemLoadUopsRetiredL2Hit,
+                    n(Event::MemLoadUopsRetiredL2Hit) + 1,
+                )],
+                "L2Partition",
+            ),
+            (
+                &[(
+                    Event::MemLoadUopsRetiredL3Miss,
+                    n(Event::MemLoadUopsRetiredL3Miss) + 1,
+                )],
+                "L3Partition",
+            ),
+            (
+                &[(
+                    Event::BrInstExecAllDirectJmp,
+                    n(Event::BrInstExecAllDirectJmp) + 1,
+                )],
+                "BranchKinds",
+            ),
+            (
+                &[(
+                    Event::BrMispExecAllBranches,
+                    n(Event::BrInstExecAllBranches) + 1,
+                )],
+                "Mispredicts",
+            ),
+            (&[(Event::CpuClkUnhaltedRefTsc, 0)], "NoCycles"),
+            // A balanced L1 partition whose loads outnumber the instructions.
+            (
+                &[
+                    (Event::MemUopsRetiredAllLoads, inst + 1),
+                    (l1_hits, inst + 1 - n(Event::MemLoadUopsRetiredL1Miss)),
+                ],
+                "Loads",
+            ),
+            (&[(Event::MemUopsRetiredAllStores, inst)], "Classes"),
+        ];
+        for (edits, variant) in cases {
+            let mut s = good.clone();
+            for &(event, value) in edits {
+                s.set(event, value);
+            }
+            let err = s.check().expect_err(variant);
+            assert!(format!("{err:?}").starts_with(variant), "{variant}: {err}");
+        }
+
+        // Saturated counters are an error, not an overflow panic.
+        let mut saturated = PerfSession::new();
+        for e in Event::ALL {
+            saturated.set(e, u64::MAX);
+        }
+        assert!(saturated.check().is_err());
     }
 
     #[test]

@@ -236,13 +236,30 @@ pub fn pair_object(app: &AppProfile, size: InputSize, input_name: &str) -> Strin
     format!("{}/{}/{}", app.name, size.label(), input_name)
 }
 
-/// Checks every input of one application at every size.
+/// Checks every input of one application at every size, and that each
+/// pair's id (`app` or `app-input`) follows the `NNN.name[-input]`
+/// convention the roster tables join on (P017).
 pub fn check_app(app: &AppProfile, config: Option<&SystemConfig>) -> Report {
     let mut report = Report::new();
+    let digits = app.name.bytes().take_while(u8::is_ascii_digit).count();
+    let app_shaped = digits >= 1
+        && app.name.as_bytes().get(digits) == Some(&b'.')
+        && app.name.len() > digits + 1;
     for size in InputSize::ALL {
-        for input in app.inputs(size) {
-            let object = pair_object(app, size, &input.name);
-            report.merge(check_behavior(&object, &input.behavior, config));
+        for pair in app.pairs(size) {
+            let object = pair_object(app, size, &pair.input.name);
+            report.merge(check_behavior(&object, &pair.input.behavior, config));
+            if !app_shaped {
+                report.push(Diagnostic::new(
+                    &codes::P017,
+                    Span::field(&object, "id"),
+                    format!(
+                        "id {:?} / app {:?} do not follow the NNN.name[-input] convention",
+                        pair.id(),
+                        app.name
+                    ),
+                ));
+            }
         }
     }
     report
@@ -383,6 +400,28 @@ mod tests {
         assert_eq!(p015.len(), 1, "{}", report.to_table());
         assert_eq!(p015[0].span.object, "901.kvstore_x/ref/in2");
         assert!(p015[0].message.contains("901.kvstore_x/ref/in1"));
+    }
+
+    #[test]
+    fn odd_id_is_a_warning_not_an_error() {
+        let mut app = app_with(vec![("in1", Behavior::default())]);
+        app.name = "mcf".to_string();
+        let report = check_roster(&[app], None);
+        assert!(!report.has_errors(), "{}", report.to_table());
+        let p017: Vec<_> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code.code == "P017")
+            .collect();
+        assert_eq!(p017.len(), 1, "{}", report.to_table());
+        assert_eq!(p017[0].severity, simcheck::Severity::Warning);
+        assert_eq!(
+            p017[0].message,
+            "id \"mcf\" / app \"mcf\" do not follow the NNN.name[-input] convention"
+        );
+        // The conventional name of the same app is clean.
+        let report = check_roster(&[app_with(vec![("in1", Behavior::default())])], None);
+        assert!(report.is_empty(), "{}", report.to_table());
     }
 
     #[test]

@@ -37,17 +37,17 @@ fn main() {
                 .iter()
                 .find(|r| r.id == pair.id())
                 .expect("record exists");
-            ipc_err.push(((r.ipc - b.ipc_target) / b.ipc_target).abs());
+            ipc_err.push(((r.ipc() - b.ipc_target) / b.ipc_target).abs());
             let cell = |measured: f64, target: f64, prec: usize| {
                 format!("{} / {}", num(measured, prec), num(target, prec))
             };
             table.row(vec![
                 r.id.clone(),
-                cell(r.ipc, b.ipc_target, 2),
-                cell(r.l1_miss_pct, b.l1_miss_target * 100.0, 1),
-                cell(r.l2_miss_pct, b.l2_miss_target * 100.0, 1),
-                cell(r.l3_miss_pct, b.l3_miss_target * 100.0, 1),
-                cell(r.mispredict_pct, b.mispredict_target * 100.0, 2),
+                cell(r.ipc(), b.ipc_target, 2),
+                cell(r.l1_miss_pct(), b.l1_miss_target * 100.0, 1),
+                cell(r.l2_miss_pct(), b.l2_miss_target * 100.0, 1),
+                cell(r.l3_miss_pct(), b.l3_miss_target * 100.0, 1),
+                cell(r.mispredict_pct(), b.mispredict_target * 100.0, 2),
             ]);
         }
     }

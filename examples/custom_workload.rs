@@ -53,11 +53,11 @@ fn main() {
     println!("custom workload '{}' characterized:", custom_record.id);
     println!(
         "  IPC {:.3}   L1 {:.2}%  L2 {:.2}%  L3 {:.2}%  mispredict {:.2}%\n",
-        custom_record.ipc,
-        custom_record.l1_miss_pct,
-        custom_record.l2_miss_pct,
-        custom_record.l3_miss_pct,
-        custom_record.mispredict_pct,
+        custom_record.ipc(),
+        custom_record.l1_miss_pct(),
+        custom_record.l2_miss_pct(),
+        custom_record.l3_miss_pct(),
+        custom_record.mispredict_pct(),
     );
 
     // Fit PCA on the real suite, then project the custom workload into the

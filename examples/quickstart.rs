@@ -33,16 +33,20 @@ fn main() {
             "  instructions (paper scale) : {:.1} billion",
             r.instructions_billions
         );
-        println!("  IPC                        : {:.3}", r.ipc);
+        println!("  IPC                        : {:.3}", r.ipc());
         println!(
             "  instruction mix            : {:.1}% loads, {:.1}% stores, {:.1}% branches",
-            r.load_pct, r.store_pct, r.branch_pct
+            r.load_pct(),
+            r.store_pct(),
+            r.branch_pct()
         );
         println!(
             "  cache miss rates           : L1 {:.2}%  L2 {:.2}%  L3 {:.2}% (local)",
-            r.l1_miss_pct, r.l2_miss_pct, r.l3_miss_pct
+            r.l1_miss_pct(),
+            r.l2_miss_pct(),
+            r.l3_miss_pct()
         );
-        println!("  branch mispredict rate     : {:.3}%", r.mispredict_pct);
+        println!("  branch mispredict rate     : {:.3}%", r.mispredict_pct());
         println!(
             "  footprint                  : RSS {:.3} GiB, VSZ {:.3} GiB",
             r.rss_gib, r.vsz_gib

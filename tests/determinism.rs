@@ -52,5 +52,5 @@ fn input_sizes_differ_but_share_structure() {
     assert_ne!(test.session, reference.session);
     assert!(reference.instructions_billions > test.instructions_billions * 5.0);
     // IPC stays in the same ballpark across sizes (paper Table II for int).
-    assert!((test.ipc - reference.ipc).abs() < 0.5);
+    assert!((test.ipc() - reference.ipc()).abs() < 0.5);
 }

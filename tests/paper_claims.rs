@@ -50,16 +50,18 @@ fn record(id: &str) -> &'static CharRecord {
 #[test]
 fn x264_has_highest_and_mcf_lowest_int_ipc() {
     // Fig. 1 headline: 525.x264_r fastest int app, 505.mcf_r slowest.
-    let x264 = record("525.x264_r-in1").ipc;
-    let mcf = record("505.mcf_r").ipc;
+    let x264 = record("525.x264_r-in1").ipc();
+    let mcf = record("505.mcf_r").ipc();
     assert!(x264 > 2.0 * mcf, "x264 {x264} vs mcf {mcf}");
 }
 
 #[test]
 fn speed_fp_ipc_collapses() {
     // Table II: speed-fp IPC is less than half of rate-fp IPC.
-    let rate_fp = record("549.fotonik3d_r").ipc.max(record("508.namd_r").ipc);
-    let lbm_s = record("619.lbm_s").ipc;
+    let rate_fp = record("549.fotonik3d_r")
+        .ipc()
+        .max(record("508.namd_r").ipc());
+    let lbm_s = record("619.lbm_s").ipc();
     assert!(
         lbm_s < 0.2,
         "619.lbm_s must be the extreme low IPC, got {lbm_s}"
@@ -71,11 +73,11 @@ fn speed_fp_ipc_collapses() {
 fn lbm_has_fewest_branches_and_most_stores() {
     // Fig. 2/3: 519.lbm_r lowest branch share; among the highest stores.
     let lbm = record("519.lbm_r");
-    assert!(lbm.branch_pct < 2.0, "lbm branches {}", lbm.branch_pct);
-    assert!(lbm.store_pct > 11.0, "lbm stores {}", lbm.store_pct);
+    assert!(lbm.branch_pct() < 2.0, "lbm branches {}", lbm.branch_pct());
+    assert!(lbm.store_pct() > 11.0, "lbm stores {}", lbm.store_pct());
     for r in records().iter().filter(|r| r.id != "519.lbm_r") {
         assert!(
-            lbm.branch_pct <= r.branch_pct + 1e-9,
+            lbm.branch_pct() <= r.branch_pct() + 1e-9,
             "{} branchier than lbm",
             r.id
         );
@@ -85,7 +87,7 @@ fn lbm_has_fewest_branches_and_most_stores() {
 #[test]
 fn exchange2_has_highest_store_share_of_int() {
     let ex = record("548.exchange2_r");
-    assert!(ex.store_pct > 14.0, "exchange2 stores {}", ex.store_pct);
+    assert!(ex.store_pct() > 14.0, "exchange2 stores {}", ex.store_pct());
 }
 
 #[test]
@@ -93,14 +95,18 @@ fn leela_has_highest_mispredict_rate() {
     let leela = record("541.leela_r");
     for r in records().iter().filter(|r| r.app != "541.leela_r") {
         assert!(
-            leela.mispredict_pct > r.mispredict_pct,
+            leela.mispredict_pct() > r.mispredict_pct(),
             "{} out-mispredicts leela ({} vs {})",
             r.id,
-            r.mispredict_pct,
-            leela.mispredict_pct
+            r.mispredict_pct(),
+            leela.mispredict_pct()
         );
     }
-    assert!(leela.mispredict_pct > 5.0, "leela {}", leela.mispredict_pct);
+    assert!(
+        leela.mispredict_pct() > 5.0,
+        "leela {}",
+        leela.mispredict_pct()
+    );
 }
 
 #[test]
@@ -108,14 +114,14 @@ fn fotonik_has_highest_l2_miss_rate() {
     // Fig. 5: 549.fotonik3d_r highest rate-fp L2 local miss rate.
     let fotonik = record("549.fotonik3d_r");
     assert!(
-        fotonik.l2_miss_pct > 55.0,
+        fotonik.l2_miss_pct() > 55.0,
         "fotonik L2 {}",
-        fotonik.l2_miss_pct
+        fotonik.l2_miss_pct()
     );
     assert!(
-        fotonik.l3_miss_pct > 35.0,
+        fotonik.l3_miss_pct() > 35.0,
         "fotonik L3 {}",
-        fotonik.l3_miss_pct
+        fotonik.l3_miss_pct()
     );
 }
 
@@ -132,7 +138,7 @@ fn xz_s_has_largest_footprint() {
 fn footprint_negatively_correlates_with_ipc() {
     // Section IV-C: RSS/VSZ vs IPC correlations of -0.465 / -0.510.
     let rs = records();
-    let ipc: Vec<f64> = rs.iter().map(|r| r.ipc).collect();
+    let ipc: Vec<f64> = rs.iter().map(|r| r.ipc()).collect();
     let rss: Vec<f64> = rs.iter().map(|r| r.rss_gib).collect();
     let c = spec2017_workchar::stat_analysis::summary::pearson(&rss, &ipc).unwrap();
     assert!(c < -0.2, "rss/ipc correlation {c}");
